@@ -30,6 +30,33 @@ copy A plus antiparticle slots of copy B).
 Boosts act diagonally with one frequency per mode; on the doubled space the
 one-particle boost is diag(e^{i t w}) on the charge-raising components and the
 conjugate on the lowering ones, so the two copies are mutual adjoints.
+
+Fields by bit arithmetic
+------------------------
+c_j maps an occupied basis state i to i with bit n-1-j cleared, with the
+Jordan-Wigner sign (-1)^(number of occupied modes below j); every other entry
+is zero, and no two modes share an entry.  field_B and the annihilators
+therefore scatter the coefficients of f straight into a zero matrix, using
+the flip rows, signs and occupied states of all modes, which are tabulated
+once per mode count n (_mode_flips, cached like occupation_table).  The
+entries equal those of the Kronecker-product tower exactly; the tests keep
+that tower as the oracle.
+
+Diagonal operators
+------------------
+Boost, gauge, charge projectors, the grading Y and the twist Z are diagonal
+in the occupation basis, with eigenvalues read off model.phases,
+model.charges and model.parities.  The dense FockOperator builders stay, but
+the verification paths use the diagonals as vectors (boost_phases,
+gauge_phases, twist_phases) and conjugate entrywise with
+conjugate_by_diagonal.
+
+Per-model caches
+----------------
+OneParticleModel.cached builds a value once per model and freezes its arrays
+(read-only).  It holds the wedge generators per tag (wedge_generators), the
+reflection implementer (reflection_fock) and, in the deformation module, the
+angle matrix and the warp phases of the last few kappas.
 """
 
 from __future__ import annotations
@@ -40,32 +67,12 @@ from functools import lru_cache
 import numpy as np
 from scipy.linalg import expm
 
-MAX_MODES = 14
+# Largest accepted n_modes: the dense Fock dimension 2^n stays at or below 1024.
+MAX_MODES = 10
 
 
 class ModelError(ValueError):
     """Inconsistent one-particle model data."""
-
-
-@lru_cache(maxsize=8)
-def jordan_wigner_ops(n: int) -> tuple[np.ndarray, ...]:
-    """Annihilation matrices c_0..c_{n-1} on the 2^n Fock space."""
-    lower = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
-    zphase = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
-    ident = np.eye(2, dtype=complex)
-    ops = []
-    for j in range(n):
-        m = np.eye(1, dtype=complex)
-        for k in range(n):
-            if k < j:
-                m = np.kron(m, zphase)
-            elif k == j:
-                m = np.kron(m, lower)
-            else:
-                m = np.kron(m, ident)
-        m.flags.writeable = False
-        ops.append(m)
-    return tuple(ops)
 
 
 @lru_cache(maxsize=8)
@@ -76,6 +83,39 @@ def occupation_table(n: int) -> np.ndarray:
     occ = (idx >> shifts) & 1
     occ.flags.writeable = False
     return occ
+
+
+@lru_cache(maxsize=8)
+def _mode_flips(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Nonzero entries of c_0..c_{n-1} as flat arrays (mode, src, dst, sign).
+
+    Entry e belongs to c_{mode[e]}: it maps the occupied state src[e] to
+    dst[e] = src[e] with bit n-1-mode[e] cleared, with the Jordan-Wigner sign
+    (-1)^(occupied modes below mode[e]).
+    """
+    occ = occupation_table(n)
+    below = np.cumsum(occ, axis=1) - occ
+    mode, src = np.nonzero(occ.T)
+    dst = src ^ (1 << (n - 1 - mode))
+    sign = 1.0 - 2.0 * (below[src, mode] % 2)
+    tables = (mode, src, dst, sign)
+    for a in tables:
+        a.flags.writeable = False
+    return tables
+
+
+@lru_cache(maxsize=8)
+def annihilation_ops(n: int) -> tuple[np.ndarray, ...]:
+    """Read-only annihilation matrices c_0..c_{n-1} on the 2^n Fock space."""
+    mode, src, dst, sign = _mode_flips(n)
+    ops = []
+    for j in range(n):
+        sel = mode == j
+        c = np.zeros((2 ** n, 2 ** n), dtype=complex)
+        c[dst[sel], src[sel]] = sign[sel]
+        c.flags.writeable = False
+        ops.append(c)
+    return tuple(ops)
 
 
 class OneParticleModel:
@@ -113,6 +153,24 @@ class OneParticleModel:
         self.charges = occ @ self.mode_charges              # Q eigenvalue per basis state
         self.phases = occ @ self.mode_freqs                 # boost generator eigenvalue
         self.parities = 1 - 2 * (occ.sum(axis=1) % 2)       # (-1)^N per basis state
+        self._cache: dict = {}
+
+    def cached(self, key, build):
+        """The value stored under key, built by build() on first use.
+
+        An array result, or each array of a tuple result, is made read-only,
+        since every later caller shares it.
+        """
+        try:
+            return self._cache[key]
+        except KeyError:
+            pass
+        value = build()
+        for a in value if isinstance(value, tuple) else (value,):
+            if isinstance(a, np.ndarray):
+                a.flags.writeable = False
+        self._cache[key] = value
+        return value
 
     # -- validation ---------------------------------------------------------
     def _validate(self):
@@ -222,7 +280,7 @@ class OneParticleModel:
 
     # -- Fock-space data ------------------------------------------------------
     def annihilators(self) -> tuple[np.ndarray, ...]:
-        return jordan_wigner_ops(self.n_modes)
+        return annihilation_ops(self.n_modes)
 
     def vacuum(self) -> np.ndarray:
         v = np.zeros(self.dim, dtype=complex)
@@ -320,16 +378,16 @@ def field_B(model: OneParticleModel, f) -> FockOperator:
     if f.shape != (model.doubled_dim,):
         raise ValueError(f"field vector must have {model.doubled_dim} components, "
                          f"got shape {f.shape}")
-    n, dp = model.n_modes, model.d_plus
-    ops = model.annihilators()
-    out = np.zeros((model.dim, model.dim), dtype=complex)
-    for j in range(n):
-        c, cdag = ops[j], ops[j].conj().T
-        raise_coef, lower_coef = f[j], f[n + j]
-        if j < dp:
-            out += raise_coef * cdag + lower_coef * c
-        else:
-            out += raise_coef * c + lower_coef * cdag
+    n, d = model.n_modes, model.dim
+    mode, src, dst, sign = _mode_flips(n)
+    particle = model.mode_charges > 0
+    # a particle mode is raised by copy A and lowered by copy B; an
+    # antiparticle mode the other way round
+    lower_coef = np.where(particle, f[n:], f[:n])
+    raise_coef = np.where(particle, f[:n], f[n:])
+    out = np.zeros((d, d), dtype=complex)
+    out[dst, src] = lower_coef[mode] * sign
+    out[src, dst] = raise_coef[mode] * sign
     return FockOperator(out, model)
 
 
@@ -349,9 +407,29 @@ def spinor(model: OneParticleModel, f_minus) -> FockOperator:
     return field_B(model, np.concatenate([np.zeros(model.n_modes, dtype=complex), f_minus]))
 
 
+def gauge_phases(model: OneParticleModel, s: float) -> np.ndarray:
+    """Diagonal of gauge_unitary(model, s)."""
+    return np.exp(1j * s * model.charges)
+
+
+def boost_phases(model: OneParticleModel, t: float) -> np.ndarray:
+    """Diagonal of boost_unitary(model, t)."""
+    return np.exp(1j * t * model.phases)
+
+
+def twist_phases(model: OneParticleModel) -> np.ndarray:
+    """Diagonal of twist_Z(model)."""
+    return (1.0 - 1j * model.parities) / np.sqrt(2.0)
+
+
+def conjugate_by_diagonal(u: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """u m u^* for the diagonal unitary with diagonal u, entrywise."""
+    return u[:, None] * m * u.conj()[None, :]
+
+
 def gauge_unitary(model: OneParticleModel, s: float) -> FockOperator:
     """V(s) = exp(isQ), diagonal in the occupation basis."""
-    return FockOperator(np.diag(np.exp(1j * s * model.charges)), model)
+    return FockOperator(np.diag(gauge_phases(model, s)), model)
 
 
 def charge_projector(model: OneParticleModel, n: int) -> FockOperator:
@@ -364,7 +442,7 @@ def charge_operator(model: OneParticleModel) -> FockOperator:
 
 def boost_unitary(model: OneParticleModel, t: float) -> FockOperator:
     """Second-quantized boost: phase e^{it * (sum of occupied frequencies)}."""
-    return FockOperator(np.diag(np.exp(1j * t * model.phases)), model)
+    return FockOperator(np.diag(boost_phases(model, t)), model)
 
 
 def boost_generator(model: OneParticleModel) -> FockOperator:
@@ -378,8 +456,7 @@ def grading_Y(model: OneParticleModel) -> FockOperator:
 
 def twist_Z(model: OneParticleModel) -> FockOperator:
     """Z = (1 - iY)/sqrt(2)."""
-    y = grading_Y(model).matrix
-    return FockOperator((np.eye(model.dim) - 1j * y) / np.sqrt(2.0), model)
+    return FockOperator(np.diag(twist_phases(model)), model)
 
 
 def dgamma(model: OneParticleModel, h: np.ndarray) -> FockOperator:
@@ -423,13 +500,17 @@ def exterior_rep(model: OneParticleModel, w: np.ndarray) -> FockOperator:
 
 
 def reflection_fock(model: OneParticleModel) -> FockOperator:
-    """Implementer of the wedge reflection on the Fock space."""
+    """Implementer of the wedge reflection on the Fock space, built once per model."""
     if model.reflection_pairing is None:
         raise ModelError("model has no reflection_pairing")
-    perm = np.zeros((model.n_modes, model.n_modes))
-    for j, k in enumerate(model.reflection_pairing):
-        perm[k, j] = 1.0
-    return exterior_rep(model, perm)
+
+    def build() -> np.ndarray:
+        perm = np.zeros((model.n_modes, model.n_modes))
+        for j, k in enumerate(model.reflection_pairing):
+            perm[k, j] = 1.0
+        return exterior_rep(model, perm).matrix
+
+    return FockOperator(model.cached("reflection_fock", build), model)
 
 
 def rotation_fock(model: OneParticleModel, angle: float | None = None) -> FockOperator:
@@ -586,3 +667,9 @@ def wedge_subalgebra_basis(model: OneParticleModel, tag: str) -> list[np.ndarray
         rot = model.rotation_one_particle()
         return [rot @ v for v in base]
     raise ValueError(f"unknown wedge tag {tag!r}; expected W0, W0p or rotated")
+
+
+def wedge_generators(model: OneParticleModel, tag: str) -> tuple[np.ndarray, ...]:
+    """Read-only field matrices B(f) over the tagged wedge basis, built once per model."""
+    return model.cached(("wedge_generators", tag), lambda: tuple(
+        field_B(model, f).matrix for f in wedge_subalgebra_basis(model, tag)))

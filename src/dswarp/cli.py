@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 import time
 from importlib import resources
@@ -22,15 +23,15 @@ from . import __version__
 from . import geometry
 from . import spin_group as sg
 from . import wedges as wd
-from .car_fock import (FockOperator, ModelError, OneParticleModel, bogolyubov_fock,
-                       boost_unitary, car_norm_bound, charge_projector, cospinor,
-                       field_B, fock_npoint, gauge_unitary, identity_op,
-                       quasifree_npoint, spinor, twist_Z)
+from .car_fock import (MAX_MODES, FockOperator, ModelError, OneParticleModel,
+                       bogolyubov_fock, boost_phases, car_norm_bound, charge_projector,
+                       conjugate_by_diagonal, cospinor, field_B, fock_npoint, gauge_phases,
+                       identity_op, quasifree_npoint, spinor, twist_phases)
 from .deformation import (DeformationContext, covariance_transform, oracle_residuals,
                           rieffel_product, warp, warp_inverse_check)
 from .verification import (CheckReport, causal_borchers_axioms, check_twisted_locality,
                            fixed_point_residual, inequivalence_witness,
-                           net_well_defined_residual)
+                           net_well_defined_residual, random_monomial, worst)
 
 DEFAULT_KAPPA_GRID = [-1.0, -0.5, -0.1, 0.0, 0.1, 0.5, 1.0]
 
@@ -51,9 +52,6 @@ DEFAULT_CONFIG = {
                "oracle", "locality", "fixed_point", "inequivalence"],
     "output": "out",
 }
-
-MAX_TOTAL_MODES = 10
-
 
 class ConfigError(ValueError):
     """Invalid run configuration."""
@@ -87,14 +85,17 @@ def validate_config(cfg: dict) -> dict:
         d_plus, d_minus = int(m["d_plus"]), int(m["d_minus"])
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"bad mode counts: {exc}") from exc
-    if d_plus + d_minus > MAX_TOTAL_MODES:
+    if d_plus + d_minus > MAX_MODES:
         raise ConfigError(f"d_plus + d_minus = {d_plus + d_minus} exceeds the "
-                          f"Fock-dimension guard ({MAX_TOTAL_MODES} modes)")
+                          f"Fock-dimension guard ({MAX_MODES} modes)")
+    seed = m.get("seed", 0)
+    if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
+        raise ConfigError(f"model.seed must be a non-negative integer, got {seed!r}")
     kappas = cfg["deformation"].get("kappa", DEFAULT_KAPPA_GRID)
     if not isinstance(kappas, list) or not kappas:
         raise ConfigError("deformation.kappa must be a nonempty list")
     for k in kappas:
-        if not isinstance(k, (int, float)) or not np.isfinite(k):
+        if not _finite_real(k):
             raise ConfigError(f"deformation parameter {k!r} is not a finite real")
     suites = cfg["suites"]
     if not isinstance(suites, list) or not suites:
@@ -105,9 +106,15 @@ def validate_config(cfg: dict) -> dict:
     if len(set(suites)) != len(suites):
         raise ConfigError("each suite may be requested at most once")
     for name, value in cfg["tolerances"].items():
-        if not isinstance(value, (int, float)) or value <= 0:
-            raise ConfigError(f"tolerance {name!r} must be a positive number")
+        if not _finite_real(value) or value <= 0:
+            raise ConfigError(f"tolerance {name!r} must be a positive finite number")
     return cfg
+
+
+def _finite_real(value) -> bool:
+    """A finite int or float; bool is refused although it is an int subclass."""
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and math.isfinite(value))
 
 
 def model_from_config(cfg: dict) -> OneParticleModel:
@@ -145,9 +152,9 @@ def _random_doubled_vector(model: OneParticleModel, rng: np.random.Generator) ->
 def suite_geometry(model: OneParticleModel, cfg: dict, rng) -> list[CheckReport]:
     tol = cfg["tolerances"]
     points = geometry.sample_hyperboloid(1000, rng)
-    eta_res = max(geometry.eta_identity_residual(x) for x in points)
-    round_res = max(float(np.max(np.abs(geometry.extract_point(geometry.embed_point(x)) - x)))
-                    for x in points)
+    eta_res = worst(geometry.eta_identity_residual(x) for x in points)
+    round_res = worst(np.max(np.abs(geometry.extract_point(geometry.embed_point(x)) - x))
+                      for x in points)
     pseudo = float(np.max(np.abs(geometry.pseudoscalar() + np.eye(4))))
     return [
         CheckReport("clifford-relations", geometry.clifford_residual(), tol["exact"]),
@@ -160,23 +167,23 @@ def suite_geometry(model: OneParticleModel, cfg: dict, rng) -> list[CheckReport]
 def suite_covering(model: OneParticleModel, cfg: dict, rng) -> list[CheckReport]:
     tol = cfg["tolerances"]
     ident = sg.spin_identity()
-    kernel_res = max(
-        float(np.max(np.abs(sg.covering_hom(ident) - np.eye(5)))),
-        float(np.max(np.abs(sg.covering_hom(-ident) - np.eye(5)))),
-    )
-    boost_res = max(float(np.max(np.abs(sg.covering_hom(sg.boost_cover(t)) - sg.boost_base(t))))
-                    for t in (0.1, 0.5, 1.0))
-    hom_res = 0.0
+    kernel_res = worst([
+        np.max(np.abs(sg.covering_hom(ident) - np.eye(5))),
+        np.max(np.abs(sg.covering_hom(-ident) - np.eye(5))),
+    ])
+    boost_res = worst(np.max(np.abs(sg.covering_hom(sg.boost_cover(t)) - sg.boost_base(t)))
+                      for t in (0.1, 0.5, 1.0))
+    hom = []
     for _ in range(100):
         g, h = sg.random_spin_word(rng), sg.random_spin_word(rng)
         lhs = sg.covering_hom(g @ h)
         rhs = sg.covering_hom(g) @ sg.covering_hom(h)
-        hom_res = max(hom_res, float(np.max(np.abs(lhs - rhs))))
-    sign_res = 0.0
+        hom.append(np.max(np.abs(lhs - rhs)))
+    sign = []
     for _ in range(20):
         g = sg.random_spin_word(rng)
-        sign_res = max(sign_res, float(np.max(np.abs(sg.covering_hom(g) - sg.covering_hom(-g)))))
-    stab_res = 0.0
+        sign.append(np.max(np.abs(sg.covering_hom(g) - sg.covering_hom(-g))))
+    commute = []
     for t in (0.3, -0.6):
         lam = sg.boost_base(t)
         for _ in range(5):
@@ -188,34 +195,31 @@ def suite_covering(model: OneParticleModel, cfg: dict, rng) -> list[CheckReport]
             stab[:2, :2] = [[np.cosh(rapidity), np.sinh(rapidity)],
                             [np.sinh(rapidity), np.cosh(rapidity)]]
             stab[2:, 2:] = q
-            stab_res = max(stab_res, float(np.max(np.abs(stab @ lam - lam @ stab))))
+            commute.append(np.max(np.abs(stab @ lam - lam @ stab)))
     return [
         CheckReport("kernel-plus-minus-one", kernel_res, tol["exact"]),
         CheckReport("boost-cover-matches-base", boost_res, tol["composed"]),
-        CheckReport("homomorphism-100-words", hom_res, tol["composed"]),
-        CheckReport("two-to-one-sign", sign_res, tol["exact"]),
-        CheckReport("stabilizer-commutes-with-boost", stab_res, tol["composed"]),
+        CheckReport("homomorphism-100-words", worst(hom), tol["composed"]),
+        CheckReport("two-to-one-sign", worst(sign), tol["exact"]),
+        CheckReport("stabilizer-commutes-with-boost", worst(commute), tol["composed"]),
     ]
 
 
 def suite_lie(model: OneParticleModel, cfg: dict, rng) -> list[CheckReport]:
     tol = cfg["tolerances"]
     basis = sg.lie_basis()
-    bracket_res = 0
-    for mu, nu, a in basis:
-        for rho, sig, b in basis:
-            defect = sg.lie_bracket(a, b) - sg.structure_rhs(mu, nu, rho, sig)
-            bracket_res = max(bracket_res, int(np.max(np.abs(defect))))
-    abelian_res = 0.0
+    bracket_res = worst(np.max(np.abs(sg.lie_bracket(a, b) - sg.structure_rhs(mu, nu, rho, sig)))
+                        for mu, nu, a in basis for rho, sig, b in basis)
+    abelian = []
     for tag in sorted(sg.ABELIAN_SUBGROUPS):
         for _ in range(5):
             t, s = rng.uniform(-1.5, 1.5, size=2)
-            abelian_res = max(abelian_res, sg.abelian_commutation_residual(tag, t, s))
+            abelian.append(sg.abelian_commutation_residual(tag, t, s))
     period_res = float(np.max(np.abs(sg.abelian_flow("L1", 2 * np.pi, 2 * np.pi) - np.eye(5))))
     obstruction = sg.reflection_obstruction_check()
     return [
-        CheckReport("structure-constants-100-brackets", float(bracket_res), tol["exact"]),
-        CheckReport("table-subgroups-commute", abelian_res, tol["composed"]),
+        CheckReport("structure-constants-100-brackets", bracket_res, tol["exact"]),
+        CheckReport("table-subgroups-commute", worst(abelian), tol["composed"]),
         CheckReport("rotation-flow-periodicity", period_res, tol["composed"]),
         CheckReport("reflection-obstruction-grid", obstruction["max_residual"],
                     tol["composed"], {"grid": obstruction["grid"]}),
@@ -263,27 +267,26 @@ def suite_wedges(model: OneParticleModel, cfg: dict, rng) -> list[CheckReport]:
 
 def suite_car(model: OneParticleModel, cfg: dict, rng) -> list[CheckReport]:
     tol = cfg["tolerances"]
-    car_res = 0.0
-    norm_res = 0.0
+    car, norm = [], []
     for _ in range(200):
         f = _random_doubled_vector(model, rng)
         g = _random_doubled_vector(model, rng)
         bf, bg = field_B(model, f), field_B(model, g)
         anti = bf @ bg + bg @ bf
         target = complex(np.vdot(model.apply_conjugation(f), g)) * identity_op(model)
-        car_res = max(car_res, anti.dist(target))
-        norm_res = max(norm_res, abs(bf.norm() - car_norm_bound(model, f)))
+        car.append(anti.dist(target))
+        norm.append(abs(bf.norm() - car_norm_bound(model, f)))
 
     s_fock = model.basis_projection()
-    quasi_res = 0.0
+    quasi = []
     for length in range(1, 7):
         for _ in range(12):
             fs = [_random_doubled_vector(model, rng) / 2.0 for _ in range(length)]
             lhs = quasifree_npoint(model, s_fock, fs)
             rhs = fock_npoint(model, fs)
-            quasi_res = max(quasi_res, abs(lhs - rhs))
+            quasi.append(abs(lhs - rhs))
 
-    bogo_res = 0.0
+    bogo = []
     for _ in range(6):
         hp = rng.standard_normal((model.d_plus, model.d_plus))
         hm = rng.standard_normal((model.d_minus, model.d_minus))
@@ -293,21 +296,20 @@ def suite_car(model: OneParticleModel, cfg: dict, rng) -> list[CheckReport]:
         f = _random_doubled_vector(model, rng)
         lhs = big_u @ field_B(model, f) @ big_u.H
         rhs = field_B(model, u_one @ f)
-        bogo_res = max(bogo_res, lhs.dist(rhs))
-        bogo_res = max(bogo_res, float(np.linalg.norm(big_u.matrix @ model.vacuum()
-                                                      - model.vacuum())))
+        bogo.append(lhs.dist(rhs))
+        bogo.append(np.linalg.norm(big_u.matrix @ model.vacuum() - model.vacuum()))
 
     omega = model.vacuum()
-    vac_res = max(
-        float(np.linalg.norm(gauge_unitary(model, 1.7).matrix @ omega - omega)),
-        float(np.linalg.norm(boost_unitary(model, -2.3).matrix @ omega - omega)),
-    )
+    vac_res = worst([
+        np.linalg.norm(gauge_phases(model, 1.7) * omega - omega),
+        np.linalg.norm(boost_phases(model, -2.3) * omega - omega),
+    ])
     return [
-        CheckReport("car-anticommutators", car_res, tol["exact"], {"pairs": 200}),
-        CheckReport("cstar-norm-formula", norm_res, 1e-9, {"samples": 200}),
-        CheckReport("quasifree-matches-fock", quasi_res, tol["composed"],
+        CheckReport("car-anticommutators", worst(car), tol["exact"], {"pairs": 200}),
+        CheckReport("cstar-norm-formula", worst(norm), 1e-9, {"samples": 200}),
+        CheckReport("quasifree-matches-fock", worst(quasi), tol["composed"],
                     {"max_length": 6}),
-        CheckReport("bogolyubov-implementation", bogo_res, tol["composed"]),
+        CheckReport("bogolyubov-implementation", worst(bogo), tol["composed"]),
         CheckReport("vacuum-invariance", vac_res, tol["exact"]),
     ]
 
@@ -316,62 +318,60 @@ def suite_deformation(model: OneParticleModel, cfg: dict, rng) -> list[CheckRepo
     tol = cfg["tolerances"]
     kappas = [float(k) for k in cfg["deformation"]["kappa"]]
     ctx0 = DeformationContext(model, 0.0)
-    zero_res = 0.0
+    zero = []
     for _ in range(10):
         op = _random_operator(model, rng)
-        zero_res = max(zero_res, float(np.max(np.abs(warp(ctx0, op).matrix - op.matrix))))
+        zero.append(np.max(np.abs(warp(ctx0, op).matrix - op.matrix)))
 
-    adjoint_res = homo_res = assoc_res = inverse_res = vacuum_res = unit_res = 0.0
+    adjoint, homo, assoc, inverse, vacuum, unit = [], [], [], [], [], []
     omega = model.vacuum()
     for kappa in kappas:
         ctx = DeformationContext(model, kappa)
         for _ in range(12):
             f, g, h = (_random_operator(model, rng) for _ in range(3))
-            adjoint_res = max(adjoint_res, warp(ctx, f).H.dist(warp(ctx, f.H)))
-            homo_res = max(homo_res, (warp(ctx, f) @ warp(ctx, g)).dist(
+            adjoint.append(warp(ctx, f).H.dist(warp(ctx, f.H)))
+            homo.append((warp(ctx, f) @ warp(ctx, g)).dist(
                 warp(ctx, rieffel_product(ctx, f, g))))
-            assoc_res = max(assoc_res, rieffel_product(ctx, rieffel_product(ctx, f, g), h).dist(
+            assoc.append(rieffel_product(ctx, rieffel_product(ctx, f, g), h).dist(
                 rieffel_product(ctx, f, rieffel_product(ctx, g, h))))
-            inverse_res = max(inverse_res, warp_inverse_check(ctx, f))
-            vacuum_res = max(vacuum_res, float(np.linalg.norm(
-                (warp(ctx, f).matrix - f.matrix) @ omega)))
-        unit_res = max(unit_res, warp(ctx, identity_op(model)).dist(identity_op(model)))
+            inverse.append(warp_inverse_check(ctx, f))
+            vacuum.append(np.linalg.norm((warp(ctx, f).matrix - f.matrix) @ omega))
+        unit.append(warp(ctx, identity_op(model)).dist(identity_op(model)))
 
-    commutant_res = twisted_res = covariance_res = 0.0
-    from .verification import random_monomial
+    commutant, twisted, covariance = [], [], []
+    z = twist_phases(model)
     for kappa in (0.5, 1.0, -0.7):
         ctx = DeformationContext(model, kappa)
         ctx_neg = ctx.with_kappa(-kappa)
-        z = twist_Z(model)
         for _ in range(8):
             f_even = FockOperator(random_monomial(model, "W0", 1, rng), model)
             f_even = f_even @ f_even.H   # even element of the localized algebra
             g_even = FockOperator(random_monomial(model, "W0p", 1, rng), model)
             g_even = g_even @ g_even.H
             wf, wg = warp(ctx, f_even), warp(ctx_neg, g_even)
-            commutant_res = max(commutant_res, (wf @ wg - wg @ wf).norm())
+            commutant.append((wf @ wg - wg @ wf).norm())
             f_odd = FockOperator(random_monomial(model, "W0", 1, rng), model)
             g_odd = FockOperator(random_monomial(model, "W0p", 1, rng), model)
-            zf = z @ warp(ctx, f_odd) @ z.H
+            zf = FockOperator(conjugate_by_diagonal(z, warp(ctx, f_odd).matrix), model)
             wg_odd = warp(ctx_neg, g_odd)
-            twisted_res = max(twisted_res, (zf @ wg_odd - wg_odd @ zf).norm())
+            twisted.append((zf @ wg_odd - wg_odd @ zf).norm())
         for kind, param in (("gauge", 0.9), ("boost", 0.45), ("reflection", None),
                             ("rotation", 0.6)):
             op = _random_operator(model, rng)
             lhs, rhs = covariance_transform(ctx, op, kind, param)
-            covariance_res = max(covariance_res, lhs.dist(rhs))
+            covariance.append(lhs.dist(rhs))
 
     return [
-        CheckReport("warp-at-zero-is-identity", zero_res, 0.0),
-        CheckReport("warp-fixes-unit", unit_res, tol["exact"]),
-        CheckReport("adjoint-compatibility", adjoint_res, tol["exact"]),
-        CheckReport("rieffel-homomorphism", homo_res, tol["composed"]),
-        CheckReport("rieffel-associativity", assoc_res, tol["composed"]),
-        CheckReport("warp-inverse", inverse_res, tol["exact"]),
-        CheckReport("vacuum-invariance", vacuum_res, tol["exact"]),
-        CheckReport("deformed-commutant", commutant_res, tol["composed"]),
-        CheckReport("deformed-twisted-commutant", twisted_res, tol["composed"]),
-        CheckReport("covariance-identities", covariance_res, tol["composed"]),
+        CheckReport("warp-at-zero-is-identity", worst(zero), 0.0),
+        CheckReport("warp-fixes-unit", worst(unit), tol["exact"]),
+        CheckReport("adjoint-compatibility", worst(adjoint), tol["exact"]),
+        CheckReport("rieffel-homomorphism", worst(homo), tol["composed"]),
+        CheckReport("rieffel-associativity", worst(assoc), tol["composed"]),
+        CheckReport("warp-inverse", worst(inverse), tol["exact"]),
+        CheckReport("vacuum-invariance", worst(vacuum), tol["exact"]),
+        CheckReport("deformed-commutant", worst(commutant), tol["composed"]),
+        CheckReport("deformed-twisted-commutant", worst(twisted), tol["composed"]),
+        CheckReport("covariance-identities", worst(covariance), tol["composed"]),
     ]
 
 
@@ -407,7 +407,7 @@ def suite_locality(model: OneParticleModel, cfg: dict, rng) -> list[CheckReport]
                                  flip_kappa=False)
     threshold = 1e-2
     checks.append(CheckReport("negative-control-missing-flip",
-                              max(0.0, threshold - neg.max_residual), 0.0,
+                              worst([0.0, threshold - neg.max_residual]), 0.0,
                               {"observed": neg.max_residual, "must_exceed": threshold}))
     for rep in causal_borchers_axioms(model, 0.5, degree=2, seed=seed,
                                       tolerance=tol["composed"]):
@@ -429,7 +429,7 @@ def suite_fixed_point(model: OneParticleModel, cfg: dict, rng) -> list[CheckRepo
             op = _random_operator(model, rng)
             op = FockOperator(op.charge_shift(0), model)
         sectors, derivative = fixed_point_residual(model, op)
-        charged = max((r for n, r in sectors.items() if n != 0), default=0.0)
+        charged = worst(r for n, r in sectors.items() if n != 0)
         both_zero = charged < low and derivative < low
         both_moving = charged > high and derivative > high
         if not (both_zero or both_moving):
@@ -437,7 +437,7 @@ def suite_fixed_point(model: OneParticleModel, cfg: dict, rng) -> list[CheckRepo
 
     e1 = charge_projector(model, 1)
     sectors, derivative = fixed_point_residual(model, e1)
-    e1_res = max(max(sectors.values()), derivative)
+    e1_res = worst([*sectors.values(), derivative])
     ctx = DeformationContext(model, 0.3)
     e1_fixed = warp(ctx, e1).dist(e1)
 
@@ -448,10 +448,10 @@ def suite_fixed_point(model: OneParticleModel, cfg: dict, rng) -> list[CheckRepo
     return [
         CheckReport("derivative-commutator-equivalence", float(inconsistent), 0.0,
                     {"samples": 100, "low": low, "high": high}),
-        CheckReport("sector-projector-is-fixed", max(e1_res, e1_fixed), 1e-8,
+        CheckReport("sector-projector-is-fixed", worst([e1_res, e1_fixed]), 1e-8,
                     {"note": "non-scalar fixed point at finite dimension"}),
         CheckReport("cross-frequency-observable-moves",
-                    max(0.0, high - min(mover_derivative, mover_moved)), 0.0,
+                    worst([0.0, high - mover_derivative, high - mover_moved]), 0.0,
                     {"derivative": mover_derivative, "moved": mover_moved}),
     ]
 
@@ -465,12 +465,13 @@ def suite_inequivalence(model: OneParticleModel, cfg: dict, rng) -> list[CheckRe
     threshold = 0.1
     _, fock_small = inequivalence_witness(model, 0.1, np.pi / 4)
     return [
-        CheckReport("witness-vanishes-without-deformation", max(zeros), tol["exact"]),
-        CheckReport("witness-nonzero", max(0.0, threshold - min(group_res, fock_res)),
-                    0.0, {"group_residual": group_res, "fock_residual": fock_res,
-                          "must_exceed": threshold}),
+        CheckReport("witness-vanishes-without-deformation", worst(zeros), tol["exact"]),
+        CheckReport("witness-nonzero",
+                    worst([0.0, threshold - group_res, threshold - fock_res]), 0.0,
+                    {"group_residual": group_res, "fock_residual": fock_res,
+                     "must_exceed": threshold}),
         CheckReport("witness-monotone-in-kappa",
-                    max(0.0, fock_small - fock_res), 0.0,
+                    worst([0.0, fock_small - fock_res]), 0.0,
                     {"kappa_small": 0.1, "kappa_large": 1.0,
                      "fock_small": fock_small, "fock_large": fock_res}),
     ]
@@ -569,7 +570,7 @@ def _cmd_verify(args) -> int:
     if args.suite:
         cfg["suites"] = args.suite
     if args.kappa:
-        cfg["deformation"]["kappa"] = [float(k) for k in args.kappa]
+        cfg["deformation"]["kappa"] = [_parse_float(k, "--kappa") for k in args.kappa]
     if args.seed is not None:
         cfg["model"]["seed"] = args.seed
     if args.out:
@@ -618,7 +619,24 @@ def _cmd_wedges(args) -> int:
     return 0
 
 
+def _parse_float(text: str, option: str) -> float:
+    try:
+        return float(text)
+    except ValueError:
+        raise ConfigError(f"{option} value {text!r} is not a number") from None
+
+
+def _require_finite(value: float, option: str) -> float:
+    if not math.isfinite(value):
+        raise ConfigError(f"{option} must be finite, got {value!r}")
+    return value
+
+
 def _generator_by_name(model: OneParticleModel, name: str, mode: int) -> FockOperator:
+    size = model.doubled_dim if name == "b" else model.n_modes
+    if not 0 <= mode < size:
+        raise ConfigError(f"--mode {mode} is out of range for generator {name!r}: "
+                          f"expected 0..{size - 1}")
     if name == "psi":
         vec = np.zeros(model.n_modes)
         vec[mode] = 1.0
@@ -639,7 +657,7 @@ def _cmd_deform(args) -> int:
     validate_config(cfg)
     model = model_from_config(cfg)
     op = _generator_by_name(model, args.generator, args.mode)
-    ctx = DeformationContext(model, args.kappa)
+    ctx = DeformationContext(model, _require_finite(args.kappa, "--kappa"))
     warped = warp(ctx, op)
     flat = [[float(z.real), float(z.imag)] for z in warped.matrix.ravel()]
     payload = {
@@ -657,11 +675,13 @@ def _cmd_oracle(args) -> int:
     cfg = load_config(args.config)
     validate_config(cfg)
     model = model_from_config(cfg)
-    ctx = DeformationContext(model, args.kappa)
+    ctx = DeformationContext(model, _require_finite(args.kappa, "--kappa"))
     f_minus = np.zeros(model.n_modes)
     f_minus[model.d_plus if model.d_minus else 0] = 1.0
     op = spinor(model, f_minus)
-    epsilons = [float(e) for e in args.eps]
+    epsilons = [_require_finite(_parse_float(e, "--eps"), "--eps") for e in args.eps]
+    if any(e <= 0 for e in epsilons):
+        raise ConfigError(f"--eps values must be positive, got {epsilons}")
     payload = {"kappa": args.kappa, "epsilons": epsilons}
     for cutoff in ("gaussian", "cosine"):
         residuals = oracle_residuals(ctx, op, epsilons, cutoff)
@@ -675,9 +695,14 @@ def _cmd_oracle(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    with open(args.input, "r", encoding="utf-8") as fh:
-        report = json.load(fh)
-    print(render_report_table(report))
+    try:
+        with open(args.input, "r", encoding="utf-8") as fh:
+            table = render_report_table(json.load(fh))
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"cannot read report {args.input}: {exc}") from exc
+    except (KeyError, TypeError) as exc:
+        raise ConfigError(f"{args.input} is not a dswarp report: {exc!r}") from exc
+    print(table)
     return 0
 
 

@@ -32,16 +32,22 @@ and J -> e^{i alpha beta} as eps -> 0, reproducing the closed form.
 
 from __future__ import annotations
 
+import math
+from collections import OrderedDict
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 from scipy.special import roots_legendre
 
-from .car_fock import (FockOperator, OneParticleModel, boost_unitary, gauge_unitary,
-                       reflection_fock, rotation_fock)
+from .car_fock import (FockOperator, OneParticleModel, boost_phases, conjugate_by_diagonal,
+                       gauge_phases, reflection_fock, rotation_fock)
 
 CUTOFF_WIDTH = 6.0
+
+# Warp phases kept per model: the most recent kappas, enough for +-kappa and
+# for the +-h, +-h/2 steps of a central-difference derivative.
+RECENT_PHASES = 4
 
 THETA = np.array([[0.0, 1.0], [-1.0, 0.0]])
 
@@ -57,14 +63,31 @@ class DeformationContext:
         return DeformationContext(self.model, float(kappa))
 
     def angle_matrix(self) -> np.ndarray:
+        """phi_i q_j - q_i phi_j, read-only and built once per model."""
         phi, q = self.model.phases, self.model.charges
-        return np.outer(phi, q) - np.outer(q, phi)
+        return self.model.cached("angle_matrix",
+                                 lambda: np.outer(phi, q) - np.outer(q, phi))
+
+
+def warp_phase(ctx: DeformationContext) -> np.ndarray:
+    """exp(i kappa angle), read-only; the model keeps the RECENT_PHASES latest."""
+    recent = ctx.model.cached("warp_phases", OrderedDict)
+    key = (ctx.kappa, math.copysign(1.0, ctx.kappa))   # -0.0 is its own key
+    phase = recent.get(key)
+    if phase is None:
+        phase = np.exp(1j * ctx.kappa * ctx.angle_matrix())
+        phase.flags.writeable = False
+        recent[key] = phase
+        if len(recent) > RECENT_PHASES:
+            recent.popitem(last=False)
+    else:
+        recent.move_to_end(key)
+    return phase
 
 
 def warp(ctx: DeformationContext, op: FockOperator) -> FockOperator:
     """The warped operator, by the exact sector formula."""
-    phase = np.exp(1j * ctx.kappa * ctx.angle_matrix())
-    return FockOperator(op.matrix * phase, ctx.model)
+    return FockOperator(op.matrix * warp_phase(ctx), ctx.model)
 
 
 def unwarp(ctx: DeformationContext, op: FockOperator) -> FockOperator:
@@ -118,14 +141,10 @@ def covariance_transform(ctx: DeformationContext, op: FockOperator, kind: str,
     boost generator by its rotated image.
     """
     model = ctx.model
-    if kind == "boost":
-        u = boost_unitary(model, float(parameter))
-        lhs = u @ warp(ctx, op) @ u.H
-        rhs = warp(ctx, u @ op @ u.H)
-    elif kind == "gauge":
-        v = gauge_unitary(model, float(parameter))
-        lhs = v @ warp(ctx, op) @ v.H
-        rhs = warp(ctx, v @ op @ v.H)
+    if kind in ("boost", "gauge"):
+        u = (boost_phases if kind == "boost" else gauge_phases)(model, float(parameter))
+        lhs = FockOperator(conjugate_by_diagonal(u, warp(ctx, op).matrix), model)
+        rhs = warp(ctx, FockOperator(conjugate_by_diagonal(u, op.matrix), model))
     elif kind == "reflection":
         r = reflection_fock(model)
         lhs = r @ warp(ctx, op) @ r.H

@@ -7,22 +7,32 @@ numerical rank (SVD threshold 1e-9), which makes set statements like
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .car_fock import (FockOperator, OneParticleModel, boost_generator, boost_unitary,
-                       charge_projector, field_B, gauge_unitary, spinor, twist_Z,
-                       wedge_subalgebra_basis)
+from .car_fock import (FockOperator, OneParticleModel, boost_phases, conjugate_by_diagonal,
+                       gauge_phases, spinor, twist_phases, wedge_generators)
 from .deformation import DeformationContext, warp, warp_rotated
 from .spin_group import boost_base, rotation_base
 
 SPAN_SVD_TOL = 1e-9
 
 
+def worst(residuals) -> float:
+    """Largest of the residuals, NaN if any is NaN, 0.0 if there are none.
+
+    Python's max() keeps its first argument against a NaN (max(0.0, nan) is
+    0.0), which would let a NaN residual pass.
+    """
+    values = np.fromiter(residuals, dtype=float)
+    return float(values.max()) if values.size else 0.0
+
+
 @dataclass(frozen=True)
 class CheckReport:
-    """One named residual check; pass iff the residual meets the tolerance."""
+    """One named residual check; pass iff the residual is finite and meets the tolerance."""
 
     name: str
     max_residual: float
@@ -31,7 +41,7 @@ class CheckReport:
 
     @property
     def passed(self) -> bool:
-        return self.max_residual <= self.tolerance
+        return math.isfinite(self.max_residual) and self.max_residual <= self.tolerance
 
     def as_dict(self) -> dict:
         return {
@@ -55,26 +65,27 @@ def span_basis(mats: list[np.ndarray], svd_tol: float = SPAN_SVD_TOL) -> np.ndar
 
 def span_residual(basis: np.ndarray, mats: list[np.ndarray]) -> float:
     """Largest relative distance of any matrix from the span."""
-    worst = 0.0
+    conj = basis.conj()
+    residuals = []
     for m in mats:
         v = m.ravel()
         scale = np.linalg.norm(v)
         if scale == 0.0:
             continue
-        proj = basis.T @ (basis.conj() @ v)
-        worst = max(worst, float(np.linalg.norm(v - proj) / scale))
-    return worst
+        proj = basis.T @ (conj @ v)
+        residuals.append(float(np.linalg.norm(v - proj) / scale))
+    return worst(residuals)
 
 
 def spans_equal_residual(mats_a: list[np.ndarray], mats_b: list[np.ndarray]) -> float:
     """Symmetric containment defect of two spans."""
     basis_a, basis_b = span_basis(mats_a), span_basis(mats_b)
-    return max(span_residual(basis_a, mats_b), span_residual(basis_b, mats_a))
+    return worst([span_residual(basis_a, mats_b), span_residual(basis_b, mats_a)])
 
 
 def wedge_monomials(model: OneParticleModel, tag: str, degree: int) -> list[np.ndarray]:
     """All generator words of length <= degree over the tagged wedge basis."""
-    gens = [field_B(model, f).matrix for f in wedge_subalgebra_basis(model, tag)]
+    gens = wedge_generators(model, tag)
     words = [np.eye(model.dim, dtype=complex)]
     layer = [np.eye(model.dim, dtype=complex)]
     for _ in range(degree):
@@ -117,10 +128,12 @@ def build_net(model: OneParticleModel, kappa: float, degree: int = 4,
 
 def random_monomial(model: OneParticleModel, tag: str, degree: int,
                     rng: np.random.Generator) -> np.ndarray:
-    gens = [field_B(model, f).matrix for f in wedge_subalgebra_basis(model, tag)]
-    out = np.eye(model.dim, dtype=complex)
-    for _ in range(int(rng.integers(1, degree + 1))):
-        out = out @ gens[int(rng.integers(len(gens)))]
+    """A product of 1..degree random wedge generators, as a new array."""
+    gens = wedge_generators(model, tag)
+    picks = [int(rng.integers(len(gens))) for _ in range(int(rng.integers(1, degree + 1)))]
+    out = gens[picks[0]].copy()
+    for i in picks[1:]:
+        out = out @ gens[i]
     return out
 
 
@@ -137,17 +150,16 @@ def check_twisted_locality(model: OneParticleModel, kappa: float, degree: int = 
     rng = np.random.default_rng(seed)
     ctx = DeformationContext(model, kappa)
     ctx_refl = ctx.with_kappa(-kappa if flip_kappa else kappa)
-    z = twist_Z(model).matrix
-    zinv = z.conj().T
-    worst = 0.0
+    z = twist_phases(model)
+    residuals = []
     for _ in range(n_samples):
         f = warp(ctx, FockOperator(random_monomial(model, "W0", degree, rng), model)).matrix
         g = warp(ctx_refl, FockOperator(random_monomial(model, "W0p", degree, rng), model)).matrix
-        twisted = z @ f @ zinv
+        twisted = conjugate_by_diagonal(z, f)
         comm = twisted @ g - g @ twisted
-        worst = max(worst, float(np.linalg.norm(comm, 2)))
+        residuals.append(float(np.linalg.norm(comm, 2)))
     name = "twisted-locality" if flip_kappa else "twisted-locality-negative-control"
-    return CheckReport(name, worst, tolerance,
+    return CheckReport(name, worst(residuals), tolerance,
                        {"kappa": kappa, "degree": degree, "seed": seed,
                         "samples": n_samples, "kappa_flip": flip_kappa})
 
@@ -173,16 +185,19 @@ def fixed_point_residual(model: OneParticleModel, op: FockOperator,
     """Per-sector boost-commutator norms and the kappa-derivative at zero.
 
     The derivative vanishes iff every charged-sector commutator [K, A E(n)],
-    n != 0, vanishes; gauge-invariant inputs are required.
+    n != 0, vanishes; gauge-invariant inputs are required.  K and E(n) are
+    diagonal, so [K, A E(n)] is zero outside the sector-n columns and equals
+    (phi_i - phi_j) A_ij on them; the norm of that column block is the norm
+    of the commutator.
     """
     if not op.is_gauge_invariant(gauge_tol):
         raise ValueError("fixed-point analysis needs a gauge-invariant operator")
-    k = boost_generator(model).matrix
+    phi = model.phases
     sector_residuals: dict[int, float] = {}
     for n in model.charge_values():
-        an = op.matrix @ charge_projector(model, n).matrix
-        comm = k @ an - an @ k
-        sector_residuals[n] = float(np.linalg.norm(comm, 2))
+        cols = np.nonzero(model.charges == n)[0]
+        block = (phi[:, None] - phi[cols][None, :]) * op.matrix[:, cols]
+        sector_residuals[n] = float(np.linalg.norm(block, 2))
     derivative = deformation_derivative_at_zero(model, op)
     return sector_residuals, derivative
 
@@ -214,7 +229,6 @@ def inequivalence_witness(model: OneParticleModel, kappa: float,
     straight = warp(ctx, psi_op)
     rotated = warp_rotated(ctx, psi_op, phi)
 
-    one_particle = np.zeros(model.dim, dtype=complex)
     ops = model.annihilators()
     one_particle = ops[0].conj().T @ model.vacuum()   # first particle mode, charge +1
     diff = (straight.matrix - rotated.matrix) @ one_particle
@@ -241,8 +255,8 @@ def causal_borchers_axioms(model: OneParticleModel, kappa: float, degree: int = 
 
     reports = []
     for t in (0.35, -0.8):
-        u = boost_unitary(model, t).matrix
-        conjugated = [u @ m @ u.conj().T for m in deformed]
+        u = boost_phases(model, t)
+        conjugated = [conjugate_by_diagonal(u, m) for m in deformed]
         residual = span_residual(basis, conjugated)
         reports.append(("boost-stabilizer-invariance", residual, {"t": t}))
 
@@ -252,21 +266,20 @@ def causal_borchers_axioms(model: OneParticleModel, kappa: float, degree: int = 
         refl_words = wedge_monomials(model, "W0p", degree)
         reflected = [warp(ctx.with_kappa(-kappa), FockOperator(w, model)).matrix
                      for w in refl_words]
-    z = twist_Z(model).matrix
-    zinv = z.conj().T
-    worst = 0.0
+    z = twist_phases(model)
+    residuals = []
     rng = np.random.default_rng(seed)
     for _ in range(24):
         f = deformed[int(rng.integers(len(deformed)))]
         g = reflected[int(rng.integers(len(reflected)))]
-        twisted = z @ f @ zinv
-        worst = max(worst, float(np.linalg.norm(twisted @ g - g @ twisted, 2)))
-    reports.append(("reflected-in-twisted-commutant", worst,
+        twisted = conjugate_by_diagonal(z, f)
+        residuals.append(float(np.linalg.norm(twisted @ g - g @ twisted, 2)))
+    reports.append(("reflected-in-twisted-commutant", worst(residuals),
                     {"broken": break_reflection}))
 
     for s in (0.7, 2.1):
-        v = gauge_unitary(model, s).matrix
-        conjugated = [v @ m @ v.conj().T for m in deformed]
+        v = gauge_phases(model, s)
+        conjugated = [conjugate_by_diagonal(v, m) for m in deformed]
         residual = span_residual(basis, conjugated)
         reports.append(("gauge-invariance", residual, {"s": s}))
 
@@ -275,7 +288,7 @@ def causal_borchers_axioms(model: OneParticleModel, kappa: float, degree: int = 
         meta = dict(meta, kappa=kappa, degree=degree)
         if name in merged:
             prev = merged[name]
-            merged[name] = CheckReport(name, max(prev.max_residual, residual),
+            merged[name] = CheckReport(name, worst([prev.max_residual, residual]),
                                        tolerance, prev.metadata)
         else:
             merged[name] = CheckReport(name, residual, tolerance, meta)
@@ -289,9 +302,9 @@ def net_well_defined_residual(model: OneParticleModel, kappa: float,
     ctx = DeformationContext(model, kappa)
     words = wedge_monomials(model, "W0", degree)
     deformed = [warp(ctx, FockOperator(w, model)).matrix for w in words]
-    worst = 0.0
+    residuals = []
     for t, s in ((0.4, 0.0), (-0.25, 1.3), (0.0, 2.0)):
-        u = (boost_unitary(model, t) @ gauge_unitary(model, s)).matrix
-        conjugated = [u @ m @ u.conj().T for m in deformed]
-        worst = max(worst, spans_equal_residual(deformed, conjugated))
-    return worst
+        u = boost_phases(model, t) * gauge_phases(model, s)
+        conjugated = [conjugate_by_diagonal(u, m) for m in deformed]
+        residuals.append(spans_equal_residual(deformed, conjugated))
+    return worst(residuals)

@@ -155,3 +155,108 @@ def test_report_subcommand(tmp_path, capsys):
     rc = cli.main(["report", "--input", str(tmp_path / "o" / "report.json")])
     assert rc == 0
     assert "PASS" in capsys.readouterr().out
+
+
+# -- invalid input is refused with exit code 2 -------------------------------------
+
+def _assert_refused(argv, tmp_path, capsys):
+    """Exit code 2, a config-error message, and no NaN in any written report."""
+    rc = cli.main(argv)
+    assert rc == 2
+    assert "config error" in capsys.readouterr().err
+    for report in tmp_path.rglob("report.json"):
+        assert "NaN" not in report.read_text()
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), True])
+def test_nonfinite_or_bool_tolerance_refused(tmp_path, capsys, value):
+    path = _write_config(tmp_path, {"tolerances": {"exact": value}})
+    with pytest.raises(cli.ConfigError):
+        cli.validate_config(cli.load_config(path))
+    _assert_refused(["verify", "--config", path, "--suite", "geometry",
+                     "--out", str(tmp_path / "o")], tmp_path, capsys)
+
+
+def test_bool_kappa_refused(tmp_path, capsys):
+    path = _write_config(tmp_path, {"deformation": {"kappa": [True]}})
+    with pytest.raises(cli.ConfigError):
+        cli.validate_config(cli.load_config(path))
+    _assert_refused(["verify", "--config", path, "--suite", "locality",
+                     "--out", str(tmp_path / "o")], tmp_path, capsys)
+
+
+@pytest.mark.parametrize("seed", [-1, 1.5, "abc", True])
+def test_bad_seed_refused(tmp_path, capsys, seed):
+    path = _write_config(tmp_path, {"model": {"seed": seed}})
+    _assert_refused(["verify", "--config", path, "--suite", "lie",
+                     "--out", str(tmp_path / "o")], tmp_path, capsys)
+
+
+def test_negative_seed_option_refused(tmp_path, capsys):
+    _assert_refused(["verify", "--suite", "lie", "--seed", "-1",
+                     "--out", str(tmp_path / "o")], tmp_path, capsys)
+
+
+def test_unparseable_verify_kappa_refused(tmp_path, capsys):
+    _assert_refused(["verify", "--suite", "geometry", "--kappa", "abc",
+                     "--out", str(tmp_path / "o")], tmp_path, capsys)
+
+
+@pytest.mark.parametrize("generator,mode", [("psi", 99), ("psi", 4), ("psidag", -1),
+                                            ("b", 8)])
+def test_deform_mode_out_of_range_refused(tmp_path, capsys, generator, mode):
+    _assert_refused(["deform", "--generator", generator, "--mode", str(mode),
+                     "--kappa", "0.5"], tmp_path, capsys)
+
+
+def test_deform_last_mode_accepted(capsys):
+    assert cli.main(["deform", "--generator", "b", "--mode", "7", "--kappa", "0.5"]) == 0
+    assert json.loads(capsys.readouterr().out)["mode"] == 7
+
+
+@pytest.mark.parametrize("eps", ["0", "-0.1", "nan", "inf", "abc"])
+def test_oracle_bad_eps_refused(tmp_path, capsys, eps):
+    _assert_refused(["oracle", "--kappa", "0.5", "--eps", "0.1", eps], tmp_path, capsys)
+
+
+def test_oracle_nonfinite_kappa_refused(tmp_path, capsys):
+    _assert_refused(["oracle", "--kappa", "nan", "--eps", "0.1"], tmp_path, capsys)
+
+
+def test_report_missing_input_refused(tmp_path, capsys):
+    _assert_refused(["report", "--input", str(tmp_path / "missing.json")], tmp_path, capsys)
+
+
+@pytest.mark.parametrize("text", ["{not json", "[1, 2]", '{"suites": []}'])
+def test_report_unparseable_input_refused(tmp_path, capsys, text):
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    _assert_refused(["report", "--input", str(path)], tmp_path, capsys)
+
+
+# -- one mode cap ----------------------------------------------------------------------
+
+def test_mode_cap_is_car_fock_max_modes(tmp_path, capsys):
+    from dswarp.car_fock import MAX_MODES, ModelError, OneParticleModel
+    assert MAX_MODES == 10
+    assert not hasattr(cli, "MAX_TOTAL_MODES")
+    with pytest.raises(ModelError):
+        OneParticleModel(6, 5, [1.0] * 6, [1.0] * 5, localized_modes=[0])
+    path = _write_config(tmp_path, {"model": {"d_plus": 6, "d_minus": 5,
+                                              "boost_freqs_plus": [1.0] * 6,
+                                              "boost_freqs_minus": [1.0] * 5}})
+    _assert_refused(["verify", "--config", path, "--out", str(tmp_path / "o")],
+                    tmp_path, capsys)
+
+
+# -- NaN never passes ----------------------------------------------------------------
+
+def test_nan_residual_fails_car_suite(monkeypatch):
+    from dswarp.car_fock import FockOperator
+    monkeypatch.setattr(FockOperator, "dist", lambda self, other: float("nan"))
+    model = cli.model_from_config(cli.load_config(None))
+    checks = {c.name: c for c in cli.suite_car(model, cli.load_config(None),
+                                               np.random.default_rng(0))}
+    for name in ("car-anticommutators", "bogolyubov-implementation"):
+        assert np.isnan(checks[name].max_residual)
+        assert not checks[name].passed

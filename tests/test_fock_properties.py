@@ -1,0 +1,175 @@
+"""Property tests: each structured Fock fast path against its dense reference.
+
+The references are the dense constructions the fast paths replaced: the
+Kronecker-product Jordan-Wigner tower for the fields, the full commutator
+[K, A E(n)] for the fixed-point sectors, dense products with diagonal
+matrices for conjugation, and the uncached phase expression for warp.
+Models are small random ones, up to 3 + 3 modes.
+"""
+
+from functools import lru_cache
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from dswarp.car_fock import (FockOperator, OneParticleModel, boost_phases, boost_unitary,
+                             charge_projector, conjugate_by_diagonal, default_model,
+                             field_B, gauge_phases, gauge_unitary, reflection_fock,
+                             twist_phases, twist_Z, wedge_generators)
+from dswarp.deformation import RECENT_PHASES, DeformationContext, warp, warp_phase
+from dswarp.verification import fixed_point_residual
+
+PROPERTY = settings(max_examples=30, deadline=None)
+
+
+@lru_cache(maxsize=8)
+def jordan_wigner_ops(n: int) -> tuple[np.ndarray, ...]:
+    """Annihilation matrices c_0..c_{n-1} as Kronecker products (the oracle)."""
+    lower = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
+    zphase = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
+    ident = np.eye(2, dtype=complex)
+    ops = []
+    for j in range(n):
+        m = np.eye(1, dtype=complex)
+        for k in range(n):
+            if k < j:
+                m = np.kron(m, zphase)
+            elif k == j:
+                m = np.kron(m, lower)
+            else:
+                m = np.kron(m, ident)
+        ops.append(m)
+    return tuple(ops)
+
+
+def oracle_field(model: OneParticleModel, f: np.ndarray) -> np.ndarray:
+    """B(f) as the dense sum over modes of coefficient times c_j or c_j^+."""
+    n, dp = model.n_modes, model.d_plus
+    ops = jordan_wigner_ops(n)
+    out = np.zeros((model.dim, model.dim), dtype=complex)
+    for j in range(n):
+        c, cdag = ops[j], ops[j].conj().T
+        raise_coef, lower_coef = f[j], f[n + j]
+        if j < dp:
+            out += raise_coef * cdag + lower_coef * c
+        else:
+            out += raise_coef * c + lower_coef * cdag
+    return out
+
+
+# Frequencies are multiples of 1/4, so every phase phi_i is an exact sum and
+# phi_i - phi_j is exact; the sector-block and dense commutators then differ
+# only by the rounding of their last products.
+FREQS = st.integers(-12, 12).map(lambda k: k / 4.0)
+SEEDS = st.integers(0, 2 ** 32 - 1)
+
+
+@st.composite
+def models(draw):
+    dp = draw(st.integers(0, 3))
+    dm = draw(st.integers(max(0, 2 - dp), 3))
+    return OneParticleModel(dp, dm,
+                            draw(st.lists(FREQS, min_size=dp, max_size=dp)),
+                            draw(st.lists(FREQS, min_size=dm, max_size=dm)),
+                            localized_modes=[0])
+
+
+def _random_matrix(rng, dim):
+    return rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+
+
+@PROPERTY
+@given(models(), SEEDS)
+def test_bit_built_field_equals_kronecker_oracle(model, seed):
+    rng = np.random.default_rng(seed)
+    f = rng.standard_normal(model.doubled_dim) + 1j * rng.standard_normal(model.doubled_dim)
+    assert (field_B(model, f).matrix == oracle_field(model, f)).all()
+
+
+@PROPERTY
+@given(models())
+def test_bit_built_annihilators_equal_kronecker_oracle(model):
+    ops = model.annihilators()
+    assert len(ops) == model.n_modes
+    for built, oracle in zip(ops, jordan_wigner_ops(model.n_modes)):
+        assert (built == oracle).all()
+
+
+@PROPERTY
+@given(models(), SEEDS)
+def test_sector_block_norm_matches_full_commutator_norm(model, seed):
+    rng = np.random.default_rng(seed)
+    op = FockOperator(_random_matrix(rng, model.dim), model)
+    op = FockOperator(op.charge_shift(0), model)
+    sectors, _ = fixed_point_residual(model, op)
+    k = np.diag(model.phases.astype(complex))
+    assert sorted(sectors) == model.charge_values()
+    for n, block_norm in sectors.items():
+        an = op.matrix @ charge_projector(model, n).matrix
+        full = float(np.linalg.norm(k @ an - an @ k, 2))
+        assert abs(block_norm - full) <= 1e-13 * full
+
+
+@PROPERTY
+@given(models(), SEEDS, st.floats(-3.0, 3.0))
+def test_entrywise_diagonal_conjugation_matches_dense(model, seed, t):
+    rng = np.random.default_rng(seed)
+    m = _random_matrix(rng, model.dim)
+    for u, dense in ((boost_phases(model, t), boost_unitary(model, t).matrix),
+                     (gauge_phases(model, t), gauge_unitary(model, t).matrix),
+                     (twist_phases(model), twist_Z(model).matrix)):
+        assert (np.diag(u) == dense).all()
+        reference = dense @ m @ dense.conj().T
+        assert np.max(np.abs(conjugate_by_diagonal(u, m) - reference)) \
+            <= 1e-13 * np.max(np.abs(m))
+
+
+KAPPAS = st.one_of(st.sampled_from([0.0, -0.0, 0.5, -0.5, 1e-4, -1e-4]),
+                   st.floats(-2.0, 2.0))
+
+
+@PROPERTY
+@given(models(), st.lists(KAPPAS, min_size=1, max_size=12), SEEDS)
+def test_cached_warp_phase_is_bit_identical(model, kappas, seed):
+    op_matrix = _random_matrix(np.random.default_rng(seed), model.dim)
+    op = FockOperator(op_matrix, model)
+    phi, q = model.phases, model.charges
+    for kappa in kappas + kappas[::-1]:
+        expected = np.exp(1j * kappa * (np.outer(phi, q) - np.outer(q, phi)))
+        ctx = DeformationContext(model, kappa)
+        assert warp_phase(ctx).tobytes() == expected.tobytes()
+        assert warp(ctx, op).matrix.tobytes() == (op_matrix * expected).tobytes()
+    assert len(model.cached("warp_phases", dict)) <= RECENT_PHASES
+
+
+def _assert_frozen(a: np.ndarray):
+    assert not a.flags.writeable
+    with pytest.raises(ValueError):
+        a[0, 0] = 1.0
+
+
+@PROPERTY
+@given(models())
+def test_cached_generators_are_read_only_and_built_once(model):
+    gens = wedge_generators(model, "W0")
+    assert wedge_generators(model, "W0") is gens
+    assert len(gens) == 2 * len(model.localized_modes)
+    for g in gens:
+        _assert_frozen(g)
+
+
+def test_per_model_caches_are_read_only():
+    model = default_model()
+    for tag in ("W0", "W0p", "rotated"):
+        for g in wedge_generators(model, tag):
+            _assert_frozen(g)
+    ctx = DeformationContext(model, 0.5)
+    assert ctx.angle_matrix() is ctx.angle_matrix()
+    _assert_frozen(ctx.angle_matrix())
+    _assert_frozen(warp_phase(ctx))
+    assert reflection_fock(model).matrix is reflection_fock(model).matrix
+    _assert_frozen(reflection_fock(model).matrix)
+    for c in model.annihilators():
+        _assert_frozen(c)

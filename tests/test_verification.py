@@ -145,3 +145,18 @@ def test_causal_borchers_axioms_pass_and_negative_control():
 def test_net_well_defined():
     assert net_well_defined_residual(MODEL, 0.0) < 1e-8
     assert net_well_defined_residual(MODEL, 0.7) < 1e-8
+
+
+def test_worst_propagates_nan():
+    from dswarp.verification import worst
+    assert worst([]) == 0.0
+    assert worst([1e-3, 2.0, 0.5]) == 2.0
+    assert np.isnan(worst([0.0, float("nan"), 1.0]))
+    assert np.isnan(worst(x for x in (float("nan"), 0.0)))
+    assert worst([0.0, float("inf")]) == float("inf")
+
+
+def test_check_report_fails_nonfinite_residual():
+    assert not CheckReport("x", float("nan"), 1e-10).passed
+    assert not CheckReport("x", float("inf"), float("inf")).passed
+    assert not CheckReport("x", float("-inf"), 1e-10).passed
