@@ -35,11 +35,12 @@ class NonCoercibleMatrixError(ValueError):
     """Matrix is not the embedding of any ambient point."""
 
 
-def minkowski_form(a, b) -> float:
-    """eta(a, b) = a0*b0 - sum_k ak*bk for ambient 5-vectors."""
+def minkowski_form(a, b):
+    """eta(a, b) = a0*b0 - sum_k ak*bk for ambient 5-vectors, broadcast over (..., 5)."""
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
-    return float(np.sum(ETA_DIAG * a * b))
+    form = np.sum(ETA_DIAG * a * b, axis=-1)
+    return float(form) if form.ndim == 0 else form
 
 
 _GAMMAS = (
@@ -50,6 +51,9 @@ _GAMMAS = (
     QuatMatrix2(((Q_ZERO, Q_E3), (Q_E3, Q_ZERO))),
 )
 
+# All five generators as one batch of shape (5,): GAMMA_STACK[mu] is gamma_mu.
+GAMMA_STACK = QuatMatrix2(np.stack([g.array for g in _GAMMAS]))
+
 
 def gamma(mu: int) -> QuatMatrix2:
     """The generator gamma_mu, mu in 0..4."""
@@ -58,59 +62,61 @@ def gamma(mu: int) -> QuatMatrix2:
     return _GAMMAS[mu]
 
 
-def embed_point(x, strict: bool = True, tol: float = HYPERBOLOID_TOL) -> QuatMatrix2:
-    """x_tilde = sum_mu x^mu gamma_mu.
-
-    In strict mode x must lie on the hyperboloid eta(x, x) = -1.
-    """
+def _as_points(x) -> np.ndarray:
     x = np.asarray(x, dtype=float)
-    if x.shape != (5,):
+    if x.ndim == 0 or x.shape[-1] != 5:
         raise ValueError(f"ambient point must have 5 components, got shape {x.shape}")
+    return x
+
+
+def embed_point(x, strict: bool = True, tol: float = HYPERBOLOID_TOL) -> QuatMatrix2:
+    """x_tilde = sum_mu x^mu gamma_mu, for one point (5,) or a batch (..., 5).
+
+    In strict mode every point must lie on the hyperboloid eta(x, x) = -1.
+    """
+    x = _as_points(x)
     if strict:
-        defect = abs(minkowski_form(x, x) + 1.0)
-        if defect > tol:
+        defect = np.max(np.abs(minkowski_form(x, x) + 1.0), initial=0.0)
+        if not defect <= tol:
             raise OffHyperboloidError(
                 f"point is off the hyperboloid: |eta(x,x)+1| = {defect:.3e} > {tol:.1e}")
-    m = _GAMMAS[0].scale(x[0])
+    m = _GAMMAS[0].scale(x[..., 0])
     for mu in range(1, 5):
-        m = m + _GAMMAS[mu].scale(x[mu])
+        m = m + _GAMMAS[mu].scale(x[..., mu])
     return m
 
 
 def extract_point(m: QuatMatrix2, tol: float = 1e-8) -> np.ndarray:
     """Inverse of embed_point via the raised-index trace formula.
 
-    Raises NonCoercibleMatrixError when m is not (close to) an embedded point.
+    Accepts one matrix or a batch; returns points of shape (..., 5).  Raises
+    NonCoercibleMatrixError when any matrix is not (close to) an embedded point.
     """
-    x = np.empty(5)
-    for mu in range(5):
-        prod = _GAMMAS[mu] @ m
-        # Tr over the 4x4 realization equals twice the diagonal scalar sum.
-        x[mu] = 0.5 * ETA_DIAG[mu] * prod.diag_scalar_sum()
-    residual = (embed_point(x, strict=False) - m).max_abs()
-    if residual > tol:
+    # Tr over the 4x4 realization equals twice the diagonal scalar sum.
+    x = 0.5 * ETA_DIAG * np.asarray((GAMMA_STACK @ m[..., None]).diag_scalar_sum())
+    residual = np.max((embed_point(x, strict=False) - m).max_abs(), initial=0.0)
+    if not residual <= tol:
         raise NonCoercibleMatrixError(
             f"matrix is not an embedded ambient point: roundtrip residual {residual:.3e}")
     return x
 
 
-def eta_identity_residual(x) -> float:
-    """Max-abs defect of eta(x,x)*1 = x_tilde^* gamma0 x_tilde gamma0."""
+def eta_identity_residual(x):
+    """Max-abs defect of eta(x,x)*1 = x_tilde^* gamma0 x_tilde gamma0, per point."""
+    x = _as_points(x)
     m = embed_point(x, strict=False)
     lhs = (m.adjoint() @ _GAMMAS[0] @ m @ _GAMMAS[0]).to_complex()
-    rhs = minkowski_form(x, x) * np.eye(4, dtype=complex)
-    return float(np.max(np.abs(lhs - rhs)))
+    rhs = np.asarray(minkowski_form(x, x))[..., None, None] * np.eye(4, dtype=complex)
+    residual = np.max(np.abs(lhs - rhs), axis=(-2, -1))
+    return float(residual) if residual.ndim == 0 else residual
 
 
 def clifford_residual() -> float:
     """Max defect of {gamma_mu, gamma_nu} = 2 eta_mu_nu over all 25 pairs."""
-    worst = 0.0
-    for mu in range(5):
-        for nu in range(5):
-            anti = (_GAMMAS[mu] @ _GAMMAS[nu]) + (_GAMMAS[nu] @ _GAMMAS[mu])
-            target = QuatMatrix2.identity().scale(2.0 * ETA[mu, nu])
-            worst = max(worst, (anti - target).max_abs())
-    return worst
+    rows, cols = GAMMA_STACK[:, None], GAMMA_STACK[None, :]
+    anti = rows @ cols + cols @ rows                              # batch (5, 5)
+    target = QuatMatrix2.identity().scale(2.0 * ETA)
+    return float(np.max((anti - target).max_abs()))
 
 
 def pseudoscalar() -> np.ndarray:

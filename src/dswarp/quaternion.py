@@ -1,8 +1,20 @@
-"""Exact quaternion scalars and 2x2 quaternionic matrices.
+"""Quaternions and 2x2 quaternionic matrices as float arrays.
 
-Arithmetic is carried out directly on the real coefficients over the basis
-{1, e1, e2, e3} with e1*e2 = e3 (cyclic), so group computations stay exact up
-to float rounding of the inputs.
+Array layout.  A quaternion w + x*e1 + y*e2 + z*e3 is a float array whose last
+axis holds (w, x, y, z), in the basis order (1, e1, e2, e3) with e1*e2 = e3
+(cyclic).  A batch of quaternions has shape (..., 4).  A 2x2 quaternionic
+matrix has shape (2, 2, 4) -- row, column, coefficient -- and a batch of them
+(..., 2, 2, 4).
+
+Broadcasting.  Every operation acts entrywise over the leading batch axes and
+follows numpy broadcasting on them: `qmul` of shapes (n, 4) and (4,) gives
+(n, 4), and a QuatMatrix2 of batch shape (5, 1) times one of batch shape (n,)
+gives batch shape (5, n).  Reductions (`norm2`, `diag_scalar_sum`, `max_abs`)
+return one value per batch element, a Python float when there is no batch.
+
+`qmul` evaluates the Hamilton product with the same operations in the same
+order as the scalar formula, so a batched product equals the products of its
+elements bit for bit.
 
 The complex realization maps a quaternion to a 2x2 complex block,
 
@@ -21,66 +33,110 @@ import numpy as np
 _SIGMA1 = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 _SIGMA2 = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 _SIGMA3 = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
+_EYE2 = np.eye(2, dtype=complex)
+
+_CONJ_SIGNS = np.array([1.0, -1.0, -1.0, -1.0])
+
+
+def qmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Hamilton product of quaternion arrays of shapes (..., 4), broadcast."""
+    aw, ax, ay, az = a[..., 0], a[..., 1], a[..., 2], a[..., 3]
+    bw, bx, by, bz = b[..., 0], b[..., 1], b[..., 2], b[..., 3]
+    return np.stack([
+        aw * bw - ax * bx - ay * by - az * bz,
+        aw * bx + ax * bw + ay * bz - az * by,
+        aw * by - ax * bz + ay * bw + az * bx,
+        aw * bz + ax * by - ay * bx + az * bw,
+    ], axis=-1)
+
+
+def _qconj(a: np.ndarray) -> np.ndarray:
+    """Quaternionic conjugate w - x*e1 - y*e2 - z*e3 of a (..., 4) array."""
+    return a * _CONJ_SIGNS
+
+
+def _realize(a: np.ndarray) -> np.ndarray:
+    """(..., 2, 2) complex blocks w*I - i*(x*sigma1 + y*sigma2 + z*sigma3)."""
+    w, x, y, z = (a[..., k, None, None] for k in range(4))
+    return w * _EYE2 - 1.0j * (x * _SIGMA1 + y * _SIGMA2 + z * _SIGMA3)
+
+
+def _scalar_or_array(values: np.ndarray):
+    return float(values) if values.ndim == 0 else values
 
 
 class Quaternion:
-    """A quaternion w + x*e1 + y*e2 + z*e3 with float coefficients."""
+    """A quaternion w + x*e1 + y*e2 + z*e3 (or a batch), held as a (..., 4) array."""
 
-    __slots__ = ("w", "x", "y", "z")
+    __slots__ = ("q",)
 
-    def __init__(self, w: float = 0.0, x: float = 0.0, y: float = 0.0, z: float = 0.0):
-        self.w = float(w)
-        self.x = float(x)
-        self.y = float(y)
-        self.z = float(z)
+    def __init__(self, w=0.0, x=0.0, y=0.0, z=0.0):
+        self.q = np.stack(np.broadcast_arrays(*(np.asarray(c, dtype=float)
+                                                for c in (w, x, y, z))), axis=-1)
+
+    @classmethod
+    def from_array(cls, q) -> "Quaternion":
+        out = cls.__new__(cls)
+        out.q = np.asarray(q, dtype=float)
+        return out
+
+    @property
+    def w(self):
+        return _scalar_or_array(self.q[..., 0])
+
+    @property
+    def x(self):
+        return _scalar_or_array(self.q[..., 1])
+
+    @property
+    def y(self):
+        return _scalar_or_array(self.q[..., 2])
+
+    @property
+    def z(self):
+        return _scalar_or_array(self.q[..., 3])
 
     # -- algebra -----------------------------------------------------------
     def __add__(self, other: "Quaternion") -> "Quaternion":
-        return Quaternion(self.w + other.w, self.x + other.x,
-                          self.y + other.y, self.z + other.z)
+        return Quaternion.from_array(self.q + other.q)
 
     def __sub__(self, other: "Quaternion") -> "Quaternion":
-        return Quaternion(self.w - other.w, self.x - other.x,
-                          self.y - other.y, self.z - other.z)
+        return Quaternion.from_array(self.q - other.q)
 
     def __neg__(self) -> "Quaternion":
-        return Quaternion(-self.w, -self.x, -self.y, -self.z)
+        return Quaternion.from_array(-self.q)
 
     def __mul__(self, other):
         if isinstance(other, Quaternion):
-            a, b = self, other
-            return Quaternion(
-                a.w * b.w - a.x * b.x - a.y * b.y - a.z * b.z,
-                a.w * b.x + a.x * b.w + a.y * b.z - a.z * b.y,
-                a.w * b.y - a.x * b.z + a.y * b.w + a.z * b.x,
-                a.w * b.z + a.x * b.y - a.y * b.x + a.z * b.w,
-            )
-        return Quaternion(self.w * other, self.x * other, self.y * other, self.z * other)
+            return Quaternion.from_array(qmul(self.q, other.q))
+        return Quaternion.from_array(self.q * np.asarray(other, dtype=float)[..., None])
 
-    def __rmul__(self, scalar: float) -> "Quaternion":
-        return Quaternion(self.w * scalar, self.x * scalar, self.y * scalar, self.z * scalar)
+    def __rmul__(self, scalar) -> "Quaternion":
+        return self * scalar
 
     def conjugate(self) -> "Quaternion":
-        return Quaternion(self.w, -self.x, -self.y, -self.z)
+        return Quaternion.from_array(_qconj(self.q))
 
-    def norm2(self) -> float:
+    def norm2(self):
         """|q|^2 = q * conj(q), a nonnegative real scalar."""
-        return self.w ** 2 + self.x ** 2 + self.y ** 2 + self.z ** 2
+        w, x, y, z = self.q[..., 0], self.q[..., 1], self.q[..., 2], self.q[..., 3]
+        return _scalar_or_array(w * w + x * x + y * y + z * z)
 
-    def scalar_part(self) -> float:
+    def scalar_part(self):
         return self.w
 
     # -- realization and comparison ----------------------------------------
     def to_complex(self) -> np.ndarray:
         """2x2 complex block w*I - i*(x*sigma1 + y*sigma2 + z*sigma3)."""
-        return (self.w * np.eye(2, dtype=complex)
-                - 1.0j * (self.x * _SIGMA1 + self.y * _SIGMA2 + self.z * _SIGMA3))
+        return _realize(self.q)
 
     def coeffs(self) -> np.ndarray:
-        return np.array([self.w, self.x, self.y, self.z])
+        return self.q.copy()
 
     def __repr__(self) -> str:
-        return f"Quaternion({self.w}, {self.x}, {self.y}, {self.z})"
+        if self.q.ndim == 1:
+            return f"Quaternion({self.w}, {self.x}, {self.y}, {self.z})"
+        return f"Quaternion.from_array({self.q!r})"
 
 
 Q_ZERO = Quaternion()
@@ -90,14 +146,33 @@ Q_E2 = Quaternion(0.0, 0.0, 1.0)
 Q_E3 = Quaternion(0.0, 0.0, 0.0, 1.0)
 
 
-class QuatMatrix2:
-    """2x2 matrix over the quaternions."""
+def _qmatmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Product of (..., 2, 2, 4) arrays: c_ij = a_i0 b_0j + a_i1 b_1j."""
+    return (qmul(a[..., :, 0:1, :], b[..., 0:1, :, :])
+            + qmul(a[..., :, 1:2, :], b[..., 1:2, :, :]))
 
-    __slots__ = ("entries",)
+
+class QuatMatrix2:
+    """2x2 matrix over the quaternions (or a batch), held as a (..., 2, 2, 4) array.
+
+    Built from nested entries ((a, b), (c, d)) of Quaternions, or from an
+    array whose last three axes are (row, column, coefficient).
+    """
+
+    __slots__ = ("array",)
 
     def __init__(self, entries):
-        ((a, b), (c, d)) = entries
-        self.entries = ((a, b), (c, d))
+        if isinstance(entries, np.ndarray):
+            array = np.asarray(entries, dtype=float)
+            if array.shape[-3:] != (2, 2, 4):
+                raise ValueError(f"quaternionic 2x2 array must end in (2, 2, 4), "
+                                 f"got shape {array.shape}")
+        else:
+            ((a, b), (c, d)) = entries
+            qa, qb, qc, qd = np.broadcast_arrays(a.q, b.q, c.q, d.q)
+            array = np.stack([np.stack([qa, qb], axis=-2),
+                              np.stack([qc, qd], axis=-2)], axis=-3)
+        self.array = array
 
     @staticmethod
     def identity() -> "QuatMatrix2":
@@ -107,55 +182,67 @@ class QuatMatrix2:
     def diag(a: Quaternion, d: Quaternion) -> "QuatMatrix2":
         return QuatMatrix2(((a, Q_ZERO), (Q_ZERO, d)))
 
+    @property
+    def batch_shape(self) -> tuple:
+        return self.array.shape[:-3]
+
+    @property
+    def entries(self):
+        """The four entries as Quaternions, ((a, b), (c, d))."""
+        return tuple(tuple(Quaternion.from_array(self.array[..., i, j, :]) for j in range(2))
+                     for i in range(2))
+
+    def __getitem__(self, index) -> "QuatMatrix2":
+        """numpy indexing of the batch axes only: m[k], m[0::2], m[..., None]."""
+        index = index if isinstance(index, tuple) else (index,)
+        return QuatMatrix2(self.array[index + (slice(None),) * 3])
+
+    def __len__(self) -> int:
+        if not self.batch_shape:
+            raise TypeError("an unbatched QuatMatrix2 has no length")
+        return self.batch_shape[0]
+
     def __matmul__(self, other: "QuatMatrix2") -> "QuatMatrix2":
-        (a, b), (c, d) = self.entries
-        (e, f), (g, h) = other.entries
-        return QuatMatrix2(((a * e + b * g, a * f + b * h),
-                            (c * e + d * g, c * f + d * h)))
+        return QuatMatrix2(_qmatmul(self.array, other.array))
 
     def __add__(self, other: "QuatMatrix2") -> "QuatMatrix2":
-        (a, b), (c, d) = self.entries
-        (e, f), (g, h) = other.entries
-        return QuatMatrix2(((a + e, b + f), (c + g, d + h)))
+        return QuatMatrix2(self.array + other.array)
 
     def __sub__(self, other: "QuatMatrix2") -> "QuatMatrix2":
-        (a, b), (c, d) = self.entries
-        (e, f), (g, h) = other.entries
-        return QuatMatrix2(((a - e, b - f), (c - g, d - h)))
+        return QuatMatrix2(self.array - other.array)
 
     def __neg__(self) -> "QuatMatrix2":
-        (a, b), (c, d) = self.entries
-        return QuatMatrix2(((-a, -b), (-c, -d)))
+        return QuatMatrix2(-self.array)
 
-    def scale(self, s: float) -> "QuatMatrix2":
-        (a, b), (c, d) = self.entries
-        return QuatMatrix2(((s * a, s * b), (s * c, s * d)))
+    def scale(self, s) -> "QuatMatrix2":
+        """Multiply every entry by the real s (a scalar, or one per batch element)."""
+        return QuatMatrix2(self.array * np.asarray(s, dtype=float)[..., None, None, None])
 
     def adjoint(self) -> "QuatMatrix2":
         """Transpose of the entrywise quaternionic conjugate."""
-        (a, b), (c, d) = self.entries
-        return QuatMatrix2(((a.conjugate(), c.conjugate()),
-                            (b.conjugate(), d.conjugate())))
+        return QuatMatrix2(_qconj(np.swapaxes(self.array, -3, -2)))
 
-    def diag_scalar_sum(self) -> float:
+    def diag_scalar_sum(self):
         """Sum of the scalar parts of the diagonal entries (half the 4x4 trace)."""
-        (a, _), (_, d) = self.entries
-        return a.scalar_part() + d.scalar_part()
+        return _scalar_or_array(self.array[..., 0, 0, 0] + self.array[..., 1, 1, 0])
 
     def to_complex(self) -> np.ndarray:
-        """4x4 complex realization (each quaternion entry as a 2x2 block)."""
-        (a, b), (c, d) = self.entries
-        return np.block([[a.to_complex(), b.to_complex()],
-                         [c.to_complex(), d.to_complex()]])
+        """(..., 4, 4) complex realization (each quaternion entry as a 2x2 block)."""
+        blocks = _realize(self.array)                        # (..., 2, 2, 2, 2)
+        out = np.swapaxes(blocks, -3, -2)                    # row, block row, col, block col
+        return out.reshape(out.shape[:-4] + (4, 4))
 
-    def max_abs(self) -> float:
-        return float(np.max(np.abs(self.to_complex())))
+    def max_abs(self):
+        """Largest absolute entry of the realization, per batch element."""
+        return _scalar_or_array(np.max(np.abs(self.to_complex()), axis=(-2, -1)))
 
     def __repr__(self) -> str:
+        if self.batch_shape:
+            return f"QuatMatrix2({self.array!r})"
         (a, b), (c, d) = self.entries
         return f"QuatMatrix2((({a}, {b}), ({c}, {d})))"
 
 
-def qmat_dist(a: QuatMatrix2, b: QuatMatrix2) -> float:
+def qmat_dist(a: QuatMatrix2, b: QuatMatrix2):
     """Max-abs distance between two quaternionic matrices (via realization)."""
     return (a - b).max_abs()

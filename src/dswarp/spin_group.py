@@ -17,7 +17,7 @@ from __future__ import annotations
 import numpy as np
 from scipy.linalg import expm
 
-from .geometry import ETA, ETA_DIAG, gamma
+from .geometry import ETA, ETA_DIAG, GAMMA_STACK, gamma
 from .quaternion import Q_ONE, Quaternion, QuatMatrix2, qmat_dist
 
 SP11_TOL = 1e-10
@@ -28,16 +28,32 @@ class NotInSpinGroupError(ValueError):
 
 
 class SpinElement:
-    """An element of Sp(1,1), stored as a 2x2 quaternionic matrix."""
+    """An element of Sp(1,1), or a batch of them, stored as a 2x2 quaternionic matrix.
+
+    Construction checks membership for every element of the batch.
+    """
 
     __slots__ = ("matrix",)
 
     def __init__(self, matrix: QuatMatrix2, tol: float = SP11_TOL):
-        residual = sp11_residual(matrix)
-        if residual > tol:
+        residual = np.max(sp11_residual(matrix), initial=0.0)
+        if not residual <= tol:
             raise NotInSpinGroupError(
                 f"not an Sp(1,1) element: membership residual {residual:.3e}")
         self.matrix = matrix
+
+    @classmethod
+    def _checked(cls, matrix: QuatMatrix2) -> "SpinElement":
+        """Wrap a matrix taken from an already checked batch."""
+        out = cls.__new__(cls)
+        out.matrix = matrix
+        return out
+
+    def __getitem__(self, index) -> "SpinElement":
+        return SpinElement._checked(self.matrix[index])
+
+    def __len__(self) -> int:
+        return len(self.matrix)
 
     def __matmul__(self, other: "SpinElement") -> "SpinElement":
         return SpinElement(self.matrix @ other.matrix)
@@ -50,11 +66,12 @@ class SpinElement:
         g0 = gamma(0)
         return g0 @ self.matrix.adjoint() @ g0
 
-    def dist(self, other: "SpinElement") -> float:
+    def dist(self, other: "SpinElement"):
         return qmat_dist(self.matrix, other.matrix)
 
 
-def sp11_residual(m: QuatMatrix2) -> float:
+def sp11_residual(m: QuatMatrix2):
+    """Membership defect max|g^* gamma0 g - gamma0|, per batch element."""
     g0 = gamma(0)
     return qmat_dist(m.adjoint() @ g0 @ m, g0)
 
@@ -63,11 +80,17 @@ def spin_identity() -> SpinElement:
     return SpinElement(QuatMatrix2.identity())
 
 
-def boost_cover(t: float) -> SpinElement:
-    """Lift of the reference-wedge boost; rapidity pi*t."""
-    c = Quaternion(np.cosh(np.pi * t))
-    s = Quaternion(-np.sinh(np.pi * t))
-    return SpinElement(QuatMatrix2(((c, s), (s, c))))
+def _boost_array(t) -> np.ndarray:
+    """The (..., 2, 2, 4) array of the boost lift [[c, s], [s, c]], real entries."""
+    out = np.zeros(np.shape(t) + (2, 2, 4))
+    out[..., 0, 0, 0] = out[..., 1, 1, 0] = np.cosh(np.pi * t)
+    out[..., 0, 1, 0] = out[..., 1, 0, 0] = -np.sinh(np.pi * t)
+    return out
+
+
+def boost_cover(t) -> SpinElement:
+    """Lift of the reference-wedge boost; rapidity pi*t (t a scalar or an array)."""
+    return SpinElement(QuatMatrix2(_boost_array(t)))
 
 
 def reflection_cover() -> SpinElement:
@@ -84,25 +107,22 @@ def rotation_cover(q: Quaternion) -> SpinElement:
 
 
 def covering_hom(g: SpinElement) -> np.ndarray:
-    """The 5x5 proper orthochronous image of g under the covering map."""
-    ginv = g.inverse_matrix()
-    out = np.empty((5, 5))
-    for nu in range(5):
-        conj = g.matrix @ gamma(nu) @ ginv
-        for mu in range(5):
-            prod = gamma(mu) @ conj
-            out[mu, nu] = 0.5 * ETA_DIAG[mu] * prod.diag_scalar_sum()
-    if not is_proper_orthochronous(out):
+    """The 5x5 proper orthochronous image of g, shape (..., 5, 5) for a batch."""
+    conj = g.matrix[..., None] @ GAMMA_STACK @ g.inverse_matrix()[..., None]  # (..., nu)
+    prod = GAMMA_STACK[:, None] @ conj[..., None, :]                          # (..., mu, nu)
+    out = (0.5 * ETA_DIAG[:, None]) * np.asarray(prod.diag_scalar_sum())
+    if not np.all(is_proper_orthochronous(out)):
         raise NotInSpinGroupError("covering image failed the SO(1,4)_0 checks")
     return out
 
 
-def is_proper_orthochronous(lam: np.ndarray, tol: float = 1e-8) -> bool:
-    if np.max(np.abs(lam.T @ ETA @ lam - ETA)) > tol:
-        return False
-    if lam[0, 0] < 1.0 - 1e-10:
-        return False
-    return abs(np.linalg.det(lam) - 1.0) <= tol
+def is_proper_orthochronous(lam: np.ndarray, tol: float = 1e-8):
+    """Lorentz, time-orienting and unimodular; one verdict per (..., 5, 5) matrix."""
+    lam = np.asarray(lam, dtype=float)
+    defect = np.max(np.abs(np.swapaxes(lam, -1, -2) @ ETA @ lam - ETA), axis=(-2, -1))
+    ok = ((defect <= tol) & (lam[..., 0, 0] >= 1.0 - 1e-10)
+          & (np.abs(np.linalg.det(lam) - 1.0) <= tol))
+    return bool(ok) if ok.ndim == 0 else ok
 
 
 def boost_base(t: float) -> np.ndarray:
@@ -218,23 +238,45 @@ def reflection_obstruction_check(grid: int = 5, extent: float = 1.0) -> dict:
     }
 
 
-def random_spin_word(rng: np.random.Generator, max_len: int = 4) -> SpinElement:
-    """A short random word in boost and reflection lifts.
+# Letters of random_spin_words as (2, 2, 4) arrays: the padding and the reflection lift.
+_IDENTITY = QuatMatrix2.identity().array
+_REFLECTION = QuatMatrix2.diag(Q_ONE, -Q_ONE).array
 
+
+def random_spin_words(rng: np.random.Generator, count: int,
+                      max_len: int = 4) -> SpinElement:
+    """A batch of count short random words in boost and reflection lifts.
+
+    Draws from rng exactly as count sequential random_spin_word calls do.
     Boost parameters stay small so that matrix entries remain moderate and
     absolute float error stays far below the 1e-10 homomorphism tolerance.
+    Words shorter than max_len are padded with identity letters, which
+    multiply exactly.
     """
-    g = spin_identity()
-    for _ in range(int(rng.integers(1, max_len + 1))):
-        if rng.random() < 0.5:
-            g = g @ boost_cover(float(rng.uniform(-0.3, 0.3)))
-        else:
-            g = g @ reflection_cover()
-    return g
+    letters = np.empty((count, max_len, 2, 2, 4))
+    letters[:] = _IDENTITY
+    for word in letters:
+        for k in range(int(rng.integers(1, max_len + 1))):
+            if rng.random() < 0.5:
+                word[k] = _boost_array(float(rng.uniform(-0.3, 0.3)))
+            else:
+                word[k] = _REFLECTION
+    words = QuatMatrix2(letters[:, 0])
+    for k in range(1, max_len):
+        words = words @ QuatMatrix2(letters[:, k])
+    return SpinElement(words)
+
+
+def random_spin_word(rng: np.random.Generator, max_len: int = 4) -> SpinElement:
+    """One random word; see random_spin_words."""
+    return random_spin_words(rng, 1, max_len)[0]
+
+
+_LIE_BASIS_FLOAT = tuple(m.astype(float) for _, _, m in lie_basis())
 
 
 def random_proper_lorentz(rng: np.random.Generator, scale: float = 0.7) -> np.ndarray:
     """exp of a random so(1,4) combination: a generic element of SO(1,4)_0."""
     coeffs = rng.uniform(-scale, scale, size=10)
-    algebra = sum(c * m.astype(float) for c, (_, _, m) in zip(coeffs, lie_basis()))
+    algebra = sum(c * m for c, m in zip(coeffs, _LIE_BASIS_FLOAT))
     return expm(algebra)

@@ -44,13 +44,25 @@ class CheckReport:
         return math.isfinite(self.max_residual) and self.max_residual <= self.tolerance
 
     def as_dict(self) -> dict:
+        """JSON-ready fields; a non-finite number (residual or metadata) becomes None."""
         return {
             "name": self.name,
-            "max_residual": float(self.max_residual),
+            "max_residual": _finite_or_none(self.max_residual),
             "tolerance": float(self.tolerance),
             "pass": bool(self.passed),
-            "metadata": self.metadata,
+            "metadata": _finite_or_none(self.metadata),
         }
+
+
+def _finite_or_none(value):
+    """value with every non-finite float, also inside dicts and lists, as None."""
+    if isinstance(value, dict):
+        return {k: _finite_or_none(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_finite_or_none(v) for v in value]
+    if isinstance(value, (float, np.floating)):
+        return float(value) if math.isfinite(value) else None
+    return value
 
 
 # -- span machinery -----------------------------------------------------------

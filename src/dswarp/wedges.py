@@ -46,18 +46,25 @@ class Wedge:
 
 
 def _check_on_shell(x) -> np.ndarray:
+    """The points as a float array (..., 5), each checked to lie on the hyperboloid."""
     x = np.asarray(x, dtype=float)
-    defect = abs(minkowski_form(x, x) + 1.0)
-    if defect > ON_SHELL_TOL:
+    defect = np.max(np.abs(minkowski_form(x, x) + 1.0), initial=0.0)
+    if not defect <= ON_SHELL_TOL:
         raise OffShellPointError(f"|eta(x,x)+1| = {defect:.3e}")
     return x
 
 
-def wedge_contains(w: Wedge, x, margin: float = MEMBERSHIP_MARGIN) -> bool:
-    """True iff y = frame^-1 x satisfies y1 > |y0| (strictly, with margin)."""
+def wedge_contains(w: Wedge, x, margin: float = MEMBERSHIP_MARGIN):
+    """True iff y = frame^-1 x satisfies y1 > |y0| (strictly, with margin).
+
+    x is one point (5,) or a batch (..., 5); a batch gives one verdict per
+    point.  Each point is solved on its own, so a batched verdict equals the
+    single-point one bit for bit.
+    """
     x = _check_on_shell(x)
-    y = np.linalg.solve(w.frame, x)
-    return bool(y[1] - abs(y[0]) > margin)
+    y = np.linalg.solve(w.frame, x[..., None])[..., 0]
+    inside = y[..., 1] - np.abs(y[..., 0]) > margin
+    return bool(inside) if inside.ndim == 0 else inside
 
 
 def _membership_mask(w: Wedge, points: np.ndarray, margin: float) -> np.ndarray:
@@ -131,9 +138,14 @@ def edge_points(w: Wedge, n: int, seed: int = 0) -> RegionSample:
     return RegionSample((w.frame @ pts.T).T, seed)
 
 
-def spacelike_separated(x, y) -> bool:
-    d = np.asarray(x, dtype=float) - np.asarray(y, dtype=float)
-    return minkowski_form(d, d) < 0.0
+def spacelike_separated(x, y):
+    """eta(x - y, x - y) < 0, broadcast over (..., 5) point batches.
+
+    Every point must lie on the hyperboloid.
+    """
+    d = _check_on_shell(x) - _check_on_shell(y)
+    spacelike = np.asarray(minkowski_form(d, d)) < 0.0
+    return bool(spacelike) if spacelike.ndim == 0 else spacelike
 
 
 @dataclass(frozen=True)

@@ -260,3 +260,21 @@ def test_nan_residual_fails_car_suite(monkeypatch):
     for name in ("car-anticommutators", "bogolyubov-implementation"):
         assert np.isnan(checks[name].max_residual)
         assert not checks[name].passed
+
+
+def test_nan_residual_written_as_null(monkeypatch, tmp_path):
+    from dswarp.car_fock import FockOperator
+    monkeypatch.setattr(FockOperator, "dist", lambda self, other: float("nan"))
+    out = tmp_path / "out"
+    assert cli.main(["verify", "--suite", "car", "--out", str(out)]) == 1
+
+    def refuse(token):
+        raise ValueError(f"non-standard JSON token {token}")
+
+    report = json.loads((out / "report.json").read_text(), parse_constant=refuse)
+    checks = {c["name"]: c for c in report["suites"][0]["checks"]}
+    for name in ("car-anticommutators", "bogolyubov-implementation"):
+        assert checks[name]["pass"] is False
+        assert checks[name]["max_residual"] is None
+    assert checks["cstar-norm-formula"]["max_residual"] is not None
+    cli.validate_report_schema(report)
