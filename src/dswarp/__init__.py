@@ -18,11 +18,9 @@ from .quaternion import Quaternion, QuatMatrix2
 from .spin_group import (SpinElement, abelian_flow, boost_base, boost_cover,
                          covering_hom, lie_bracket, reflection_base, reflection_cover,
                          reflection_obstruction_check)
-from .verification import (CheckReport, build_net, causal_borchers_axioms,
-                           check_twisted_locality, fixed_point_residual,
-                           inequivalence_witness)
-from .wedges import (Wedge, causal_complement, edge_points, inclusion_rigidity_probe,
-                     wedge_contains)
+from .verification import (CheckReport, causal_borchers_axioms, check_twisted_locality,
+                           fixed_point_residual, inequivalence_witness)
+from .wedges import Wedge, causal_complement, inclusion_rigidity_probe, wedge_contains
 
 __all__ = [
     "__version__",
@@ -31,13 +29,12 @@ __all__ = [
     "SpinElement", "covering_hom", "boost_cover", "boost_base",
     "reflection_base", "reflection_cover", "lie_bracket", "abelian_flow",
     "reflection_obstruction_check",
-    "Wedge", "wedge_contains", "causal_complement", "edge_points",
-    "inclusion_rigidity_probe",
+    "Wedge", "wedge_contains", "causal_complement", "inclusion_rigidity_probe",
     "OneParticleModel", "FockOperator", "default_model", "field_B", "spinor",
     "cospinor", "gauge_unitary", "charge_projector", "boost_unitary", "twist_Z",
     "grading_Y", "quasifree_npoint", "wedge_subalgebra_basis",
     "DeformationContext", "warp", "warp_oscillatory", "rieffel_product",
     "warp_inverse_check", "covariance_transform",
-    "CheckReport", "build_net", "check_twisted_locality", "fixed_point_residual",
+    "CheckReport", "check_twisted_locality", "fixed_point_residual",
     "inequivalence_witness", "causal_borchers_axioms",
 ]

@@ -51,6 +51,17 @@ the verification paths use the diagonals as vectors (boost_phases,
 gauge_phases, twist_phases) and conjugate entrywise with
 conjugate_by_diagonal.
 
+Mask words
+----------
+A field B(f) whose f lives on a single mode j flips one occupation bit: it
+has the form D P_S with S = 1 << (n-1-j), where P_S maps basis state i to
+i ^ S and D is diagonal.  Products of such operators keep that form (the
+masks XOR), and so do the adjoint and entrywise phases such as warp and
+diagonal conjugation.  MaskWord stores D P_S as (S, vector of the d nonzero
+entries), so a product is a gather in O(d) and the operator norm is the
+largest absolute entry.  The wedge generators on the W0 and W0p bases are
+such fields; the rotated basis mixes modes and has no single-mask form.
+
 Per-model caches
 ----------------
 OneParticleModel.cached builds a value once per model and freezes its arrays
@@ -211,14 +222,16 @@ class OneParticleModel:
         return 2 * self.n_modes
 
     def conjugation_matrix(self) -> np.ndarray:
-        """Matrix part of C; the full map is v -> Cmat @ conj(v)."""
+        """Matrix part of C, read-only; the full map is v -> Cmat @ conj(v)."""
         n = self.n_modes
-        zero = np.zeros((n, n))
-        eye = np.eye(n)
-        return np.block([[zero, eye], [eye, zero]])
+        return self.cached("conjugation_matrix", lambda: np.block(
+            [[np.zeros((n, n)), np.eye(n)], [np.eye(n), np.zeros((n, n))]]))
 
     def apply_conjugation(self, f: np.ndarray) -> np.ndarray:
-        return self.conjugation_matrix() @ np.conj(np.asarray(f, dtype=complex))
+        """C f: the two copies swapped, componentwise conjugated."""
+        f = np.asarray(f, dtype=complex)
+        n = self.n_modes
+        return np.conj(np.concatenate([f[n:], f[:n]]))
 
     def basis_projection(self) -> np.ndarray:
         """Two-point operator of the Fock state: Pi+ (+) Pi-."""
@@ -368,6 +381,43 @@ class FockOperator:
         return float(np.max(np.abs(self.matrix - self.charge_shift(0)))) <= tol
 
 
+@dataclass(frozen=True)
+class MaskWord:
+    """The operator M with M[i ^ mask, i] = vec[i] and zeros elsewhere (D P_S).
+
+    Products, adjoints and diagonal conjugations stay in this form; the
+    operator norm is max |vec|, since M is a permutation times a diagonal.
+    """
+
+    mask: int
+    vec: np.ndarray
+
+    def rows(self) -> np.ndarray:
+        """Row index i ^ mask of each entry vec[i]."""
+        return np.arange(len(self.vec)) ^ self.mask
+
+    def __matmul__(self, other: "MaskWord") -> "MaskWord":
+        return MaskWord(self.mask ^ other.mask, self.vec[other.rows()] * other.vec)
+
+    def __sub__(self, other: "MaskWord") -> "MaskWord":
+        if other.mask != self.mask:
+            raise ValueError(f"masks {self.mask} and {other.mask} differ: "
+                             "the difference is not a single-mask word")
+        return MaskWord(self.mask, self.vec - other.vec)
+
+    @property
+    def H(self) -> "MaskWord":
+        return MaskWord(self.mask, np.conj(self.vec[self.rows()]))
+
+    def conjugated_by(self, u: np.ndarray) -> "MaskWord":
+        """u M u^* for the diagonal unitary with diagonal u."""
+        return MaskWord(self.mask, u[self.rows()] * self.vec * u.conj())
+
+    def norm(self) -> float:
+        """Operator norm: the largest absolute entry."""
+        return float(np.max(np.abs(self.vec)))
+
+
 def identity_op(model: OneParticleModel) -> FockOperator:
     return FockOperator(np.eye(model.dim, dtype=complex), model)
 
@@ -389,6 +439,27 @@ def field_B(model: OneParticleModel, f) -> FockOperator:
     out[dst, src] = lower_coef[mode] * sign
     out[src, dst] = raise_coef[mode] * sign
     return FockOperator(out, model)
+
+
+def field_word(model: OneParticleModel, f) -> MaskWord:
+    """B(f) as a MaskWord; f must be supported on a single mode (either copy)."""
+    f = np.asarray(f, dtype=complex)
+    n = model.n_modes
+    if f.shape != (model.doubled_dim,):
+        raise ValueError(f"field vector must have {model.doubled_dim} components, "
+                         f"got shape {f.shape}")
+    modes = np.unique(np.nonzero(f)[0] % n)
+    if len(modes) != 1:
+        raise ValueError(f"B(f) is a single-mask word only for f on one mode; "
+                         f"f lives on modes {modes.tolist()}")
+    j = int(modes[0])
+    mode, src, dst, sign = _mode_flips(n)
+    sel = mode == j
+    lower, raise_ = (f[n + j], f[j]) if model.mode_charges[j] > 0 else (f[j], f[n + j])
+    vec = np.zeros(model.dim, dtype=complex)
+    vec[src[sel]] = lower * sign[sel]
+    vec[dst[sel]] = raise_ * sign[sel]
+    return MaskWord(1 << (n - 1 - j), vec)
 
 
 def cospinor(model: OneParticleModel, f_plus) -> FockOperator:
@@ -475,40 +546,28 @@ def dgamma(model: OneParticleModel, h: np.ndarray) -> FockOperator:
     return FockOperator(out, model)
 
 
-def exterior_rep(model: OneParticleModel, w: np.ndarray) -> FockOperator:
-    """Functorial lift of a mode-space map: Gamma(w) on the Fock space.
-
-    Matrix elements are determinants of submatrices of w; exact for
-    permutation matrices (used for the reflection), and an independent
-    cross-check of the exp(dGamma) route for unitaries.
-    """
-    w = np.asarray(w, dtype=complex)
-    n = model.n_modes
-    occ = occupation_table(n)
-    subsets = [tuple(np.nonzero(occ[i])[0]) for i in range(model.dim)]
-    out = np.zeros((model.dim, model.dim), dtype=complex)
-    for col, src in enumerate(subsets):
-        k = len(src)
-        for row, dst in enumerate(subsets):
-            if len(dst) != k:
-                continue
-            if k == 0:
-                out[row, col] = 1.0
-            else:
-                out[row, col] = np.linalg.det(w[np.ix_(dst, src)])
-    return FockOperator(out, model)
-
-
 def reflection_fock(model: OneParticleModel) -> FockOperator:
-    """Implementer of the wedge reflection on the Fock space, built once per model."""
+    """Implementer of the wedge reflection on the Fock space, built once per model.
+
+    The mode permutation tau sends the basis state with occupied modes
+    a_1 < ... < a_k to the state occupying tau(a_1), ..., tau(a_k), with the
+    sign of the permutation that sorts that sequence: (-1) to the number of
+    occupied pairs a < b with tau(a) > tau(b).
+    """
     if model.reflection_pairing is None:
         raise ModelError("model has no reflection_pairing")
 
     def build() -> np.ndarray:
-        perm = np.zeros((model.n_modes, model.n_modes))
-        for j, k in enumerate(model.reflection_pairing):
-            perm[k, j] = 1.0
-        return exterior_rep(model, perm).matrix
+        n = model.n_modes
+        tau = np.array(model.reflection_pairing)
+        occ = occupation_table(n)
+        dst = occ @ (1 << (n - 1 - tau))
+        a, b = np.triu_indices(n, 1)
+        swapped = tau[a] > tau[b]
+        inversions = (occ[:, a[swapped]] * occ[:, b[swapped]]).sum(axis=1)
+        out = np.zeros((model.dim, model.dim), dtype=complex)
+        out[dst, np.arange(model.dim)] = 1.0 - 2.0 * (inversions % 2)
+        return out
 
     return FockOperator(model.cached("reflection_fock", build), model)
 
@@ -669,7 +728,16 @@ def wedge_subalgebra_basis(model: OneParticleModel, tag: str) -> list[np.ndarray
     raise ValueError(f"unknown wedge tag {tag!r}; expected W0, W0p or rotated")
 
 
-def wedge_generators(model: OneParticleModel, tag: str) -> tuple[np.ndarray, ...]:
-    """Read-only field matrices B(f) over the tagged wedge basis, built once per model."""
-    return model.cached(("wedge_generators", tag), lambda: tuple(
-        field_B(model, f).matrix for f in wedge_subalgebra_basis(model, tag)))
+def wedge_generators(model: OneParticleModel, tag: str) -> tuple[MaskWord, ...]:
+    """Fields B(f) over the tagged wedge basis as mask words, built once per model.
+
+    Their vectors are read-only.  The rotated basis mixes modes, so its fields
+    are not single-mask words and field_word refuses them.
+    """
+    def build() -> tuple[MaskWord, ...]:
+        words = tuple(field_word(model, f) for f in wedge_subalgebra_basis(model, tag))
+        for w in words:
+            w.vec.flags.writeable = False
+        return words
+
+    return model.cached(("wedge_generators", tag), build)

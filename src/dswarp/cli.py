@@ -25,10 +25,10 @@ from . import spin_group as sg
 from . import wedges as wd
 from .car_fock import (MAX_MODES, FockOperator, ModelError, OneParticleModel,
                        bogolyubov_fock, boost_phases, car_norm_bound, charge_projector,
-                       conjugate_by_diagonal, cospinor, field_B, fock_npoint, gauge_phases,
-                       identity_op, quasifree_npoint, spinor, twist_phases)
+                       cospinor, field_B, fock_npoint, gauge_phases, identity_op,
+                       quasifree_npoint, spinor, twist_phases)
 from .deformation import (DeformationContext, covariance_transform, oracle_residuals,
-                          rieffel_product, warp, warp_inverse_check)
+                          rieffel_product, warp, warp_inverse_check, warp_word)
 from .verification import (CheckReport, causal_borchers_axioms, check_twisted_locality,
                            fixed_point_residual, inequivalence_witness,
                            net_well_defined_residual, random_monomial, worst)
@@ -342,16 +342,16 @@ def suite_deformation(model: OneParticleModel, cfg: dict, rng) -> list[CheckRepo
         ctx = DeformationContext(model, kappa)
         ctx_neg = ctx.with_kappa(-kappa)
         for _ in range(8):
-            f_even = FockOperator(random_monomial(model, "W0", 1, rng), model)
+            f_even = random_monomial(model, "W0", 1, rng)
             f_even = f_even @ f_even.H   # even element of the localized algebra
-            g_even = FockOperator(random_monomial(model, "W0p", 1, rng), model)
+            g_even = random_monomial(model, "W0p", 1, rng)
             g_even = g_even @ g_even.H
-            wf, wg = warp(ctx, f_even), warp(ctx_neg, g_even)
+            wf, wg = warp_word(ctx, f_even), warp_word(ctx_neg, g_even)
             commutant.append((wf @ wg - wg @ wf).norm())
-            f_odd = FockOperator(random_monomial(model, "W0", 1, rng), model)
-            g_odd = FockOperator(random_monomial(model, "W0p", 1, rng), model)
-            zf = FockOperator(conjugate_by_diagonal(z, warp(ctx, f_odd).matrix), model)
-            wg_odd = warp(ctx_neg, g_odd)
+            f_odd = random_monomial(model, "W0", 1, rng)
+            g_odd = random_monomial(model, "W0p", 1, rng)
+            zf = warp_word(ctx, f_odd).conjugated_by(z)
+            wg_odd = warp_word(ctx_neg, g_odd)
             twisted.append((zf @ wg_odd - wg_odd @ zf).norm())
         for kind, param in (("gauge", 0.9), ("boost", 0.45), ("reflection", None),
                             ("rotation", 0.6)):

@@ -13,7 +13,9 @@ collapses to a single entrywise phase:
     warp_kappa(F)[i, j] = exp(i kappa (phi_i q_j - q_i phi_j)) F[i, j].
 
 This makes warp exactly linear, invertible (kappa -> -kappa), adjoint- and
-vacuum-compatible, and is the normative implementation.
+vacuum-compatible, and is the normative implementation.  Being entrywise, it
+keeps every zero of F, so warp_word applies it to a mask word by gathering
+the phase at the word's entries.
 
 Oscillatory oracle
 ------------------
@@ -40,8 +42,8 @@ from functools import lru_cache
 import numpy as np
 from scipy.special import roots_legendre
 
-from .car_fock import (FockOperator, OneParticleModel, boost_phases, conjugate_by_diagonal,
-                       gauge_phases, reflection_fock, rotation_fock)
+from .car_fock import (FockOperator, MaskWord, OneParticleModel, boost_phases,
+                       conjugate_by_diagonal, gauge_phases, reflection_fock, rotation_fock)
 
 CUTOFF_WIDTH = 6.0
 
@@ -90,6 +92,12 @@ def warp(ctx: DeformationContext, op: FockOperator) -> FockOperator:
     return FockOperator(op.matrix * warp_phase(ctx), ctx.model)
 
 
+def warp_word(ctx: DeformationContext, word: MaskWord) -> MaskWord:
+    """The warped mask word: each entry times the warp phase at its (row, column)."""
+    phase = warp_phase(ctx)[word.rows(), np.arange(len(word.vec))]
+    return MaskWord(word.mask, word.vec * phase)
+
+
 def unwarp(ctx: DeformationContext, op: FockOperator) -> FockOperator:
     return warp(ctx.with_kappa(-ctx.kappa), op)
 
@@ -102,25 +110,6 @@ def rieffel_product(ctx: DeformationContext, f: FockOperator,
                     g: FockOperator) -> FockOperator:
     """The deformed product: warp(f x g) = warp(f) warp(g)."""
     return unwarp(ctx, warp(ctx, f) @ warp(ctx, g))
-
-
-def warp_sector_sum(ctx: DeformationContext, op: FockOperator) -> FockOperator:
-    """Sector-by-sector evaluation with explicit unitaries and projectors.
-
-    Slower than warp but independent of the entrywise phase shortcut; used to
-    cross-check the closed form.
-    """
-    model = ctx.model
-    out = np.zeros((model.dim, model.dim), dtype=complex)
-    for m, block in op.charge_shifts().items():
-        for n in model.charge_values():
-            sel = (model.charges == n)
-            left = np.exp(1j * ctx.kappa * n * model.phases)
-            right = np.exp(-1j * ctx.kappa * (n + m) * model.phases)
-            term = (left[:, None] * block * right[None, :])
-            term[:, ~sel] = 0.0
-            out += term
-    return FockOperator(out, model)
 
 
 def warp_rotated(ctx: DeformationContext, op: FockOperator,

@@ -3,6 +3,17 @@
 Algebra spans are handled as monomial bases up to a degree bound, compared by
 numerical rank (SVD threshold 1e-9), which makes set statements like
 "conjugation maps the deformed algebra onto itself" decidable at this scale.
+
+The monomials are words in the W0 or W0p wedge generators, each a field on
+one mode, so every word is a mask word D P_S (car_fock.MaskWord).  Warp,
+boost, gauge and twist conjugation are entrywise and keep the mask.  Words
+with different masks have disjoint supports, so a span is the orthogonal sum
+of its per-mask spans: span_basis runs one SVD per mask block (#words with
+that mask x d) and cuts the rank of every block against the largest singular
+value over all blocks.  That is the top singular value of the whole stack of
+vectorized matrices, so the rank is the one a single SVD of the stack gives.
+A twisted commutator of two mask words is again a mask word, and its
+operator norm is its largest absolute entry.
 """
 
 from __future__ import annotations
@@ -12,9 +23,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .car_fock import (FockOperator, OneParticleModel, boost_phases, conjugate_by_diagonal,
-                       gauge_phases, spinor, twist_phases, wedge_generators)
-from .deformation import DeformationContext, warp, warp_rotated
+from .car_fock import (FockOperator, MaskWord, OneParticleModel, boost_phases, gauge_phases,
+                       spinor, twist_phases, wedge_generators)
+from .deformation import DeformationContext, warp, warp_rotated, warp_word
 from .spin_group import boost_base, rotation_base
 
 SPAN_SVD_TOL = 1e-9
@@ -67,83 +78,65 @@ def _finite_or_none(value):
 
 # -- span machinery -----------------------------------------------------------
 
-def span_basis(mats: list[np.ndarray], svd_tol: float = SPAN_SVD_TOL) -> np.ndarray:
-    """Orthonormal row basis of the linear span of vectorized matrices."""
-    stack = np.stack([m.ravel() for m in mats])
-    _, svals, vh = np.linalg.svd(stack, full_matrices=False)
-    rank = int(np.sum(svals > svd_tol * max(1.0, svals[0])))
-    return vh[:rank]
+def span_basis(words: list[MaskWord], svd_tol: float = SPAN_SVD_TOL) -> dict[int, np.ndarray]:
+    """Orthonormal basis of the linear span of mask words: {mask: rows of vectors}.
+
+    Each mask block's rank is cut against the largest singular value of all
+    blocks, as for one SVD of the whole stack.
+    """
+    blocks: dict[int, list[np.ndarray]] = {}
+    for w in words:
+        blocks.setdefault(w.mask, []).append(w.vec)
+    svds = {mask: np.linalg.svd(np.stack(vecs), full_matrices=False)[1:]
+            for mask, vecs in blocks.items()}
+    top = worst(svals[0] for svals, _ in svds.values())
+    cut = svd_tol * max(1.0, top)
+    return {mask: vh[:int(np.sum(svals > cut))] for mask, (svals, vh) in svds.items()}
 
 
-def span_residual(basis: np.ndarray, mats: list[np.ndarray]) -> float:
-    """Largest relative distance of any matrix from the span."""
-    conj = basis.conj()
+def span_residual(basis: dict[int, np.ndarray], words: list[MaskWord]) -> float:
+    """Largest relative distance of any word from the span.
+
+    A word whose mask has no basis rows is orthogonal to the span: distance 1.
+    """
     residuals = []
-    for m in mats:
-        v = m.ravel()
-        scale = np.linalg.norm(v)
+    for w in words:
+        scale = np.linalg.norm(w.vec)
         if scale == 0.0:
             continue
-        proj = basis.T @ (conj @ v)
-        residuals.append(float(np.linalg.norm(v - proj) / scale))
+        rows = basis.get(w.mask)
+        if rows is None:
+            residuals.append(1.0)
+            continue
+        proj = rows.T @ (rows.conj() @ w.vec)
+        residuals.append(float(np.linalg.norm(w.vec - proj) / scale))
     return worst(residuals)
 
 
-def spans_equal_residual(mats_a: list[np.ndarray], mats_b: list[np.ndarray]) -> float:
+def spans_equal_residual(words_a: list[MaskWord], words_b: list[MaskWord]) -> float:
     """Symmetric containment defect of two spans."""
-    basis_a, basis_b = span_basis(mats_a), span_basis(mats_b)
-    return worst([span_residual(basis_a, mats_b), span_residual(basis_b, mats_a)])
+    basis_a, basis_b = span_basis(words_a), span_basis(words_b)
+    return worst([span_residual(basis_a, words_b), span_residual(basis_b, words_a)])
 
 
-def wedge_monomials(model: OneParticleModel, tag: str, degree: int) -> list[np.ndarray]:
+def wedge_monomials(model: OneParticleModel, tag: str, degree: int) -> list[MaskWord]:
     """All generator words of length <= degree over the tagged wedge basis."""
     gens = wedge_generators(model, tag)
-    words = [np.eye(model.dim, dtype=complex)]
-    layer = [np.eye(model.dim, dtype=complex)]
+    identity = MaskWord(0, np.ones(model.dim, dtype=complex))
+    words = [identity]
+    layer = [identity]
     for _ in range(degree):
         layer = [w @ g for w in layer for g in gens]
         words.extend(layer)
     return words
 
 
-@dataclass(frozen=True)
-class NetAssignment:
-    """Deformed generator families per wedge tag, with their spans."""
-
-    kappa: float
-    degree: int
-    generators: dict
-    spans: dict
-
-
-def build_net(model: OneParticleModel, kappa: float, degree: int = 4,
-              tags: tuple[str, ...] = ("W0", "W0p")) -> NetAssignment:
-    """Assign warped monomial families to the wedge tags.
-
-    W0 carries warp with +kappa; the reflected wedge carries the reflection
-    image, equivalently warp with -kappa of the reflected monomials.
-    """
-    ctx = DeformationContext(model, kappa)
-    gens: dict[str, list[np.ndarray]] = {}
-    spans: dict[str, np.ndarray] = {}
-    for tag in tags:
-        words = wedge_monomials(model, tag, degree)
-        if tag == "W0p":
-            deformed = [warp(ctx.with_kappa(-kappa), FockOperator(w, model)).matrix
-                        for w in words]
-        else:
-            deformed = [warp(ctx, FockOperator(w, model)).matrix for w in words]
-        gens[tag] = deformed
-        spans[tag] = span_basis(deformed)
-    return NetAssignment(kappa, degree, gens, spans)
-
-
 def random_monomial(model: OneParticleModel, tag: str, degree: int,
-                    rng: np.random.Generator) -> np.ndarray:
-    """A product of 1..degree random wedge generators, as a new array."""
+                    rng: np.random.Generator) -> MaskWord:
+    """A product of 1..degree random wedge generators."""
     gens = wedge_generators(model, tag)
     picks = [int(rng.integers(len(gens))) for _ in range(int(rng.integers(1, degree + 1)))]
-    out = gens[picks[0]].copy()
+    out = gens[picks[0]]
     for i in picks[1:]:
         out = out @ gens[i]
     return out
@@ -165,11 +158,10 @@ def check_twisted_locality(model: OneParticleModel, kappa: float, degree: int = 
     z = twist_phases(model)
     residuals = []
     for _ in range(n_samples):
-        f = warp(ctx, FockOperator(random_monomial(model, "W0", degree, rng), model)).matrix
-        g = warp(ctx_refl, FockOperator(random_monomial(model, "W0p", degree, rng), model)).matrix
-        twisted = conjugate_by_diagonal(z, f)
-        comm = twisted @ g - g @ twisted
-        residuals.append(float(np.linalg.norm(comm, 2)))
+        f = warp_word(ctx, random_monomial(model, "W0", degree, rng))
+        g = warp_word(ctx_refl, random_monomial(model, "W0p", degree, rng))
+        twisted = f.conjugated_by(z)
+        residuals.append((twisted @ g - g @ twisted).norm())
     name = "twisted-locality" if flip_kappa else "twisted-locality-negative-control"
     return CheckReport(name, worst(residuals), tolerance,
                        {"kappa": kappa, "degree": degree, "seed": seed,
@@ -262,36 +254,35 @@ def causal_borchers_axioms(model: OneParticleModel, kappa: float, degree: int = 
     """
     ctx = DeformationContext(model, kappa)
     words = wedge_monomials(model, "W0", degree)
-    deformed = [warp(ctx, FockOperator(w, model)).matrix for w in words]
+    deformed = [warp_word(ctx, w) for w in words]
     basis = span_basis(deformed)
 
     reports = []
     for t in (0.35, -0.8):
         u = boost_phases(model, t)
-        conjugated = [conjugate_by_diagonal(u, m) for m in deformed]
+        conjugated = [m.conjugated_by(u) for m in deformed]
         residual = span_residual(basis, conjugated)
         reports.append(("boost-stabilizer-invariance", residual, {"t": t}))
 
     if break_reflection:
-        reflected = [warp(ctx, FockOperator(w, model)).matrix for w in words]
+        reflected = deformed
     else:
-        refl_words = wedge_monomials(model, "W0p", degree)
-        reflected = [warp(ctx.with_kappa(-kappa), FockOperator(w, model)).matrix
-                     for w in refl_words]
+        ctx_refl = ctx.with_kappa(-kappa)
+        reflected = [warp_word(ctx_refl, w) for w in wedge_monomials(model, "W0p", degree)]
     z = twist_phases(model)
     residuals = []
     rng = np.random.default_rng(seed)
     for _ in range(24):
         f = deformed[int(rng.integers(len(deformed)))]
         g = reflected[int(rng.integers(len(reflected)))]
-        twisted = conjugate_by_diagonal(z, f)
-        residuals.append(float(np.linalg.norm(twisted @ g - g @ twisted, 2)))
+        twisted = f.conjugated_by(z)
+        residuals.append((twisted @ g - g @ twisted).norm())
     reports.append(("reflected-in-twisted-commutant", worst(residuals),
                     {"broken": break_reflection}))
 
     for s in (0.7, 2.1):
         v = gauge_phases(model, s)
-        conjugated = [conjugate_by_diagonal(v, m) for m in deformed]
+        conjugated = [m.conjugated_by(v) for m in deformed]
         residual = span_residual(basis, conjugated)
         reports.append(("gauge-invariance", residual, {"s": s}))
 
@@ -312,11 +303,10 @@ def net_well_defined_residual(model: OneParticleModel, kappa: float,
     """Equal wedges get equal spans: stabilizer conjugates of the deformed
     W0 family against the family itself."""
     ctx = DeformationContext(model, kappa)
-    words = wedge_monomials(model, "W0", degree)
-    deformed = [warp(ctx, FockOperator(w, model)).matrix for w in words]
+    deformed = [warp_word(ctx, w) for w in wedge_monomials(model, "W0", degree)]
     residuals = []
     for t, s in ((0.4, 0.0), (-0.25, 1.3), (0.0, 2.0)):
         u = boost_phases(model, t) * gauge_phases(model, s)
-        conjugated = [conjugate_by_diagonal(u, m) for m in deformed]
+        conjugated = [m.conjugated_by(u) for m in deformed]
         residuals.append(spans_equal_residual(deformed, conjugated))
     return worst(residuals)

@@ -126,18 +126,6 @@ def sample_wedge_points(w: Wedge, n: int, seed: int,
     return RegionSample(np.vstack(collected), seed)
 
 
-def edge_points(w: Wedge, n: int, seed: int = 0) -> RegionSample:
-    """n points on the wedge edge: the frame image of {x0 = x1 = 0, |vec x| = 1}."""
-    if n < 1:
-        raise ValueError("need at least one edge point")
-    rng = np.random.default_rng(seed)
-    direction = rng.normal(size=(n, 3))
-    direction /= np.linalg.norm(direction, axis=1, keepdims=True)
-    pts = np.zeros((n, 5))
-    pts[:, 2:] = direction
-    return RegionSample((w.frame @ pts.T).T, seed)
-
-
 def spacelike_separated(x, y):
     """eta(x - y, x - y) < 0, broadcast over (..., 5) point batches.
 

