@@ -60,7 +60,7 @@ masks XOR), and so do the adjoint and entrywise phases such as warp and
 diagonal conjugation.  MaskWord stores D P_S as (S, vector of the d nonzero
 entries), so a product is a gather in O(d) and the operator norm is the
 largest absolute entry.  The wedge generators on the W0 and W0p bases are
-such fields; the rotated basis mixes modes and has no single-mask form.
+such fields.
 
 Per-model caches
 ----------------
@@ -282,14 +282,6 @@ class OneParticleModel:
         if not placed:
             raise ModelError("rotation needs at least two modes in some species block")
         return g
-
-    def rotation_one_particle(self) -> np.ndarray:
-        w = expm(self.rotation_angle * self.rotation_mode_generator())
-        out = np.zeros((self.doubled_dim, self.doubled_dim))
-        n = self.n_modes
-        out[:n, :n] = w
-        out[n:, n:] = w           # real rotation: conjugate copy is identical
-        return out.astype(complex)
 
     # -- Fock-space data ------------------------------------------------------
     def annihilators(self) -> tuple[np.ndarray, ...]:
@@ -516,10 +508,6 @@ def boost_unitary(model: OneParticleModel, t: float) -> FockOperator:
     return FockOperator(np.diag(boost_phases(model, t)), model)
 
 
-def boost_generator(model: OneParticleModel) -> FockOperator:
-    return FockOperator(np.diag(model.phases.astype(complex)), model)
-
-
 def grading_Y(model: OneParticleModel) -> FockOperator:
     """Y = (-1)^N, the Bose/Fermi grading."""
     return FockOperator(np.diag(model.parities.astype(complex)), model)
@@ -707,8 +695,7 @@ def car_norm_bound(model: OneParticleModel, f) -> float:
 def wedge_subalgebra_basis(model: OneParticleModel, tag: str) -> list[np.ndarray]:
     """Orthonormal doubled-space basis of the tagged wedge subspace.
 
-    W0 spans the localized modes in both copies; W0' is its reflection image;
-    'rotated' applies the model rotation to the W0 basis.
+    W0 spans the localized modes in both copies; W0' is its reflection image.
     """
     n = model.n_modes
     base = []
@@ -722,17 +709,13 @@ def wedge_subalgebra_basis(model: OneParticleModel, tag: str) -> list[np.ndarray
     if tag == "W0p":
         refl = model.reflection_one_particle()
         return [refl @ v for v in base]
-    if tag == "rotated":
-        rot = model.rotation_one_particle()
-        return [rot @ v for v in base]
-    raise ValueError(f"unknown wedge tag {tag!r}; expected W0, W0p or rotated")
+    raise ValueError(f"unknown wedge tag {tag!r}; expected W0 or W0p")
 
 
 def wedge_generators(model: OneParticleModel, tag: str) -> tuple[MaskWord, ...]:
     """Fields B(f) over the tagged wedge basis as mask words, built once per model.
 
-    Their vectors are read-only.  The rotated basis mixes modes, so its fields
-    are not single-mask words and field_word refuses them.
+    Their vectors are read-only.
     """
     def build() -> tuple[MaskWord, ...]:
         words = tuple(field_word(model, f) for f in wedge_subalgebra_basis(model, tag))

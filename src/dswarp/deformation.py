@@ -43,7 +43,8 @@ import numpy as np
 from scipy.special import roots_legendre
 
 from .car_fock import (FockOperator, MaskWord, OneParticleModel, boost_phases,
-                       conjugate_by_diagonal, gauge_phases, reflection_fock, rotation_fock)
+                       conjugate_by_diagonal, gauge_phases, reflection_fock, rotation_fock,
+                       spinor)
 
 CUTOFF_WIDTH = 6.0
 
@@ -229,3 +230,21 @@ def oracle_residuals(ctx: DeformationContext, op: FockOperator, epsilons,
     """Distance of the regularized integral from the closed form, per eps."""
     exact = warp(ctx, op)
     return [warp_oscillatory(ctx, op, float(e), cutoff).dist(exact) for e in epsilons]
+
+
+def oracle_sweep(model: OneParticleModel, kappa: float, epsilons: list[float]) -> dict:
+    """Regularized-integral residuals of the first negative-charge spinor.
+
+    Returns {cutoff: (residuals, strictly_decreasing)} for the gaussian and
+    cosine cutoffs, one residual per regulator in epsilons.
+    """
+    ctx = DeformationContext(model, kappa)
+    f_minus = np.zeros(model.n_modes)
+    f_minus[model.d_plus if model.d_minus else 0] = 1.0
+    op = spinor(model, f_minus)
+    sweep = {}
+    for cutoff in ("gaussian", "cosine"):
+        residuals = oracle_residuals(ctx, op, epsilons, cutoff)
+        sweep[cutoff] = (residuals, all(residuals[i] > residuals[i + 1]
+                                        for i in range(len(residuals) - 1)))
+    return sweep

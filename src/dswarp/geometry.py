@@ -25,6 +25,7 @@ ETA_DIAG = np.array([1.0, -1.0, -1.0, -1.0, -1.0])
 ETA = np.diag(ETA_DIAG)
 
 HYPERBOLOID_TOL = 1e-9
+RHO_RANGE = (-2.0, 2.0)      # rapidity span of sample_hyperboloid
 
 
 class OffHyperboloidError(ValueError):
@@ -132,14 +133,13 @@ def pseudoscalar() -> np.ndarray:
     return prod.to_complex()
 
 
-def sample_hyperboloid(n: int, rng: np.random.Generator,
-                       rho_range: tuple[float, float] = (-2.0, 2.0)) -> np.ndarray:
+def sample_hyperboloid(n: int, rng: np.random.Generator) -> np.ndarray:
     """n seeded points on eta(x,x) = -1.
 
-    x0 = sinh(rho) with rho uniform in rho_range; the spatial part is
+    x0 = sinh(rho) with rho uniform in RHO_RANGE; the spatial part is
     cosh(rho) times a uniform direction on S^3.
     """
-    rho = rng.uniform(rho_range[0], rho_range[1], size=n)
+    rho = rng.uniform(RHO_RANGE[0], RHO_RANGE[1], size=n)
     direction = rng.normal(size=(n, 4))
     direction /= np.linalg.norm(direction, axis=1, keepdims=True)
     points = np.empty((n, 5))

@@ -122,9 +122,6 @@ class Quaternion:
         w, x, y, z = self.q[..., 0], self.q[..., 1], self.q[..., 2], self.q[..., 3]
         return _scalar_or_array(w * w + x * x + y * y + z * z)
 
-    def scalar_part(self):
-        return self.w
-
     # -- realization and comparison ----------------------------------------
     def to_complex(self) -> np.ndarray:
         """2x2 complex block w*I - i*(x*sigma1 + y*sigma2 + z*sigma3)."""

@@ -212,27 +212,27 @@ def abelian_commutation_residual(tag: str, t: float, s: float) -> float:
 
 
 J12 = np.diag([1.0, -1.0, -1.0, 1.0, 1.0])
+OBSTRUCTION_GRID = 5
+OBSTRUCTION_EXTENT = 1.0
 
 
-def reflection_obstruction_check(grid: int = 5, extent: float = 1.0) -> dict:
+def reflection_obstruction_check() -> dict:
     """j12 Lambda(t,s) j12 = Lambda(-t,-s) for the L2 flow, on a grid.
 
     The conjugated L2 flow reproduces itself with both parameters negated,
     which is exactly the behaviour that rules this subgroup out as a
     deformation flow: the reflected algebra would carry the same deformation
-    sign instead of the flipped one.
+    sign instead of the flipped one.  A NaN at any grid point is the maximum.
     """
-    ts = np.linspace(-extent, extent, grid)
-    worst = 0.0
-    for t in ts:
-        for s in ts:
-            lhs = J12 @ abelian_flow("L2", t, s) @ J12
-            rhs = abelian_flow("L2", -t, -s)
-            worst = max(worst, float(np.max(np.abs(lhs - rhs))))
+    ts = np.linspace(-OBSTRUCTION_EXTENT, OBSTRUCTION_EXTENT, OBSTRUCTION_GRID)
+    residuals = [np.max(np.abs(J12 @ abelian_flow("L2", t, s) @ J12
+                               - abelian_flow("L2", -t, -s)))
+                 for t in ts for s in ts]
+    worst = float(np.max(residuals))
     return {
         "subgroup": "L2",
-        "grid": grid,
-        "extent": extent,
+        "grid": OBSTRUCTION_GRID,
+        "extent": OBSTRUCTION_EXTENT,
         "max_residual": worst,
         "passed": bool(worst < 1e-10),
     }

@@ -8,7 +8,7 @@ so the test is a block-structure check on frame2^-1 @ frame1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -17,6 +17,7 @@ from .spin_group import is_proper_orthochronous, reflection_base
 
 MEMBERSHIP_MARGIN = 1e-12
 ON_SHELL_TOL = 1e-6
+SAMPLE_MAX_TRIALS = 200_000
 
 _J5 = reflection_base()
 
@@ -41,9 +42,6 @@ class Wedge:
     def reference() -> "Wedge":
         return Wedge(np.eye(5))
 
-    def transformed(self, g: np.ndarray) -> "Wedge":
-        return Wedge(np.asarray(g, dtype=float) @ self.frame)
-
 
 def _check_on_shell(x) -> np.ndarray:
     """The points as a float array (..., 5), each checked to lie on the hyperboloid."""
@@ -54,22 +52,23 @@ def _check_on_shell(x) -> np.ndarray:
     return x
 
 
-def wedge_contains(w: Wedge, x, margin: float = MEMBERSHIP_MARGIN):
-    """True iff y = frame^-1 x satisfies y1 > |y0| (strictly, with margin).
+def _inside(w: Wedge, x: np.ndarray, margin: float) -> np.ndarray:
+    """y1 - |y0| > margin for y = frame^-1 x, per point of x (..., 5).  On a
+    C-contiguous x, einsum sums each point's y on its own, so a verdict does
+    not depend on how many points come with it."""
+    inv = np.linalg.inv(w.frame)[:2]
+    y = np.einsum("ij,...j->...i", inv, np.ascontiguousarray(x))
+    return y[..., 1] - np.abs(y[..., 0]) > margin
+
+
+def wedge_contains(w: Wedge, x):
+    """True iff y = frame^-1 x satisfies y1 > |y0| + MEMBERSHIP_MARGIN.
 
     x is one point (5,) or a batch (..., 5); a batch gives one verdict per
-    point.  Each point is solved on its own, so a batched verdict equals the
-    single-point one bit for bit.
+    point, equal to the single-point one bit for bit.
     """
-    x = _check_on_shell(x)
-    y = np.linalg.solve(w.frame, x[..., None])[..., 0]
-    inside = y[..., 1] - np.abs(y[..., 0]) > margin
+    inside = _inside(w, _check_on_shell(x), MEMBERSHIP_MARGIN)
     return bool(inside) if inside.ndim == 0 else inside
-
-
-def _membership_mask(w: Wedge, points: np.ndarray, margin: float) -> np.ndarray:
-    y = np.linalg.solve(w.frame, points.T).T
-    return y[:, 1] - np.abs(y[:, 0]) > margin
 
 
 def causal_complement(w: Wedge) -> Wedge:
@@ -104,25 +103,22 @@ class RegionSample:
     seed: int
 
 
-def sample_wedge_points(w: Wedge, n: int, seed: int,
-                        margin: float = MEMBERSHIP_MARGIN,
-                        max_trials: int = 200_000) -> RegionSample:
+def sample_wedge_points(w: Wedge, n: int, seed: int) -> RegionSample:
     """n interior points of w, rejection-sampled from the seeded patch."""
     rng = np.random.default_rng(seed)
     collected = []
     total = 0
     needed = n
-    while needed > 0 and total < max_trials:
+    while needed > 0 and total < SAMPLE_MAX_TRIALS:
         batch = max(4 * needed, 256)
         pts = sample_hyperboloid(batch, rng)
         total += batch
-        mask = _membership_mask(w, pts, margin)
-        hits = pts[mask]
+        hits = pts[_inside(w, pts, MEMBERSHIP_MARGIN)]
         if hits.size:
             collected.append(hits[:needed])
             needed -= len(collected[-1])
     if needed > 0:
-        raise RuntimeError(f"could not sample {n} wedge points in {max_trials} trials")
+        raise RuntimeError(f"could not sample {n} wedge points in {SAMPLE_MAX_TRIALS} trials")
     return RegionSample(np.vstack(collected), seed)
 
 
@@ -141,7 +137,6 @@ class ProbeResult:
     verdict: str                     # EQUAL | WITNESS | INCONCLUSIVE
     witness: np.ndarray | None = None
     trials: int = 0
-    metadata: dict = field(default_factory=dict)
 
 
 def inclusion_rigidity_probe(w1: Wedge, w2: Wedge, n: int = 100_000,
@@ -160,11 +155,11 @@ def inclusion_rigidity_probe(w1: Wedge, w2: Wedge, n: int = 100_000,
         batch = min(2048, n - trials)
         pts = sample_hyperboloid(batch, rng)
         trials += batch
-        in_w1 = _membership_mask(w1, pts, MEMBERSHIP_MARGIN)
+        in_w1 = _inside(w1, pts, MEMBERSHIP_MARGIN)
         if not np.any(in_w1):
             continue
         candidates = pts[in_w1]
-        outside_w2 = ~_membership_mask(w2, candidates, -MEMBERSHIP_MARGIN)
+        outside_w2 = ~_inside(w2, candidates, -MEMBERSHIP_MARGIN)
         if np.any(outside_w2):
             return ProbeResult("WITNESS", candidates[outside_w2][0], trials)
     return ProbeResult("INCONCLUSIVE", None, trials)

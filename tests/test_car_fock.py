@@ -401,13 +401,3 @@ def test_wedge_basis_gauge_invariance():
         recon = basis0.T @ coeffs
         assert np.linalg.norm(recon - image) < 1e-13
 
-
-def test_wedge_basis_rotated_tag():
-    rotated = wedge_subalgebra_basis(MODEL, "rotated")
-    assert len(rotated) == 4
-    with pytest.raises(ValueError):
-        wedge_subalgebra_basis(MODEL, "nope")
-    no_rot = OneParticleModel(2, 2, [1, -1], [1, -1], [0, 2],
-                              reflection_pairing=[1, 0, 3, 2])
-    with pytest.raises(ModelError):
-        wedge_subalgebra_basis(no_rot, "rotated")

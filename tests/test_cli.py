@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from dswarp import cli
+from dswarp import cli, verification
 
 
 def _write_config(tmp_path, overrides):
@@ -234,6 +234,57 @@ def test_report_unparseable_input_refused(tmp_path, capsys, text):
     _assert_refused(["report", "--input", str(path)], tmp_path, capsys)
 
 
+# -- a config that a requested suite cannot run is refused before any suite runs ----
+
+ONE_PLUS_ONE = {"d_plus": 1, "d_minus": 1, "boost_freqs_plus": [1.0],
+                "boost_freqs_minus": [-1.0], "localized_modes": [0],
+                "reflection_pairing": None}
+TWO_PLUS_ZERO = {"d_plus": 2, "d_minus": 0, "boost_freqs_plus": [1.0, -1.0],
+                 "boost_freqs_minus": [], "localized_modes": [0],
+                 "reflection_pairing": [1, 0]}
+
+
+@pytest.mark.parametrize("model,suite,lack", [
+    ({"reflection_pairing": None}, "locality", "no reflection_pairing"),
+    ({"reflection_pairing": None}, "deformation", "no reflection_pairing"),
+    ({"rotation_angle": None}, "deformation", "no rotation_angle"),
+    ({"rotation_angle": None}, "inequivalence", "no rotation_angle"),
+    (ONE_PLUS_ONE, "inequivalence", "no species block of two modes to rotate"),
+    (ONE_PLUS_ONE, "fixed_point", "no two modes of one species with distinct boost frequencies"),
+    (TWO_PLUS_ZERO, "inequivalence", "no antiparticle mode"),
+], ids=["no-reflection-locality", "no-reflection-deformation", "no-rotation-deformation",
+        "no-rotation-inequivalence", "1+1-inequivalence", "1+1-fixed_point",
+        "2+0-inequivalence"])
+def test_suite_the_model_cannot_run_is_refused(tmp_path, capsys, monkeypatch, model, suite,
+                                               lack):
+    ran = []
+    for name, fn in list(verification.SUITES.items()):
+        monkeypatch.setitem(verification.SUITES, name,
+                            lambda *args, _name=name, _fn=fn: ran.append(_name) or _fn(*args))
+    path = _write_config(tmp_path, {"model": model, "suites": ["geometry", suite]})
+    rc = cli.main(["verify", "--config", path, "--out", str(tmp_path / "o")])
+    assert rc == 2
+    assert (f"config error: suite {suite!r} cannot run: the model has {lack}"
+            in capsys.readouterr().err)
+    assert ran == [] and not (tmp_path / "o").exists()
+    # the same recorder sees a suite that does run
+    assert cli.main(["verify", "--suite", "geometry", "--out", str(tmp_path / "g")]) == 0
+    assert ran == ["geometry"]
+
+
+def test_nan_in_obstruction_grid_fails_lie_suite(monkeypatch, tmp_path):
+    from dswarp import spin_group as sg
+    flow = sg.abelian_flow
+    monkeypatch.setattr(sg, "abelian_flow", lambda tag, t, s: (
+        np.full((5, 5), np.nan) if t > 0.4 else flow(tag, t, s)))
+    out = tmp_path / "out"
+    assert cli.main(["verify", "--suite", "lie", "--out", str(out)]) == 1
+    report = json.loads((out / "report.json").read_text())
+    check = {c["name"]: c for c in report["suites"][0]["checks"]}["reflection-obstruction-grid"]
+    assert check["pass"] is False
+    assert check["max_residual"] is None
+
+
 # -- one mode cap ----------------------------------------------------------------------
 
 def test_mode_cap_is_car_fock_max_modes(tmp_path, capsys):
@@ -255,8 +306,8 @@ def test_nan_residual_fails_car_suite(monkeypatch):
     from dswarp.car_fock import FockOperator
     monkeypatch.setattr(FockOperator, "dist", lambda self, other: float("nan"))
     model = cli.model_from_config(cli.load_config(None))
-    checks = {c.name: c for c in cli.suite_car(model, cli.load_config(None),
-                                               np.random.default_rng(0))}
+    checks = {c.name: c for c in verification.suite_car(model, cli.load_config(None),
+                                                        np.random.default_rng(0))}
     for name in ("car-anticommutators", "bogolyubov-implementation"):
         assert np.isnan(checks[name].max_residual)
         assert not checks[name].passed

@@ -165,7 +165,7 @@ def test_per_model_caches_are_read_only():
     for tag in ("W0", "W0p"):
         for g in wedge_generators(model, tag):
             _assert_frozen(g.vec)
-    with pytest.raises(ValueError, match="single-mask"):
+    with pytest.raises(ValueError, match="unknown wedge tag"):
         wedge_generators(model, "rotated")
     _assert_frozen(model.conjugation_matrix())
     ctx = DeformationContext(model, 0.5)

@@ -145,6 +145,45 @@ def test_batched_wedge_checks_equal_per_point(seed, n):
             assert spacelike[i, j] == wd.spacelike_separated(x, y)
 
 
+@settings(max_examples=25, deadline=None)
+@given(seeds, seeds, st.integers(min_value=1, max_value=40))
+def test_sampler_verdicts_equal_wedge_contains(frame_seed, seed, n):
+    # Redraw the sampler's candidate batches from its seed and keep, in order,
+    # the points that single-point wedge_contains calls accept.
+    wedge = wd.Wedge(sg.random_proper_lorentz(np.random.default_rng(frame_seed)))
+    rng = np.random.default_rng(seed)
+    expected, needed = [], n
+    while needed > 0:
+        batch = geo.sample_hyperboloid(max(4 * needed, 256), rng)
+        hits = [x for x in batch if wd.wedge_contains(wedge, x)][:needed]
+        expected += hits
+        needed -= len(hits)
+    assert np.array_equal(wd.sample_wedge_points(wedge, n, seed).points, np.array(expected))
+
+
+@settings(max_examples=15, deadline=None)
+@given(seeds, seeds)
+def test_probe_verdicts_equal_wedge_contains(frame_seed, seed):
+    # The witness is the first point of the probe's batches inside w1 and
+    # outside w2 by wedge_contains (the probe's w2 margin is -MEMBERSHIP_MARGIN,
+    # which only a point within 1e-12 of the edge of w2 could tell apart).
+    frames = np.random.default_rng(frame_seed)
+    w1 = wd.Wedge(sg.random_proper_lorentz(frames))
+    w2 = wd.Wedge(sg.random_proper_lorentz(frames))
+    probe = wd.inclusion_rigidity_probe(w1, w2, n=8192, seed=seed)
+    rng = np.random.default_rng(seed)
+    witness, trials = None, 0
+    while witness is None and trials < 8192:
+        batch = geo.sample_hyperboloid(2048, rng)
+        trials += 2048
+        candidates = batch[wd.wedge_contains(w1, batch)]
+        outside = candidates[~wd.wedge_contains(w2, candidates)]
+        witness = outside[0] if len(outside) else None
+    assert probe.verdict == ("WITNESS" if witness is not None else "INCONCLUSIVE")
+    assert probe.trials == trials
+    assert witness is None or np.array_equal(probe.witness, witness)
+
+
 @PROPERTY
 @given(seeds, batch_sizes, st.data())
 def test_one_bad_point_refuses_the_batch(seed, n, data):
