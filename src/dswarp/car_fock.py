@@ -62,6 +62,24 @@ entries), so a product is a gather in O(d) and the operator norm is the
 largest absolute entry.  The wedge generators on the W0 and W0p bases are
 such fields.
 
+Implementers
+------------
+The reflection, the rotation and the Bogolyubov maps are number-conserving
+second quantizations Gamma(w) of n x n mode-space unitaries w (second_quantize),
+with Gamma(w) c_a^+ Gamma(w)^* = sum_b w[b, a] c_b^+ and Gamma(w) Omega = Omega.
+The basis state occupying S = {a_1 < ... < a_k} is c_{a_1}^+ ... c_{a_k}^+ Omega
+with sign +1: the Jordan-Wigner string of c_{a_i}^+ counts only lower modes,
+which are empty when the product is applied from the right.  Expanding
+Gamma(w) of that product and sorting each term into ascending order gives the
+minor formula
+
+    Gamma(w)[T, S] = det w[T, S]   if |T| = |S|,   0 otherwise,
+
+rows T and columns S both listed ascending.  Gamma is built one particle
+number k at a time, as a batch of k x k determinants (the 0 x 0 one is 1), so
+nothing is exponentiated at Fock size.  For a permutation w every minor is
+exactly 0 or +-1.
+
 Per-model caches
 ----------------
 OneParticleModel.cached builds a value once per model and freezes its arrays
@@ -76,7 +94,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.linalg import expm
+from scipy.linalg import block_diag, expm
 
 # Largest accepted n_modes: the dense Fock dimension 2^n stays at or below 1024.
 MAX_MODES = 10
@@ -254,22 +272,17 @@ class OneParticleModel:
         diag = np.concatenate([raise_phase, np.conj(raise_phase)])
         return np.diag(diag)
 
-    def reflection_one_particle(self) -> np.ndarray:
+    def reflection_modes(self) -> np.ndarray:
+        """The n x n permutation of reflection_pairing: mode j goes to tau(j)."""
         if self.reflection_pairing is None:
             raise ModelError("model has no reflection_pairing")
         n = self.n_modes
         perm = np.zeros((n, n))
-        for j, k in enumerate(self.reflection_pairing):
-            perm[k, j] = 1.0
-        out = np.zeros((2 * n, 2 * n))
-        out[:n, :n] = perm
-        out[n:, n:] = perm
-        return out.astype(complex)
+        perm[list(self.reflection_pairing), range(n)] = 1.0
+        return perm
 
     def rotation_mode_generator(self) -> np.ndarray:
         """Real antisymmetric generator mixing the first two modes per species."""
-        if self.rotation_angle is None:
-            raise ModelError("model has no rotation")
         g = np.zeros((self.n_modes, self.n_modes))
         placed = False
         if self.d_plus >= 2:
@@ -518,55 +531,41 @@ def twist_Z(model: OneParticleModel) -> FockOperator:
     return FockOperator(np.diag(twist_phases(model)), model)
 
 
-def dgamma(model: OneParticleModel, h: np.ndarray) -> FockOperator:
-    """Second quantization of a one-particle mode-space operator h."""
-    h = np.asarray(h, dtype=complex)
+def second_quantize(model: OneParticleModel, w: np.ndarray) -> FockOperator:
+    """Gamma(w) of a mode-space map w: the entry at (T, S) is det w[T, S].
+
+    T and S are occupied-mode sets in ascending order, and the entry is zero
+    unless |T| = |S|; see "Implementers" in the module docstring.
+    """
+    w = np.asarray(w)
     n = model.n_modes
-    if h.shape != (n, n):
+    if w.shape != (n, n):
         raise ValueError(f"mode-space operator must be {n}x{n}")
-    ops = model.annihilators()
+    occ = occupation_table(n)
+    number = occ.sum(axis=1)
     out = np.zeros((model.dim, model.dim), dtype=complex)
-    for j in range(n):
-        cdag_j = ops[j].conj().T
-        for k in range(n):
-            if h[j, k] != 0:
-                out += h[j, k] * (cdag_j @ ops[k])
+    for k in range(n + 1):
+        states = np.nonzero(number == k)[0]
+        modes = np.nonzero(occ[states])[1].reshape(len(states), k)
+        out[np.ix_(states, states)] = np.linalg.det(
+            w[modes[:, None, :, None], modes[None, :, None, :]])
     return FockOperator(out, model)
 
 
 def reflection_fock(model: OneParticleModel) -> FockOperator:
-    """Implementer of the wedge reflection on the Fock space, built once per model.
-
-    The mode permutation tau sends the basis state with occupied modes
-    a_1 < ... < a_k to the state occupying tau(a_1), ..., tau(a_k), with the
-    sign of the permutation that sorts that sequence: (-1) to the number of
-    occupied pairs a < b with tau(a) > tau(b).
-    """
-    if model.reflection_pairing is None:
-        raise ModelError("model has no reflection_pairing")
-
-    def build() -> np.ndarray:
-        n = model.n_modes
-        tau = np.array(model.reflection_pairing)
-        occ = occupation_table(n)
-        dst = occ @ (1 << (n - 1 - tau))
-        a, b = np.triu_indices(n, 1)
-        swapped = tau[a] > tau[b]
-        inversions = (occ[:, a[swapped]] * occ[:, b[swapped]]).sum(axis=1)
-        out = np.zeros((model.dim, model.dim), dtype=complex)
-        out[dst, np.arange(model.dim)] = 1.0 - 2.0 * (inversions % 2)
-        return out
-
-    return FockOperator(model.cached("reflection_fock", build), model)
+    """Implementer Gamma(tau) of the wedge reflection, built once per model."""
+    return FockOperator(model.cached(
+        "reflection_fock", lambda: second_quantize(model, model.reflection_modes()).matrix),
+        model)
 
 
 def rotation_fock(model: OneParticleModel, angle: float | None = None) -> FockOperator:
-    """Implementer of the model rotation (charge-commuting, real orthogonal)."""
+    """Implementer Gamma(exp(angle g)) of the rotation (charge-commuting, real
+    orthogonal); angle defaults to the model's rotation_angle."""
     phi = model.rotation_angle if angle is None else float(angle)
     if phi is None:
         raise ModelError("model has no rotation")
-    g = model.rotation_mode_generator()
-    return FockOperator(expm(phi * dgamma(model, g).matrix), model)
+    return second_quantize(model, expm(phi * model.rotation_mode_generator()))
 
 
 def bogolyubov_fock(model: OneParticleModel, h_plus: np.ndarray,
@@ -577,25 +576,16 @@ def bogolyubov_fock(model: OneParticleModel, h_plus: np.ndarray,
     mode spaces.  Returns (U, u) with U the Fock unitary and u the 2n x 2n
     one-particle map; u commutes with C and with the basis projection.
     """
-    dp, dm, n = model.d_plus, model.d_minus, model.n_modes
+    dp, dm = model.d_plus, model.d_minus
     h_plus = np.asarray(h_plus, dtype=complex)
     h_minus = np.asarray(h_minus, dtype=complex)
     if h_plus.shape != (dp, dp) or h_minus.shape != (dm, dm):
         raise ValueError("Bogolyubov generator blocks have wrong shapes")
-    w_plus = expm(1j * h_plus)
-    w_minus = expm(1j * h_minus)
-    w = np.zeros((n, n), dtype=complex)
-    w[:dp, :dp] = w_plus
-    w[dp:, dp:] = w_minus
-    u = np.zeros((2 * n, 2 * n), dtype=complex)
-    u[:n, :n] = w
-    u[n:, n:] = np.conj(w)
-    # mode-space transformation: raise-coefficients by w+, lower by conj(w-)
-    h_modes = np.zeros((n, n), dtype=complex)
-    h_modes[:dp, :dp] = h_plus
-    h_modes[dp:, dp:] = -np.conj(h_minus)
-    big_u = FockOperator(expm(1j * dgamma(model, h_modes).matrix), model)
-    return big_u, u
+    w_plus, w_minus = expm(1j * h_plus), expm(1j * h_minus)
+    w = block_diag(w_plus, w_minus)
+    # antiparticle modes are raised by copy B, so Gamma takes the conjugate block
+    big_u = second_quantize(model, block_diag(w_plus, np.conj(w_minus)))
+    return big_u, block_diag(w, np.conj(w))
 
 
 # -- quasifree states -------------------------------------------------------
@@ -707,8 +697,8 @@ def wedge_subalgebra_basis(model: OneParticleModel, tag: str) -> list[np.ndarray
     if tag == "W0":
         return base
     if tag == "W0p":
-        refl = model.reflection_one_particle()
-        return [refl @ v for v in base]
+        perm = model.reflection_modes()
+        return [np.concatenate([perm @ v[:n], perm @ v[n:]]) for v in base]
     raise ValueError(f"unknown wedge tag {tag!r}; expected W0 or W0p")
 
 

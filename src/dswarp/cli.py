@@ -69,6 +69,9 @@ def load_config(path: str | None) -> dict:
             if isinstance(cfg[key], dict):
                 if not isinstance(value, dict):
                     raise ConfigError(f"config section {key!r} must be an object")
+                unknown = sorted(set(value) - set(cfg[key]))
+                if unknown:
+                    raise ConfigError(f"unknown key {unknown[0]!r} in config section {key!r}")
                 cfg[key].update(value)
             else:
                 cfg[key] = value
@@ -87,6 +90,9 @@ def validate_config(cfg: dict) -> dict:
     seed = m["seed"]
     if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
         raise ConfigError(f"model.seed must be a non-negative integer, got {seed!r}")
+    angle = m["rotation_angle"]
+    if angle is not None and not _finite_real(angle):
+        raise ConfigError(f"model.rotation_angle must be null or a finite real, got {angle!r}")
     kappas = cfg["deformation"].get("kappa", DEFAULT_KAPPA_GRID)
     if not isinstance(kappas, list) or not kappas:
         raise ConfigError("deformation.kappa must be a nonempty list")

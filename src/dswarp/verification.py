@@ -631,9 +631,10 @@ def suite_inequivalence(model: OneParticleModel, cfg: dict, rng) -> list[CheckRe
     zeros = []
     for kappa, phi in ((0.0, 0.8), (0.7, 0.0), (0.0, 0.0)):
         zeros.extend(inequivalence_witness(model, kappa, phi))
-    group_res, fock_res = inequivalence_witness(model, 1.0, np.pi / 4)
+    phi = model.rotation_angle
+    group_res, fock_res = inequivalence_witness(model, 1.0, phi)
     threshold = 0.1
-    _, fock_small = inequivalence_witness(model, 0.1, np.pi / 4)
+    _, fock_small = inequivalence_witness(model, 0.1, phi)
     return [
         CheckReport("witness-vanishes-without-deformation", worst(zeros), tol["exact"]),
         CheckReport("witness-nonzero",
@@ -663,15 +664,15 @@ SUITES = {
 def unrunnable(model: OneParticleModel, suites) -> list[str]:
     """One message per requested suite that model cannot run, naming what it lacks."""
     reflection = "no reflection_pairing" if model.reflection_pairing is None else ""
-    rotation = ("no rotation_angle" if model.rotation_angle is None
-                else "" if max(model.d_plus, model.d_minus) >= 2
+    rotation = ("" if max(model.d_plus, model.d_minus) >= 2
                 else "no species block of two modes to rotate")
     lacks = {
         "deformation": [reflection, rotation],
         "locality": [reflection],
         "fixed_point": ["" if _cross_frequency_pair(model)
                         else "no two modes of one species with distinct boost frequencies"],
-        "inequivalence": [rotation, "no particle mode" if model.d_plus < 1 else "",
+        "inequivalence": ["no rotation_angle" if model.rotation_angle is None else "",
+                          rotation, "no particle mode" if model.d_plus < 1 else "",
                           "no antiparticle mode" if model.d_minus < 1 else ""],
     }
     missing = {suite: [m for m in lacks.get(suite, []) if m] for suite in suites}

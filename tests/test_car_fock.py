@@ -7,12 +7,13 @@ from scipy.linalg import expm
 from dswarp.car_fock import (FockOperator, ModelError, OneParticleModel,
                              bogolyubov_fock, boost_unitary, car_norm_bound,
                              charge_operator, charge_projector, cospinor,
-                             default_model, dgamma, field_B,
+                             default_model, field_B,
                              fock_npoint, gauge_unitary, grading_Y, identity_op,
                              occupation_table,
                              quasifree_npoint, reflection_fock, rotation_fock,
                              spinor, twist_Z, validate_quasifree,
                              wedge_subalgebra_basis)
+from test_fock_properties import dgamma
 
 MODEL = default_model()
 
@@ -236,7 +237,7 @@ def test_exterior_rep_matches_dgamma_route():
     h = h + h.T
     w = expm(1j * h)
     lhs = exterior_rep(MODEL, w)
-    rhs = FockOperator(expm(1j * dgamma(MODEL, h).matrix), MODEL)
+    rhs = FockOperator(expm(1j * dgamma(MODEL, h)), MODEL)
     assert lhs.dist(rhs) < 1e-12
 
 
@@ -265,7 +266,9 @@ def test_reflection_implementer():
     rng = np.random.default_rng(43)
     f = rand_vec(rng, 8)
     lhs = r @ field_B(MODEL, f) @ r.H
-    assert lhs.dist(field_B(MODEL, MODEL.reflection_one_particle() @ f)) < 1e-13
+    perm = np.zeros((4, 4))
+    perm[list(MODEL.reflection_pairing), range(4)] = 1.0
+    assert lhs.dist(field_B(MODEL, np.kron(np.eye(2), perm) @ f)) < 1e-13
     t = 0.8
     assert (r @ boost_unitary(MODEL, t) @ r.H).dist(boost_unitary(MODEL, -t)) == 0.0
 

@@ -192,6 +192,24 @@ def test_bad_seed_refused(tmp_path, capsys, seed):
                      "--out", str(tmp_path / "o")], tmp_path, capsys)
 
 
+@pytest.mark.parametrize("section,key", [("model", "rotation_angel"), ("deformation", "kapa"),
+                                         ("tolerances", "exakt")])
+def test_unknown_key_in_config_section_refused(tmp_path, capsys, section, key):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({section: {key: 1.0}}))
+    assert cli.main(["verify", "--config", str(path), "--suite", "geometry",
+                     "--out", str(tmp_path / "o")]) == 2
+    assert f"unknown key {key!r} in config section {section!r}" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("angle", [float("nan"), float("inf"), "0.5", True])
+def test_bad_rotation_angle_refused(tmp_path, capsys, angle):
+    path = _write_config(tmp_path, {"model": {"rotation_angle": angle}})
+    _assert_refused(["verify", "--config", path, "--suite", "inequivalence",
+                     "--out", str(tmp_path / "o")], tmp_path, capsys)
+
+
 def test_negative_seed_option_refused(tmp_path, capsys):
     _assert_refused(["verify", "--suite", "lie", "--seed", "-1",
                      "--out", str(tmp_path / "o")], tmp_path, capsys)
@@ -247,14 +265,14 @@ TWO_PLUS_ZERO = {"d_plus": 2, "d_minus": 0, "boost_freqs_plus": [1.0, -1.0],
 @pytest.mark.parametrize("model,suite,lack", [
     ({"reflection_pairing": None}, "locality", "no reflection_pairing"),
     ({"reflection_pairing": None}, "deformation", "no reflection_pairing"),
-    ({"rotation_angle": None}, "deformation", "no rotation_angle"),
     ({"rotation_angle": None}, "inequivalence", "no rotation_angle"),
+    (ONE_PLUS_ONE, "deformation", "no reflection_pairing and no species block of two modes "
+                                  "to rotate"),
     (ONE_PLUS_ONE, "inequivalence", "no species block of two modes to rotate"),
     (ONE_PLUS_ONE, "fixed_point", "no two modes of one species with distinct boost frequencies"),
     (TWO_PLUS_ZERO, "inequivalence", "no antiparticle mode"),
-], ids=["no-reflection-locality", "no-reflection-deformation", "no-rotation-deformation",
-        "no-rotation-inequivalence", "1+1-inequivalence", "1+1-fixed_point",
-        "2+0-inequivalence"])
+], ids=["no-reflection-locality", "no-reflection-deformation", "no-rotation-inequivalence",
+        "1+1-deformation", "1+1-inequivalence", "1+1-fixed_point", "2+0-inequivalence"])
 def test_suite_the_model_cannot_run_is_refused(tmp_path, capsys, monkeypatch, model, suite,
                                                lack):
     ran = []
@@ -270,6 +288,13 @@ def test_suite_the_model_cannot_run_is_refused(tmp_path, capsys, monkeypatch, mo
     # the same recorder sees a suite that does run
     assert cli.main(["verify", "--suite", "geometry", "--out", str(tmp_path / "g")]) == 0
     assert ran == ["geometry"]
+
+
+def test_deformation_runs_without_rotation_angle(tmp_path):
+    # the deformation suite rotates by its own angle, not the model's
+    path = _write_config(tmp_path, {"model": {"rotation_angle": None}})
+    assert cli.main(["verify", "--config", path, "--suite", "deformation",
+                     "--out", str(tmp_path / "o")]) == 0
 
 
 def test_nan_in_obstruction_grid_fails_lie_suite(monkeypatch, tmp_path):

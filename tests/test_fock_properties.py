@@ -1,7 +1,8 @@
 """Property tests: each structured Fock fast path against its dense reference.
 
 The references are the dense constructions the fast paths replaced: the
-Kronecker-product Jordan-Wigner tower for the fields, the full commutator
+Kronecker-product Jordan-Wigner tower for the fields, exp(i dGamma(h)) on that
+tower for the second quantization Gamma(e^{ih}), the full commutator
 [K, A E(n)] for the fixed-point sectors, dense products with diagonal
 matrices for conjugation, and the uncached phase expression for warp.
 Models are small random ones, up to 3 + 3 modes.
@@ -13,11 +14,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import block_diag, expm
 
 from dswarp.car_fock import (FockOperator, OneParticleModel, boost_phases, boost_unitary,
                              charge_projector, conjugate_by_diagonal, default_model,
-                             field_B, gauge_phases, gauge_unitary, reflection_fock,
-                             twist_phases, twist_Z, wedge_generators)
+                             field_B, gauge_phases, gauge_unitary, identity_op,
+                             reflection_fock, second_quantize, twist_phases, twist_Z,
+                             wedge_generators)
 from dswarp.deformation import RECENT_PHASES, DeformationContext, warp, warp_phase
 from dswarp.verification import fixed_point_residual
 
@@ -59,6 +62,16 @@ def oracle_field(model: OneParticleModel, f: np.ndarray) -> np.ndarray:
     return out
 
 
+def dgamma(model: OneParticleModel, h: np.ndarray) -> np.ndarray:
+    """dGamma(h) = sum_jk h[j, k] c_j^+ c_k on the Kronecker tower (the oracle for Gamma)."""
+    ops = jordan_wigner_ops(model.n_modes)
+    out = np.zeros((model.dim, model.dim), dtype=complex)
+    for j, cj in enumerate(ops):
+        for k, ck in enumerate(ops):
+            out += h[j, k] * (cj.conj().T @ ck)
+    return out
+
+
 # Frequencies are multiples of 1/4, so every phase phi_i is an exact sum and
 # phi_i - phi_j is exact; the sector-block and dense commutators then differ
 # only by the rounding of their last products.
@@ -95,6 +108,54 @@ def test_bit_built_annihilators_equal_kronecker_oracle(model):
     assert len(ops) == model.n_modes
     for built, oracle in zip(ops, jordan_wigner_ops(model.n_modes)):
         assert (built == oracle).all()
+
+
+def _species_block_unitary(model, rng) -> tuple[np.ndarray, np.ndarray]:
+    """(e^{ih}, h) for a random Hermitian h that keeps each species block."""
+    dp = model.d_plus
+    h = _random_matrix(rng, model.n_modes)
+    h = h + h.conj().T
+    h[:dp, dp:] = h[dp:, :dp] = 0.0
+    return expm(1j * h), h
+
+
+@PROPERTY
+@given(models(), SEEDS)
+def test_second_quantize_is_a_unitary_representation(model, seed):
+    rng = np.random.default_rng(seed)
+    (w1, _), (w2, _) = _species_block_unitary(model, rng), _species_block_unitary(model, rng)
+    g1, g2 = second_quantize(model, w1), second_quantize(model, w2)
+    assert second_quantize(model, w1 @ w2).dist(g1 @ g2) < 1e-12
+    assert (g1 @ g1.H).dist(identity_op(model)) < 1e-12
+
+
+@PROPERTY
+@given(models(), SEEDS)
+def test_second_quantize_implements_the_one_particle_map(model, seed):
+    rng = np.random.default_rng(seed)
+    w, _ = _species_block_unitary(model, rng)
+    # copy A raises particle modes and lowers antiparticle modes
+    dp = model.d_plus
+    copy_a = block_diag(w[:dp, :dp], np.conj(w[dp:, dp:]))
+    u = block_diag(copy_a, np.conj(copy_a))
+    f = rng.standard_normal(model.doubled_dim) + 1j * rng.standard_normal(model.doubled_dim)
+    g = second_quantize(model, w)
+    assert (g @ field_B(model, f) @ g.H).dist(field_B(model, u @ f)) < 1e-12
+
+
+@PROPERTY
+@given(models(), SEEDS)
+def test_second_quantize_equals_exp_of_dgamma(model, seed):
+    w, h = _species_block_unitary(model, np.random.default_rng(seed))
+    reference = FockOperator(expm(1j * dgamma(model, h)), model)
+    assert second_quantize(model, w).dist(reference) < 1e-12
+
+
+def test_second_quantize_refuses_a_map_of_the_wrong_size():
+    model = default_model()
+    for shape in ((4, 3), (3, 3), (8, 8)):
+        with pytest.raises(ValueError, match="mode-space operator must be 4x4"):
+            second_quantize(model, np.eye(*shape))
 
 
 @PROPERTY
