@@ -80,16 +80,37 @@ number k at a time, as a batch of k x k determinants (the 0 x 0 one is 1), so
 nothing is exponentiated at Fock size.  For a permutation w every minor is
 exactly 0 or +-1.
 
+Norms
+-----
+operator_norm gives the exact largest singular value of a Fock-size matrix
+m by cutting it along the charge.  Let S be the set of charge shifts
+q_i - q_j over the nonzero entries m[i, j], s0 one of them, and g the gcd
+of the differences s - s0 over S (g = 0 when S holds one shift).  Every
+nonzero entry then has q_i = q_j + s0 mod g, so m maps the columns of
+charge class r (charge mod g, or the charge itself for g = 0) only into
+the rows of class r + s0, and distinct r give disjoint row sets.  Up to a
+permutation of rows and columns, m is the direct sum of these blocks, and
+its norm is the largest block norm: an identity, not a bound.  Fields are
+odd and anticommutators even, so both split into two d/2 x d/2 parity
+blocks; gauge-invariant operators split into their charge sectors; a dense
+matrix has g = 1 and takes one plain SVD.  S is read from the sums of |m|
+over pairs of charges, one pass over m, and the block positions are
+tabulated once per model and (g, s0 mod g).  A non-finite entry makes
+those sums non-finite, and the norm is then NaN.
+
 Per-model caches
 ----------------
 OneParticleModel.cached builds a value once per model and freezes its arrays
 (read-only).  It holds the wedge generators per tag (wedge_generators), the
-reflection implementer (reflection_fock) and, in the deformation module, the
-angle matrix and the warp phases of the last few kappas.
+reflection implementer (reflection_fock), the charge indicator and block
+positions of operator_norm and, in the deformation module, the angle matrix
+and the warp phases of the last few kappas.
 """
 
 from __future__ import annotations
 
+import math
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -147,6 +168,15 @@ def annihilation_ops(n: int) -> tuple[np.ndarray, ...]:
     return tuple(ops)
 
 
+def _mode_indices(values, name: str) -> tuple[int, ...]:
+    """values as a tuple of ints; a non-sequence or a non-integer entry is refused."""
+    try:
+        return tuple(operator.index(j) for j in values)
+    except TypeError:
+        raise ModelError(f"{name} must be a list of integer mode indices, "
+                         f"got {values!r}") from None
+
+
 class OneParticleModel:
     """Doubled one-particle space with boost, gauge, localization, reflection.
 
@@ -165,9 +195,9 @@ class OneParticleModel:
         self.seed = int(seed)
         self.boost_freqs_plus = np.asarray(boost_freqs_plus, dtype=float)
         self.boost_freqs_minus = np.asarray(boost_freqs_minus, dtype=float)
-        self.localized_modes = tuple(sorted(int(j) for j in localized_modes))
+        self.localized_modes = tuple(sorted(_mode_indices(localized_modes, "localized_modes")))
         self.reflection_pairing = (None if reflection_pairing is None
-                                   else tuple(int(j) for j in reflection_pairing))
+                                   else _mode_indices(reflection_pairing, "reflection_pairing"))
         self.rotation_angle = None if rotation_angle is None else float(rotation_angle)
 
         if validate:
@@ -359,11 +389,11 @@ class FockOperator:
         return FockOperator(self.matrix.conj().T, self.model)
 
     def norm(self) -> float:
-        """Operator norm (largest singular value)."""
-        return float(np.linalg.norm(self.matrix, 2))
+        """Operator norm (largest singular value), NaN if an entry is not finite."""
+        return operator_norm(self.model, self.matrix)
 
     def dist(self, other: "FockOperator") -> float:
-        return float(np.linalg.norm(self.matrix - other.matrix, 2))
+        return operator_norm(self.model, self.matrix - other.matrix)
 
     def charge_shift(self, m: int) -> np.ndarray:
         """Component sum_n E(n+m) F E(n)."""
@@ -421,6 +451,85 @@ class MaskWord:
     def norm(self) -> float:
         """Operator norm: the largest absolute entry."""
         return float(np.max(np.abs(self.vec)))
+
+
+# -- operator norms -----------------------------------------------------------
+
+def _charge_indicator(model: OneParticleModel) -> np.ndarray:
+    """(d, n+1) 0/1 matrix: entry [i, c] is 1 iff basis state i has charge index c.
+
+    The charge index of a state is its charge plus d_minus, so index
+    differences are charge differences.
+    """
+    return model.cached("charge_indicator", lambda: (
+        (model.charges + model.d_minus)[:, None] == np.arange(model.n_modes + 1)[None, :]
+    ).astype(float))
+
+
+def _norm_blocks(model: OneParticleModel, g: int,
+                 offset: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+    """Blocks of a matrix that maps column class r into row class r + offset.
+
+    A state's class is its charge index mod g, or the index itself for g = 0.
+    Blocks of one shape are stacked: each item is (labels, flat), where
+    labels[b] is the column class of block b and flat[b] holds the row-major
+    flat positions of its entries, so m.take(flat) gathers every block at once.
+    Built once per model and (g, offset).
+    """
+    def build():
+        index = model.charges + model.d_minus
+        classes = index % g if g else index
+        shapes: dict[tuple[int, int], tuple[list, list]] = {}
+        for r in range(g or model.n_modes + 1):
+            cols = np.nonzero(classes == r)[0]
+            rows = np.nonzero(classes == ((r + offset) % g if g else r + offset))[0]
+            if len(rows) and len(cols):
+                labels, flats = shapes.setdefault((len(rows), len(cols)), ([], []))
+                labels.append(r)
+                flats.append(rows[:, None] * model.dim + cols[None, :])
+        out = tuple((np.array(labels), np.stack(flats)) for labels, flats in shapes.values())
+        for pair in out:
+            for a in pair:
+                a.flags.writeable = False
+        return out
+
+    return model.cached(("norm_blocks", g, offset), build)
+
+
+def operator_norm(model: OneParticleModel, m: np.ndarray) -> float:
+    """Largest singular value of the d x d matrix m, NaN if an entry is not finite.
+
+    m is cut into the charge-class blocks of which it is a direct sum, and
+    the result is the largest block norm; see "Norms" in the module docstring.
+    """
+    m = np.asarray(m)
+    if m.shape != (model.dim, model.dim):
+        raise ValueError(f"matrix shape {m.shape} does not match Fock dim {model.dim}")
+    indicator = _charge_indicator(model)
+    # weight[a, c]: sum of |m| over rows of charge index a and columns of index c
+    with np.errstate(invalid="ignore", over="ignore"):
+        weight = indicator.T @ np.abs(m) @ indicator
+    if not np.isfinite(weight).all():
+        if not np.isfinite(m).all():
+            return math.nan
+        return float(np.linalg.svd(m, compute_uv=False)[0])    # the sums overflowed
+    rows, cols = np.nonzero(weight)
+    if not len(rows):
+        return 0.0
+    shifts = (rows - cols).tolist()
+    s0 = shifts[0]
+    g = math.gcd(*(s - s0 for s in shifts))
+    if g == 1:
+        return float(np.linalg.svd(m, compute_uv=False)[0])
+    present = np.zeros(g or len(weight), dtype=bool)
+    present[cols % g if g else cols] = True
+    top = 0.0
+    for labels, flat in _norm_blocks(model, g, s0 % g if g else s0):
+        hit = present[labels]
+        if hit.any():
+            blocks = m.take(flat if hit.all() else flat[hit])
+            top = max(top, float(np.linalg.svd(blocks, compute_uv=False)[:, 0].max()))
+    return top
 
 
 def identity_op(model: OneParticleModel) -> FockOperator:

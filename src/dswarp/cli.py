@@ -87,8 +87,15 @@ def validate_config(cfg: dict) -> dict:
     if d_plus + d_minus > MAX_MODES:
         raise ConfigError(f"d_plus + d_minus = {d_plus + d_minus} exceeds the "
                           f"Fock-dimension guard ({MAX_MODES} modes)")
+    for key in ("localized_modes", "reflection_pairing"):
+        modes = m[key]
+        if key == "reflection_pairing" and modes is None:
+            continue
+        if not isinstance(modes, list) or not all(_integer(j) for j in modes):
+            raise ConfigError(f"model.{key} must be a list of integer mode indices, "
+                              f"got {modes!r}")
     seed = m["seed"]
-    if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
+    if not _integer(seed) or seed < 0:
         raise ConfigError(f"model.seed must be a non-negative integer, got {seed!r}")
     angle = m["rotation_angle"]
     if angle is not None and not _finite_real(angle):
@@ -111,6 +118,11 @@ def validate_config(cfg: dict) -> dict:
         if not _finite_real(value) or value <= 0:
             raise ConfigError(f"tolerance {name!r} must be a positive finite number")
     return cfg
+
+
+def _integer(value) -> bool:
+    """An int; bool is refused although it is an int subclass."""
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _finite_real(value) -> bool:

@@ -35,8 +35,8 @@ from . import spin_group as sg
 from . import wedges as wd
 from .car_fock import (FockOperator, MaskWord, OneParticleModel, bogolyubov_fock,
                        boost_phases, car_norm_bound, charge_projector, field_B, fock_npoint,
-                       gauge_phases, identity_op, quasifree_npoint, spinor, twist_phases,
-                       wedge_generators)
+                       gauge_phases, identity_op, operator_norm, quasifree_npoint, spinor,
+                       twist_phases, wedge_generators)
 from .deformation import (DeformationContext, covariance_transform, oracle_sweep,
                           rieffel_product, warp, warp_inverse_check, warp_rotated, warp_word)
 
@@ -198,7 +198,7 @@ def deformation_derivative_at_zero(model: OneParticleModel, op: FockOperator,
     coarse = central(step)
     fine = central(step / 2.0)
     refined = (4.0 * fine - coarse) / 3.0
-    return float(np.linalg.norm(refined, 2))
+    return operator_norm(model, refined)
 
 
 def fixed_point_residual(model: OneParticleModel, op: FockOperator,
@@ -207,18 +207,15 @@ def fixed_point_residual(model: OneParticleModel, op: FockOperator,
 
     The derivative vanishes iff every charged-sector commutator [K, A E(n)],
     n != 0, vanishes; gauge-invariant inputs are required.  K and E(n) are
-    diagonal, so [K, A E(n)] is zero outside the sector-n columns and equals
-    (phi_i - phi_j) A_ij on them; the norm of that column block is the norm
-    of the commutator.
+    diagonal, so [K, A E(n)] is (phi_i - phi_j) A_ij on the sector-n columns
+    and zero elsewhere.
     """
     if not op.is_gauge_invariant(gauge_tol):
         raise ValueError("fixed-point analysis needs a gauge-invariant operator")
-    phi = model.phases
-    sector_residuals: dict[int, float] = {}
-    for n in model.charge_values():
-        cols = np.nonzero(model.charges == n)[0]
-        block = (phi[:, None] - phi[cols][None, :]) * op.matrix[:, cols]
-        sector_residuals[n] = float(np.linalg.norm(block, 2))
+    phi, q = model.phases, model.charges
+    commutator = (phi[:, None] - phi[None, :]) * op.matrix
+    sector_residuals = {n: operator_norm(model, np.where(q == n, commutator, 0.0))
+                        for n in model.charge_values()}
     derivative = deformation_derivative_at_zero(model, op)
     return sector_residuals, derivative
 

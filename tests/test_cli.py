@@ -192,6 +192,33 @@ def test_bad_seed_refused(tmp_path, capsys, seed):
                      "--out", str(tmp_path / "o")], tmp_path, capsys)
 
 
+@pytest.mark.parametrize("model", [
+    {"localized_modes": 3}, {"localized_modes": [0.5]}, {"localized_modes": [True]},
+    {"localized_modes": "02"}, {"reflection_pairing": 5},
+    {"reflection_pairing": [1, 0, 3, 2.0]},
+], ids=["localized-int", "localized-half", "localized-bool", "localized-string",
+        "pairing-int", "pairing-float"])
+def test_non_integer_mode_list_refused(tmp_path, capsys, model):
+    path = _write_config(tmp_path, {"model": model})
+    key = next(iter(model))
+    with pytest.raises(cli.ConfigError, match=f"model.{key} must be a list of integer"):
+        cli.validate_config(cli.load_config(path))
+    assert cli.main(["verify", "--config", path, "--suite", "geometry",
+                     "--out", str(tmp_path / "o")]) == 2
+    assert "must be a list of integer mode indices" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("model", [{"localized_modes": 3}, {"localized_modes": [0.5]},
+                                   {"reflection_pairing": 5},
+                                   {"reflection_pairing": [1, 0, 3, 2.5]}])
+def test_model_from_config_refuses_non_integer_mode_lists(tmp_path, model):
+    # without validate_config in front, the model itself refuses
+    cfg = cli.load_config(_write_config(tmp_path, {"model": model}))
+    with pytest.raises(cli.ConfigError, match="must be a list of integer mode indices"):
+        cli.model_from_config(cfg)
+
+
 @pytest.mark.parametrize("section,key", [("model", "rotation_angel"), ("deformation", "kapa"),
                                          ("tolerances", "exakt")])
 def test_unknown_key_in_config_section_refused(tmp_path, capsys, section, key):
@@ -354,3 +381,20 @@ def test_nan_residual_written_as_null(monkeypatch, tmp_path):
         assert checks[name]["max_residual"] is None
     assert checks["cstar-norm-formula"]["max_residual"] is not None
     cli.validate_report_schema(report)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
+                            "ignore:invalid value encountered:RuntimeWarning")
+def test_overflowing_warp_fails_without_traceback(tmp_path, capsys):
+    # at kappa 1e308 the warp phases overflow to NaN: the residual matrices are
+    # not finite, their norms are NaN, and the checks fail instead of raising
+    out = tmp_path / "out"
+    assert cli.main(["verify", "--suite", "deformation", "--kappa", "1e308",
+                     "--out", str(out)]) == 1
+    assert "Traceback" not in capsys.readouterr().err
+    report = json.loads((out / "report.json").read_text())
+    cli.validate_report_schema(report)
+    checks = {c["name"]: c for c in report["suites"][0]["checks"]}
+    for name in ("warp-inverse", "adjoint-compatibility", "rieffel-associativity"):
+        assert checks[name]["max_residual"] is None
+        assert checks[name]["pass"] is False

@@ -3,8 +3,9 @@
 The references are the dense constructions the fast paths replaced: the
 Kronecker-product Jordan-Wigner tower for the fields, exp(i dGamma(h)) on that
 tower for the second quantization Gamma(e^{ih}), the full commutator
-[K, A E(n)] for the fixed-point sectors, dense products with diagonal
-matrices for conjugation, and the uncached phase expression for warp.
+[K, A E(n)] for the fixed-point sectors, one full SVD for the charge-block
+operator norm, dense products with diagonal matrices for conjugation, and the
+uncached phase expression for warp.
 Models are small random ones, up to 3 + 3 modes.
 """
 
@@ -19,8 +20,8 @@ from scipy.linalg import block_diag, expm
 from dswarp.car_fock import (FockOperator, OneParticleModel, boost_phases, boost_unitary,
                              charge_projector, conjugate_by_diagonal, default_model,
                              field_B, gauge_phases, gauge_unitary, identity_op,
-                             reflection_fock, second_quantize, twist_phases, twist_Z,
-                             wedge_generators)
+                             operator_norm, reflection_fock, second_quantize, twist_phases,
+                             twist_Z, wedge_generators)
 from dswarp.deformation import RECENT_PHASES, DeformationContext, warp, warp_phase
 from dswarp.verification import fixed_point_residual
 
@@ -171,6 +172,91 @@ def test_sector_block_norm_matches_full_commutator_norm(model, seed):
         an = op.matrix @ charge_projector(model, n).matrix
         full = float(np.linalg.norm(k @ an - an @ k, 2))
         assert abs(block_norm - full) <= 1e-13 * full
+
+
+def _norm_cases(model, rng) -> dict[str, np.ndarray]:
+    """Matrices with the charge structures the checks take norms of."""
+    d, n = model.dim, model.n_modes
+    f, g = (rng.standard_normal(model.doubled_dim) + 1j * rng.standard_normal(model.doubled_dim)
+            for _ in range(2))
+    bf, bg = field_B(model, f), field_B(model, g)
+    anti = (bf @ bg + bg @ bf).matrix
+    dense = FockOperator(_random_matrix(rng, d), model)
+    one = np.zeros((d, d), dtype=complex)
+    one[rng.integers(d), rng.integers(d)] = rng.standard_normal() + 1j
+    return {
+        "field": bf.matrix,
+        "product": (bf @ bg).matrix,
+        "anticommutator": anti,
+        "car-residual": anti - np.vdot(model.apply_conjugation(f), g) * np.eye(d),
+        "gauge-invariant": dense.charge_shift(0),
+        "charge-shift": dense.charge_shift(int(rng.integers(-n, n + 1))),
+        "dense": dense.matrix,
+        "one-entry": one,
+        "zero": np.zeros((d, d), dtype=complex),
+    }
+
+
+NORM_CASES = st.sampled_from(["field", "product", "anticommutator", "car-residual",
+                              "gauge-invariant", "charge-shift", "dense", "one-entry",
+                              "zero"])
+
+
+@PROPERTY
+@given(models(), SEEDS, NORM_CASES)
+def test_charge_block_norm_equals_full_svd_norm(model, seed, case):
+    m = _norm_cases(model, np.random.default_rng(seed))[case]
+    full = float(np.linalg.norm(m, 2))
+    assert abs(operator_norm(model, m) - full) <= 1e-13 * full
+
+
+@PROPERTY
+@given(models(), SEEDS, NORM_CASES,
+       st.sampled_from([np.nan, np.inf, -np.inf, complex(0.0, np.inf), complex(np.nan, 1.0)]))
+def test_non_finite_entry_gives_nan_norm(model, seed, case, bad):
+    rng = np.random.default_rng(seed)
+    m = _norm_cases(model, rng)[case]
+    m[rng.integers(model.dim), rng.integers(model.dim)] = bad
+    assert np.isnan(operator_norm(model, m))
+    assert np.isnan(FockOperator(m, model).norm())
+
+
+def _recorded_svd_shapes(model, m) -> list[tuple[int, ...]]:
+    """Shapes of the arrays operator_norm(model, m) passes to np.linalg.svd."""
+    shapes, svd = [], np.linalg.svd
+
+    def recording(a, *args, **kwargs):
+        shapes.append(a.shape)
+        return svd(a, *args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(np.linalg, "svd", recording)
+        operator_norm(model, m)
+    return shapes
+
+
+@PROPERTY
+@given(models(), SEEDS, st.sampled_from(["field", "product", "anticommutator",
+                                         "car-residual", "even", "odd"]))
+def test_parity_homogeneous_operator_takes_no_full_size_svd(model, seed, case):
+    rng = np.random.default_rng(seed)
+    if case in ("even", "odd"):
+        same = np.equal.outer(model.parities, model.parities)
+        m = np.where(same if case == "even" else ~same, _random_matrix(rng, model.dim), 0.0)
+    else:
+        m = _norm_cases(model, rng)[case]
+    # shifts of one parity have an even gcd, so the blocks are at most d/2 wide
+    shapes = _recorded_svd_shapes(model, m)
+    assert bool(shapes) == bool(m.any())
+    assert all(max(s[-2:]) <= model.dim // 2 for s in shapes)
+
+
+def test_dense_operator_takes_one_svd_and_zero_takes_none():
+    model = default_model()
+    m = _random_matrix(np.random.default_rng(3), model.dim)
+    assert _recorded_svd_shapes(model, m) == [(model.dim, model.dim)]
+    assert _recorded_svd_shapes(model, np.zeros_like(m)) == []
+    assert operator_norm(model, np.zeros_like(m)) == 0.0
 
 
 @PROPERTY
