@@ -8,13 +8,13 @@ verification suites.
 
 __version__ = "0.1.0"
 
-from .car_fock import (FockOperator, OneParticleModel, boost_unitary, charge_projector,
-                       cospinor, default_model, field_B, gauge_unitary, grading_Y,
-                       quasifree_npoint, spinor, twist_Z, wedge_subalgebra_basis)
+from .car_fock import (FockOperator, OneParticleModel, boost_phases, charge_projector,
+                       cospinor, default_model, field_B, gauge_phases, quasifree_npoint,
+                       spinor, twist_phases, wedge_subalgebra_basis)
 from .deformation import (DeformationContext, covariance_transform, rieffel_product,
                           warp, warp_inverse_check, warp_oscillatory)
 from .geometry import embed_point, extract_point, gamma, minkowski_form
-from .quaternion import Quaternion, QuatMatrix2
+from .quaternion import QuatMatrix2
 from .spin_group import (SpinElement, abelian_flow, boost_base, boost_cover,
                          covering_hom, lie_bracket, reflection_base, reflection_cover,
                          reflection_obstruction_check)
@@ -24,15 +24,15 @@ from .wedges import Wedge, causal_complement, inclusion_rigidity_probe, wedge_co
 
 __all__ = [
     "__version__",
-    "Quaternion", "QuatMatrix2",
+    "QuatMatrix2",
     "minkowski_form", "gamma", "embed_point", "extract_point",
     "SpinElement", "covering_hom", "boost_cover", "boost_base",
     "reflection_base", "reflection_cover", "lie_bracket", "abelian_flow",
     "reflection_obstruction_check",
     "Wedge", "wedge_contains", "causal_complement", "inclusion_rigidity_probe",
     "OneParticleModel", "FockOperator", "default_model", "field_B", "spinor",
-    "cospinor", "gauge_unitary", "charge_projector", "boost_unitary", "twist_Z",
-    "grading_Y", "quasifree_npoint", "wedge_subalgebra_basis",
+    "cospinor", "gauge_phases", "charge_projector", "boost_phases", "twist_phases",
+    "quasifree_npoint", "wedge_subalgebra_basis",
     "DeformationContext", "warp", "warp_oscillatory", "rieffel_product",
     "warp_inverse_check", "covariance_transform",
     "CheckReport", "check_twisted_locality", "fixed_point_residual",

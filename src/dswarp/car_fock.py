@@ -35,21 +35,25 @@ Fields by bit arithmetic
 ------------------------
 c_j maps an occupied basis state i to i with bit n-1-j cleared, with the
 Jordan-Wigner sign (-1)^(number of occupied modes below j); every other entry
-is zero, and no two modes share an entry.  field_B and the annihilators
-therefore scatter the coefficients of f straight into a zero matrix, using
-the flip rows, signs and occupied states of all modes, which are tabulated
-once per mode count n (_mode_flips, cached like occupation_table).  The
-entries equal those of the Kronecker-product tower exactly; the tests keep
-that tower as the oracle.
+is zero, and no two modes share an entry.  field_B therefore scatters the
+coefficients of f straight into a zero matrix, using the flip rows, signs and
+occupied states of all modes, which are tabulated once per mode count n
+(_mode_flips, cached like occupation_table; index tables only, no Fock-size
+matrix).  A single ladder operator is the field of a unit vector: c_j^+ is
+B(e) with e on the copy that raises mode j (copy A for a particle mode, copy
+B for an antiparticle mode), and c_j is B(e) on the other copy.  The entries
+equal those of the Kronecker-product tower exactly; the tests keep that tower
+as the oracle.
 
 Diagonal operators
 ------------------
-Boost, gauge, charge projectors, the grading Y and the twist Z are diagonal
-in the occupation basis, with eigenvalues read off model.phases,
-model.charges and model.parities.  The dense FockOperator builders stay, but
-the verification paths use the diagonals as vectors (boost_phases,
-gauge_phases, twist_phases) and conjugate entrywise with
-conjugate_by_diagonal.
+Boost, gauge, charge projectors, the grading Y = (-1)^N and the twist
+Z = (1 - iY)/sqrt(2) are diagonal in the occupation basis, with eigenvalues
+read off model.phases, model.charges and model.parities.  The unitaries are
+kept as their diagonals (boost_phases, gauge_phases, twist_phases), and
+conjugation by one is entrywise (conjugate_by_diagonal); the dense matrix,
+where a test wants one, is np.diag of the vector.  charge_projector is the
+one dense diagonal builder, since the fixed-point checks deform E(n) itself.
 
 Mask words
 ----------
@@ -101,10 +105,12 @@ those sums non-finite, and the norm is then NaN.
 Per-model caches
 ----------------
 OneParticleModel.cached builds a value once per model and freezes its arrays
-(read-only).  It holds the wedge generators per tag (wedge_generators), the
-reflection implementer (reflection_fock), the charge indicator and block
-positions of operator_norm and, in the deformation module, the angle matrix
-and the warp phases of the last few kappas.
+(read-only).  It holds the conjugation matrix, the wedge generators per tag
+(wedge_generators), the reflection implementer (reflection_fock), the charge
+indicator and block positions of operator_norm and, in the deformation
+module, the angle matrix and the warp phases of the last few kappas.  The
+per-mode-count caches (occupation_table, _mode_flips) hold index tables of
+size n 2^n, never a dense Fock-size matrix.
 """
 
 from __future__ import annotations
@@ -152,20 +158,6 @@ def _mode_flips(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
     for a in tables:
         a.flags.writeable = False
     return tables
-
-
-@lru_cache(maxsize=8)
-def annihilation_ops(n: int) -> tuple[np.ndarray, ...]:
-    """Read-only annihilation matrices c_0..c_{n-1} on the 2^n Fock space."""
-    mode, src, dst, sign = _mode_flips(n)
-    ops = []
-    for j in range(n):
-        sel = mode == j
-        c = np.zeros((2 ** n, 2 ** n), dtype=complex)
-        c[dst[sel], src[sel]] = sign[sel]
-        c.flags.writeable = False
-        ops.append(c)
-    return tuple(ops)
 
 
 def _mode_indices(values, name: str) -> tuple[int, ...]:
@@ -289,19 +281,6 @@ class OneParticleModel:
         diag[n + dp:] = 1.0          # copy B, antiparticle slots
         return np.diag(diag).astype(complex)
 
-    def gauge_one_particle(self, s: float) -> np.ndarray:
-        n = self.n_modes
-        diag = np.concatenate([np.full(n, np.exp(1j * s)), np.full(n, np.exp(-1j * s))])
-        return np.diag(diag)
-
-    def boost_one_particle(self, t: float) -> np.ndarray:
-        """u_xi(t) on the doubled space: copies are mutual adjoints."""
-        raise_phase = np.exp(1j * t * self.mode_freqs * self.mode_charges)
-        # copy A carries e^{i t w} on particle slots and e^{-i t w} on antiparticle
-        # slots (both charge-raising directions); copy B is the conjugate.
-        diag = np.concatenate([raise_phase, np.conj(raise_phase)])
-        return np.diag(diag)
-
     def reflection_modes(self) -> np.ndarray:
         """The n x n permutation of reflection_pairing: mode j goes to tau(j)."""
         if self.reflection_pairing is None:
@@ -327,9 +306,6 @@ class OneParticleModel:
         return g
 
     # -- Fock-space data ------------------------------------------------------
-    def annihilators(self) -> tuple[np.ndarray, ...]:
-        return annihilation_ops(self.n_modes)
-
     def vacuum(self) -> np.ndarray:
         v = np.zeros(self.dim, dtype=complex)
         v[0] = 1.0
@@ -400,17 +376,6 @@ class FockOperator:
         q = self.model.charges
         mask = (q[:, None] - q[None, :]) == m
         return np.where(mask, self.matrix, 0.0)
-
-    def charge_shifts(self, tol: float = 0.0) -> dict[int, np.ndarray]:
-        """Nonzero charge-shift components, keyed by the shift."""
-        q = self.model.charges
-        diffs = q[:, None] - q[None, :]
-        out = {}
-        for m in np.unique(diffs):
-            block = np.where(diffs == m, self.matrix, 0.0)
-            if np.max(np.abs(block)) > tol:
-                out[int(m)] = block
-        return out
 
     def is_gauge_invariant(self, tol: float = 1e-10) -> bool:
         return float(np.max(np.abs(self.matrix - self.charge_shift(0)))) <= tol
@@ -593,17 +558,17 @@ def spinor(model: OneParticleModel, f_minus) -> FockOperator:
 
 
 def gauge_phases(model: OneParticleModel, s: float) -> np.ndarray:
-    """Diagonal of gauge_unitary(model, s)."""
+    """Diagonal of the gauge unitary V(s) = exp(isQ)."""
     return np.exp(1j * s * model.charges)
 
 
 def boost_phases(model: OneParticleModel, t: float) -> np.ndarray:
-    """Diagonal of boost_unitary(model, t)."""
+    """Diagonal of the second-quantized boost: e^{it * (sum of occupied frequencies)}."""
     return np.exp(1j * t * model.phases)
 
 
 def twist_phases(model: OneParticleModel) -> np.ndarray:
-    """Diagonal of twist_Z(model)."""
+    """Diagonal of the twist Z = (1 - iY)/sqrt(2), Y = (-1)^N the grading."""
     return (1.0 - 1j * model.parities) / np.sqrt(2.0)
 
 
@@ -612,32 +577,8 @@ def conjugate_by_diagonal(u: np.ndarray, m: np.ndarray) -> np.ndarray:
     return u[:, None] * m * u.conj()[None, :]
 
 
-def gauge_unitary(model: OneParticleModel, s: float) -> FockOperator:
-    """V(s) = exp(isQ), diagonal in the occupation basis."""
-    return FockOperator(np.diag(gauge_phases(model, s)), model)
-
-
 def charge_projector(model: OneParticleModel, n: int) -> FockOperator:
     return FockOperator(np.diag((model.charges == n).astype(complex)), model)
-
-
-def charge_operator(model: OneParticleModel) -> FockOperator:
-    return FockOperator(np.diag(model.charges.astype(complex)), model)
-
-
-def boost_unitary(model: OneParticleModel, t: float) -> FockOperator:
-    """Second-quantized boost: phase e^{it * (sum of occupied frequencies)}."""
-    return FockOperator(np.diag(boost_phases(model, t)), model)
-
-
-def grading_Y(model: OneParticleModel) -> FockOperator:
-    """Y = (-1)^N, the Bose/Fermi grading."""
-    return FockOperator(np.diag(model.parities.astype(complex)), model)
-
-
-def twist_Z(model: OneParticleModel) -> FockOperator:
-    """Z = (1 - iY)/sqrt(2)."""
-    return FockOperator(np.diag(twist_phases(model)), model)
 
 
 def second_quantize(model: OneParticleModel, w: np.ndarray) -> FockOperator:

@@ -80,13 +80,16 @@ def load_config(path: str | None) -> dict:
 
 def validate_config(cfg: dict) -> dict:
     m = cfg["model"]
-    try:
-        d_plus, d_minus = int(m["d_plus"]), int(m["d_minus"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"bad mode counts: {exc}") from exc
-    if d_plus + d_minus > MAX_MODES:
-        raise ConfigError(f"d_plus + d_minus = {d_plus + d_minus} exceeds the "
+    for key in ("d_plus", "d_minus"):
+        if not _integer(m.get(key)):
+            raise ConfigError(f"model.{key} must be an integer mode count, got {m.get(key)!r}")
+    if m["d_plus"] + m["d_minus"] > MAX_MODES:
+        raise ConfigError(f"d_plus + d_minus = {m['d_plus'] + m['d_minus']} exceeds the "
                           f"Fock-dimension guard ({MAX_MODES} modes)")
+    for key in ("boost_freqs_plus", "boost_freqs_minus"):
+        freqs = m.get(key)
+        if not isinstance(freqs, list) or not all(_finite_real(w) for w in freqs):
+            raise ConfigError(f"model.{key} must be a list of finite reals, got {freqs!r}")
     for key in ("localized_modes", "reflection_pairing"):
         modes = m[key]
         if key == "reflection_pairing" and modes is None:

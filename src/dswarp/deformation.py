@@ -52,8 +52,6 @@ CUTOFF_WIDTH = 6.0
 # for the +-h, +-h/2 steps of a central-difference derivative.
 RECENT_PHASES = 4
 
-THETA = np.array([[0.0, 1.0], [-1.0, 0.0]])
-
 
 @dataclass(frozen=True)
 class DeformationContext:

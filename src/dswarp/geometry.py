@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .quaternion import Q_E1, Q_E2, Q_E3, Q_ONE, Q_ZERO, QuatMatrix2
+from .quaternion import E1, E2, E3, ONE, ZERO, QuatMatrix2
 
 ETA_DIAG = np.array([1.0, -1.0, -1.0, -1.0, -1.0])
 ETA = np.diag(ETA_DIAG)
@@ -44,16 +44,15 @@ def minkowski_form(a, b):
     return float(form) if form.ndim == 0 else form
 
 
-_GAMMAS = (
-    QuatMatrix2.diag(Q_ONE, -Q_ONE),
-    QuatMatrix2(((Q_ZERO, Q_ONE), (-Q_ONE, Q_ZERO))),
-    QuatMatrix2(((Q_ZERO, Q_E1), (Q_E1, Q_ZERO))),
-    QuatMatrix2(((Q_ZERO, Q_E2), (Q_E2, Q_ZERO))),
-    QuatMatrix2(((Q_ZERO, Q_E3), (Q_E3, Q_ZERO))),
-)
-
 # All five generators as one batch of shape (5,): GAMMA_STACK[mu] is gamma_mu.
-GAMMA_STACK = QuatMatrix2(np.stack([g.array for g in _GAMMAS]))
+GAMMA_STACK = QuatMatrix2(np.array([
+    [[ONE, ZERO], [ZERO, -ONE]],
+    [[ZERO, ONE], [-ONE, ZERO]],
+    [[ZERO, E1], [E1, ZERO]],
+    [[ZERO, E2], [E2, ZERO]],
+    [[ZERO, E3], [E3, ZERO]],
+]))
+_GAMMAS = tuple(GAMMA_STACK[mu] for mu in range(5))
 
 
 def gamma(mu: int) -> QuatMatrix2:

@@ -2,15 +2,17 @@
 
 Array layout.  A quaternion w + x*e1 + y*e2 + z*e3 is a float array whose last
 axis holds (w, x, y, z), in the basis order (1, e1, e2, e3) with e1*e2 = e3
-(cyclic).  A batch of quaternions has shape (..., 4).  A 2x2 quaternionic
-matrix has shape (2, 2, 4) -- row, column, coefficient -- and a batch of them
-(..., 2, 2, 4).
+(cyclic); there is no per-scalar quaternion object.  A batch of quaternions
+has shape (..., 4), and the units are the read-only arrays ONE, E1, E2, E3.
+A 2x2 quaternionic matrix has shape (2, 2, 4) -- row, column, coefficient --
+and a batch of them (..., 2, 2, 4); QuatMatrix2 wraps such an array and is
+only ever built from one (identity and diag included).
 
 Broadcasting.  Every operation acts entrywise over the leading batch axes and
 follows numpy broadcasting on them: `qmul` of shapes (n, 4) and (4,) gives
 (n, 4), and a QuatMatrix2 of batch shape (5, 1) times one of batch shape (n,)
-gives batch shape (5, n).  Reductions (`norm2`, `diag_scalar_sum`, `max_abs`)
-return one value per batch element, a Python float when there is no batch.
+gives batch shape (5, n).  Reductions (`diag_scalar_sum`, `max_abs`) return
+one value per batch element, a Python float when there is no batch.
 
 `qmul` evaluates the Hamilton product with the same operations in the same
 order as the scalar formula, so a batched product equals the products of its
@@ -36,6 +38,11 @@ _SIGMA3 = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 _EYE2 = np.eye(2, dtype=complex)
 
 _CONJ_SIGNS = np.array([1.0, -1.0, -1.0, -1.0])
+
+# The units 1, e1, e2, e3, then zero, as read-only (4,) arrays.
+_UNITS = np.eye(5, 4)
+_UNITS.flags.writeable = False
+ONE, E1, E2, E3, ZERO = _UNITS
 
 
 def qmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -65,84 +72,6 @@ def _scalar_or_array(values: np.ndarray):
     return float(values) if values.ndim == 0 else values
 
 
-class Quaternion:
-    """A quaternion w + x*e1 + y*e2 + z*e3 (or a batch), held as a (..., 4) array."""
-
-    __slots__ = ("q",)
-
-    def __init__(self, w=0.0, x=0.0, y=0.0, z=0.0):
-        self.q = np.stack(np.broadcast_arrays(*(np.asarray(c, dtype=float)
-                                                for c in (w, x, y, z))), axis=-1)
-
-    @classmethod
-    def from_array(cls, q) -> "Quaternion":
-        out = cls.__new__(cls)
-        out.q = np.asarray(q, dtype=float)
-        return out
-
-    @property
-    def w(self):
-        return _scalar_or_array(self.q[..., 0])
-
-    @property
-    def x(self):
-        return _scalar_or_array(self.q[..., 1])
-
-    @property
-    def y(self):
-        return _scalar_or_array(self.q[..., 2])
-
-    @property
-    def z(self):
-        return _scalar_or_array(self.q[..., 3])
-
-    # -- algebra -----------------------------------------------------------
-    def __add__(self, other: "Quaternion") -> "Quaternion":
-        return Quaternion.from_array(self.q + other.q)
-
-    def __sub__(self, other: "Quaternion") -> "Quaternion":
-        return Quaternion.from_array(self.q - other.q)
-
-    def __neg__(self) -> "Quaternion":
-        return Quaternion.from_array(-self.q)
-
-    def __mul__(self, other):
-        if isinstance(other, Quaternion):
-            return Quaternion.from_array(qmul(self.q, other.q))
-        return Quaternion.from_array(self.q * np.asarray(other, dtype=float)[..., None])
-
-    def __rmul__(self, scalar) -> "Quaternion":
-        return self * scalar
-
-    def conjugate(self) -> "Quaternion":
-        return Quaternion.from_array(_qconj(self.q))
-
-    def norm2(self):
-        """|q|^2 = q * conj(q), a nonnegative real scalar."""
-        w, x, y, z = self.q[..., 0], self.q[..., 1], self.q[..., 2], self.q[..., 3]
-        return _scalar_or_array(w * w + x * x + y * y + z * z)
-
-    # -- realization and comparison ----------------------------------------
-    def to_complex(self) -> np.ndarray:
-        """2x2 complex block w*I - i*(x*sigma1 + y*sigma2 + z*sigma3)."""
-        return _realize(self.q)
-
-    def coeffs(self) -> np.ndarray:
-        return self.q.copy()
-
-    def __repr__(self) -> str:
-        if self.q.ndim == 1:
-            return f"Quaternion({self.w}, {self.x}, {self.y}, {self.z})"
-        return f"Quaternion.from_array({self.q!r})"
-
-
-Q_ZERO = Quaternion()
-Q_ONE = Quaternion(1.0)
-Q_E1 = Quaternion(0.0, 1.0)
-Q_E2 = Quaternion(0.0, 0.0, 1.0)
-Q_E3 = Quaternion(0.0, 0.0, 0.0, 1.0)
-
-
 def _qmatmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Product of (..., 2, 2, 4) arrays: c_ij = a_i0 b_0j + a_i1 b_1j."""
     return (qmul(a[..., :, 0:1, :], b[..., 0:1, :, :])
@@ -152,42 +81,34 @@ def _qmatmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 class QuatMatrix2:
     """2x2 matrix over the quaternions (or a batch), held as a (..., 2, 2, 4) array.
 
-    Built from nested entries ((a, b), (c, d)) of Quaternions, or from an
-    array whose last three axes are (row, column, coefficient).
+    Built from an array whose last three axes are (row, column, coefficient).
     """
 
     __slots__ = ("array",)
 
-    def __init__(self, entries):
-        if isinstance(entries, np.ndarray):
-            array = np.asarray(entries, dtype=float)
-            if array.shape[-3:] != (2, 2, 4):
-                raise ValueError(f"quaternionic 2x2 array must end in (2, 2, 4), "
-                                 f"got shape {array.shape}")
-        else:
-            ((a, b), (c, d)) = entries
-            qa, qb, qc, qd = np.broadcast_arrays(a.q, b.q, c.q, d.q)
-            array = np.stack([np.stack([qa, qb], axis=-2),
-                              np.stack([qc, qd], axis=-2)], axis=-3)
+    def __init__(self, array):
+        array = np.asarray(array, dtype=float)
+        if array.shape[-3:] != (2, 2, 4):
+            raise ValueError(f"quaternionic 2x2 array must end in (2, 2, 4), "
+                             f"got shape {array.shape}")
         self.array = array
 
     @staticmethod
     def identity() -> "QuatMatrix2":
-        return QuatMatrix2(((Q_ONE, Q_ZERO), (Q_ZERO, Q_ONE)))
+        return QuatMatrix2.diag(ONE, ONE)
 
     @staticmethod
-    def diag(a: Quaternion, d: Quaternion) -> "QuatMatrix2":
-        return QuatMatrix2(((a, Q_ZERO), (Q_ZERO, d)))
+    def diag(a, d) -> "QuatMatrix2":
+        """diag(a, d) for quaternion arrays a of shape (..., 4) and d of shape (4,)
+        or a's shape."""
+        array = np.zeros(np.shape(a)[:-1] + (2, 2, 4))
+        array[..., 0, 0, :] = a
+        array[..., 1, 1, :] = d
+        return QuatMatrix2(array)
 
     @property
     def batch_shape(self) -> tuple:
         return self.array.shape[:-3]
-
-    @property
-    def entries(self):
-        """The four entries as Quaternions, ((a, b), (c, d))."""
-        return tuple(tuple(Quaternion.from_array(self.array[..., i, j, :]) for j in range(2))
-                     for i in range(2))
 
     def __getitem__(self, index) -> "QuatMatrix2":
         """numpy indexing of the batch axes only: m[k], m[0::2], m[..., None]."""
@@ -234,10 +155,7 @@ class QuatMatrix2:
         return _scalar_or_array(np.max(np.abs(self.to_complex()), axis=(-2, -1)))
 
     def __repr__(self) -> str:
-        if self.batch_shape:
-            return f"QuatMatrix2({self.array!r})"
-        (a, b), (c, d) = self.entries
-        return f"QuatMatrix2((({a}, {b}), ({c}, {d})))"
+        return f"QuatMatrix2({self.array!r})"
 
 
 def qmat_dist(a: QuatMatrix2, b: QuatMatrix2):

@@ -18,7 +18,7 @@ import numpy as np
 from scipy.linalg import expm
 
 from .geometry import ETA, ETA_DIAG, GAMMA_STACK, gamma
-from .quaternion import Q_ONE, Quaternion, QuatMatrix2, qmat_dist
+from .quaternion import ONE, QuatMatrix2, qmat_dist
 
 SP11_TOL = 1e-10
 
@@ -95,12 +95,13 @@ def boost_cover(t) -> SpinElement:
 
 def reflection_cover() -> SpinElement:
     """Lift of the wedge reflection: diag(1, -1)."""
-    return SpinElement(QuatMatrix2.diag(Q_ONE, -Q_ONE))
+    return SpinElement(QuatMatrix2.diag(ONE, -ONE))
 
 
-def rotation_cover(q: Quaternion) -> SpinElement:
-    """diag(q, q) for a unit quaternion: covers an edge rotation (SO(3))."""
-    n2 = q.norm2()
+def rotation_cover(q) -> SpinElement:
+    """diag(q, q) for a unit quaternion q, a (4,) array: covers an edge rotation (SO(3))."""
+    q = np.asarray(q, dtype=float)
+    n2 = float(q @ q)
     if abs(n2 - 1.0) > 1e-10:
         raise ValueError(f"rotation cover needs a unit quaternion, |q|^2 = {n2}")
     return SpinElement(QuatMatrix2.diag(q, q))
@@ -240,14 +241,15 @@ def reflection_obstruction_check() -> dict:
 
 # Letters of random_spin_words as (2, 2, 4) arrays: the padding and the reflection lift.
 _IDENTITY = QuatMatrix2.identity().array
-_REFLECTION = QuatMatrix2.diag(Q_ONE, -Q_ONE).array
+_REFLECTION = QuatMatrix2.diag(ONE, -ONE).array
 
 
 def random_spin_words(rng: np.random.Generator, count: int,
                       max_len: int = 4) -> SpinElement:
     """A batch of count short random words in boost and reflection lifts.
 
-    Draws from rng exactly as count sequential random_spin_word calls do.
+    Draws from rng one whole word at a time, so the first k words do not
+    depend on count.
     Boost parameters stay small so that matrix entries remain moderate and
     absolute float error stays far below the 1e-10 homomorphism tolerance.
     Words shorter than max_len are padded with identity letters, which
@@ -265,11 +267,6 @@ def random_spin_words(rng: np.random.Generator, count: int,
     for k in range(1, max_len):
         words = words @ QuatMatrix2(letters[:, k])
     return SpinElement(words)
-
-
-def random_spin_word(rng: np.random.Generator, max_len: int = 4) -> SpinElement:
-    """One random word; see random_spin_words."""
-    return random_spin_words(rng, 1, max_len)[0]
 
 
 _LIE_BASIS_FLOAT = tuple(m.astype(float) for _, _, m in lie_basis())

@@ -222,6 +222,15 @@ def fixed_point_residual(model: OneParticleModel, op: FockOperator,
 
 # -- unitary inequivalence ------------------------------------------------------
 
+def _ladder(model: OneParticleModel, j: int, create: bool) -> FockOperator:
+    """c_j^+ (create) or c_j, as the field of the unit vector on the copy that
+    raises (or lowers) mode j: copy A raises a particle mode, copy B an
+    antiparticle mode."""
+    f = np.zeros(model.doubled_dim, dtype=complex)
+    f[j if create == (model.mode_charges[j] > 0) else model.n_modes + j] = 1.0
+    return field_B(model, f)
+
+
 def inequivalence_witness(model: OneParticleModel, kappa: float,
                           phi: float) -> tuple[float, float]:
     """Group-level and Fock-level witnesses that the deformation moves the net.
@@ -247,8 +256,7 @@ def inequivalence_witness(model: OneParticleModel, kappa: float,
     straight = warp(ctx, psi_op)
     rotated = warp_rotated(ctx, psi_op, phi)
 
-    ops = model.annihilators()
-    one_particle = ops[0].conj().T @ model.vacuum()   # first particle mode, charge +1
+    one_particle = _ladder(model, 0, True).matrix @ model.vacuum()   # mode 0, charge +1
     diff = (straight.matrix - rotated.matrix) @ one_particle
     fock_residual = float(np.linalg.norm(diff))
     return group_residual, fock_residual
@@ -607,9 +615,8 @@ def suite_fixed_point(model: OneParticleModel, cfg: dict, rng) -> list[CheckRepo
     ctx = DeformationContext(model, 0.3)
     e1_fixed = warp(ctx, e1).dist(e1)
 
-    ops = model.annihilators()
     j, k = _cross_frequency_pair(model)
-    mover = FockOperator(ops[j].conj().T @ ops[k], model)   # charge 0, boost-moving
+    mover = _ladder(model, j, True) @ _ladder(model, k, False)   # charge 0, boost-moving
     _, mover_derivative = fixed_point_residual(model, mover)
     mover_moved = warp(ctx, mover).dist(mover)
     return [

@@ -15,10 +15,10 @@ import numpy as np
 from dswarp import geometry as geo
 from dswarp import spin_group as sg
 from dswarp import wedges as wd
-from dswarp.car_fock import (FockOperator, boost_unitary, car_norm_bound,
+from dswarp.car_fock import (FockOperator, boost_phases, car_norm_bound,
                              charge_projector, default_model, field_B, fock_npoint,
-                             gauge_unitary, identity_op, quasifree_npoint, spinor,
-                             twist_Z, wedge_subalgebra_basis)
+                             gauge_phases, identity_op, quasifree_npoint, spinor,
+                             twist_phases, wedge_subalgebra_basis)
 from dswarp.deformation import (DeformationContext, oracle_residuals,
                                 rieffel_product, warp, warp_inverse_check)
 from dswarp.verification import (check_twisted_locality, fixed_point_residual,
@@ -72,7 +72,7 @@ def test_criterion_02_covering():
     rng = np.random.default_rng(1002)
     hom = 0.0
     for _ in range(100):
-        g, h = sg.random_spin_word(rng), sg.random_spin_word(rng)
+        g, h = sg.random_spin_words(rng, 2)
         hom = max(hom, float(np.max(np.abs(
             sg.covering_hom(g @ h) - sg.covering_hom(g) @ sg.covering_hom(h)))))
     _check("2a covering homomorphism on 100 words", hom, 1e-10)
@@ -185,7 +185,7 @@ def test_criterion_06_deformation():
     gens0 = [field_B(MODEL, v) for v in wedge_subalgebra_basis(MODEL, "W0")]
     gens1 = [field_B(MODEL, v) for v in wedge_subalgebra_basis(MODEL, "W0p")]
     ctx_neg = ctx.with_kappa(-ctx.kappa)
-    z = twist_Z(MODEL)
+    z = FockOperator(np.diag(twist_phases(MODEL)), MODEL)
     commutant = twisted = 0.0
     for _ in range(100):
         a = gens0[int(rng.integers(4))] @ gens0[int(rng.integers(4))]
@@ -200,7 +200,8 @@ def test_criterion_06_deformation():
     _check("6e twisted variant of the commutant property", twisted, 1e-10)
 
     conj = 0.0
-    for x in (gauge_unitary(MODEL, 0.8), boost_unitary(MODEL, -1.2)):
+    for x in (FockOperator(np.diag(gauge_phases(MODEL, 0.8)), MODEL),
+              FockOperator(np.diag(boost_phases(MODEL, -1.2)), MODEL)):
         for _ in range(50):
             op = _rand_op(rng)
             conj = max(conj, (x @ warp(ctx, op) @ x.H).dist(warp(ctx, x @ op @ x.H)))

@@ -237,6 +237,32 @@ def test_bad_rotation_angle_refused(tmp_path, capsys, angle):
                      "--out", str(tmp_path / "o")], tmp_path, capsys)
 
 
+@pytest.mark.parametrize("model", [
+    {"boost_freqs_plus": 3}, {"boost_freqs_plus": [float("nan"), 1.0]},
+    {"boost_freqs_plus": [True, -1.0]}, {"boost_freqs_minus": [1.0, float("inf")]},
+    {"boost_freqs_minus": ["1", -1.0]},
+], ids=["plus-int", "plus-nan", "plus-bool", "minus-inf", "minus-string"])
+def test_bad_boost_frequencies_refused(tmp_path, capsys, model):
+    path = _write_config(tmp_path, {"model": model})
+    key = next(iter(model))
+    with pytest.raises(cli.ConfigError, match=f"model.{key} must be a list of finite reals"):
+        cli.validate_config(cli.load_config(path))
+    _assert_refused(["verify", "--config", path, "--suite", "fixed_point",
+                     "--out", str(tmp_path / "o")], tmp_path, capsys)
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("model", [{"d_plus": 2.5}, {"d_plus": "2"}, {"d_plus": 2.0},
+                                   {"d_minus": True}, {"d_minus": None}])
+def test_non_integer_mode_count_refused(tmp_path, capsys, model):
+    path = _write_config(tmp_path, {"model": model})
+    key = next(iter(model))
+    with pytest.raises(cli.ConfigError, match=f"model.{key} must be an integer mode count"):
+        cli.validate_config(cli.load_config(path))
+    _assert_refused(["verify", "--config", path, "--suite", "geometry",
+                     "--out", str(tmp_path / "o")], tmp_path, capsys)
+
+
 def test_negative_seed_option_refused(tmp_path, capsys):
     _assert_refused(["verify", "--suite", "lie", "--seed", "-1",
                      "--out", str(tmp_path / "o")], tmp_path, capsys)

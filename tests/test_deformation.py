@@ -1,14 +1,15 @@
 import numpy as np
 import pytest
 
-from dswarp.car_fock import (FockOperator, boost_unitary, charge_projector,
-                             default_model, field_B, gauge_unitary, identity_op,
-                             spinor, twist_Z, wedge_subalgebra_basis)
+from dswarp.car_fock import (FockOperator, boost_phases, charge_projector,
+                             default_model, field_B, gauge_phases, identity_op,
+                             spinor, twist_phases, wedge_subalgebra_basis)
 from dswarp.deformation import (DeformationContext, _cosine_factor, _gauss_factor,
                                 covariance_transform, oracle_residuals,
                                 rieffel_product, unwarp, warp, warp_inverse_check,
                                 warp_oscillatory, warp_rotated)
 from dswarp.car_fock import OneParticleModel
+from test_fock_properties import charge_shifts, diagonal
 
 MODEL = default_model()
 
@@ -55,7 +56,7 @@ def warp_sector_sum(ctx: DeformationContext, op: FockOperator) -> FockOperator:
     """
     model = ctx.model
     out = np.zeros((model.dim, model.dim), dtype=complex)
-    for m, block in op.charge_shifts().items():
+    for m, block in charge_shifts(op).items():
         for n in model.charge_values():
             sel = (model.charges == n)
             left = np.exp(1j * ctx.kappa * n * model.phases)
@@ -169,7 +170,7 @@ def test_twisted_commutant_property():
     rng = np.random.default_rng(59)
     ctx = DeformationContext(MODEL, 0.8)
     ctx_neg = ctx.with_kappa(-0.8)
-    z = twist_Z(MODEL)
+    z = diagonal(MODEL, twist_phases(MODEL))
     gens0 = [field_B(MODEL, f) for f in wedge_subalgebra_basis(MODEL, "W0")]
     gens1 = [field_B(MODEL, f) for f in wedge_subalgebra_basis(MODEL, "W0p")]
     for _ in range(20):
@@ -183,7 +184,8 @@ def test_twisted_commutant_property():
 def test_flow_unitary_conjugation():
     rng = np.random.default_rng(60)
     ctx = DeformationContext(MODEL, -0.35)
-    for x in (gauge_unitary(MODEL, 1.1), boost_unitary(MODEL, 0.7)):
+    for x in (diagonal(MODEL, gauge_phases(MODEL, 1.1)),
+              diagonal(MODEL, boost_phases(MODEL, 0.7))):
         for _ in range(10):
             op = rand_op(rng)
             lhs = x @ warp(ctx, op) @ x.H
@@ -299,9 +301,9 @@ def test_rotated_flow_matches_sector_formula():
     op = rand_op(rng)
     rot = rotation_fock(MODEL, phi)
     u_rot = lambda t: FockOperator(
-        rot.matrix @ boost_unitary(MODEL, t).matrix @ rot.H.matrix, MODEL)
+        rot.matrix @ np.diag(boost_phases(MODEL, t)) @ rot.H.matrix, MODEL)
     expected = np.zeros_like(op.matrix)
-    for m, block in op.charge_shifts().items():
+    for m, block in charge_shifts(op).items():
         for n in MODEL.charge_values():
             en = charge_projector(MODEL, n).matrix
             expected += (u_rot(kappa * n).matrix @ block

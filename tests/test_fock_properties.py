@@ -9,6 +9,7 @@ uncached phase expression for warp.
 Models are small random ones, up to 3 + 3 modes.
 """
 
+import itertools
 from functools import lru_cache
 
 import numpy as np
@@ -17,13 +18,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import block_diag, expm
 
-from dswarp.car_fock import (FockOperator, OneParticleModel, boost_phases, boost_unitary,
+from dswarp.car_fock import (FockOperator, OneParticleModel, _mode_flips, boost_phases,
                              charge_projector, conjugate_by_diagonal, default_model,
-                             field_B, gauge_phases, gauge_unitary, identity_op,
-                             operator_norm, reflection_fock, second_quantize, twist_phases,
-                             twist_Z, wedge_generators)
+                             field_B, gauge_phases, identity_op, operator_norm,
+                             reflection_fock, second_quantize, twist_phases,
+                             wedge_generators)
 from dswarp.deformation import RECENT_PHASES, DeformationContext, warp, warp_phase
-from dswarp.verification import fixed_point_residual
+from dswarp.verification import _ladder, fixed_point_residual
 
 PROPERTY = settings(max_examples=30, deadline=None)
 
@@ -61,6 +62,19 @@ def oracle_field(model: OneParticleModel, f: np.ndarray) -> np.ndarray:
         else:
             out += raise_coef * c + lower_coef * cdag
     return out
+
+
+def diagonal(model: OneParticleModel, values) -> FockOperator:
+    """The dense diagonal operator with the given diagonal (the reference for
+    the phase vectors)."""
+    return FockOperator(np.diag(values), model)
+
+
+def charge_shifts(op: FockOperator, tol: float = 0.0) -> dict[int, np.ndarray]:
+    """The charge-shift components of op with an entry above tol, keyed by the shift."""
+    n = op.model.n_modes
+    blocks = {m: op.charge_shift(m) for m in range(-n, n + 1)}
+    return {m: b for m, b in blocks.items() if np.max(np.abs(b)) > tol}
 
 
 def dgamma(model: OneParticleModel, h: np.ndarray) -> np.ndarray:
@@ -105,10 +119,20 @@ def test_bit_built_field_equals_kronecker_oracle(model, seed):
 @PROPERTY
 @given(models())
 def test_bit_built_annihilators_equal_kronecker_oracle(model):
-    ops = model.annihilators()
-    assert len(ops) == model.n_modes
-    for built, oracle in zip(ops, jordan_wigner_ops(model.n_modes)):
-        assert (built == oracle).all()
+    for j, oracle in enumerate(jordan_wigner_ops(model.n_modes)):
+        assert (_ladder(model, j, False).matrix == oracle).all()
+        assert (_ladder(model, j, True).matrix == oracle.conj().T).all()
+
+
+@PROPERTY
+@given(models())
+def test_field_built_hopping_equals_kronecker_oracle_product(model):
+    # c_j^+ c_k over every pair of particle and antiparticle modes: pins which
+    # copy raises a mode of each species
+    ops = jordan_wigner_ops(model.n_modes)
+    for j, k in itertools.product(range(model.n_modes), repeat=2):
+        built = _ladder(model, j, True) @ _ladder(model, k, False)
+        assert (built.matrix == ops[j].conj().T @ ops[k]).all(), (j, k)
 
 
 def _species_block_unitary(model, rng) -> tuple[np.ndarray, np.ndarray]:
@@ -264,10 +288,8 @@ def test_dense_operator_takes_one_svd_and_zero_takes_none():
 def test_entrywise_diagonal_conjugation_matches_dense(model, seed, t):
     rng = np.random.default_rng(seed)
     m = _random_matrix(rng, model.dim)
-    for u, dense in ((boost_phases(model, t), boost_unitary(model, t).matrix),
-                     (gauge_phases(model, t), gauge_unitary(model, t).matrix),
-                     (twist_phases(model), twist_Z(model).matrix)):
-        assert (np.diag(u) == dense).all()
+    for u in (boost_phases(model, t), gauge_phases(model, t), twist_phases(model)):
+        dense = np.diag(u)
         reference = dense @ m @ dense.conj().T
         assert np.max(np.abs(conjugate_by_diagonal(u, m) - reference)) \
             <= 1e-13 * np.max(np.abs(m))
@@ -321,5 +343,5 @@ def test_per_model_caches_are_read_only():
     _assert_frozen(warp_phase(ctx))
     assert reflection_fock(model).matrix is reflection_fock(model).matrix
     _assert_frozen(reflection_fock(model).matrix)
-    for c in model.annihilators():
-        _assert_frozen(c)
+    for table in _mode_flips(model.n_modes):
+        _assert_frozen(table)

@@ -112,7 +112,7 @@ def test_random_spin_words_match_sequential_draws(seed, n):
     assert len(words) == n
     for k in range(n):
         assert np.array_equal(words[k].matrix.array, oracle_spin_word(oracle_rng))
-        assert np.array_equal(sg.random_spin_word(single_rng).matrix.array,
+        assert np.array_equal(sg.random_spin_words(single_rng, 1).matrix.array[0],
                               words[k].matrix.array)
     follow = batch_rng.random()
     assert follow == oracle_rng.random() == single_rng.random()

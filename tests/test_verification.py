@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dswarp.car_fock import (FockOperator, MaskWord, OneParticleModel, boost_phases,
-                             boost_unitary, charge_projector, conjugate_by_diagonal,
-                             default_model, field_B, gauge_phases, gauge_unitary,
+                             charge_projector, conjugate_by_diagonal,
+                             default_model, field_B, gauge_phases,
                              identity_op, twist_phases, wedge_generators,
                              wedge_subalgebra_basis)
 from dswarp.deformation import DeformationContext, warp, warp_word
@@ -16,6 +16,7 @@ from dswarp.verification import (SPAN_SVD_TOL, CheckReport, causal_borchers_axio
                                  inequivalence_witness, net_well_defined_residual,
                                  random_monomial, span_basis, span_residual,
                                  wedge_monomials)
+from test_fock_properties import jordan_wigner_ops
 
 MODEL = default_model()
 
@@ -126,10 +127,10 @@ def test_build_net_undeformed_matches_monomials():
 
 def test_build_net_deformed_spans_are_flow_invariant():
     net = build_net(MODEL, 0.5, degree=2)
-    u = boost_unitary(MODEL, 0.8).matrix
+    u = np.diag(boost_phases(MODEL, 0.8))
     conj = [u @ m @ u.conj().T for m in net.generators["W0"]]
     assert dense_span_residual(net.spans["W0"], conj) < 1e-10
-    v = gauge_unitary(MODEL, 1.3).matrix
+    v = np.diag(gauge_phases(MODEL, 1.3))
     conj = [v @ m @ v.conj().T for m in net.generators["W0"]]
     assert dense_span_residual(net.spans["W0"], conj) < 1e-10
 
@@ -165,13 +166,13 @@ def test_fixed_point_unit_and_projector():
 
 
 def test_fixed_point_rejects_charged_operator():
-    ops = MODEL.annihilators()
+    ops = jordan_wigner_ops(MODEL.n_modes)
     with pytest.raises(ValueError):
         fixed_point_residual(MODEL, FockOperator(ops[0], MODEL))
 
 
 def test_fixed_point_cross_frequency_mover():
-    ops = MODEL.annihilators()
+    ops = jordan_wigner_ops(MODEL.n_modes)
     mover = FockOperator(ops[0].conj().T @ ops[1], MODEL)
     sectors, derivative = fixed_point_residual(MODEL, mover)
     assert derivative > 1e-6
