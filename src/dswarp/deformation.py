@@ -22,7 +22,7 @@ Oscillatory oracle
 The defining integral (1/4 pi^2) int dv dv' e^{-i v v'} chi(eps v, eps v')
 tau_{kappa theta v}(F) U(v') is evaluated independently for two cutoffs, as a
 verification oracle: a width-6 Gaussian (closed form) and a width-6 raised
-cosine (compact support, semi-analytic inner integral plus composite
+cosine (compact support, closed-form inner integral plus composite
 Gauss-Legendre).  For an entry (i, j) the integral factorizes into two 2D
 factors J(alpha, beta) with
 
@@ -30,6 +30,27 @@ factors J(alpha, beta) with
     gauge pair:  alpha = +kappa (phi_i - phi_j),  beta = q_j,
 
 and J -> e^{i alpha beta} as eps -> 0, reproducing the closed form.
+
+The raised cosine is (1 + cos(theta x)) / 2 on |x| <= H, with H = 6 / eps and
+theta = pi eps / 6, so H theta = pi.  Its inner integral at u = beta - x is a
+sum of three sincs centred at u = 0, +-theta; since sin(H (u +- theta)) =
+-sin(H u) they collapse to one sine per node,
+
+    inner(u) = theta^2 sin(H u) / (u (theta^2 - u^2)),
+
+whose removable points u = 0 and u = +-theta take the limits H and H / 2.
+J = (1/2pi) sum_x w(x) window(x) e^{i alpha x} inner(beta - x) over a
+composite 24-point rule of ceil(4 / eps^2) panels on [-H, H].  The rule is
+generated a block of panels at a time, so no array grows with 1 / eps^2.  Per
+block, cos(H x), sin(H x) and the weight times the window are built once for
+every key (alpha, beta) of one eps, and each key combines them as
+
+    sin(H (beta - x)) = sin(H beta) cos(H x) - cos(H beta) sin(H x).
+
+cos(alpha x) and sin(alpha x) are built once per distinct alpha, and J
+accumulates as two real dot products.  Near the removable points the
+collapsed form divides a rounded sine by a vanishing denominator, so there
+the three-sinc sum is evaluated instead.
 """
 
 from __future__ import annotations
@@ -155,40 +176,111 @@ def _gauss_factor(eps: float, alpha: np.ndarray, beta: np.ndarray) -> np.ndarray
     return det ** -0.5 * np.exp((1j * alpha * beta - e2 * (alpha ** 2 + beta ** 2)) / det)
 
 
-@lru_cache(maxsize=32)
-def _composite_gl_nodes(half_width: float, panel_rad: float,
-                        order: int = 24) -> tuple[np.ndarray, np.ndarray]:
-    """Composite Gauss-Legendre rule on [-half_width, half_width].
+GL_ORDER = 24
 
-    Panel width is chosen so each panel sees at most panel_rad radians of the
+# Radians of the fastest oscillation, H x over [-H, H], that one panel spans.
+PANEL_RADIANS = 18.0
+
+# Largest raised-cosine rule an oracle call may use; it is reached near
+# eps = 9.8e-4, and smaller regulators are refused.
+MAX_RULE_NODES = 10 ** 8
+
+# Entries of one (key, node) block array: 128 KiB of float64, so a call's
+# working set stays near 1 MB whatever eps and the key count are.
+BLOCK_ENTRIES = 1 << 14
+
+# Within this distance of the removable points u = 0, +-theta the collapsed
+# kernel divides a rounded sine by a small denominator (1e-2 off at u - theta
+# = 1e-15, 5e-13 off at 1e-5); there the three-sinc sum is used instead.
+NEAR_REMOVABLE = 1.0
+
+
+def _panel_count(half_width: float) -> int | float:
+    panels = 2.0 * half_width * half_width / PANEL_RADIANS
+    return max(1, math.ceil(panels)) if math.isfinite(panels) else math.inf
+
+
+def cosine_rule_nodes(eps: float) -> float:
+    """Node count of the raised-cosine oracle's rule at eps (inf if it overflows)."""
+    return GL_ORDER * _panel_count(CUTOFF_WIDTH / eps)
+
+
+@lru_cache(maxsize=1)
+def _gauss_legendre_base() -> tuple[np.ndarray, np.ndarray]:
+    x, w = roots_legendre(GL_ORDER)
+    x.flags.writeable = w.flags.writeable = False
+    return x, w
+
+
+def _composite_gl_blocks(half_width: float, panels_per_block: int):
+    """Composite Gauss-Legendre rule on [-half_width, half_width], by blocks.
+
+    Panel width is chosen so each panel sees at most PANEL_RADIANS of the
     fastest oscillation, which keeps the fixed-order rule spectrally accurate.
+    Yields (nodes, weights) for panels_per_block panels at a time, ascending;
+    the edges are those of np.linspace(-half_width, half_width, n + 1).
     """
-    base_x, base_w = roots_legendre(order)
-    n_panels = max(1, int(np.ceil(2.0 * half_width * half_width / panel_rad)))
-    edges = np.linspace(-half_width, half_width, n_panels + 1)
-    mids = 0.5 * (edges[:-1] + edges[1:])
-    halves = 0.5 * np.diff(edges)
-    nodes = (mids[:, None] + halves[:, None] * base_x[None, :]).ravel()
-    weights = (halves[:, None] * base_w[None, :]).ravel()
-    return nodes, weights
+    base_x, base_w = _gauss_legendre_base()
+    n_panels = _panel_count(half_width)
+    step = 2.0 * half_width / n_panels
+    for start in range(0, n_panels, panels_per_block):
+        stop = min(start + panels_per_block, n_panels)
+        edges = np.arange(start, stop + 1) * step - half_width
+        if stop == n_panels:
+            edges[-1] = half_width
+        mids = 0.5 * (edges[:-1] + edges[1:])
+        halves = 0.5 * np.diff(edges)
+        yield ((mids[:, None] + halves[:, None] * base_x).ravel(),
+               (halves[:, None] * base_w).ravel())
 
 
-def _cosine_factor(eps: float, alpha: float, beta: float) -> complex:
-    """(1/2pi) iterated integral with the width-6 raised-cosine cutoff.
+def _three_sinc(half_width: float, theta: float, u: np.ndarray) -> np.ndarray:
+    """Inner integral at u = beta - x as the sum of the window's three sincs."""
+    h = half_width / np.pi
+    return half_width * (np.sinc(h * u) + 0.5 * np.sinc(h * (u + theta))
+                         + 0.5 * np.sinc(h * (u - theta)))
 
-    Inner integral in closed form (three shifted sinc terms from the cosine
-    window), outer integral by composite Gauss-Legendre over the support.
+
+def _cosine_factors(eps: float, alphas: np.ndarray, betas: np.ndarray) -> np.ndarray:
+    """(1/2pi) iterated integral with the width-6 raised-cosine cutoff, per key.
+
+    Key k is (alphas[k], betas[k]).  The inner integral is in closed form, the
+    outer one a composite Gauss-Legendre sum over the support, evaluated a
+    block of nodes at a time for all keys (see the module docstring).
     """
+    alphas = np.asarray(alphas, dtype=float)
+    betas = np.asarray(betas, dtype=float)
     half_width = CUTOFF_WIDTH / eps
     theta = np.pi * eps / CUTOFF_WIDTH
-    x, w = _composite_gl_nodes(half_width, 18.0)
-    window = 0.5 * (1.0 + np.cos(np.pi * eps * x / CUTOFF_WIDTH))
-    inner = np.zeros_like(x)
-    for shift, coef in ((0.0, 0.5), (theta, 0.25), (-theta, 0.25)):
-        u = beta - x + shift
-        inner += coef * 2.0 * half_width * np.sinc(half_width * u / np.pi)
-    integrand = window * np.exp(1j * alpha * x) * inner
-    return complex(np.sum(w * integrand) / (2.0 * np.pi))
+    scale = theta * theta
+    sin_hb, cos_hb = np.sin(half_width * betas)[:, None], np.cos(half_width * betas)[:, None]
+    unique_alphas, alpha_of_key = np.unique(alphas, return_inverse=True)
+    unique_alphas = unique_alphas[:, None]
+    key_index = np.arange(len(betas))
+    reach = theta + NEAR_REMOVABLE
+    panels = max(1, BLOCK_ENTRIES // (GL_ORDER * max(1, len(betas))))
+    total = np.zeros(len(betas), dtype=complex)
+    for x, w in _composite_gl_blocks(half_width, panels):
+        hx = half_width * x
+        u = betas[:, None] - x
+        # inner(u) / theta^2; theta^2 rides on the weights
+        den = theta - u
+        den *= theta + u
+        den *= u
+        inner = sin_hb * np.cos(hx)
+        inner -= cos_hb * np.sin(hx)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            inner /= den
+        lo = np.searchsorted(x, betas - reach)
+        hi = np.searchsorted(x, betas + reach)
+        for k in np.nonzero(hi > lo)[0]:
+            near = slice(lo[k], hi[k])
+            inner[k, near] = _three_sinc(half_width, theta, u[k, near]) / scale
+        inner *= w * (0.5 * scale) * (1.0 + np.cos(theta * x))
+        ax = unique_alphas * x
+        total.real += (inner @ np.cos(ax).T)[key_index, alpha_of_key]
+        total.imag += (inner @ np.sin(ax).T)[key_index, alpha_of_key]
+    return total / (2.0 * np.pi)
 
 
 def warp_oscillatory(ctx: DeformationContext, op: FockOperator, eps: float,
@@ -207,17 +299,18 @@ def warp_oscillatory(ctx: DeformationContext, op: FockOperator, eps: float,
     if cutoff == "gaussian":
         factors = _gauss_factor(eps, alpha1, beta1) * _gauss_factor(eps, alpha2, beta2)
     elif cutoff == "cosine":
+        if cosine_rule_nodes(eps) > MAX_RULE_NODES:
+            raise ValueError(f"regulator eps={eps!r} needs {cosine_rule_nodes(eps):.3g} "
+                             f"quadrature nodes, above the cap of {MAX_RULE_NODES:.0e}")
         factors = np.ones(op.matrix.shape, dtype=complex)
-        nz_rows, nz_cols = np.nonzero(np.abs(op.matrix) > 1e-15)
-        cache: dict[tuple[float, float], complex] = {}
-        for i, j in zip(nz_rows, nz_cols):
-            value = 1.0 + 0.0j
-            for a, b in ((alpha1[i, j], beta1[i, j]), (alpha2[i, j], beta2[i, j])):
-                key = (round(float(a), 12), round(float(b), 12))
-                if key not in cache:
-                    cache[key] = _cosine_factor(eps, *key)
-                value *= cache[key]
-            factors[i, j] = value
+        rows, cols = np.nonzero(np.abs(op.matrix) > 1e-15)
+        pairs = [(round(float(a), 12), round(float(b), 12)) for a, b in zip(
+            np.concatenate([alpha1[rows, cols], alpha2[rows, cols]]),
+            np.concatenate([beta1[rows, cols], beta2[rows, cols]]))]
+        keys, key_of_pair = np.unique(np.array(pairs).reshape(-1, 2), axis=0,
+                                      return_inverse=True)
+        values = _cosine_factors(eps, keys[:, 0], keys[:, 1])[key_of_pair.reshape(2, -1)]
+        factors[rows, cols] = values[0] * values[1]
     else:
         raise ValueError(f"unknown cutoff {cutoff!r}; expected 'gaussian' or 'cosine'")
     return FockOperator(op.matrix * factors, model)

@@ -290,6 +290,13 @@ def test_oracle_bad_eps_refused(tmp_path, capsys, eps):
     _assert_refused(["oracle", "--kappa", "0.5", "--eps", "0.1", eps], tmp_path, capsys)
 
 
+@pytest.mark.parametrize("eps", ["9.7e-4", "1e-5", "1e-300"])
+def test_oracle_eps_above_node_cap_refused(capsys, eps):
+    assert cli.main(["oracle", "--kappa", "0.5", "--eps", "0.1", eps]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "quadrature nodes" in err and "1e+08" in err
+
+
 def test_oracle_nonfinite_kappa_refused(tmp_path, capsys):
     _assert_refused(["oracle", "--kappa", "nan", "--eps", "0.1"], tmp_path, capsys)
 

@@ -1,13 +1,18 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.special import roots_legendre
 
 from dswarp.car_fock import (FockOperator, boost_phases, charge_projector,
                              default_model, field_B, gauge_phases, identity_op,
                              spinor, twist_phases, wedge_subalgebra_basis)
-from dswarp.deformation import (DeformationContext, _cosine_factor, _gauss_factor,
-                                covariance_transform, oracle_residuals,
-                                rieffel_product, unwarp, warp, warp_inverse_check,
-                                warp_oscillatory, warp_rotated)
+from dswarp.deformation import (DeformationContext, _composite_gl_blocks, _cosine_factors,
+                                _gauss_factor, _three_sinc, covariance_transform,
+                                oracle_residuals, rieffel_product, unwarp, warp,
+                                warp_inverse_check, warp_oscillatory, warp_rotated)
 from dswarp.car_fock import OneParticleModel
 from test_fock_properties import charge_shifts, diagonal
 
@@ -234,6 +239,36 @@ def test_gauss_factor_against_brute_quadrature():
     assert abs(brute - _gauss_factor(eps, np.array(alpha), np.array(beta))) < 1e-7
 
 
+def composite_gl_nodes(half_width, panel_rad=18.0, order=24):
+    """The whole composite Gauss-Legendre rule on [-half_width, half_width]."""
+    base_x, base_w = roots_legendre(order)
+    n_panels = max(1, int(np.ceil(2.0 * half_width * half_width / panel_rad)))
+    edges = np.linspace(-half_width, half_width, n_panels + 1)
+    mids = 0.5 * (edges[:-1] + edges[1:])
+    halves = 0.5 * np.diff(edges)
+    nodes = (mids[:, None] + halves[:, None] * base_x[None, :]).ravel()
+    weights = (halves[:, None] * base_w[None, :]).ravel()
+    return nodes, weights
+
+
+def cosine_factor_oracle(eps, alpha, beta):
+    """One raised-cosine factor, per key and over the whole rule (the oracle).
+
+    Inner integral as three shifted sinc terms from the cosine window, outer
+    integral by composite Gauss-Legendre over the support.
+    """
+    half_width = 6.0 / eps
+    theta = np.pi * eps / 6.0
+    x, w = composite_gl_nodes(half_width)
+    window = 0.5 * (1.0 + np.cos(np.pi * eps * x / 6.0))
+    inner = np.zeros_like(x)
+    for shift, coef in ((0.0, 0.5), (theta, 0.25), (-theta, 0.25)):
+        u = beta - x + shift
+        inner += coef * 2.0 * half_width * np.sinc(half_width * u / np.pi)
+    integrand = window * np.exp(1j * alpha * x) * inner
+    return complex(np.sum(w * integrand) / (2.0 * np.pi))
+
+
 def test_cosine_factor_against_brute_quadrature():
     eps, alpha, beta = 0.3, -0.5, 2.0
     half = 6.0 / eps
@@ -245,7 +280,61 @@ def test_cosine_factor_against_brute_quadrature():
     integrand = (np.exp(-1j * x * y) * window(x) * window(y)
                  * np.exp(1j * (alpha * x + beta * y)))
     brute = integrand.sum() * dx * dx / (2.0 * np.pi)
-    assert abs(brute - _cosine_factor(eps, alpha, beta)) < 1e-9
+    assert abs(brute - _cosine_factors(eps, [alpha], [beta])[0]) < 1e-9
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.floats(0.05, 0.5),
+       st.lists(st.tuples(st.floats(-4.0, 4.0), st.floats(-4.0, 4.0), st.booleans()),
+                min_size=1, max_size=6))
+def test_cosine_factors_match_per_key_oracle(eps, draws):
+    # a key drawn with True reuses the first key's alpha
+    alphas = [draws[0][0] if shared else a for a, _, shared in draws]
+    betas = [b for _, b, _ in draws]
+    values = _cosine_factors(eps, alphas, betas)
+    for value, alpha, beta in zip(values, alphas, betas):
+        assert abs(value - cosine_factor_oracle(eps, alpha, beta)) < 1e-12
+
+
+@pytest.mark.parametrize("eps", [0.3, 0.05])
+@pytest.mark.parametrize("panels_per_block", [1, 7, 10 ** 6])
+def test_rule_blocks_rebuild_the_whole_rule(eps, panels_per_block):
+    blocks = list(_composite_gl_blocks(6.0 / eps, panels_per_block))
+    nodes, weights = composite_gl_nodes(6.0 / eps)
+    np.testing.assert_array_equal(np.concatenate([x for x, _ in blocks]), nodes)
+    np.testing.assert_array_equal(np.concatenate([w for _, w in blocks]), weights)
+
+
+@pytest.mark.parametrize("eps", [0.3, 0.1, 0.05])
+def test_cosine_factors_at_removable_points(eps):
+    # beta on a node, or a node +- theta, puts u = 0 or u within rounding of
+    # +-theta on that node
+    half_width, theta = 6.0 / eps, np.pi * eps / 6.0
+    nodes, _ = composite_gl_nodes(half_width)
+    node = nodes[np.searchsorted(nodes, 1.3)]
+    betas = [node, node + theta, node - theta, node + theta + 1e-15, node - 1e-12]
+    values = _cosine_factors(eps, [0.7] * len(betas), betas)
+    assert np.isfinite(values).all()
+    for value, beta in zip(values, betas):
+        assert abs(value - cosine_factor_oracle(eps, 0.7, beta)) < 1e-12
+    limits = _three_sinc(half_width, theta, np.array([0.0, theta, -theta]))
+    np.testing.assert_allclose(limits, [half_width, half_width / 2, half_width / 2],
+                               rtol=1e-14)
+
+
+def test_cosine_oracle_memory_is_bounded():
+    # eps = 0.0125 is a 614400-node rule; no array of that size may be built
+    ctx = DeformationContext(MODEL, 0.5)
+    f = np.zeros(4)
+    f[2] = 1.0
+    op = spinor(MODEL, f)
+    tracemalloc.start()
+    try:
+        warp_oscillatory(ctx, op, 0.0125, "cosine")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2 ** 20
 
 
 def test_oscillatory_unit_operator():
@@ -266,6 +355,8 @@ def test_oscillatory_requires_positive_regulator():
         warp_oscillatory(ctx, identity_op(MODEL), 0.0)
     with pytest.raises(ValueError):
         warp_oscillatory(ctx, identity_op(MODEL), 0.1, cutoff="box")
+    with pytest.raises(ValueError, match="quadrature nodes"):
+        warp_oscillatory(ctx, identity_op(MODEL), 1e-5, cutoff="cosine")
 
 
 def test_oracle_converges_to_closed_form():
