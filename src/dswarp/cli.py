@@ -26,9 +26,8 @@ from . import spin_group as sg
 from . import wedges as wd
 from .car_fock import (MAX_MODES, FockOperator, ModelError, OneParticleModel, cospinor,
                        field_B, spinor)
-from .deformation import (MAX_RULE_NODES, DeformationContext, cosine_rule_nodes,
-                          oracle_sweep, warp)
-from .verification import SUITES, covering_summary, run_suites, unrunnable
+from .deformation import DeformationContext, oracle_sweep, warp
+from .verification import SUITES, _finite_or_none, covering_summary, run_suites, unrunnable
 
 DEFAULT_KAPPA_GRID = [-1.0, -0.5, -0.1, 0.0, 0.1, 0.5, 1.0]
 
@@ -325,15 +324,15 @@ def _cmd_oracle(args) -> int:
     epsilons = [_require_finite(_parse_float(e, "--eps"), "--eps") for e in args.eps]
     if any(e <= 0 for e in epsilons):
         raise ConfigError(f"--eps values must be positive, got {epsilons}")
-    for e in epsilons:
-        if cosine_rule_nodes(e) > MAX_RULE_NODES:
-            raise ConfigError(f"--eps {e!r} needs {cosine_rule_nodes(e):.3g} quadrature nodes "
-                              f"for the cosine cutoff, above the cap of {MAX_RULE_NODES:.0e}")
     payload = {"kappa": args.kappa, "epsilons": epsilons}
+    all_finite = True
     for cutoff, (residuals, decreasing) in oracle_sweep(model, kappa, epsilons).items():
-        payload[cutoff] = {"residuals": residuals, "decreasing": decreasing}
-    print(json.dumps(payload, indent=2, sort_keys=True))
-    return 0
+        finite = all(math.isfinite(r) for r in residuals)
+        all_finite &= finite
+        payload[cutoff] = {"residuals": _finite_or_none(residuals),
+                           "decreasing": decreasing and finite}
+    print(json.dumps(payload, indent=2, sort_keys=True, allow_nan=False))
+    return 0 if all_finite else 1
 
 
 def _cmd_report(args) -> int:

@@ -21,9 +21,8 @@ Oscillatory oracle
 ------------------
 The defining integral (1/4 pi^2) int dv dv' e^{-i v v'} chi(eps v, eps v')
 tau_{kappa theta v}(F) U(v') is evaluated independently for two cutoffs, as a
-verification oracle: a width-6 Gaussian (closed form) and a width-6 raised
-cosine (compact support, closed-form inner integral plus composite
-Gauss-Legendre).  For an entry (i, j) the integral factorizes into two 2D
+verification oracle: a width-6 Gaussian and a width-6 raised cosine (compact
+support), both in closed form.  For an entry (i, j) the integral factorizes into two 2D
 factors J(alpha, beta) with
 
     boost pair:  alpha = -kappa (q_i - q_j),  beta = phi_j,
@@ -32,25 +31,22 @@ factors J(alpha, beta) with
 and J -> e^{i alpha beta} as eps -> 0, reproducing the closed form.
 
 The raised cosine is (1 + cos(theta x)) / 2 on |x| <= H, with H = 6 / eps and
-theta = pi eps / 6, so H theta = pi.  Its inner integral at u = beta - x is a
-sum of three sincs centred at u = 0, +-theta; since sin(H (u +- theta)) =
--sin(H u) they collapse to one sine per node,
+theta = pi eps / 6.  The window is a sum of three exponentials and its Fourier
+transform a sum of three sincs, so with v = beta + t - x
 
-    inner(u) = theta^2 sin(H u) / (u (theta^2 - u^2)),
+    J(alpha, beta) = (1/2pi) sum_{(w,s)} sum_{(c,t)} w c e^{i (alpha+s)(beta+t)}
+                     K(alpha + s; beta + t - H, beta + t + H),
 
-whose removable points u = 0 and u = +-theta take the limits H and H / 2.
-J = (1/2pi) sum_x w(x) window(x) e^{i alpha x} inner(beta - x) over a
-composite 24-point rule of ceil(4 / eps^2) panels on [-H, H].  The rule is
-generated a block of panels at a time, so no array grows with 1 / eps^2.  Per
-block, cos(H x), sin(H x) and the weight times the window are built once for
-every key (alpha, beta) of one eps, and each key combines them as
+    (w, s) in {(1/2, 0), (1/4, theta), (1/4, -theta)}   (window terms),
+    (c, t) in {(1, 0), (1/2, theta), (1/2, -theta)}      (sinc terms),
 
-    sin(H (beta - x)) = sin(H beta) cos(H x) - cos(H beta) sin(H x).
+    K(a; L, R) = int_L^R e^{-i a v} sin(H v) / v dv
+               = 1/2 [Si(k+ v) + Si(k- v)]_L^R - i/2 [Cin(k+ v) - Cin(k- v)]_L^R,
 
-cos(alpha x) and sin(alpha x) are built once per distinct alpha, and J
-accumulates as two real dot products.  Near the removable points the
-collapsed form divides a rounded sine by a vanishing denominator, so there
-the three-sinc sum is evaluated instead.
+with k+- = H +- a and Cin(x) = int_0^x (1 - cos t) / t dt = gamma + ln|x| -
+Ci(|x|), Cin(0) = 0.  Every term is finite, also at L = 0 or k+- = 0, so J
+costs the same at every eps; it is NaN only once H^2 overflows (eps below
+about 1e-154).
 """
 
 from __future__ import annotations
@@ -58,10 +54,9 @@ from __future__ import annotations
 import math
 from collections import OrderedDict
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
-from scipy.special import roots_legendre
+from scipy.special import sici
 
 from .car_fock import (FockOperator, MaskWord, OneParticleModel, boost_phases,
                        conjugate_by_diagonal, gauge_phases, reflection_fock, rotation_fock,
@@ -176,111 +171,39 @@ def _gauss_factor(eps: float, alpha: np.ndarray, beta: np.ndarray) -> np.ndarray
     return det ** -0.5 * np.exp((1j * alpha * beta - e2 * (alpha ** 2 + beta ** 2)) / det)
 
 
-GL_ORDER = 24
-
-# Radians of the fastest oscillation, H x over [-H, H], that one panel spans.
-PANEL_RADIANS = 18.0
-
-# Largest raised-cosine rule an oracle call may use; it is reached near
-# eps = 9.8e-4, and smaller regulators are refused.
-MAX_RULE_NODES = 10 ** 8
-
-# Entries of one (key, node) block array: 128 KiB of float64, so a call's
-# working set stays near 1 MB whatever eps and the key count are.
-BLOCK_ENTRIES = 1 << 14
-
-# Within this distance of the removable points u = 0, +-theta the collapsed
-# kernel divides a rounded sine by a small denominator (1e-2 off at u - theta
-# = 1e-15, 5e-13 off at 1e-5); there the three-sinc sum is used instead.
-NEAR_REMOVABLE = 1.0
+# Shifts of the raised cosine's window and sinc terms, in units of theta, and
+# the products w c of their weights (see the module docstring).
+_COSINE_SHIFTS = np.array([0.0, 1.0, -1.0])
+_COSINE_WEIGHTS = np.outer([0.5, 0.25, 0.25], [1.0, 0.5, 0.5])
 
 
-def _panel_count(half_width: float) -> int | float:
-    panels = 2.0 * half_width * half_width / PANEL_RADIANS
-    return max(1, math.ceil(panels)) if math.isfinite(panels) else math.inf
+def _sinc_transform(half_width: float, a: np.ndarray, lo: np.ndarray,
+                    hi: np.ndarray) -> np.ndarray:
+    """int_lo^hi e^{-i a v} sin(half_width v) / v dv by the Si and Cin functions."""
+    x = np.stack([half_width + a, half_width - a])[:, None] * np.stack([hi, lo])
+    ax = np.abs(x)
+    si, ci = sici(ax)
+    with np.errstate(divide="ignore", invalid="ignore"):     # Cin(0) = 0
+        cin = np.where(ax == 0, 0.0, np.euler_gamma + np.log(ax) - ci)
+    si = np.copysign(si, x)
+    si = si[:, 0] - si[:, 1]
+    cin = cin[:, 0] - cin[:, 1]
+    return 0.5 * (si[0] + si[1]) - 0.5j * (cin[0] - cin[1])
 
 
-def cosine_rule_nodes(eps: float) -> float:
-    """Node count of the raised-cosine oracle's rule at eps (inf if it overflows)."""
-    return GL_ORDER * _panel_count(CUTOFF_WIDTH / eps)
-
-
-@lru_cache(maxsize=1)
-def _gauss_legendre_base() -> tuple[np.ndarray, np.ndarray]:
-    x, w = roots_legendre(GL_ORDER)
-    x.flags.writeable = w.flags.writeable = False
-    return x, w
-
-
-def _composite_gl_blocks(half_width: float, panels_per_block: int):
-    """Composite Gauss-Legendre rule on [-half_width, half_width], by blocks.
-
-    Panel width is chosen so each panel sees at most PANEL_RADIANS of the
-    fastest oscillation, which keeps the fixed-order rule spectrally accurate.
-    Yields (nodes, weights) for panels_per_block panels at a time, ascending;
-    the edges are those of np.linspace(-half_width, half_width, n + 1).
-    """
-    base_x, base_w = _gauss_legendre_base()
-    n_panels = _panel_count(half_width)
-    step = 2.0 * half_width / n_panels
-    for start in range(0, n_panels, panels_per_block):
-        stop = min(start + panels_per_block, n_panels)
-        edges = np.arange(start, stop + 1) * step - half_width
-        if stop == n_panels:
-            edges[-1] = half_width
-        mids = 0.5 * (edges[:-1] + edges[1:])
-        halves = 0.5 * np.diff(edges)
-        yield ((mids[:, None] + halves[:, None] * base_x).ravel(),
-               (halves[:, None] * base_w).ravel())
-
-
-def _three_sinc(half_width: float, theta: float, u: np.ndarray) -> np.ndarray:
-    """Inner integral at u = beta - x as the sum of the window's three sincs."""
-    h = half_width / np.pi
-    return half_width * (np.sinc(h * u) + 0.5 * np.sinc(h * (u + theta))
-                         + 0.5 * np.sinc(h * (u - theta)))
-
-
-def _cosine_factors(eps: float, alphas: np.ndarray, betas: np.ndarray) -> np.ndarray:
-    """(1/2pi) iterated integral with the width-6 raised-cosine cutoff, per key.
-
-    Key k is (alphas[k], betas[k]).  The inner integral is in closed form, the
-    outer one a composite Gauss-Legendre sum over the support, evaluated a
-    block of nodes at a time for all keys (see the module docstring).
-    """
-    alphas = np.asarray(alphas, dtype=float)
-    betas = np.asarray(betas, dtype=float)
+def _cosine_factor(eps: float, alpha: np.ndarray, beta: np.ndarray) -> np.ndarray:
+    """Closed form of (1/2pi) int e^{-ixy} chi(eps x) chi(eps y) e^{i(ax+by)}
+    for the width-6 raised cosine chi (see the module docstring)."""
     half_width = CUTOFF_WIDTH / eps
-    theta = np.pi * eps / CUTOFF_WIDTH
-    scale = theta * theta
-    sin_hb, cos_hb = np.sin(half_width * betas)[:, None], np.cos(half_width * betas)[:, None]
-    unique_alphas, alpha_of_key = np.unique(alphas, return_inverse=True)
-    unique_alphas = unique_alphas[:, None]
-    key_index = np.arange(len(betas))
-    reach = theta + NEAR_REMOVABLE
-    panels = max(1, BLOCK_ENTRIES // (GL_ORDER * max(1, len(betas))))
-    total = np.zeros(len(betas), dtype=complex)
-    for x, w in _composite_gl_blocks(half_width, panels):
-        hx = half_width * x
-        u = betas[:, None] - x
-        # inner(u) / theta^2; theta^2 rides on the weights
-        den = theta - u
-        den *= theta + u
-        den *= u
-        inner = sin_hb * np.cos(hx)
-        inner -= cos_hb * np.sin(hx)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            inner /= den
-        lo = np.searchsorted(x, betas - reach)
-        hi = np.searchsorted(x, betas + reach)
-        for k in np.nonzero(hi > lo)[0]:
-            near = slice(lo[k], hi[k])
-            inner[k, near] = _three_sinc(half_width, theta, u[k, near]) / scale
-        inner *= w * (0.5 * scale) * (1.0 + np.cos(theta * x))
-        ax = unique_alphas * x
-        total.real += (inner @ np.cos(ax).T)[key_index, alpha_of_key]
-        total.imag += (inner @ np.sin(ax).T)[key_index, alpha_of_key]
-    return total / (2.0 * np.pi)
+    shifts = np.pi * eps / CUTOFF_WIDTH * _COSINE_SHIFTS
+    a = alpha[..., None, None] + shifts[:, None]
+    b = beta[..., None, None] + shifts
+    terms = np.exp(1j * a * b) * _sinc_transform(half_width, a, b - half_width,
+                                                 b + half_width)
+    return (_COSINE_WEIGHTS * terms).sum(axis=(-2, -1)) / (2.0 * np.pi)
+
+
+_CUTOFF_FACTORS = {"gaussian": _gauss_factor, "cosine": _cosine_factor}
 
 
 def warp_oscillatory(ctx: DeformationContext, op: FockOperator, eps: float,
@@ -288,32 +211,17 @@ def warp_oscillatory(ctx: DeformationContext, op: FockOperator, eps: float,
     """The eps-regularized warped convolution for the named cutoff."""
     if eps <= 0:
         raise ValueError("regulator eps must be positive")
+    factor = _CUTOFF_FACTORS.get(cutoff)
+    if factor is None:
+        raise ValueError(f"unknown cutoff {cutoff!r}; expected 'gaussian' or 'cosine'")
     model = ctx.model
     phi, q = model.phases.astype(float), model.charges.astype(float)
-    dphi = phi[:, None] - phi[None, :]
-    dq = q[:, None] - q[None, :]
-    alpha1 = -ctx.kappa * dq
-    beta1 = np.broadcast_to(phi[None, :], dphi.shape)
-    alpha2 = ctx.kappa * dphi
-    beta2 = np.broadcast_to(q[None, :], dphi.shape)
-    if cutoff == "gaussian":
-        factors = _gauss_factor(eps, alpha1, beta1) * _gauss_factor(eps, alpha2, beta2)
-    elif cutoff == "cosine":
-        if cosine_rule_nodes(eps) > MAX_RULE_NODES:
-            raise ValueError(f"regulator eps={eps!r} needs {cosine_rule_nodes(eps):.3g} "
-                             f"quadrature nodes, above the cap of {MAX_RULE_NODES:.0e}")
-        factors = np.ones(op.matrix.shape, dtype=complex)
-        rows, cols = np.nonzero(np.abs(op.matrix) > 1e-15)
-        pairs = [(round(float(a), 12), round(float(b), 12)) for a, b in zip(
-            np.concatenate([alpha1[rows, cols], alpha2[rows, cols]]),
-            np.concatenate([beta1[rows, cols], beta2[rows, cols]]))]
-        keys, key_of_pair = np.unique(np.array(pairs).reshape(-1, 2), axis=0,
-                                      return_inverse=True)
-        values = _cosine_factors(eps, keys[:, 0], keys[:, 1])[key_of_pair.reshape(2, -1)]
-        factors[rows, cols] = values[0] * values[1]
-    else:
-        raise ValueError(f"unknown cutoff {cutoff!r}; expected 'gaussian' or 'cosine'")
-    return FockOperator(op.matrix * factors, model)
+    rows, cols = np.nonzero(op.matrix)
+    boost = factor(eps, -ctx.kappa * (q[rows] - q[cols]), phi[cols])
+    gauge = factor(eps, ctx.kappa * (phi[rows] - phi[cols]), q[cols])
+    out = np.zeros_like(op.matrix)
+    out[rows, cols] = op.matrix[rows, cols] * (boost * gauge)
+    return FockOperator(out, model)
 
 
 def oracle_residuals(ctx: DeformationContext, op: FockOperator, epsilons,

@@ -290,11 +290,26 @@ def test_oracle_bad_eps_refused(tmp_path, capsys, eps):
     _assert_refused(["oracle", "--kappa", "0.5", "--eps", "0.1", eps], tmp_path, capsys)
 
 
-@pytest.mark.parametrize("eps", ["9.7e-4", "1e-5", "1e-300"])
-def test_oracle_eps_above_node_cap_refused(capsys, eps):
-    assert cli.main(["oracle", "--kappa", "0.5", "--eps", "0.1", eps]) == 2
-    err = capsys.readouterr().err
-    assert "config error" in err and "quadrature nodes" in err and "1e+08" in err
+@pytest.mark.parametrize("eps", ["9.7e-4", "1e-5"])
+def test_oracle_small_eps_converges(capsys, eps):
+    assert cli.main(["oracle", "--kappa", "0.5", "--eps", "0.1", eps]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    for cutoff in ("gaussian", "cosine"):
+        residuals = payload[cutoff]["residuals"]
+        assert np.isfinite(residuals).all()
+        assert residuals[0] > residuals[1] and payload[cutoff]["decreasing"] is True
+
+
+@pytest.mark.parametrize("argv", [["--kappa", "0.5", "--eps", "0.1", "1e-300"],
+                                  ["--kappa", "1e308", "--eps", "0.1"]],
+                         ids=["eps-1e-300", "kappa-1e308"])
+def test_oracle_nonfinite_residual_fails(capsys, argv):
+    assert cli.main(["oracle", *argv]) == 1
+    out = capsys.readouterr().out
+    assert "NaN" not in out
+    payload = json.loads(out)
+    assert None in payload["cosine"]["residuals"]
+    assert payload["cosine"]["decreasing"] is False
 
 
 def test_oracle_nonfinite_kappa_refused(tmp_path, capsys):

@@ -9,10 +9,10 @@ from scipy.special import roots_legendre
 from dswarp.car_fock import (FockOperator, boost_phases, charge_projector,
                              default_model, field_B, gauge_phases, identity_op,
                              spinor, twist_phases, wedge_subalgebra_basis)
-from dswarp.deformation import (DeformationContext, _composite_gl_blocks, _cosine_factors,
-                                _gauss_factor, _three_sinc, covariance_transform,
-                                oracle_residuals, rieffel_product, unwarp, warp,
-                                warp_inverse_check, warp_oscillatory, warp_rotated)
+from dswarp.deformation import (DeformationContext, _cosine_factor, _gauss_factor,
+                                covariance_transform, oracle_residuals, rieffel_product,
+                                unwarp, warp, warp_inverse_check, warp_oscillatory,
+                                warp_rotated)
 from dswarp.car_fock import OneParticleModel
 from test_fock_properties import charge_shifts, diagonal
 
@@ -280,46 +280,44 @@ def test_cosine_factor_against_brute_quadrature():
     integrand = (np.exp(-1j * x * y) * window(x) * window(y)
                  * np.exp(1j * (alpha * x + beta * y)))
     brute = integrand.sum() * dx * dx / (2.0 * np.pi)
-    assert abs(brute - _cosine_factors(eps, [alpha], [beta])[0]) < 1e-9
+    assert abs(brute - _cosine_factor(eps, np.array(alpha), np.array(beta))) < 1e-9
 
 
 @settings(max_examples=30, deadline=None)
-@given(st.floats(0.05, 0.5),
-       st.lists(st.tuples(st.floats(-4.0, 4.0), st.floats(-4.0, 4.0), st.booleans()),
+@given(st.floats(0.05, 3.0),
+       st.lists(st.tuples(st.floats(-4.0, 4.0), st.floats(-4.0, 4.0)),
                 min_size=1, max_size=6))
-def test_cosine_factors_match_per_key_oracle(eps, draws):
-    # a key drawn with True reuses the first key's alpha
-    alphas = [draws[0][0] if shared else a for a, _, shared in draws]
-    betas = [b for _, b, _ in draws]
-    values = _cosine_factors(eps, alphas, betas)
+def test_cosine_factors_match_per_key_oracle(eps, keys):
+    alphas, betas = np.array(keys).T
+    values = _cosine_factor(eps, alphas, betas)
     for value, alpha, beta in zip(values, alphas, betas):
         assert abs(value - cosine_factor_oracle(eps, alpha, beta)) < 1e-12
 
 
-@pytest.mark.parametrize("eps", [0.3, 0.05])
-@pytest.mark.parametrize("panels_per_block", [1, 7, 10 ** 6])
-def test_rule_blocks_rebuild_the_whole_rule(eps, panels_per_block):
-    blocks = list(_composite_gl_blocks(6.0 / eps, panels_per_block))
-    nodes, weights = composite_gl_nodes(6.0 / eps)
-    np.testing.assert_array_equal(np.concatenate([x for x, _ in blocks]), nodes)
-    np.testing.assert_array_equal(np.concatenate([w for _, w in blocks]), weights)
-
-
-@pytest.mark.parametrize("eps", [0.3, 0.1, 0.05])
+@pytest.mark.parametrize("eps", [1.0, 0.3, 0.1, 0.05])
 def test_cosine_factors_at_removable_points(eps):
-    # beta on a node, or a node +- theta, puts u = 0 or u within rounding of
-    # +-theta on that node
+    # Si and Cin meet argument 0 where an endpoint beta + t - H or a
+    # frequency k- = H - (alpha + s) vanishes, t and s in {0, +-theta}
     half_width, theta = 6.0 / eps, np.pi * eps / 6.0
-    nodes, _ = composite_gl_nodes(half_width)
-    node = nodes[np.searchsorted(nodes, 1.3)]
-    betas = [node, node + theta, node - theta, node + theta + 1e-15, node - 1e-12]
-    values = _cosine_factors(eps, [0.7] * len(betas), betas)
+    alphas = np.array([0.7, 0.7, half_width, half_width - theta])
+    betas = np.array([half_width, half_width + theta, 0.7, 0.7])
+    values = _cosine_factor(eps, alphas, betas)
     assert np.isfinite(values).all()
-    for value, beta in zip(values, betas):
-        assert abs(value - cosine_factor_oracle(eps, 0.7, beta)) < 1e-12
-    limits = _three_sinc(half_width, theta, np.array([0.0, theta, -theta]))
-    np.testing.assert_allclose(limits, [half_width, half_width / 2, half_width / 2],
-                               rtol=1e-14)
+    for value, alpha, beta in zip(values, alphas, betas):
+        assert abs(value - cosine_factor_oracle(eps, alpha, beta)) < 1e-12
+
+
+@pytest.mark.parametrize("factor", [_gauss_factor, _cosine_factor],
+                         ids=["gaussian", "cosine"])
+def test_factor_converges_at_second_order(factor):
+    # log2 of the residual ratio per halving of eps, from eps = 1e-2 to 1e-5
+    alpha, beta = np.array([0.7, -2.0, 0.0]), np.array([-1.3, 1.0, 2.0])
+    epsilons = 1e-2 / 2.0 ** np.arange(11)
+    residuals = np.array([np.abs(factor(eps, alpha, beta) - np.exp(1j * alpha * beta))
+                          for eps in epsilons])
+    orders = np.log2(residuals[:-1] / residuals[1:])
+    assert epsilons[-1] < 1e-5
+    assert ((orders > 1.9) & (orders < 2.1)).all()
 
 
 def test_cosine_oracle_memory_is_bounded():
@@ -355,8 +353,6 @@ def test_oscillatory_requires_positive_regulator():
         warp_oscillatory(ctx, identity_op(MODEL), 0.0)
     with pytest.raises(ValueError):
         warp_oscillatory(ctx, identity_op(MODEL), 0.1, cutoff="box")
-    with pytest.raises(ValueError, match="quadrature nodes"):
-        warp_oscillatory(ctx, identity_op(MODEL), 1e-5, cutoff="cosine")
 
 
 def test_oracle_converges_to_closed_form():
