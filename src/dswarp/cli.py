@@ -26,7 +26,7 @@ from . import spin_group as sg
 from . import wedges as wd
 from .car_fock import (MAX_MODES, FockOperator, ModelError, OneParticleModel, cospinor,
                        field_B, spinor)
-from .deformation import DeformationContext, oracle_sweep, warp
+from .deformation import oracle_sweep, warp
 from .verification import SUITES, _finite_or_none, covering_summary, run_suites, unrunnable
 
 DEFAULT_KAPPA_GRID = [-1.0, -0.5, -0.1, 0.0, 0.1, 0.5, 1.0]
@@ -112,7 +112,7 @@ def validate_config(cfg: dict) -> dict:
     suites = cfg["suites"]
     if not isinstance(suites, list) or not suites:
         raise ConfigError("suites must be a nonempty list")
-    unknown = [s for s in suites if s not in SUITES]
+    unknown = [s for s in suites if not isinstance(s, str) or s not in SUITES]
     if unknown:
         raise ConfigError(f"unknown suites {unknown}; available: {list(SUITES)}")
     if len(set(suites)) != len(suites):
@@ -120,6 +120,8 @@ def validate_config(cfg: dict) -> dict:
     for name, value in cfg["tolerances"].items():
         if not _finite_real(value) or value <= 0:
             raise ConfigError(f"tolerance {name!r} must be a positive finite number")
+    if not isinstance(cfg["output"], str):
+        raise ConfigError(f"output must be a directory path string, got {cfg['output']!r}")
     return cfg
 
 
@@ -241,12 +243,30 @@ def _cmd_verify(args) -> int:
     return 0 if report["all_pass"] else 1
 
 
+def _print_json(payload: dict) -> int:
+    """Print payload as strict JSON; a non-finite number is written as null
+    and makes the exit code 1."""
+    try:
+        text, code = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False), 0
+    except ValueError:                                   # a non-finite number
+        text, code = json.dumps(_finite_or_none(payload), indent=2, sort_keys=True,
+                                allow_nan=False), 1
+    print(text)
+    return code
+
+
 def _cmd_group(args) -> int:
-    print(json.dumps(covering_summary(args.t), indent=2, sort_keys=True))
-    return 0
+    t = _require_finite(args.t, "--t")
+    try:
+        summary = covering_summary(t)
+    except sg.NotInSpinGroupError as exc:
+        raise ConfigError(f"--t {t!r} is outside the checkable range: {exc}") from None
+    return _print_json(summary)
 
 
 def _cmd_wedges(args) -> int:
+    if args.seed < 0:
+        raise ConfigError(f"--seed must be a non-negative integer, got {args.seed}")
     rng = np.random.default_rng(args.seed)
     w0 = wd.Wedge.reference()
     g = sg.random_proper_lorentz(rng)
@@ -260,8 +280,7 @@ def _cmd_wedges(args) -> int:
         "random_pair_verdict": probe.verdict,
         "random_pair_trials": probe.trials,
     }
-    print(json.dumps(payload, indent=2, sort_keys=True))
-    return 0
+    return _print_json(payload)
 
 
 def _parse_float(text: str, option: str) -> float:
@@ -302,8 +321,7 @@ def _cmd_deform(args) -> int:
     validate_config(cfg)
     model = model_from_config(cfg)
     op = _generator_by_name(model, args.generator, args.mode)
-    ctx = DeformationContext(model, _require_finite(args.kappa, "--kappa"))
-    warped = warp(ctx, op)
+    warped = warp(model, _require_finite(args.kappa, "--kappa"), op)
     flat = [[float(z.real), float(z.imag)] for z in warped.matrix.ravel()]
     payload = {
         "generator": args.generator,
@@ -312,8 +330,7 @@ def _cmd_deform(args) -> int:
         "dim": model.dim,
         "matrix_row_major": flat,
     }
-    print(json.dumps(payload, indent=2, sort_keys=True))
-    return 0
+    return _print_json(payload)
 
 
 def _cmd_oracle(args) -> int:
@@ -325,14 +342,9 @@ def _cmd_oracle(args) -> int:
     if any(e <= 0 for e in epsilons):
         raise ConfigError(f"--eps values must be positive, got {epsilons}")
     payload = {"kappa": args.kappa, "epsilons": epsilons}
-    all_finite = True
     for cutoff, (residuals, decreasing) in oracle_sweep(model, kappa, epsilons).items():
-        finite = all(math.isfinite(r) for r in residuals)
-        all_finite &= finite
-        payload[cutoff] = {"residuals": _finite_or_none(residuals),
-                           "decreasing": decreasing and finite}
-    print(json.dumps(payload, indent=2, sort_keys=True, allow_nan=False))
-    return 0 if all_finite else 1
+        payload[cutoff] = {"residuals": residuals, "decreasing": decreasing}
+    return _print_json(payload)
 
 
 def _cmd_report(args) -> int:
@@ -394,7 +406,11 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        # Every number a subcommand prints is checked: a non-finite one fails
+        # its check or is written as null with exit 1, so numpy's
+        # floating-point warnings would only repeat that on stderr.
+        with np.errstate(all="ignore"):
+            return args.func(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -1,5 +1,9 @@
 """Warped convolution over the joint boost-gauge R^2 action.
 
+Every function takes the model and the deformation parameter kappa as its
+first two arguments, (model, kappa, ...), like boost_phases(model, t) and
+gauge_phases(model, s).
+
 Closed form
 -----------
 Both flows are diagonal in the occupation basis, with boost phase phi_i and
@@ -53,7 +57,6 @@ from __future__ import annotations
 
 import math
 from collections import OrderedDict
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import sici
@@ -69,30 +72,19 @@ CUTOFF_WIDTH = 6.0
 RECENT_PHASES = 4
 
 
-@dataclass(frozen=True)
-class DeformationContext:
-    """Model plus deformation parameter kappa (theta is fixed)."""
-
-    model: OneParticleModel
-    kappa: float
-
-    def with_kappa(self, kappa: float) -> "DeformationContext":
-        return DeformationContext(self.model, float(kappa))
-
-    def angle_matrix(self) -> np.ndarray:
-        """phi_i q_j - q_i phi_j, read-only and built once per model."""
-        phi, q = self.model.phases, self.model.charges
-        return self.model.cached("angle_matrix",
-                                 lambda: np.outer(phi, q) - np.outer(q, phi))
+def angle_matrix(model: OneParticleModel) -> np.ndarray:
+    """phi_i q_j - q_i phi_j, read-only and built once per model."""
+    phi, q = model.phases, model.charges
+    return model.cached("angle_matrix", lambda: np.outer(phi, q) - np.outer(q, phi))
 
 
-def warp_phase(ctx: DeformationContext) -> np.ndarray:
+def warp_phase(model: OneParticleModel, kappa: float) -> np.ndarray:
     """exp(i kappa angle), read-only; the model keeps the RECENT_PHASES latest."""
-    recent = ctx.model.cached("warp_phases", OrderedDict)
-    key = (ctx.kappa, math.copysign(1.0, ctx.kappa))   # -0.0 is its own key
+    recent = model.cached("warp_phases", OrderedDict)
+    key = (kappa, math.copysign(1.0, kappa))   # -0.0 is its own key
     phase = recent.get(key)
     if phase is None:
-        phase = np.exp(1j * ctx.kappa * ctx.angle_matrix())
+        phase = np.exp(1j * kappa * angle_matrix(model))
         phase.flags.writeable = False
         recent[key] = phase
         if len(recent) > RECENT_PHASES:
@@ -102,41 +94,37 @@ def warp_phase(ctx: DeformationContext) -> np.ndarray:
     return phase
 
 
-def warp(ctx: DeformationContext, op: FockOperator) -> FockOperator:
-    """The warped operator, by the exact sector formula."""
-    return FockOperator(op.matrix * warp_phase(ctx), ctx.model)
+def warp(model: OneParticleModel, kappa: float, op: FockOperator) -> FockOperator:
+    """The warped operator, by the exact sector formula; warp at -kappa inverts it."""
+    return FockOperator(op.matrix * warp_phase(model, kappa), model)
 
 
-def warp_word(ctx: DeformationContext, word: MaskWord) -> MaskWord:
+def warp_word(model: OneParticleModel, kappa: float, word: MaskWord) -> MaskWord:
     """The warped mask word: each entry times the warp phase at its (row, column)."""
-    phase = warp_phase(ctx)[word.rows(), np.arange(len(word.vec))]
+    phase = warp_phase(model, kappa)[word.rows(), np.arange(len(word.vec))]
     return MaskWord(word.mask, word.vec * phase)
 
 
-def unwarp(ctx: DeformationContext, op: FockOperator) -> FockOperator:
-    return warp(ctx.with_kappa(-ctx.kappa), op)
+def warp_inverse_check(model: OneParticleModel, kappa: float, op: FockOperator) -> float:
+    return warp(model, -kappa, warp(model, kappa, op)).dist(op)
 
 
-def warp_inverse_check(ctx: DeformationContext, op: FockOperator) -> float:
-    return unwarp(ctx, warp(ctx, op)).dist(op)
-
-
-def rieffel_product(ctx: DeformationContext, f: FockOperator,
+def rieffel_product(model: OneParticleModel, kappa: float, f: FockOperator,
                     g: FockOperator) -> FockOperator:
     """The deformed product: warp(f x g) = warp(f) warp(g)."""
-    return unwarp(ctx, warp(ctx, f) @ warp(ctx, g))
+    return warp(model, -kappa, warp(model, kappa, f) @ warp(model, kappa, g))
 
 
-def warp_rotated(ctx: DeformationContext, op: FockOperator,
+def warp_rotated(model: OneParticleModel, kappa: float, op: FockOperator,
                  angle: float | None = None) -> FockOperator:
     """Warp along the rotated flow r_* xi (rotated boost, same gauge)."""
-    rot = rotation_fock(ctx.model, angle)
-    inner = FockOperator(rot.H.matrix @ op.matrix @ rot.matrix, ctx.model)
-    return FockOperator(rot.matrix @ warp(ctx, inner).matrix @ rot.H.matrix, ctx.model)
+    rot = rotation_fock(model, angle)
+    inner = FockOperator(rot.H.matrix @ op.matrix @ rot.matrix, model)
+    return FockOperator(rot.matrix @ warp(model, kappa, inner).matrix @ rot.H.matrix, model)
 
 
-def covariance_transform(ctx: DeformationContext, op: FockOperator, kind: str,
-                         parameter: float | None = None):
+def covariance_transform(model: OneParticleModel, kappa: float, op: FockOperator,
+                         kind: str, parameter: float | None = None):
     """Both sides of the covariance identity for the requested symmetry.
 
     Returns (lhs, rhs): lhs conjugates the warped operator, rhs warps the
@@ -144,19 +132,18 @@ def covariance_transform(ctx: DeformationContext, op: FockOperator, kind: str,
     the flow fixed; the reflection flips kappa; the rotation replaces the
     boost generator by its rotated image.
     """
-    model = ctx.model
     if kind in ("boost", "gauge"):
         u = (boost_phases if kind == "boost" else gauge_phases)(model, float(parameter))
-        lhs = FockOperator(conjugate_by_diagonal(u, warp(ctx, op).matrix), model)
-        rhs = warp(ctx, FockOperator(conjugate_by_diagonal(u, op.matrix), model))
+        lhs = FockOperator(conjugate_by_diagonal(u, warp(model, kappa, op).matrix), model)
+        rhs = warp(model, kappa, FockOperator(conjugate_by_diagonal(u, op.matrix), model))
     elif kind == "reflection":
         r = reflection_fock(model)
-        lhs = r @ warp(ctx, op) @ r.H
-        rhs = warp(ctx.with_kappa(-ctx.kappa), r @ op @ r.H)
+        lhs = r @ warp(model, kappa, op) @ r.H
+        rhs = warp(model, -kappa, r @ op @ r.H)
     elif kind == "rotation":
         g = rotation_fock(model, parameter)
-        lhs = g @ warp(ctx, op) @ g.H
-        rhs = warp_rotated(ctx, g @ op @ g.H, parameter)
+        lhs = g @ warp(model, kappa, op) @ g.H
+        rhs = warp_rotated(model, kappa, g @ op @ g.H, parameter)
     else:
         raise ValueError(f"unknown covariance kind {kind!r}")
     return lhs, rhs
@@ -206,7 +193,7 @@ def _cosine_factor(eps: float, alpha: np.ndarray, beta: np.ndarray) -> np.ndarra
 _CUTOFF_FACTORS = {"gaussian": _gauss_factor, "cosine": _cosine_factor}
 
 
-def warp_oscillatory(ctx: DeformationContext, op: FockOperator, eps: float,
+def warp_oscillatory(model: OneParticleModel, kappa: float, op: FockOperator, eps: float,
                      cutoff: str = "gaussian") -> FockOperator:
     """The eps-regularized warped convolution for the named cutoff."""
     if eps <= 0:
@@ -214,36 +201,37 @@ def warp_oscillatory(ctx: DeformationContext, op: FockOperator, eps: float,
     factor = _CUTOFF_FACTORS.get(cutoff)
     if factor is None:
         raise ValueError(f"unknown cutoff {cutoff!r}; expected 'gaussian' or 'cosine'")
-    model = ctx.model
     phi, q = model.phases.astype(float), model.charges.astype(float)
     rows, cols = np.nonzero(op.matrix)
-    boost = factor(eps, -ctx.kappa * (q[rows] - q[cols]), phi[cols])
-    gauge = factor(eps, ctx.kappa * (phi[rows] - phi[cols]), q[cols])
+    boost = factor(eps, -kappa * (q[rows] - q[cols]), phi[cols])
+    gauge = factor(eps, kappa * (phi[rows] - phi[cols]), q[cols])
     out = np.zeros_like(op.matrix)
     out[rows, cols] = op.matrix[rows, cols] * (boost * gauge)
     return FockOperator(out, model)
 
 
-def oracle_residuals(ctx: DeformationContext, op: FockOperator, epsilons,
+def oracle_residuals(model: OneParticleModel, kappa: float, op: FockOperator, epsilons,
                      cutoff: str = "gaussian") -> list[float]:
     """Distance of the regularized integral from the closed form, per eps."""
-    exact = warp(ctx, op)
-    return [warp_oscillatory(ctx, op, float(e), cutoff).dist(exact) for e in epsilons]
+    exact = warp(model, kappa, op)
+    return [warp_oscillatory(model, kappa, op, float(e), cutoff).dist(exact)
+            for e in epsilons]
 
 
 def oracle_sweep(model: OneParticleModel, kappa: float, epsilons: list[float]) -> dict:
     """Regularized-integral residuals of the first negative-charge spinor.
 
-    Returns {cutoff: (residuals, strictly_decreasing)} for the gaussian and
-    cosine cutoffs, one residual per regulator in epsilons.
+    Returns {cutoff: (residuals, decreasing)} for the gaussian and cosine
+    cutoffs, one residual per regulator in epsilons; decreasing means finite
+    and strictly decreasing.
     """
-    ctx = DeformationContext(model, kappa)
     f_minus = np.zeros(model.n_modes)
     f_minus[model.d_plus if model.d_minus else 0] = 1.0
     op = spinor(model, f_minus)
     sweep = {}
     for cutoff in ("gaussian", "cosine"):
-        residuals = oracle_residuals(ctx, op, epsilons, cutoff)
-        sweep[cutoff] = (residuals, all(residuals[i] > residuals[i + 1]
-                                        for i in range(len(residuals) - 1)))
+        residuals = oracle_residuals(model, kappa, op, epsilons, cutoff)
+        decreasing = (all(math.isfinite(r) for r in residuals)
+                      and all(a > b for a, b in zip(residuals, residuals[1:])))
+        sweep[cutoff] = (residuals, decreasing)
     return sweep

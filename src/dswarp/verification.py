@@ -37,8 +37,8 @@ from .car_fock import (FockOperator, MaskWord, OneParticleModel, bogolyubov_fock
                        boost_phases, car_norm_bound, charge_projector, field_B, fock_npoint,
                        gauge_phases, identity_op, operator_norm, quasifree_npoint, spinor,
                        twist_phases, wedge_generators)
-from .deformation import (DeformationContext, covariance_transform, oracle_sweep,
-                          rieffel_product, warp, warp_inverse_check, warp_rotated, warp_word)
+from .deformation import (covariance_transform, oracle_sweep, rieffel_product, warp,
+                          warp_inverse_check, warp_rotated, warp_word)
 
 SPAN_SVD_TOL = 1e-9
 
@@ -165,13 +165,12 @@ def check_twisted_locality(model: OneParticleModel, kappa: float, degree: int = 
     wedge locality survive the deformation.
     """
     rng = np.random.default_rng(seed)
-    ctx = DeformationContext(model, kappa)
-    ctx_refl = ctx.with_kappa(-kappa if flip_kappa else kappa)
+    kappa_refl = -kappa if flip_kappa else kappa
     z = twist_phases(model)
     residuals = []
     for _ in range(n_samples):
-        f = warp_word(ctx, random_monomial(model, "W0", degree, rng))
-        g = warp_word(ctx_refl, random_monomial(model, "W0p", degree, rng))
+        f = warp_word(model, kappa, random_monomial(model, "W0", degree, rng))
+        g = warp_word(model, kappa_refl, random_monomial(model, "W0p", degree, rng))
         residuals.append(_twisted_commutator_norm(f, g, z))
     name = "twisted-locality" if flip_kappa else "twisted-locality-negative-control"
     return CheckReport(name, worst(residuals), tolerance,
@@ -191,8 +190,8 @@ def deformation_derivative_at_zero(model: OneParticleModel, op: FockOperator,
                                    step: float = 1e-4) -> float:
     """|d/dkappa warp(A)|_0| by central differences with one Richardson step."""
     def central(h: float) -> np.ndarray:
-        plus = warp(DeformationContext(model, h), op).matrix
-        minus = warp(DeformationContext(model, -h), op).matrix
+        plus = warp(model, h, op).matrix
+        minus = warp(model, -h, op).matrix
         return (plus - minus) / (2.0 * h)
 
     coarse = central(step)
@@ -249,12 +248,11 @@ def inequivalence_witness(model: OneParticleModel, kappa: float,
     rot = sg.rotation_base(phi)
     group_residual = float(np.linalg.norm(lam @ rot - rot @ lam, 2))
 
-    ctx = DeformationContext(model, kappa)
     f_minus = np.zeros(model.n_modes, dtype=complex)
     f_minus[model.d_plus] = 1.0             # first antiparticle mode
     psi_op = spinor(model, f_minus)
-    straight = warp(ctx, psi_op)
-    rotated = warp_rotated(ctx, psi_op, phi)
+    straight = warp(model, kappa, psi_op)
+    rotated = warp_rotated(model, kappa, psi_op, phi)
 
     one_particle = _ladder(model, 0, True).matrix @ model.vacuum()   # mode 0, charge +1
     diff = (straight.matrix - rotated.matrix) @ one_particle
@@ -274,8 +272,7 @@ def causal_borchers_axioms(model: OneParticleModel, kappa: float, degree: int = 
     (conditions on the reflected subspace deliberately violated); axiom b
     must then fail.
     """
-    ctx = DeformationContext(model, kappa)
-    deformed = [warp_word(ctx, w) for w in wedge_monomials(model, "W0", degree)]
+    deformed = [warp_word(model, kappa, w) for w in wedge_monomials(model, "W0", degree)]
     basis = span_basis(deformed)
     boosts, gauges = [0.35, -0.8], [0.7, 2.1]
     boost_res = worst(span_residual(basis, [m.conjugated_by(boost_phases(model, t))
@@ -284,8 +281,7 @@ def causal_borchers_axioms(model: OneParticleModel, kappa: float, degree: int = 
     if break_reflection:
         reflected = deformed
     else:
-        ctx_refl = ctx.with_kappa(-kappa)
-        reflected = [warp_word(ctx_refl, w) for w in wedge_monomials(model, "W0p", degree)]
+        reflected = [warp_word(model, -kappa, w) for w in wedge_monomials(model, "W0p", degree)]
     z = twist_phases(model)
     twisted = []
     rng = np.random.default_rng(seed)
@@ -309,8 +305,7 @@ def net_well_defined_residual(model: OneParticleModel, kappa: float,
                               degree: int = 2) -> float:
     """Equal wedges get equal spans: stabilizer conjugates of the deformed
     W0 family against the family itself."""
-    ctx = DeformationContext(model, kappa)
-    deformed = [warp_word(ctx, w) for w in wedge_monomials(model, "W0", degree)]
+    deformed = [warp_word(model, kappa, w) for w in wedge_monomials(model, "W0", degree)]
     residuals = []
     for t, s in ((0.4, 0.0), (-0.25, 1.3), (0.0, 2.0)):
         u = boost_phases(model, t) * gauge_phases(model, s)
@@ -493,47 +488,44 @@ def suite_car(model: OneParticleModel, cfg: dict, rng) -> list[CheckReport]:
 def suite_deformation(model: OneParticleModel, cfg: dict, rng) -> list[CheckReport]:
     tol = cfg["tolerances"]
     kappas = [float(k) for k in cfg["deformation"]["kappa"]]
-    ctx0 = DeformationContext(model, 0.0)
     zero = []
     for _ in range(10):
         op = _random_operator(model, rng)
-        zero.append(np.max(np.abs(warp(ctx0, op).matrix - op.matrix)))
+        zero.append(np.max(np.abs(warp(model, 0.0, op).matrix - op.matrix)))
 
     adjoint, homo, assoc, inverse, vacuum, unit = [], [], [], [], [], []
     omega = model.vacuum()
     for kappa in kappas:
-        ctx = DeformationContext(model, kappa)
         for _ in range(12):
             f, g, h = (_random_operator(model, rng) for _ in range(3))
-            adjoint.append(warp(ctx, f).H.dist(warp(ctx, f.H)))
-            homo.append((warp(ctx, f) @ warp(ctx, g)).dist(
-                warp(ctx, rieffel_product(ctx, f, g))))
-            assoc.append(rieffel_product(ctx, rieffel_product(ctx, f, g), h).dist(
-                rieffel_product(ctx, f, rieffel_product(ctx, g, h))))
-            inverse.append(warp_inverse_check(ctx, f))
-            vacuum.append(np.linalg.norm((warp(ctx, f).matrix - f.matrix) @ omega))
-        unit.append(warp(ctx, identity_op(model)).dist(identity_op(model)))
+            adjoint.append(warp(model, kappa, f).H.dist(warp(model, kappa, f.H)))
+            homo.append((warp(model, kappa, f) @ warp(model, kappa, g)).dist(
+                warp(model, kappa, rieffel_product(model, kappa, f, g))))
+            assoc.append(
+                rieffel_product(model, kappa, rieffel_product(model, kappa, f, g), h).dist(
+                    rieffel_product(model, kappa, f, rieffel_product(model, kappa, g, h))))
+            inverse.append(warp_inverse_check(model, kappa, f))
+            vacuum.append(np.linalg.norm((warp(model, kappa, f).matrix - f.matrix) @ omega))
+        unit.append(warp(model, kappa, identity_op(model)).dist(identity_op(model)))
 
     commutant, twisted, covariance = [], [], []
     z = twist_phases(model)
     for kappa in (0.5, 1.0, -0.7):
-        ctx = DeformationContext(model, kappa)
-        ctx_neg = ctx.with_kappa(-kappa)
         for _ in range(8):
             f_even = random_monomial(model, "W0", 1, rng)
             f_even = f_even @ f_even.H   # even element of the localized algebra
             g_even = random_monomial(model, "W0p", 1, rng)
             g_even = g_even @ g_even.H
-            wf, wg = warp_word(ctx, f_even), warp_word(ctx_neg, g_even)
+            wf, wg = warp_word(model, kappa, f_even), warp_word(model, -kappa, g_even)
             commutant.append((wf @ wg - wg @ wf).norm())
             f_odd = random_monomial(model, "W0", 1, rng)
             g_odd = random_monomial(model, "W0p", 1, rng)
-            twisted.append(_twisted_commutator_norm(warp_word(ctx, f_odd),
-                                                    warp_word(ctx_neg, g_odd), z))
+            twisted.append(_twisted_commutator_norm(warp_word(model, kappa, f_odd),
+                                                    warp_word(model, -kappa, g_odd), z))
         for kind, param in (("gauge", 0.9), ("boost", 0.45), ("reflection", None),
                             ("rotation", 0.6)):
             op = _random_operator(model, rng)
-            lhs, rhs = covariance_transform(ctx, op, kind, param)
+            lhs, rhs = covariance_transform(model, kappa, op, kind, param)
             covariance.append(lhs.dist(rhs))
 
     return [
@@ -612,13 +604,12 @@ def suite_fixed_point(model: OneParticleModel, cfg: dict, rng) -> list[CheckRepo
     e1 = charge_projector(model, 1)
     sectors, derivative = fixed_point_residual(model, e1)
     e1_res = worst([*sectors.values(), derivative])
-    ctx = DeformationContext(model, 0.3)
-    e1_fixed = warp(ctx, e1).dist(e1)
+    e1_fixed = warp(model, 0.3, e1).dist(e1)
 
     j, k = _cross_frequency_pair(model)
     mover = _ladder(model, j, True) @ _ladder(model, k, False)   # charge 0, boost-moving
     _, mover_derivative = fixed_point_residual(model, mover)
-    mover_moved = warp(ctx, mover).dist(mover)
+    mover_moved = warp(model, 0.3, mover).dist(mover)
     return [
         CheckReport("derivative-commutator-equivalence", float(inconsistent), 0.0,
                     {"samples": 100, "low": low, "high": high}),

@@ -19,8 +19,7 @@ from dswarp.car_fock import (FockOperator, boost_phases, car_norm_bound,
                              charge_projector, default_model, field_B, fock_npoint,
                              gauge_phases, identity_op, quasifree_npoint, spinor,
                              twist_phases, wedge_subalgebra_basis)
-from dswarp.deformation import (DeformationContext, oracle_residuals,
-                                rieffel_product, warp, warp_inverse_check)
+from dswarp.deformation import oracle_residuals, rieffel_product, warp, warp_inverse_check
 from dswarp.verification import (check_twisted_locality, fixed_point_residual,
                                  inequivalence_witness)
 
@@ -165,36 +164,34 @@ def test_criterion_05_car():
 
 def test_criterion_06_deformation():
     rng = np.random.default_rng(1006)
-    ctx0 = DeformationContext(MODEL, 0.0)
     zero = 0.0
     for _ in range(10):
         op = _rand_op(rng)
-        zero = max(zero, float(np.max(np.abs(warp(ctx0, op).matrix - op.matrix))))
+        zero = max(zero, float(np.max(np.abs(warp(MODEL, 0.0, op).matrix - op.matrix))))
     _check("6a warp at kappa = 0 is the identity map", zero, 0.0)
 
-    ctx = DeformationContext(MODEL, 0.6)
+    kappa = 0.6
     adjoint = homom = 0.0
     for _ in range(100):
         f, g = _rand_op(rng), _rand_op(rng)
-        adjoint = max(adjoint, warp(ctx, f).H.dist(warp(ctx, f.H)))
-        homom = max(homom, (warp(ctx, f) @ warp(ctx, g)).dist(
-            warp(ctx, rieffel_product(ctx, f, g))))
+        adjoint = max(adjoint, warp(MODEL, kappa, f).H.dist(warp(MODEL, kappa, f.H)))
+        homom = max(homom, (warp(MODEL, kappa, f) @ warp(MODEL, kappa, g)).dist(
+            warp(MODEL, kappa, rieffel_product(MODEL, kappa, f, g))))
     _check("6b adjoint compatibility of the warp", adjoint, 1e-10)
     _check("6c warp is a homomorphism onto the deformed product", homom, 1e-10)
 
     gens0 = [field_B(MODEL, v) for v in wedge_subalgebra_basis(MODEL, "W0")]
     gens1 = [field_B(MODEL, v) for v in wedge_subalgebra_basis(MODEL, "W0p")]
-    ctx_neg = ctx.with_kappa(-ctx.kappa)
     z = FockOperator(np.diag(twist_phases(MODEL)), MODEL)
     commutant = twisted = 0.0
     for _ in range(100):
         a = gens0[int(rng.integers(4))] @ gens0[int(rng.integers(4))]
         b = gens1[int(rng.integers(4))] @ gens1[int(rng.integers(4))]
-        wf, wg = warp(ctx, a), warp(ctx_neg, b)
+        wf, wg = warp(MODEL, kappa, a), warp(MODEL, -kappa, b)
         commutant = max(commutant, (wf @ wg - wg @ wf).norm())
         fo, go = gens0[int(rng.integers(4))], gens1[int(rng.integers(4))]
-        zf = z @ warp(ctx, fo) @ z.H
-        wgo = warp(ctx_neg, go)
+        zf = z @ warp(MODEL, kappa, fo) @ z.H
+        wgo = warp(MODEL, -kappa, go)
         twisted = max(twisted, (zf @ wgo - wgo @ zf).norm())
     _check("6d opposite-sign deformations commute", commutant, 1e-10)
     _check("6e twisted variant of the commutant property", twisted, 1e-10)
@@ -204,7 +201,8 @@ def test_criterion_06_deformation():
               FockOperator(np.diag(boost_phases(MODEL, -1.2)), MODEL)):
         for _ in range(50):
             op = _rand_op(rng)
-            conj = max(conj, (x @ warp(ctx, op) @ x.H).dist(warp(ctx, x @ op @ x.H)))
+            conj = max(conj, (x @ warp(MODEL, kappa, op) @ x.H).dist(
+                warp(MODEL, kappa, x @ op @ x.H)))
     _check("6f conjugation by flow unitaries passes through the warp", conj, 1e-10)
 
     omega = MODEL.vacuum()
@@ -212,12 +210,13 @@ def test_criterion_06_deformation():
     for _ in range(100):
         op = _rand_op(rng)
         vacuum = max(vacuum, float(np.linalg.norm(
-            (warp(ctx, op).matrix - op.matrix) @ omega)))
-        inverse = max(inverse, warp_inverse_check(ctx, op))
+            (warp(MODEL, kappa, op).matrix - op.matrix) @ omega)))
+        inverse = max(inverse, warp_inverse_check(MODEL, kappa, op))
     for _ in range(20):
         f, g, h = _rand_op(rng), _rand_op(rng), _rand_op(rng)
-        assoc = max(assoc, rieffel_product(ctx, rieffel_product(ctx, f, g), h).dist(
-            rieffel_product(ctx, f, rieffel_product(ctx, g, h))))
+        assoc = max(assoc, rieffel_product(
+            MODEL, kappa, rieffel_product(MODEL, kappa, f, g), h).dist(
+            rieffel_product(MODEL, kappa, f, rieffel_product(MODEL, kappa, g, h))))
     _check("6g vacuum invariance", vacuum, 1e-12)
     _check("6h warp inverse", inverse, 1e-12)
     _check("6i Rieffel associativity", assoc, 1e-10)
@@ -226,13 +225,13 @@ def test_criterion_06_deformation():
 # -- criterion 7: oracle suite ----------------------------------------------------------------
 
 def test_criterion_07_oracle():
-    ctx = DeformationContext(MODEL, 0.5)
+    kappa = 0.5
     f = np.zeros(4)
     f[2] = 1.0
     op = spinor(MODEL, f)
     epsilons = [0.1, 0.05, 0.025]
     for cutoff in ("gaussian", "cosine"):
-        residuals = oracle_residuals(ctx, op, epsilons, cutoff)
+        residuals = oracle_residuals(MODEL, kappa, op, epsilons, cutoff)
         monotone = 0.0 if residuals[0] > residuals[1] > residuals[2] else 1.0
         _check(f"7a {cutoff} cutoff monotone decay", monotone, 0.0)
         _check(f"7b {cutoff} cutoff residual at eps = 0.025", residuals[-1], 1e-3)
@@ -275,7 +274,7 @@ def test_criterion_09_fixed_points():
     e1 = charge_projector(MODEL, 1)
     sectors, derivative = fixed_point_residual(MODEL, e1)
     fixed = max(max(sectors.values()), derivative,
-                warp(DeformationContext(MODEL, 0.3), e1).dist(e1))
+                warp(MODEL, 0.3, e1).dist(e1))
     _check("9b sector projector is a non-scalar fixed point", fixed, 1e-8)
     scalar_dist = e1.dist(identity_op(MODEL) * (np.trace(e1.matrix) / MODEL.dim))
     _check("9b' projector is not scalar (must exceed 0.1)",

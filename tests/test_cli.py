@@ -300,6 +300,7 @@ def test_oracle_small_eps_converges(capsys, eps):
         assert residuals[0] > residuals[1] and payload[cutoff]["decreasing"] is True
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("argv", [["--kappa", "0.5", "--eps", "0.1", "1e-300"],
                                   ["--kappa", "1e308", "--eps", "0.1"]],
                          ids=["eps-1e-300", "kappa-1e308"])
@@ -314,6 +315,47 @@ def test_oracle_nonfinite_residual_fails(capsys, argv):
 
 def test_oracle_nonfinite_kappa_refused(tmp_path, capsys):
     _assert_refused(["oracle", "--kappa", "nan", "--eps", "0.1"], tmp_path, capsys)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_deform_nonfinite_matrix_written_as_null(capsys):
+    # at kappa 1e308 the warp phases overflow: the entries are written as
+    # null, never as a NaN token, and the exit code is 1
+    assert cli.main(["deform", "--kappa", "1e308"]) == 1
+    out = capsys.readouterr().out
+    assert "NaN" not in out
+    assert [None, None] in json.loads(out)["matrix_row_major"]
+
+
+@pytest.mark.parametrize("t", ["2", "nan"])
+def test_group_outside_checkable_range_refused(tmp_path, capsys, t):
+    # at t = 2 the boost's Lorentz defect (3.2e-6) exceeds the 1e-8 gate
+    _assert_refused(["group", "--t", t], tmp_path, capsys)
+
+
+def test_group_inside_checkable_range_accepted(capsys):
+    assert cli.main(["group", "--t", "1.5"]) == 0
+    assert json.loads(capsys.readouterr().out)["t"] == 1.5
+
+
+def test_wedges_negative_seed_refused(tmp_path, capsys):
+    _assert_refused(["wedges", "--seed", "-1"], tmp_path, capsys)
+
+
+@pytest.mark.parametrize("overrides", [{"output": 5}, {"output": None},
+                                       {"suites": [["car"]]}],
+                         ids=["output-int", "output-null", "nested-suite"])
+def test_malformed_output_or_suites_refused_before_any_suite(tmp_path, capsys, monkeypatch,
+                                                             overrides):
+    path = _write_config(tmp_path, overrides)
+    with pytest.raises(cli.ConfigError):
+        cli.validate_config(cli.load_config(path))
+
+    def no_suites(*args):
+        raise AssertionError("a suite ran before the config was refused")
+
+    monkeypatch.setattr(cli, "run_suites", no_suites)
+    _assert_refused(["verify", "--config", path], tmp_path, capsys)
 
 
 def test_report_missing_input_refused(tmp_path, capsys):
@@ -431,8 +473,7 @@ def test_nan_residual_written_as_null(monkeypatch, tmp_path):
     cli.validate_report_schema(report)
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
-                            "ignore:invalid value encountered:RuntimeWarning")
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_overflowing_warp_fails_without_traceback(tmp_path, capsys):
     # at kappa 1e308 the warp phases overflow to NaN: the residual matrices are
     # not finite, their norms are NaN, and the checks fail instead of raising

@@ -9,10 +9,9 @@ from scipy.special import roots_legendre
 from dswarp.car_fock import (FockOperator, boost_phases, charge_projector,
                              default_model, field_B, gauge_phases, identity_op,
                              spinor, twist_phases, wedge_subalgebra_basis)
-from dswarp.deformation import (DeformationContext, _cosine_factor, _gauss_factor,
-                                covariance_transform, oracle_residuals, rieffel_product,
-                                unwarp, warp, warp_inverse_check, warp_oscillatory,
-                                warp_rotated)
+from dswarp.deformation import (_cosine_factor, _gauss_factor, covariance_transform,
+                                oracle_residuals, rieffel_product, warp, warp_inverse_check,
+                                warp_oscillatory, warp_rotated)
 from dswarp.car_fock import OneParticleModel
 from test_fock_properties import charge_shifts, diagonal
 
@@ -27,45 +26,43 @@ def rand_op(rng, model=MODEL):
 
 def test_warp_at_zero_is_identity_map():
     rng = np.random.default_rng(50)
-    ctx = DeformationContext(MODEL, 0.0)
     for _ in range(10):
         op = rand_op(rng)
-        np.testing.assert_array_equal(warp(ctx, op).matrix, op.matrix)
+        np.testing.assert_array_equal(warp(MODEL, 0.0, op).matrix, op.matrix)
 
 
 def test_warp_fixes_unit_and_gauge_invariant_boost_commuting():
-    ctx = DeformationContext(MODEL, 0.8)
-    assert warp(ctx, identity_op(MODEL)).dist(identity_op(MODEL)) == 0.0
+    kappa = 0.8
+    assert warp(MODEL, kappa, identity_op(MODEL)).dist(identity_op(MODEL)) == 0.0
     # any function of (charge, boost phase) is diagonal, commutes with the
     # flows, and is fixed by the deformation
     diag = FockOperator(np.diag(np.exp(MODEL.charges + 0.3 * MODEL.phases)), MODEL)
-    assert warp(ctx, diag).dist(diag) == 0.0
+    assert warp(MODEL, kappa, diag).dist(diag) == 0.0
     e1 = charge_projector(MODEL, 1)
-    assert warp(ctx, e1).dist(e1) == 0.0
+    assert warp(MODEL, kappa, e1).dist(e1) == 0.0
 
 
 def test_warp_is_linear():
     rng = np.random.default_rng(51)
-    ctx = DeformationContext(MODEL, -0.6)
+    kappa = -0.6
     f, g = rand_op(rng), rand_op(rng)
     alpha = 1.2 - 0.4j
-    lhs = warp(ctx, alpha * f + g)
-    rhs = alpha * warp(ctx, f) + warp(ctx, g)
+    lhs = warp(MODEL, kappa, alpha * f + g)
+    rhs = alpha * warp(MODEL, kappa, f) + warp(MODEL, kappa, g)
     assert lhs.dist(rhs) < 1e-13
 
 
-def warp_sector_sum(ctx: DeformationContext, op: FockOperator) -> FockOperator:
+def warp_sector_sum(model: OneParticleModel, kappa: float, op: FockOperator) -> FockOperator:
     """Sector-by-sector evaluation with explicit unitaries and projectors.
 
     Independent of the entrywise phase shortcut; the oracle for warp.
     """
-    model = ctx.model
     out = np.zeros((model.dim, model.dim), dtype=complex)
     for m, block in charge_shifts(op).items():
         for n in model.charge_values():
             sel = (model.charges == n)
-            left = np.exp(1j * ctx.kappa * n * model.phases)
-            right = np.exp(-1j * ctx.kappa * (n + m) * model.phases)
+            left = np.exp(1j * kappa * n * model.phases)
+            right = np.exp(-1j * kappa * (n + m) * model.phases)
             term = (left[:, None] * block * right[None, :])
             term[:, ~sel] = 0.0
             out += term
@@ -75,15 +72,13 @@ def warp_sector_sum(ctx: DeformationContext, op: FockOperator) -> FockOperator:
 def test_warp_matches_explicit_sector_sum():
     rng = np.random.default_rng(52)
     for kappa in (-1.0, 0.3, 0.5):
-        ctx = DeformationContext(MODEL, kappa)
         op = rand_op(rng)
-        assert warp(ctx, op).dist(warp_sector_sum(ctx, op)) < 1e-12
+        assert warp(MODEL, kappa, op).dist(warp_sector_sum(MODEL, kappa, op)) < 1e-12
 
 
 def test_warp_spinor_phase_pattern_by_hand():
     # boost eigenvector: the m = -1 sector instance, assembled entry by entry
     kappa = 0.7
-    ctx = DeformationContext(MODEL, kappa)
     f = np.zeros(4)
     f[2] = 1.0                      # first antiparticle mode, frequency +1
     psi = spinor(MODEL, f)
@@ -96,49 +91,47 @@ def test_warp_spinor_phase_pattern_by_hand():
                 phase = np.exp(1j * kappa * n * phi[i]) \
                     * np.exp(-1j * kappa * (n - 1) * phi[j])
                 expected[i, j] = phase * psi.matrix[i, j]
-    np.testing.assert_allclose(warp(ctx, psi).matrix, expected, atol=1e-14)
+    np.testing.assert_allclose(warp(MODEL, kappa, psi).matrix, expected, atol=1e-14)
 
 
 def test_warp_inverse():
     rng = np.random.default_rng(53)
-    ctx = DeformationContext(MODEL, 0.9)
+    kappa = 0.9
     for _ in range(10):
-        assert warp_inverse_check(ctx, rand_op(rng)) < 1e-12
+        assert warp_inverse_check(MODEL, kappa, rand_op(rng)) < 1e-12
     e1 = charge_projector(MODEL, 1)
-    assert unwarp(ctx, warp(ctx, e1)).dist(e1) == 0.0
+    assert warp(MODEL, -kappa, warp(MODEL, kappa, e1)).dist(e1) == 0.0
     f = np.zeros(4)
     f[0] = 1.0
-    assert warp_inverse_check(ctx, spinor(MODEL, f)) < 1e-12
+    assert warp_inverse_check(MODEL, kappa, spinor(MODEL, f)) < 1e-12
 
 
 def test_adjoint_compatibility():
     rng = np.random.default_rng(54)
     for kappa in (-0.5, 0.25, 1.0):
-        ctx = DeformationContext(MODEL, kappa)
         for _ in range(30):
             op = rand_op(rng)
-            assert warp(ctx, op).H.dist(warp(ctx, op.H)) < 1e-12
+            assert warp(MODEL, kappa, op).H.dist(warp(MODEL, kappa, op.H)) < 1e-12
 
 
 def test_rieffel_product_unit_and_zero():
     rng = np.random.default_rng(55)
     f, g = rand_op(rng), rand_op(rng)
-    ctx0 = DeformationContext(MODEL, 0.0)
-    assert rieffel_product(ctx0, f, g).dist(f @ g) < 1e-13
-    ctx = DeformationContext(MODEL, 0.7)
-    assert rieffel_product(ctx, identity_op(MODEL), f).dist(f) < 1e-13
-    assert rieffel_product(ctx, f, identity_op(MODEL)).dist(f) < 1e-13
+    assert rieffel_product(MODEL, 0.0, f, g).dist(f @ g) < 1e-13
+    kappa = 0.7
+    assert rieffel_product(MODEL, kappa, identity_op(MODEL), f).dist(f) < 1e-13
+    assert rieffel_product(MODEL, kappa, f, identity_op(MODEL)).dist(f) < 1e-13
 
 
 def test_rieffel_homomorphism_and_associativity():
     rng = np.random.default_rng(56)
-    ctx = DeformationContext(MODEL, 0.6)
+    kappa = 0.6
     for _ in range(10):
         f, g, h = rand_op(rng), rand_op(rng), rand_op(rng)
-        lhs = warp(ctx, f) @ warp(ctx, g)
-        assert lhs.dist(warp(ctx, rieffel_product(ctx, f, g))) < 1e-10
-        assoc = rieffel_product(ctx, rieffel_product(ctx, f, g), h).dist(
-            rieffel_product(ctx, f, rieffel_product(ctx, g, h)))
+        lhs = warp(MODEL, kappa, f) @ warp(MODEL, kappa, g)
+        assert lhs.dist(warp(MODEL, kappa, rieffel_product(MODEL, kappa, f, g))) < 1e-10
+        assoc = rieffel_product(MODEL, kappa, rieffel_product(MODEL, kappa, f, g), h).dist(
+            rieffel_product(MODEL, kappa, f, rieffel_product(MODEL, kappa, g, h)))
         assert assoc < 1e-10
 
 
@@ -146,10 +139,9 @@ def test_vacuum_invariance():
     rng = np.random.default_rng(57)
     omega = MODEL.vacuum()
     for kappa in (-1.0, 0.45, 1.0):
-        ctx = DeformationContext(MODEL, kappa)
         for _ in range(30):
             op = rand_op(rng)
-            assert np.linalg.norm((warp(ctx, op).matrix - op.matrix) @ omega) < 1e-12
+            assert np.linalg.norm((warp(MODEL, kappa, op).matrix - op.matrix) @ omega) < 1e-12
 
 
 def _even_localized(rng, tag):
@@ -161,65 +153,63 @@ def _even_localized(rng, tag):
 
 def test_opposite_sign_deformations_commute():
     rng = np.random.default_rng(58)
-    ctx = DeformationContext(MODEL, 0.8)
-    ctx_neg = ctx.with_kappa(-0.8)
+    kappa = 0.8
     for _ in range(20):
         f = _even_localized(rng, "W0")
         g = _even_localized(rng, "W0p")
         assert (f @ g - g @ f).norm() < 1e-13   # hypothesis: undeformed commute
-        wf, wg = warp(ctx, f), warp(ctx_neg, g)
+        wf, wg = warp(MODEL, kappa, f), warp(MODEL, -kappa, g)
         assert (wf @ wg - wg @ wf).norm() < 1e-10
 
 
 def test_twisted_commutant_property():
     rng = np.random.default_rng(59)
-    ctx = DeformationContext(MODEL, 0.8)
-    ctx_neg = ctx.with_kappa(-0.8)
+    kappa = 0.8
     z = diagonal(MODEL, twist_phases(MODEL))
     gens0 = [field_B(MODEL, f) for f in wedge_subalgebra_basis(MODEL, "W0")]
     gens1 = [field_B(MODEL, f) for f in wedge_subalgebra_basis(MODEL, "W0p")]
     for _ in range(20):
         f = gens0[int(rng.integers(len(gens0)))]       # odd
         g = gens1[int(rng.integers(len(gens1)))]       # odd
-        zf = z @ warp(ctx, f) @ z.H
-        wg = warp(ctx_neg, g)
+        zf = z @ warp(MODEL, kappa, f) @ z.H
+        wg = warp(MODEL, -kappa, g)
         assert (zf @ wg - wg @ zf).norm() < 1e-10
 
 
 def test_flow_unitary_conjugation():
     rng = np.random.default_rng(60)
-    ctx = DeformationContext(MODEL, -0.35)
+    kappa = -0.35
     for x in (diagonal(MODEL, gauge_phases(MODEL, 1.1)),
               diagonal(MODEL, boost_phases(MODEL, 0.7))):
         for _ in range(10):
             op = rand_op(rng)
-            lhs = x @ warp(ctx, op) @ x.H
-            rhs = warp(ctx, x @ op @ x.H)
+            lhs = x @ warp(MODEL, kappa, op) @ x.H
+            rhs = warp(MODEL, kappa, x @ op @ x.H)
             assert lhs.dist(rhs) < 1e-12
 
 
 def test_covariance_identities():
     rng = np.random.default_rng(61)
-    ctx = DeformationContext(MODEL, 0.55)
+    kappa = 0.55
     for kind, param in (("gauge", 0.9), ("boost", 0.45),
                         ("reflection", None), ("rotation", 0.6)):
         for _ in range(5):
             op = rand_op(rng)
-            lhs, rhs = covariance_transform(ctx, op, kind, param)
+            lhs, rhs = covariance_transform(MODEL, kappa, op, kind, param)
             assert lhs.dist(rhs) < 1e-10
     with pytest.raises(ValueError):
-        covariance_transform(ctx, rand_op(rng), "translation", 1.0)
+        covariance_transform(MODEL, kappa, rand_op(rng), "translation", 1.0)
 
 
 def test_reflection_pins_kappa_sign():
     # the negative control: keeping +kappa on the right side breaks covariance
     rng = np.random.default_rng(62)
     from dswarp.car_fock import reflection_fock
-    ctx = DeformationContext(MODEL, 0.55)
+    kappa = 0.55
     op = rand_op(rng)
     r = reflection_fock(MODEL)
-    lhs = r @ warp(ctx, op) @ r.H
-    wrong = warp(ctx, r @ op @ r.H)
+    lhs = r @ warp(MODEL, kappa, op) @ r.H
+    wrong = warp(MODEL, kappa, r @ op @ r.H)
     assert lhs.dist(wrong) > 1e-2
 
 
@@ -322,13 +312,13 @@ def test_factor_converges_at_second_order(factor):
 
 def test_cosine_oracle_memory_is_bounded():
     # eps = 0.0125 is a 614400-node rule; no array of that size may be built
-    ctx = DeformationContext(MODEL, 0.5)
+    kappa = 0.5
     f = np.zeros(4)
     f[2] = 1.0
     op = spinor(MODEL, f)
     tracemalloc.start()
     try:
-        warp_oscillatory(ctx, op, 0.0125, "cosine")
+        warp_oscillatory(MODEL, kappa, op, 0.0125, "cosine")
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -336,11 +326,11 @@ def test_cosine_oracle_memory_is_bounded():
 
 
 def test_oscillatory_unit_operator():
-    ctx = DeformationContext(MODEL, 0.5)
+    kappa = 0.5
     one = identity_op(MODEL)
     previous = None
     for eps in (0.4, 0.2, 0.1):
-        res = warp_oscillatory(ctx, one, eps).dist(one)
+        res = warp_oscillatory(MODEL, kappa, one, eps).dist(one)
         if previous is not None:
             assert res < previous
         previous = res
@@ -348,20 +338,20 @@ def test_oscillatory_unit_operator():
 
 
 def test_oscillatory_requires_positive_regulator():
-    ctx = DeformationContext(MODEL, 0.5)
+    kappa = 0.5
     with pytest.raises(ValueError):
-        warp_oscillatory(ctx, identity_op(MODEL), 0.0)
+        warp_oscillatory(MODEL, kappa, identity_op(MODEL), 0.0)
     with pytest.raises(ValueError):
-        warp_oscillatory(ctx, identity_op(MODEL), 0.1, cutoff="box")
+        warp_oscillatory(MODEL, kappa, identity_op(MODEL), 0.1, cutoff="box")
 
 
 def test_oracle_converges_to_closed_form():
-    ctx = DeformationContext(MODEL, 0.5)
+    kappa = 0.5
     f = np.zeros(4)
     f[2] = 1.0
     op = spinor(MODEL, f)
     for cutoff in ("gaussian", "cosine"):
-        residuals = oracle_residuals(ctx, op, [0.1, 0.05, 0.025], cutoff)
+        residuals = oracle_residuals(MODEL, kappa, op, [0.1, 0.05, 0.025], cutoff)
         assert residuals[0] > residuals[1] > residuals[2]
         assert residuals[2] < 1e-3
 
@@ -369,12 +359,12 @@ def test_oracle_converges_to_closed_form():
 def test_single_mode_model_oracle():
     tiny = OneParticleModel(1, 1, [1.0], [-1.0], localized_modes=[0],
                             reflection_pairing=None, seed=1)
-    ctx = DeformationContext(tiny, 0.4)
+    kappa = 0.4
     f = np.zeros(2)
     f[0] = 1.0
     op = FockOperator(field_B(tiny, np.concatenate([f, np.zeros(2)])).matrix, tiny)
-    exact = warp(ctx, op)
-    res = [warp_oscillatory(ctx, op, e).dist(exact) for e in (0.2, 0.1, 0.05)]
+    exact = warp(tiny, kappa, op)
+    res = [warp_oscillatory(tiny, kappa, op, e).dist(exact) for e in (0.2, 0.1, 0.05)]
     assert res[0] > res[1] > res[2]
     assert res[2] < 1e-3
 
@@ -384,7 +374,6 @@ def test_rotated_flow_matches_sector_formula():
     from dswarp.car_fock import rotation_fock
     rng = np.random.default_rng(63)
     kappa, phi = 0.6, 0.5
-    ctx = DeformationContext(MODEL, kappa)
     op = rand_op(rng)
     rot = rotation_fock(MODEL, phi)
     u_rot = lambda t: FockOperator(
@@ -395,4 +384,4 @@ def test_rotated_flow_matches_sector_formula():
             en = charge_projector(MODEL, n).matrix
             expected += (u_rot(kappa * n).matrix @ block
                          @ u_rot(-kappa * (n + m)).matrix @ en)
-    assert warp_rotated(ctx, op, phi).dist(FockOperator(expected, MODEL)) < 1e-12
+    assert warp_rotated(MODEL, kappa, op, phi).dist(FockOperator(expected, MODEL)) < 1e-12

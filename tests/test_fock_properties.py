@@ -23,7 +23,7 @@ from dswarp.car_fock import (FockOperator, OneParticleModel, _mode_flips, boost_
                              field_B, gauge_phases, identity_op, operator_norm,
                              reflection_fock, second_quantize, twist_phases,
                              wedge_generators)
-from dswarp.deformation import RECENT_PHASES, DeformationContext, warp, warp_phase
+from dswarp.deformation import RECENT_PHASES, angle_matrix, warp, warp_phase
 from dswarp.verification import _ladder, fixed_point_residual
 
 PROPERTY = settings(max_examples=30, deadline=None)
@@ -307,9 +307,8 @@ def test_cached_warp_phase_is_bit_identical(model, kappas, seed):
     phi, q = model.phases, model.charges
     for kappa in kappas + kappas[::-1]:
         expected = np.exp(1j * kappa * (np.outer(phi, q) - np.outer(q, phi)))
-        ctx = DeformationContext(model, kappa)
-        assert warp_phase(ctx).tobytes() == expected.tobytes()
-        assert warp(ctx, op).matrix.tobytes() == (op_matrix * expected).tobytes()
+        assert warp_phase(model, kappa).tobytes() == expected.tobytes()
+        assert warp(model, kappa, op).matrix.tobytes() == (op_matrix * expected).tobytes()
     assert len(model.cached("warp_phases", dict)) <= RECENT_PHASES
 
 
@@ -337,10 +336,9 @@ def test_per_model_caches_are_read_only():
     with pytest.raises(ValueError, match="unknown wedge tag"):
         wedge_generators(model, "rotated")
     _assert_frozen(model.conjugation_matrix())
-    ctx = DeformationContext(model, 0.5)
-    assert ctx.angle_matrix() is ctx.angle_matrix()
-    _assert_frozen(ctx.angle_matrix())
-    _assert_frozen(warp_phase(ctx))
+    assert angle_matrix(model) is angle_matrix(model)
+    _assert_frozen(angle_matrix(model))
+    _assert_frozen(warp_phase(model, 0.5))
     assert reflection_fock(model).matrix is reflection_fock(model).matrix
     _assert_frozen(reflection_fock(model).matrix)
     for table in _mode_flips(model.n_modes):

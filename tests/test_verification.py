@@ -10,7 +10,7 @@ from dswarp.car_fock import (FockOperator, MaskWord, OneParticleModel, boost_pha
                              default_model, field_B, gauge_phases,
                              identity_op, twist_phases, wedge_generators,
                              wedge_subalgebra_basis)
-from dswarp.deformation import DeformationContext, warp, warp_word
+from dswarp.deformation import warp, warp_word
 from dswarp.verification import (SPAN_SVD_TOL, CheckReport, causal_borchers_axioms,
                                  check_twisted_locality, fixed_point_residual,
                                  inequivalence_witness, net_well_defined_residual,
@@ -79,11 +79,10 @@ def build_net(model: OneParticleModel, kappa: float, degree: int = 4,
     W0 carries warp with +kappa; the reflected wedge carries the reflection
     image, equivalently warp with -kappa of the reflected monomials.
     """
-    ctx = DeformationContext(model, kappa)
     gens, spans = {}, {}
     for tag in tags:
-        tag_ctx = ctx.with_kappa(-kappa) if tag == "W0p" else ctx
-        gens[tag] = [warp(tag_ctx, FockOperator(w, model)).matrix
+        tag_kappa = -kappa if tag == "W0p" else kappa
+        gens[tag] = [warp(model, tag_kappa, FockOperator(w, model)).matrix
                      for w in dense_monomials(model, tag, degree)]
         spans[tag] = dense_span_basis(gens[tag])
     return NetAssignment(kappa, degree, gens, spans)
@@ -160,8 +159,7 @@ def test_fixed_point_unit_and_projector():
     sectors, derivative = fixed_point_residual(MODEL, e1)
     assert max(sectors.values()) == 0.0 and derivative == 0.0
     # E(1) is fixed by the deformation but is not a multiple of the identity
-    ctx = DeformationContext(MODEL, 0.3)
-    assert warp(ctx, e1).dist(e1) == 0.0
+    assert warp(MODEL, 0.3, e1).dist(e1) == 0.0
     assert e1.dist(identity_op(MODEL) * (np.trace(e1.matrix) / MODEL.dim)) > 0.1
 
 
@@ -177,8 +175,7 @@ def test_fixed_point_cross_frequency_mover():
     sectors, derivative = fixed_point_residual(MODEL, mover)
     assert derivative > 1e-6
     assert max(r for n, r in sectors.items() if n != 0) > 1e-6
-    ctx = DeformationContext(MODEL, 0.3)
-    assert warp(ctx, mover).dist(mover) > 1e-3
+    assert warp(MODEL, 0.3, mover).dist(mover) > 1e-3
 
 
 def test_fixed_point_equivalence_on_random_operators():
@@ -305,9 +302,8 @@ def test_word_warp_and_diagonal_conjugation_match_dense(model, seed, kappa, t):
     word = _random_word(np.random.default_rng(seed), model.dim)
     m = dense(word)
     scale = np.max(np.abs(m))
-    ctx = DeformationContext(model, kappa)
-    reference = warp(ctx, FockOperator(m, model)).matrix
-    assert np.max(np.abs(dense(warp_word(ctx, word)) - reference)) <= 1e-15 * scale
+    reference = warp(model, kappa, FockOperator(m, model)).matrix
+    assert np.max(np.abs(dense(warp_word(model, kappa, word)) - reference)) <= 1e-15 * scale
     for u in (boost_phases(model, t), gauge_phases(model, t), twist_phases(model)):
         reference = conjugate_by_diagonal(u, m)
         assert np.max(np.abs(dense(word.conjugated_by(u)) - reference)) <= 1e-15 * scale
@@ -317,12 +313,11 @@ def test_word_warp_and_diagonal_conjugation_match_dense(model, seed, kappa, t):
 @given(word_models(), SEEDS, KAPPAS)
 def test_max_entry_norm_matches_dense_two_norm(model, seed, kappa):
     rng = np.random.default_rng(seed)
-    ctx = DeformationContext(model, kappa)
     z = twist_phases(model)
     words = [_random_word(rng, model.dim)]
     for refl_kappa in (-kappa, kappa):      # twisted commutators, with and without the flip
-        f = warp_word(ctx, random_monomial(model, "W0", 3, rng)).conjugated_by(z)
-        g = warp_word(ctx.with_kappa(refl_kappa), random_monomial(model, "W0p", 3, rng))
+        f = warp_word(model, kappa, random_monomial(model, "W0", 3, rng)).conjugated_by(z)
+        g = warp_word(model, refl_kappa, random_monomial(model, "W0p", 3, rng))
         words.append(f @ g - g @ f)
     for w in words:
         reference = float(np.linalg.norm(dense(w), 2))
@@ -333,8 +328,7 @@ def test_max_entry_norm_matches_dense_two_norm(model, seed, kappa):
 @given(word_models(), SEEDS, KAPPAS, st.floats(-3.0, 3.0), st.floats(-3.0, 3.0))
 def test_per_mask_spans_match_dense_span(model, seed, kappa, t, s):
     rng = np.random.default_rng(seed)
-    ctx = DeformationContext(model, kappa)
-    words = [warp_word(ctx, w) for w in wedge_monomials(model, "W0", 2)]
+    words = [warp_word(model, kappa, w) for w in wedge_monomials(model, "W0", 2)]
     for _ in range(4):     # dependent words: combinations within one mask
         a = words[int(rng.integers(len(words)))]
         same = [w for w in words if w.mask == a.mask]
@@ -344,7 +338,7 @@ def test_per_mask_spans_match_dense_span(model, seed, kappa, t, s):
     reference = dense_span_basis([dense(w) for w in words])
     assert sum(rows.shape[0] for rows in basis.values()) == reference.shape[0]
     u = boost_phases(model, t) * gauge_phases(model, s)
-    reflected = [warp_word(ctx.with_kappa(-kappa), w) for w in wedge_monomials(model, "W0p", 1)]
+    reflected = [warp_word(model, -kappa, w) for w in wedge_monomials(model, "W0p", 1)]
     for probe in ([w.conjugated_by(u) for w in words], reflected,
                   [_random_word(rng, model.dim) for _ in range(3)]):
         assert abs(span_residual(basis, probe)
