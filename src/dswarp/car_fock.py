@@ -66,6 +66,24 @@ entries), so a product is a gather in O(d) and the operator norm is the
 largest absolute entry.  The wedge generators on the W0 and W0p bases are
 such fields.
 
+Products
+--------
+B(f) is the sum of f_a W_a over the 2n unit words W_a = field_word(e_a), so
+{B(f), B(g)} = sum_{a,b} (C + C^T)_{ab} W_a W_b with C = outer(f, g).  The
+word table (_word_products, once per model) holds the nonzero entries of
+W_a W_b for every ordered pair: +-1 each, at most d/2 per pair, so n^2 d in
+all.  field_anticommutator multiplies each entry by its symmetrized
+coefficient and sums them into a d x d array with one bincount per real
+and imaginary part.  The coefficient of a pair on two different modes
+equals that of the reversed pair, and the two words anticommute, so every
+cross-mode entry receives s c and -s c and ends exactly 0: with correct
+Jordan-Wigner signs the result is exactly diagonal, and with a wrong sign
+its off-diagonal part is O(1).  That is why every ordered pair is
+scattered, cross-mode pairs included: building only the diagonal would
+assume the relation that car-anticommutators checks.  fock_npoint applies
+each B(f) to a vector with the _mode_flips tables in O(n d), and builds no
+field matrix.
+
 Implementers
 ------------
 The reflection, the rotation and the Bogolyubov maps are number-conserving
@@ -100,17 +118,27 @@ blocks; gauge-invariant operators split into their charge sectors; a dense
 matrix has g = 1 and takes one plain SVD.  S is read from the sums of |m|
 over pairs of charges, one pass over m, and the block positions are
 tabulated once per model and (g, s0 mod g).  A non-finite entry makes
-those sums non-finite, and the norm is then NaN.
+those sums non-finite, and the norm is then NaN.  A finite matrix with no
+nonzero entry off the diagonal (S = {0}) takes no SVD: its singular values
+are the moduli of its diagonal entries, so the norm is max |m_ii|.  The
+anticommutators of field_anticommutator and their residuals against
+<Cf, g> 1 are such matrices.
+
+sector_norms gives the norm of every charge sector of a gauge-invariant m
+at once, as the fixed-point checks need: one gather over the g = 0 blocks
+and one batched SVD per block shape, NaN for a block with a non-finite
+entry.
 
 Per-model caches
 ----------------
 OneParticleModel.cached builds a value once per model and freezes its arrays
 (read-only).  It holds the conjugation matrix, the wedge generators per tag
 (wedge_generators), the reflection implementer (reflection_fock), the charge
-indicator and block positions of operator_norm and, in the deformation
-module, the angle matrix and the warp phases of the last few kappas.  The
-per-mode-count caches (occupation_table, _mode_flips) hold index tables of
-size n 2^n, never a dense Fock-size matrix.
+indicator and block positions of operator_norm, the word-product table of
+field_anticommutator and, in the deformation module, the angle matrix and
+the warp phases of the last few kappas.  The per-mode-count caches
+(occupation_table, _mode_flips) hold index tables of size n 2^n, never a
+dense Fock-size matrix; the word-product table has n^2 d entries.
 """
 
 from __future__ import annotations
@@ -311,9 +339,6 @@ class OneParticleModel:
         v[0] = 1.0
         return v
 
-    def charge_values(self) -> list[int]:
-        return sorted(set(int(c) for c in self.charges))
-
 
 def default_model(seed: int = 7) -> OneParticleModel:
     """The 2+2-mode reference model used by the verification suites."""
@@ -482,6 +507,8 @@ def operator_norm(model: OneParticleModel, m: np.ndarray) -> float:
     if not len(rows):
         return 0.0
     shifts = (rows - cols).tolist()
+    if not any(shifts) and np.count_nonzero(m) == np.count_nonzero(m.diagonal()):
+        return float(np.abs(m.diagonal()).max())     # diagonal: the moduli are the singular values
     s0 = shifts[0]
     g = math.gcd(*(s - s0 for s in shifts))
     if g == 1:
@@ -497,23 +524,56 @@ def operator_norm(model: OneParticleModel, m: np.ndarray) -> float:
     return top
 
 
+def sector_norms(model: OneParticleModel, m: np.ndarray) -> dict[int, float]:
+    """{charge n: norm of the sector-n block m[E(n), E(n)]} for a gauge-invariant m.
+
+    Entries outside the sector blocks are not read.  One gather and one
+    batched SVD per block shape; a block with a non-finite entry has norm NaN.
+    """
+    m = np.asarray(m)
+    if m.shape != (model.dim, model.dim):
+        raise ValueError(f"matrix shape {m.shape} does not match Fock dim {model.dim}")
+    norms = {}
+    for labels, flat in _norm_blocks(model, 0, 0):
+        blocks = m.take(flat)
+        finite = np.isfinite(blocks).all(axis=(1, 2))
+        top = np.full(len(labels), math.nan)
+        if finite.any():
+            top[finite] = np.linalg.svd(blocks[finite], compute_uv=False)[:, 0]
+        norms.update(zip((labels - model.d_minus).tolist(), top.tolist()))
+    return dict(sorted(norms.items()))
+
+
 def identity_op(model: OneParticleModel) -> FockOperator:
     return FockOperator(np.eye(model.dim, dtype=complex), model)
 
 
-def field_B(model: OneParticleModel, f) -> FockOperator:
-    """The selfdual generator B(f), f in the doubled space C^{2n}."""
+def _field_vector(model: OneParticleModel, f) -> np.ndarray:
+    """f as a complex doubled-space vector; any other shape is refused."""
     f = np.asarray(f, dtype=complex)
     if f.shape != (model.doubled_dim,):
         raise ValueError(f"field vector must have {model.doubled_dim} components, "
                          f"got shape {f.shape}")
-    n, d = model.n_modes, model.dim
-    mode, src, dst, sign = _mode_flips(n)
+    return f
+
+
+def _ladder_coefficients(model: OneParticleModel, f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(lower, raise): per mode j, the coefficients of c_j and of c_j^+ in B(f).
+
+    A particle mode is raised by copy A and lowered by copy B; an
+    antiparticle mode the other way round.
+    """
+    n = model.n_modes
     particle = model.mode_charges > 0
-    # a particle mode is raised by copy A and lowered by copy B; an
-    # antiparticle mode the other way round
-    lower_coef = np.where(particle, f[n:], f[:n])
-    raise_coef = np.where(particle, f[:n], f[n:])
+    return np.where(particle, f[n:], f[:n]), np.where(particle, f[:n], f[n:])
+
+
+def field_B(model: OneParticleModel, f) -> FockOperator:
+    """The selfdual generator B(f), f in the doubled space C^{2n}."""
+    f = _field_vector(model, f)
+    d = model.dim
+    mode, src, dst, sign = _mode_flips(model.n_modes)
+    lower_coef, raise_coef = _ladder_coefficients(model, f)
     out = np.zeros((d, d), dtype=complex)
     out[dst, src] = lower_coef[mode] * sign
     out[src, dst] = raise_coef[mode] * sign
@@ -522,11 +582,8 @@ def field_B(model: OneParticleModel, f) -> FockOperator:
 
 def field_word(model: OneParticleModel, f) -> MaskWord:
     """B(f) as a MaskWord; f must be supported on a single mode (either copy)."""
-    f = np.asarray(f, dtype=complex)
+    f = _field_vector(model, f)
     n = model.n_modes
-    if f.shape != (model.doubled_dim,):
-        raise ValueError(f"field vector must have {model.doubled_dim} components, "
-                         f"got shape {f.shape}")
     modes = np.unique(np.nonzero(f)[0] % n)
     if len(modes) != 1:
         raise ValueError(f"B(f) is a single-mask word only for f on one mode; "
@@ -534,11 +591,48 @@ def field_word(model: OneParticleModel, f) -> MaskWord:
     j = int(modes[0])
     mode, src, dst, sign = _mode_flips(n)
     sel = mode == j
-    lower, raise_ = (f[n + j], f[j]) if model.mode_charges[j] > 0 else (f[j], f[n + j])
+    lower_coef, raise_coef = _ladder_coefficients(model, f)
     vec = np.zeros(model.dim, dtype=complex)
-    vec[src[sel]] = lower * sign[sel]
-    vec[dst[sel]] = raise_ * sign[sel]
+    vec[src[sel]] = lower_coef[j] * sign[sel]
+    vec[dst[sel]] = raise_coef[j] * sign[sel]
     return MaskWord(1 << (n - 1 - j), vec)
+
+
+def _word_products(model: OneParticleModel) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Nonzero entries of W_a W_b for every ordered pair of the 2n unit words.
+
+    W_a is field_word(model, e_a).  The table is three flat arrays (pair,
+    pos, val): entry e belongs to the pair a * 2n + b, sits at the row-major
+    position pos[e] of a d x d matrix and equals val[e], which is +-1.
+    Built once per model.
+    """
+    def build():
+        n2, d = model.doubled_dim, model.dim
+        words = [field_word(model, e) for e in np.eye(n2)]
+        pair, pos, val = [], [], []
+        for a, wa in enumerate(words):
+            for b, wb in enumerate(words):
+                w = wa @ wb
+                cols = np.nonzero(w.vec)[0]
+                pair.append(np.full(len(cols), a * n2 + b))
+                pos.append((cols ^ w.mask) * d + cols)
+                val.append(w.vec[cols].real)
+        return tuple(np.concatenate(x) for x in (pair, pos, val))
+
+    return model.cached("word_products", build)
+
+
+def field_anticommutator(model: OneParticleModel, f, g) -> FockOperator:
+    """{B(f), B(g)}, scattered from the word-product table; see "Products"."""
+    f, g = _field_vector(model, f), _field_vector(model, g)
+    pair, pos, val = _word_products(model)
+    c = np.outer(f, g)
+    coef = (c + c.T).ravel()[pair] * val
+    size = model.dim ** 2
+    out = np.empty(size, dtype=complex)
+    out.real = np.bincount(pos, coef.real, size)
+    out.imag = np.bincount(pos, coef.imag, size)
+    return FockOperator(out.reshape(model.dim, model.dim), model)
 
 
 def cospinor(model: OneParticleModel, f_plus) -> FockOperator:
@@ -713,11 +807,21 @@ def quasifree_npoint(model: OneParticleModel, s: np.ndarray, fs) -> complex:
 
 
 def fock_npoint(model: OneParticleModel, fs) -> complex:
-    """Vacuum expectation <Omega, B(f_1)...B(f_k) Omega> by matrix products."""
+    """Vacuum expectation <Omega, B(f_1)...B(f_k) Omega>.
+
+    Each B(f) acts on the vector through the _mode_flips tables, in O(n d):
+    row j of terms holds what mode j sends to each basis state.
+    """
+    n, d = model.n_modes, model.dim
+    mode, src, dst, sign = _mode_flips(n)
     omega = model.vacuum()
     vec = omega
     for f in reversed(list(fs)):
-        vec = field_B(model, f).matrix @ vec
+        lower_coef, raise_coef = _ladder_coefficients(model, _field_vector(model, f))
+        terms = np.zeros((n, d), dtype=complex)
+        terms[mode, dst] = lower_coef[mode] * sign * vec[src]
+        terms[mode, src] = raise_coef[mode] * sign * vec[dst]
+        vec = terms.sum(axis=0)
     return complex(np.vdot(omega, vec))
 
 

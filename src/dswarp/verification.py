@@ -34,9 +34,10 @@ from . import geometry
 from . import spin_group as sg
 from . import wedges as wd
 from .car_fock import (FockOperator, MaskWord, OneParticleModel, bogolyubov_fock,
-                       boost_phases, car_norm_bound, charge_projector, field_B, fock_npoint,
-                       gauge_phases, identity_op, operator_norm, quasifree_npoint, spinor,
-                       twist_phases, wedge_generators)
+                       boost_phases, car_norm_bound, charge_projector, field_anticommutator,
+                       field_B, fock_npoint, gauge_phases, identity_op, operator_norm,
+                       quasifree_npoint, sector_norms, spinor, twist_phases,
+                       wedge_generators)
 from .deformation import (covariance_transform, oracle_sweep, rieffel_product, warp,
                           warp_inverse_check, warp_rotated, warp_word)
 
@@ -207,14 +208,14 @@ def fixed_point_residual(model: OneParticleModel, op: FockOperator,
     The derivative vanishes iff every charged-sector commutator [K, A E(n)],
     n != 0, vanishes; gauge-invariant inputs are required.  K and E(n) are
     diagonal, so [K, A E(n)] is (phi_i - phi_j) A_ij on the sector-n columns
-    and zero elsewhere.
+    and zero elsewhere; for a gauge-invariant A that is the sector-n block,
+    and sector_norms takes all of them at once.
     """
     if not op.is_gauge_invariant(gauge_tol):
         raise ValueError("fixed-point analysis needs a gauge-invariant operator")
-    phi, q = model.phases, model.charges
+    phi = model.phases
     commutator = (phi[:, None] - phi[None, :]) * op.matrix
-    sector_residuals = {n: operator_norm(model, np.where(q == n, commutator, 0.0))
-                        for n in model.charge_values()}
+    sector_residuals = sector_norms(model, commutator)
     derivative = deformation_derivative_at_zero(model, op)
     return sector_residuals, derivative
 
@@ -442,8 +443,8 @@ def suite_car(model: OneParticleModel, cfg: dict, rng) -> list[CheckReport]:
     for _ in range(200):
         f = _random_doubled_vector(model, rng)
         g = _random_doubled_vector(model, rng)
-        bf, bg = field_B(model, f), field_B(model, g)
-        anti = bf @ bg + bg @ bf
+        bf = field_B(model, f)
+        anti = field_anticommutator(model, f, g)
         target = complex(np.vdot(model.apply_conjugation(f), g)) * identity_op(model)
         car.append(anti.dist(target))
         norm.append(abs(bf.norm() - car_norm_bound(model, f)))

@@ -17,7 +17,7 @@ def test_removed_names_are_not_exported():
     assert not set(REMOVED) & set(dswarp.__all__)
     for module in (dswarp, car_fock, deformation, quaternion, spin_group):
         assert not [n for n in REMOVED if hasattr(module, n)], module.__name__
-    for attr in ("annihilators", "gauge_one_particle", "boost_one_particle"):
+    for attr in ("annihilators", "gauge_one_particle", "boost_one_particle", "charge_values"):
         assert not hasattr(car_fock.OneParticleModel, attr)
     assert not hasattr(car_fock.FockOperator, "charge_shifts")
     assert not hasattr(quaternion.QuatMatrix2, "entries")

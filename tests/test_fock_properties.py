@@ -1,7 +1,8 @@
 """Property tests: each structured Fock fast path against its dense reference.
 
 The references are the dense constructions the fast paths replaced: the
-Kronecker-product Jordan-Wigner tower for the fields, exp(i dGamma(h)) on that
+Kronecker-product Jordan-Wigner tower for the fields, dense field products for
+the anticommutator table and the n-point function, exp(i dGamma(h)) on that
 tower for the second quantization Gamma(e^{ih}), the full commutator
 [K, A E(n)] for the fixed-point sectors, one full SVD for the charge-block
 operator norm, dense products with diagonal matrices for conjugation, and the
@@ -18,11 +19,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import block_diag, expm
 
-from dswarp.car_fock import (FockOperator, OneParticleModel, _mode_flips, boost_phases,
-                             charge_projector, conjugate_by_diagonal, default_model,
-                             field_B, gauge_phases, identity_op, operator_norm,
-                             reflection_fock, second_quantize, twist_phases,
-                             wedge_generators)
+from dswarp.car_fock import (FockOperator, OneParticleModel, _mode_flips, _word_products,
+                             boost_phases, charge_projector, conjugate_by_diagonal,
+                             default_model, field_anticommutator, field_B, fock_npoint,
+                             gauge_phases, identity_op, operator_norm, reflection_fock,
+                             second_quantize, sector_norms, twist_phases, wedge_generators)
 from dswarp.deformation import RECENT_PHASES, angle_matrix, warp, warp_phase
 from dswarp.verification import _ladder, fixed_point_residual
 
@@ -124,6 +125,40 @@ def test_bit_built_annihilators_equal_kronecker_oracle(model):
         assert (_ladder(model, j, True).matrix == oracle.conj().T).all()
 
 
+def _random_vector(rng, dim):
+    return rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+
+
+@PROPERTY
+@given(models(), SEEDS)
+def test_anticommutator_table_equals_dense_products(model, seed):
+    rng = np.random.default_rng(seed)
+    f, g = _random_vector(rng, model.doubled_dim), _random_vector(rng, model.doubled_dim)
+    anti = field_anticommutator(model, f, g).matrix
+    bf, bg = field_B(model, f).matrix, field_B(model, g).matrix
+    of, og = oracle_field(model, f), oracle_field(model, g)
+    scale = np.linalg.norm(f) * np.linalg.norm(g)
+    for dense in (bf @ bg + bg @ bf, of @ og + og @ of):
+        assert np.max(np.abs(anti - dense)) <= 1e-13 * scale
+    # the cross-mode terms cancel exactly, leaving <Cf, g> on the diagonal
+    assert not (anti - np.diag(anti.diagonal())).any()
+    target = np.vdot(model.apply_conjugation(f), g)
+    assert np.max(np.abs(anti.diagonal() - target)) <= 1e-13 * scale
+
+
+@PROPERTY
+@given(models(), SEEDS, st.integers(0, 5))
+def test_npoint_function_equals_dense_fields_on_the_vacuum(model, seed, length):
+    rng = np.random.default_rng(seed)
+    fs = [_random_vector(rng, model.doubled_dim) for _ in range(length)]
+    vec = model.vacuum()
+    for f in reversed(fs):
+        vec = field_B(model, f).matrix @ vec
+    dense = np.vdot(model.vacuum(), vec)
+    scale = np.prod([np.linalg.norm(f) for f in fs])
+    assert abs(fock_npoint(model, fs) - dense) <= 1e-13 * scale
+
+
 @PROPERTY
 @given(models())
 def test_field_built_hopping_equals_kronecker_oracle_product(model):
@@ -191,10 +226,22 @@ def test_sector_block_norm_matches_full_commutator_norm(model, seed):
     op = FockOperator(op.charge_shift(0), model)
     sectors, _ = fixed_point_residual(model, op)
     k = np.diag(model.phases.astype(complex))
-    assert sorted(sectors) == model.charge_values()
+    assert sorted(sectors) == np.unique(model.charges).tolist()
     for n, block_norm in sectors.items():
         an = op.matrix @ charge_projector(model, n).matrix
         full = float(np.linalg.norm(k @ an - an @ k, 2))
+        assert abs(block_norm - full) <= 1e-13 * full
+
+
+@PROPERTY
+@given(models(), SEEDS)
+def test_sector_norms_equal_full_svd_of_each_sector_block(model, seed):
+    m = FockOperator(_random_matrix(np.random.default_rng(seed), model.dim), model).charge_shift(0)
+    norms = sector_norms(model, m)
+    assert list(norms) == np.unique(model.charges).tolist()
+    for n, block_norm in norms.items():
+        sel = model.charges == n
+        full = float(np.linalg.norm(m[np.ix_(sel, sel)], 2))
         assert abs(block_norm - full) <= 1e-13 * full
 
 
@@ -213,6 +260,9 @@ def _norm_cases(model, rng) -> dict[str, np.ndarray]:
         "product": (bf @ bg).matrix,
         "anticommutator": anti,
         "car-residual": anti - np.vdot(model.apply_conjugation(f), g) * np.eye(d),
+        "structured-car-residual": (field_anticommutator(model, f, g).matrix
+                                    - np.vdot(model.apply_conjugation(f), g) * np.eye(d)),
+        "diagonal": np.diag(_random_vector(rng, d)),
         "gauge-invariant": dense.charge_shift(0),
         "charge-shift": dense.charge_shift(int(rng.integers(-n, n + 1))),
         "dense": dense.matrix,
@@ -222,8 +272,8 @@ def _norm_cases(model, rng) -> dict[str, np.ndarray]:
 
 
 NORM_CASES = st.sampled_from(["field", "product", "anticommutator", "car-residual",
-                              "gauge-invariant", "charge-shift", "dense", "one-entry",
-                              "zero"])
+                              "structured-car-residual", "diagonal", "gauge-invariant",
+                              "charge-shift", "dense", "one-entry", "zero"])
 
 
 @PROPERTY
@@ -273,6 +323,14 @@ def test_parity_homogeneous_operator_takes_no_full_size_svd(model, seed, case):
     shapes = _recorded_svd_shapes(model, m)
     assert bool(shapes) == bool(m.any())
     assert all(max(s[-2:]) <= model.dim // 2 for s in shapes)
+
+
+@PROPERTY
+@given(models(), SEEDS, st.sampled_from(["structured-car-residual", "diagonal"]))
+def test_diagonal_operator_takes_no_svd(model, seed, case):
+    m = _norm_cases(model, np.random.default_rng(seed))[case]
+    assert _recorded_svd_shapes(model, m) == []
+    assert operator_norm(model, m) == np.abs(m.diagonal()).max()
 
 
 def test_dense_operator_takes_one_svd_and_zero_takes_none():
@@ -342,4 +400,7 @@ def test_per_model_caches_are_read_only():
     assert reflection_fock(model).matrix is reflection_fock(model).matrix
     _assert_frozen(reflection_fock(model).matrix)
     for table in _mode_flips(model.n_modes):
+        _assert_frozen(table)
+    assert _word_products(model) is _word_products(model)
+    for table in _word_products(model):
         _assert_frozen(table)

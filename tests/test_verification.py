@@ -5,16 +5,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dswarp import car_fock, cli, verification
 from dswarp.car_fock import (FockOperator, MaskWord, OneParticleModel, boost_phases,
                              charge_projector, conjugate_by_diagonal,
                              default_model, field_B, gauge_phases,
-                             identity_op, twist_phases, wedge_generators,
+                             identity_op, sector_norms, twist_phases, wedge_generators,
                              wedge_subalgebra_basis)
 from dswarp.deformation import warp, warp_word
 from dswarp.verification import (SPAN_SVD_TOL, CheckReport, causal_borchers_axioms,
                                  check_twisted_locality, fixed_point_residual,
                                  inequivalence_witness, net_well_defined_residual,
-                                 random_monomial, span_basis, span_residual,
+                                 random_monomial, span_basis, span_residual, suite_car,
                                  wedge_monomials)
 from test_fock_properties import jordan_wigner_ops
 
@@ -244,6 +245,71 @@ def test_check_report_fails_nonfinite_residual():
     assert not CheckReport("x", float("nan"), 1e-10).passed
     assert not CheckReport("x", float("inf"), float("inf")).passed
     assert not CheckReport("x", float("-inf"), 1e-10).passed
+
+
+# -- the structured car and fixed-point paths can still fail ---------------------------
+
+def _car_checks(model: OneParticleModel) -> dict[str, CheckReport]:
+    cfg = cli.load_config(None)
+    return {c.name: c for c in suite_car(model, cfg, np.random.default_rng(0))}
+
+
+def test_car_anticommutators_fail_without_jordan_wigner_signs(monkeypatch):
+    """With every sign +1 the modes commute instead of anticommuting."""
+    mode, src, dst, _ = car_fock._mode_flips(4)
+    unsigned = (mode, src, dst, np.ones(len(mode)))
+    monkeypatch.setattr(car_fock, "_mode_flips", lambda n: unsigned)
+    check = _car_checks(default_model())["car-anticommutators"]   # a fresh word table
+    assert check.max_residual > 1.0
+    assert not check.passed
+
+
+def test_car_suite_multiplies_dense_fields_only_in_the_bogolyubov_check(monkeypatch):
+    counts = {"matmul": 0, "field_B": 0}
+    matmul, build = FockOperator.__matmul__, car_fock.field_B
+
+    def counted(name, fn):
+        def wrapper(*args):
+            counts[name] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(FockOperator, "__matmul__", counted("matmul", matmul))
+    # patched in car_fock only: counts the fields that fock_npoint and the
+    # anticommutator build, not the B(f) whose norm cstar-norm-formula checks
+    monkeypatch.setattr(car_fock, "field_B", counted("field_B", build))
+    _car_checks(default_model())
+    assert counts == {"matmul": 2 * 6, "field_B": 0}   # U B(f) U^* for six draws
+
+
+def test_non_finite_field_vector_fails_car_anticommutators(monkeypatch):
+    draw = verification._random_doubled_vector
+    calls = []
+
+    def first_has_nan(model, rng):
+        f = draw(model, rng)
+        if not calls:
+            f[1] = np.nan
+        calls.append(1)
+        return f
+
+    monkeypatch.setattr(verification, "_random_doubled_vector", first_has_nan)
+    check = _car_checks(default_model())["car-anticommutators"].as_dict()
+    assert check["max_residual"] is None
+    assert check["pass"] is False
+
+
+def test_sector_norms_give_nan_for_a_sector_with_a_nan_entry():
+    rng = np.random.default_rng(72)
+    d = MODEL.dim
+    raw = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    m = FockOperator(raw, MODEL).charge_shift(0)
+    state = int(np.nonzero(MODEL.charges == 1)[0][0])
+    m[state, state] = np.nan
+    norms = sector_norms(MODEL, m)
+    assert sorted(norms) == [-2, -1, 0, 1, 2]
+    assert np.isnan(norms[1])
+    assert all(np.isfinite(r) and r > 0.0 for n, r in norms.items() if n != 1)
 
 
 # -- mask words against the dense oracle ---------------------------------------------
