@@ -11,8 +11,8 @@ __version__ = "0.1.0"
 from .car_fock import (FockOperator, OneParticleModel, boost_phases, charge_projector,
                        cospinor, default_model, field_B, gauge_phases, quasifree_npoint,
                        spinor, twist_phases, wedge_subalgebra_basis)
-from .deformation import (covariance_transform, rieffel_product, warp, warp_inverse_check,
-                          warp_oscillatory)
+from .deformation import (covariance_transform, rieffel_word, rotation_covariance, warp,
+                          warp_oscillatory, warp_word)
 from .geometry import embed_point, extract_point, gamma, minkowski_form
 from .quaternion import QuatMatrix2
 from .spin_group import (SpinElement, abelian_flow, boost_base, boost_cover,
@@ -33,8 +33,8 @@ __all__ = [
     "OneParticleModel", "FockOperator", "default_model", "field_B", "spinor",
     "cospinor", "gauge_phases", "charge_projector", "boost_phases", "twist_phases",
     "quasifree_npoint", "wedge_subalgebra_basis",
-    "warp", "warp_oscillatory", "rieffel_product",
-    "warp_inverse_check", "covariance_transform",
+    "warp", "warp_word", "warp_oscillatory", "rieffel_word",
+    "covariance_transform", "rotation_covariance",
     "CheckReport", "check_twisted_locality", "fixed_point_residual",
     "inequivalence_witness", "causal_borchers_axioms",
 ]

@@ -102,6 +102,15 @@ number k at a time, as a batch of k x k determinants (the 0 x 0 one is 1), so
 nothing is exponentiated at Fock size.  For a permutation w every minor is
 exactly 0 or +-1.
 
+The reflection is such a permutation, so Gamma(tau) is a signed permutation
+of the basis states, and reflection_table builds it from the occupation bits
+alone: state S goes to tau(S), with the sign (-1)^(pairs a < b in S with
+tau(a) > tau(b)) of that minor.  tau permutes bits, so it maps a mask word's
+mask S to tau(S), and reflect_word conjugates a mask word in O(d).
+reflection_automorphism computes the same conjugate from the algebra side,
+B(f) -> B(tau f), with no use of those signs; the deformation suite's
+reflection covariance puts one on each side.
+
 Norms
 -----
 operator_norm gives the exact largest singular value of a Fock-size matrix
@@ -133,7 +142,8 @@ Per-model caches
 ----------------
 OneParticleModel.cached builds a value once per model and freezes its arrays
 (read-only).  It holds the conjugation matrix, the wedge generators per tag
-(wedge_generators), the reflection implementer (reflection_fock), the charge
+(wedge_generators), the reflection implementer (reflection_fock) and its
+signed-permutation table (reflection_table), the Majorana words, the charge
 indicator and block positions of operator_norm, the word-product table of
 field_anticommutator and, in the deformation module, the angle matrix and
 the warp phases of the last few kappas.  The per-mode-count caches
@@ -143,6 +153,7 @@ dense Fock-size matrix; the word-product table has n^2 d entries.
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 from dataclasses import dataclass
@@ -438,6 +449,12 @@ class MaskWord:
         """u M u^* for the diagonal unitary with diagonal u."""
         return MaskWord(self.mask, u[self.rows()] * self.vec * u.conj())
 
+    def apply(self, v: np.ndarray) -> np.ndarray:
+        """M v: entry i of v times vec[i], moved to row i ^ mask."""
+        out = np.zeros(len(self.vec), dtype=np.result_type(self.vec, v))
+        out[self.rows()] = self.vec * v
+        return out
+
     def norm(self) -> float:
         """Operator norm: the largest absolute entry."""
         return float(np.max(np.abs(self.vec)))
@@ -701,6 +718,77 @@ def reflection_fock(model: OneParticleModel) -> FockOperator:
     return FockOperator(model.cached(
         "reflection_fock", lambda: second_quantize(model, model.reflection_modes()).matrix),
         model)
+
+
+def reflection_table(model: OneParticleModel) -> tuple[np.ndarray, np.ndarray]:
+    """Gamma(tau) as a signed permutation (perm, sign), built once per model.
+
+    Gamma(tau)[perm[i], i] = sign[i]: perm[i] occupies tau(j) for every mode j
+    that i occupies, and sign[i] is the minor of "Implementers", (-1) to the
+    number of mode pairs a < b occupied in i with tau(a) > tau(b).  Both come
+    from the occupation bits, with no Fock-size matrix.
+    """
+    def build():
+        if model.reflection_pairing is None:
+            raise ModelError("model has no reflection_pairing")
+        n = model.n_modes
+        tau = np.array(model.reflection_pairing)
+        occ = occupation_table(n)
+        perm = occ @ (1 << (n - 1 - tau))
+        inversions = np.zeros(model.dim, dtype=int)
+        for a, b in itertools.combinations(range(n), 2):
+            if tau[a] > tau[b]:
+                inversions += occ[:, a] & occ[:, b]
+        return perm, 1.0 - 2.0 * (inversions % 2)
+
+    return model.cached("reflection_table", build)
+
+
+def reflect_word(model: OneParticleModel, word: MaskWord) -> MaskWord:
+    """Gamma(tau) M Gamma(tau)^* by the reflection table, in O(d).
+
+    tau permutes the occupation bits, so perm is linear in XOR and the mask
+    S goes to perm[S].
+    """
+    perm, sign = reflection_table(model)
+    vec = np.empty_like(word.vec)
+    vec[perm] = sign[word.rows()] * sign * word.vec
+    return MaskWord(int(perm[word.mask]), vec)
+
+
+def _majorana_words(model: OneParticleModel) -> tuple[MaskWord, ...]:
+    """u_j = B(e_j + e_{n+j}) = c_j + c_j^+ per mode j, as mask words with entries
+    +-1; built once per model, with read-only vectors."""
+    def build() -> tuple[MaskWord, ...]:
+        n = model.n_modes
+        words = tuple(field_word(model, e) for e in np.hstack([np.eye(n), np.eye(n)]))
+        for w in words:
+            w.vec.flags.writeable = False
+        return words
+
+    return model.cached("majorana_words", build)
+
+
+def reflection_automorphism(model: OneParticleModel, word: MaskWord) -> MaskWord:
+    """alpha_tau(M) from the fields, B(f) -> B(tau f); of the reflection table it
+    reads only the permutation, never the signs.
+
+    M = U diag(x), with U the product of the Majorana words u_j over the modes
+    j of M's mask in ascending order; U has entries +-1, so x = U.vec M.vec.
+    alpha_tau maps U to the product of the u_tau(j) in the same order, and the
+    occupation projector of state i to that of perm[i], so diag(x) goes to
+    diag(y) with y[perm[i]] = x[i].
+    """
+    perm, _ = reflection_table(model)
+    n, tau = model.n_modes, model.reflection_pairing
+    majorana = _majorana_words(model)
+    string = image = MaskWord(0, np.ones(model.dim))
+    for j in range(n):
+        if word.mask >> (n - 1 - j) & 1:
+            string, image = string @ majorana[j], image @ majorana[tau[j]]
+    y = np.empty_like(word.vec)
+    y[perm] = string.vec.real * word.vec
+    return image @ MaskWord(0, y)
 
 
 def rotation_fock(model: OneParticleModel, angle: float | None = None) -> FockOperator:

@@ -18,8 +18,12 @@ collapses to a single entrywise phase:
 
 This makes warp exactly linear, invertible (kappa -> -kappa), adjoint- and
 vacuum-compatible, and is the normative implementation.  Being entrywise, it
-keeps every zero of F, so warp_word applies it to a mask word by gathering
-the phase at the word's entries.
+keeps every zero of F, so warp_word applies it to a mask word at the word's
+d entries, and rieffel_word, the deformed product warp(-kappa, warp f warp
+g), stays a mask word.  The boost, gauge and reflection covariance
+identities are taken on mask words too (covariance_transform); only the
+rotation, whose implementer mixes modes, needs dense operators
+(rotation_covariance).
 
 Oscillatory oracle
 ------------------
@@ -62,7 +66,7 @@ import numpy as np
 from scipy.special import sici
 
 from .car_fock import (FockOperator, MaskWord, OneParticleModel, boost_phases,
-                       conjugate_by_diagonal, gauge_phases, reflection_fock, rotation_fock,
+                       gauge_phases, reflect_word, reflection_automorphism, rotation_fock,
                        spinor)
 
 CUTOFF_WIDTH = 6.0
@@ -100,19 +104,15 @@ def warp(model: OneParticleModel, kappa: float, op: FockOperator) -> FockOperato
 
 
 def warp_word(model: OneParticleModel, kappa: float, word: MaskWord) -> MaskWord:
-    """The warped mask word: each entry times the warp phase at its (row, column)."""
-    phase = warp_phase(model, kappa)[word.rows(), np.arange(len(word.vec))]
-    return MaskWord(word.mask, word.vec * phase)
+    """The warped mask word: each entry times the warp phase at its (row, column),
+    evaluated at those d entries only."""
+    angle = angle_matrix(model)[word.rows(), np.arange(len(word.vec))]
+    return MaskWord(word.mask, word.vec * np.exp(1j * kappa * angle))
 
 
-def warp_inverse_check(model: OneParticleModel, kappa: float, op: FockOperator) -> float:
-    return warp(model, -kappa, warp(model, kappa, op)).dist(op)
-
-
-def rieffel_product(model: OneParticleModel, kappa: float, f: FockOperator,
-                    g: FockOperator) -> FockOperator:
-    """The deformed product: warp(f x g) = warp(f) warp(g)."""
-    return warp(model, -kappa, warp(model, kappa, f) @ warp(model, kappa, g))
+def rieffel_word(model: OneParticleModel, kappa: float, f: MaskWord, g: MaskWord) -> MaskWord:
+    """The deformed product of two mask words: warp(f x g) = warp(f) warp(g)."""
+    return warp_word(model, -kappa, warp_word(model, kappa, f) @ warp_word(model, kappa, g))
 
 
 def warp_rotated(model: OneParticleModel, kappa: float, op: FockOperator,
@@ -123,30 +123,34 @@ def warp_rotated(model: OneParticleModel, kappa: float, op: FockOperator,
     return FockOperator(rot.matrix @ warp(model, kappa, inner).matrix @ rot.H.matrix, model)
 
 
-def covariance_transform(model: OneParticleModel, kappa: float, op: FockOperator,
-                         kind: str, parameter: float | None = None):
-    """Both sides of the covariance identity for the requested symmetry.
+def covariance_transform(model: OneParticleModel, kappa: float, word: MaskWord,
+                         kind: str, parameter: float | None = None) -> tuple[MaskWord, MaskWord]:
+    """Both sides of the covariance identity of a boost, gauge or the reflection.
 
-    Returns (lhs, rhs): lhs conjugates the warped operator, rhs warps the
-    conjugated operator along the pushed-forward flow.  Boost and gauge leave
-    the flow fixed; the reflection flips kappa; the rotation replaces the
-    boost generator by its rotated image.
+    Returns (lhs, rhs) as mask words: lhs conjugates the warped word, rhs
+    warps the transformed word along the pushed-forward flow.  Boost and
+    gauge are diagonal and leave the flow fixed.  The reflection flips kappa;
+    lhs conjugates by Gamma(tau) and rhs applies the reflection automorphism
+    on the fields, so the identity also asks that Gamma(tau) implement it.
+    The rotation mixes modes and has rotation_covariance.
     """
     if kind in ("boost", "gauge"):
         u = (boost_phases if kind == "boost" else gauge_phases)(model, float(parameter))
-        lhs = FockOperator(conjugate_by_diagonal(u, warp(model, kappa, op).matrix), model)
-        rhs = warp(model, kappa, FockOperator(conjugate_by_diagonal(u, op.matrix), model))
-    elif kind == "reflection":
-        r = reflection_fock(model)
-        lhs = r @ warp(model, kappa, op) @ r.H
-        rhs = warp(model, -kappa, r @ op @ r.H)
-    elif kind == "rotation":
-        g = rotation_fock(model, parameter)
-        lhs = g @ warp(model, kappa, op) @ g.H
-        rhs = warp_rotated(model, kappa, g @ op @ g.H, parameter)
-    else:
-        raise ValueError(f"unknown covariance kind {kind!r}")
-    return lhs, rhs
+        return (warp_word(model, kappa, word).conjugated_by(u),
+                warp_word(model, kappa, word.conjugated_by(u)))
+    if kind == "reflection":
+        return (reflect_word(model, warp_word(model, kappa, word)),
+                warp_word(model, -kappa, reflection_automorphism(model, word)))
+    raise ValueError(f"unknown covariance kind {kind!r}; expected 'boost', 'gauge' "
+                     "or 'reflection' (the rotation is rotation_covariance)")
+
+
+def rotation_covariance(model: OneParticleModel, kappa: float, op: FockOperator,
+                        angle: float | None = None) -> tuple[FockOperator, FockOperator]:
+    """Both sides of rotation covariance, as dense operators: the rotated warped
+    operator, and the rotated operator warped along the rotated flow."""
+    g = rotation_fock(model, angle)
+    return g @ warp(model, kappa, op) @ g.H, warp_rotated(model, kappa, g @ op @ g.H, angle)
 
 
 # -- oscillatory-integral oracle ----------------------------------------------

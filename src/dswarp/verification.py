@@ -19,6 +19,17 @@ value over all blocks.  That is the top singular value of the whole stack of
 vectorized matrices, so the rank is the one a single SVD of the stack gives.
 A twisted commutator of two mask words is again a mask word, and its
 operator norm is its largest absolute entry.
+
+The deformation suite draws its random operators as mask words too: a
+uniform mask and a complex Gaussian vector, with mask 0 and every
+single-mode mask among the draws.  The warp is an entrywise phase, so each
+identity it checks is multilinear, and one word tests d matrix entries at
+once.  Warp, adjoint, product, Rieffel product, inverse, vacuum action,
+boost and gauge conjugation and the reflection (a signed permutation of the
+basis states) all keep the form, so every residual is a word's largest
+absolute entry, exact for a monomial, and no SVD is taken.  Rotation
+covariance alone draws a dense operator: the rotation's implementer mixes
+modes.
 """
 
 from __future__ import annotations
@@ -38,8 +49,8 @@ from .car_fock import (FockOperator, MaskWord, OneParticleModel, bogolyubov_fock
                        field_B, fock_npoint, gauge_phases, identity_op, operator_norm,
                        quasifree_npoint, sector_norms, spinor, twist_phases,
                        wedge_generators)
-from .deformation import (covariance_transform, oracle_sweep, rieffel_product, warp,
-                          warp_inverse_check, warp_rotated, warp_word)
+from .deformation import (covariance_transform, oracle_sweep, rieffel_word,
+                          rotation_covariance, warp, warp_rotated, warp_word)
 
 SPAN_SVD_TOL = 1e-9
 
@@ -322,9 +333,26 @@ def _random_operator(model: OneParticleModel, rng: np.random.Generator) -> FockO
     return FockOperator(m, model)
 
 
+def _random_words(model: OneParticleModel, rng: np.random.Generator,
+                  count: int) -> list[MaskWord]:
+    """At least count mask words with complex Gaussian entries, in random order:
+    mask 0 and every single-mode mask once each, the other masks uniform."""
+    fixed = [0] + [1 << j for j in range(model.n_modes)]
+    masks = rng.permutation(np.concatenate(
+        [fixed, rng.integers(model.dim, size=max(count - len(fixed), 0))]))
+    shape = (len(masks), model.dim)
+    vecs = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    return [MaskWord(int(m), v) for m, v in zip(masks, vecs)]
+
+
 def _random_doubled_vector(model: OneParticleModel, rng: np.random.Generator) -> np.ndarray:
     d = model.doubled_dim
     return rng.standard_normal(d) + 1j * rng.standard_normal(d)
+
+
+def _random_hermitian(k: int, rng: np.random.Generator) -> np.ndarray:
+    x = rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k))
+    return x + x.conj().T
 
 
 def _max_abs_per_matrix(a: np.ndarray) -> np.ndarray:
@@ -460,10 +488,9 @@ def suite_car(model: OneParticleModel, cfg: dict, rng) -> list[CheckReport]:
 
     bogo = []
     for _ in range(6):
-        hp = rng.standard_normal((model.d_plus, model.d_plus))
-        hm = rng.standard_normal((model.d_minus, model.d_minus))
-        hp = hp + hp.T
-        hm = hm + hm.T
+        # complex Hermitian, so that w = e^{ih} is not symmetric and a Gamma(w)
+        # built from the transpose of w fails
+        hp, hm = (_random_hermitian(k, rng) for k in (model.d_plus, model.d_minus))
         big_u, u_one = bogolyubov_fock(model, hp, hm)
         f = _random_doubled_vector(model, rng)
         lhs = big_u @ field_B(model, f) @ big_u.H
@@ -487,27 +514,28 @@ def suite_car(model: OneParticleModel, cfg: dict, rng) -> list[CheckReport]:
 
 
 def suite_deformation(model: OneParticleModel, cfg: dict, rng) -> list[CheckReport]:
+    """The deformation identities on random mask words (see the module docstring);
+    rotation covariance alone takes dense operators."""
     tol = cfg["tolerances"]
     kappas = [float(k) for k in cfg["deformation"]["kappa"]]
-    zero = []
-    for _ in range(10):
-        op = _random_operator(model, rng)
-        zero.append(np.max(np.abs(warp(model, 0.0, op).matrix - op.matrix)))
+    zero = [np.max(np.abs(warp_word(model, 0.0, w).vec - w.vec))
+            for w in _random_words(model, rng, 10)]
 
     adjoint, homo, assoc, inverse, vacuum, unit = [], [], [], [], [], []
     omega = model.vacuum()
+    one = MaskWord(0, np.ones(model.dim, dtype=complex))
     for kappa in kappas:
-        for _ in range(12):
-            f, g, h = (_random_operator(model, rng) for _ in range(3))
-            adjoint.append(warp(model, kappa, f).H.dist(warp(model, kappa, f.H)))
-            homo.append((warp(model, kappa, f) @ warp(model, kappa, g)).dist(
-                warp(model, kappa, rieffel_product(model, kappa, f, g))))
-            assoc.append(
-                rieffel_product(model, kappa, rieffel_product(model, kappa, f, g), h).dist(
-                    rieffel_product(model, kappa, f, rieffel_product(model, kappa, g, h))))
-            inverse.append(warp_inverse_check(model, kappa, f))
-            vacuum.append(np.linalg.norm((warp(model, kappa, f).matrix - f.matrix) @ omega))
-        unit.append(warp(model, kappa, identity_op(model)).dist(identity_op(model)))
+        triples = zip(*(_random_words(model, rng, 12) for _ in range(3)))
+        for f, g, h in triples:
+            wf = warp_word(model, kappa, f)
+            fg = rieffel_word(model, kappa, f, g)
+            adjoint.append((wf.H - warp_word(model, kappa, f.H)).norm())
+            homo.append((wf @ warp_word(model, kappa, g) - warp_word(model, kappa, fg)).norm())
+            assoc.append((rieffel_word(model, kappa, fg, h)
+                          - rieffel_word(model, kappa, f, rieffel_word(model, kappa, g, h))).norm())
+            inverse.append((warp_word(model, -kappa, wf) - f).norm())
+            vacuum.append(np.linalg.norm((wf - f).apply(omega)))
+        unit.append((warp_word(model, kappa, one) - one).norm())
 
     commutant, twisted, covariance = [], [], []
     z = twist_phases(model)
@@ -523,11 +551,12 @@ def suite_deformation(model: OneParticleModel, cfg: dict, rng) -> list[CheckRepo
             g_odd = random_monomial(model, "W0p", 1, rng)
             twisted.append(_twisted_commutator_norm(warp_word(model, kappa, f_odd),
                                                     warp_word(model, -kappa, g_odd), z))
-        for kind, param in (("gauge", 0.9), ("boost", 0.45), ("reflection", None),
-                            ("rotation", 0.6)):
-            op = _random_operator(model, rng)
-            lhs, rhs = covariance_transform(model, kappa, op, kind, param)
-            covariance.append(lhs.dist(rhs))
+        for kind, param in (("gauge", 0.9), ("boost", 0.45), ("reflection", None)):
+            for word in _random_words(model, rng, 4):
+                lhs, rhs = covariance_transform(model, kappa, word, kind, param)
+                covariance.append((lhs - rhs).norm())
+        lhs, rhs = rotation_covariance(model, kappa, _random_operator(model, rng), 0.6)
+        covariance.append(lhs.dist(rhs))
 
     return [
         CheckReport("warp-at-zero-is-identity", worst(zero), 0.0),

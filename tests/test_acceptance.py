@@ -19,9 +19,10 @@ from dswarp.car_fock import (FockOperator, boost_phases, car_norm_bound,
                              charge_projector, default_model, field_B, fock_npoint,
                              gauge_phases, identity_op, quasifree_npoint, spinor,
                              twist_phases, wedge_subalgebra_basis)
-from dswarp.deformation import oracle_residuals, rieffel_product, warp, warp_inverse_check
+from dswarp.deformation import oracle_residuals, warp
 from dswarp.verification import (check_twisted_locality, fixed_point_residual,
                                  inequivalence_witness)
+from test_deformation import rieffel_product, warp_inverse_check
 
 MODEL = default_model()
 

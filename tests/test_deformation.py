@@ -6,14 +6,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import roots_legendre
 
-from dswarp.car_fock import (FockOperator, boost_phases, charge_projector,
+from dswarp.car_fock import (FockOperator, MaskWord, boost_phases, charge_projector,
                              default_model, field_B, gauge_phases, identity_op,
-                             spinor, twist_phases, wedge_subalgebra_basis)
+                             reflect_word, reflection_automorphism, reflection_fock,
+                             reflection_table, spinor, twist_phases,
+                             wedge_subalgebra_basis)
 from dswarp.deformation import (_cosine_factor, _gauss_factor, covariance_transform,
-                                oracle_residuals, rieffel_product, warp, warp_inverse_check,
-                                warp_oscillatory, warp_rotated)
+                                oracle_residuals, rieffel_word, rotation_covariance, warp,
+                                warp_oscillatory, warp_rotated, warp_word)
 from dswarp.car_fock import OneParticleModel
 from test_fock_properties import charge_shifts, diagonal
+from test_verification import PROPERTY, KAPPAS, SEEDS, dense, word_models
 
 MODEL = default_model()
 
@@ -22,6 +25,35 @@ def rand_op(rng, model=MODEL):
     m = rng.standard_normal((model.dim, model.dim)) \
         + 1j * rng.standard_normal((model.dim, model.dim))
     return FockOperator(m, model)
+
+
+# -- dense oracles -------------------------------------------------------------------
+# The deformation identities on dense operators: the reference the mask-word
+# path of the deformation suite is compared against.
+
+def warp_inverse_check(model: OneParticleModel, kappa: float, op: FockOperator) -> float:
+    return warp(model, -kappa, warp(model, kappa, op)).dist(op)
+
+
+def rieffel_product(model: OneParticleModel, kappa: float, f: FockOperator,
+                    g: FockOperator) -> FockOperator:
+    """The deformed product: warp(f x g) = warp(f) warp(g)."""
+    return warp(model, -kappa, warp(model, kappa, f) @ warp(model, kappa, g))
+
+
+def dense_covariance(model: OneParticleModel, kappa: float, op: FockOperator, kind: str,
+                     parameter: float | None = None) -> tuple[FockOperator, FockOperator]:
+    """Both sides of boost, gauge or reflection covariance with dense implementers."""
+    if kind == "reflection":
+        r = reflection_fock(model)
+        return r @ warp(model, kappa, op) @ r.H, warp(model, -kappa, r @ op @ r.H)
+    u = diagonal(model, (boost_phases if kind == "boost" else gauge_phases)(model, parameter))
+    return u @ warp(model, kappa, op) @ u.H, warp(model, kappa, u @ op @ u.H)
+
+
+def rand_word(rng, model=MODEL) -> MaskWord:
+    return MaskWord(int(rng.integers(model.dim)),
+                    rng.standard_normal(model.dim) + 1j * rng.standard_normal(model.dim))
 
 
 def test_warp_at_zero_is_identity_map():
@@ -191,14 +223,68 @@ def test_flow_unitary_conjugation():
 def test_covariance_identities():
     rng = np.random.default_rng(61)
     kappa = 0.55
-    for kind, param in (("gauge", 0.9), ("boost", 0.45),
-                        ("reflection", None), ("rotation", 0.6)):
+    for kind, param in (("gauge", 0.9), ("boost", 0.45), ("reflection", None)):
         for _ in range(5):
-            op = rand_op(rng)
-            lhs, rhs = covariance_transform(MODEL, kappa, op, kind, param)
-            assert lhs.dist(rhs) < 1e-10
-    with pytest.raises(ValueError):
-        covariance_transform(MODEL, kappa, rand_op(rng), "translation", 1.0)
+            lhs, rhs = covariance_transform(MODEL, kappa, rand_word(rng), kind, param)
+            assert (lhs - rhs).norm() < 1e-10
+    for _ in range(5):
+        lhs, rhs = rotation_covariance(MODEL, kappa, rand_op(rng), 0.6)
+        assert lhs.dist(rhs) < 1e-10
+    for kind in ("translation", "rotation"):
+        with pytest.raises(ValueError):
+            covariance_transform(MODEL, kappa, rand_word(rng), kind, 1.0)
+
+
+@PROPERTY
+@given(word_models(), SEEDS, KAPPAS, st.floats(-3.0, 3.0))
+def test_deformation_words_match_dense_operators(model, seed, kappa, t):
+    """Word warp, products, Rieffel product, reflection and every residual of the
+    deformation suite against dense operators; the models' reflections are
+    arbitrary mode permutations, so the reflection residual is not always 0."""
+    rng = np.random.default_rng(seed)
+    f, g, h = (rand_word(rng, model) for _ in range(3))
+    ops = [FockOperator(dense(w), model) for w in (f, g, h)]
+    big_f, big_g, big_h = ops
+    scale = f.norm() * g.norm() * h.norm()
+
+    def close(word, op, bound):
+        assert np.max(np.abs(dense(word) - op.matrix)) <= 1e-13 * bound
+
+    close(warp_word(model, kappa, f), warp(model, kappa, big_f), f.norm())
+    close(f @ g, big_f @ big_g, f.norm() * g.norm())
+    fg = rieffel_word(model, kappa, f, g)
+    close(fg, rieffel_product(model, kappa, big_f, big_g), f.norm() * g.norm())
+
+    perm, sign = reflection_table(model)
+    table = np.zeros((model.dim, model.dim))
+    table[perm, np.arange(model.dim)] = sign
+    r = reflection_fock(model)
+    assert (table == r.matrix).all()
+    reflected = r.matrix @ dense(f) @ r.matrix.T
+    assert (dense(reflect_word(model, f)) == reflected).all()
+    assert (dense(reflection_automorphism(model, f)) == reflected).all()
+
+    wf = warp_word(model, kappa, f)
+    pairs = [
+        ((wf.H - warp_word(model, kappa, f.H)).norm(),
+         warp(model, kappa, big_f).H.dist(warp(model, kappa, big_f.H))),
+        ((wf @ warp_word(model, kappa, g) - warp_word(model, kappa, fg)).norm(),
+         (warp(model, kappa, big_f) @ warp(model, kappa, big_g)).dist(
+             warp(model, kappa, rieffel_product(model, kappa, big_f, big_g)))),
+        ((rieffel_word(model, kappa, fg, h)
+          - rieffel_word(model, kappa, f, rieffel_word(model, kappa, g, h))).norm(),
+         rieffel_product(model, kappa, rieffel_product(model, kappa, big_f, big_g), big_h).dist(
+             rieffel_product(model, kappa, big_f, rieffel_product(model, kappa, big_g, big_h)))),
+        ((warp_word(model, -kappa, wf) - f).norm(), warp_inverse_check(model, kappa, big_f)),
+        (np.linalg.norm((wf - f).apply(model.vacuum())),
+         np.linalg.norm((warp(model, kappa, big_f).matrix - big_f.matrix) @ model.vacuum())),
+    ]
+    for kind in ("gauge", "boost", "reflection"):
+        lhs, rhs = covariance_transform(model, kappa, f, kind, t)
+        dense_lhs, dense_rhs = dense_covariance(model, kappa, big_f, kind, t)
+        pairs.append(((lhs - rhs).norm(), dense_lhs.dist(dense_rhs)))
+    for word_residual, dense_residual in pairs:
+        assert abs(word_residual - dense_residual) <= 1e-13 * scale
 
 
 def test_reflection_pins_kappa_sign():

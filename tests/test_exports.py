@@ -4,7 +4,8 @@ import pytest
 # Names that were removed in favour of the array and phase-vector paths.
 REMOVED = ["Quaternion", "Q_ZERO", "Q_ONE", "Q_E1", "Q_E2", "Q_E3", "annihilation_ops",
            "gauge_unitary", "boost_unitary", "twist_Z", "grading_Y", "charge_operator",
-           "random_spin_word", "THETA", "DeformationContext", "unwarp"]
+           "random_spin_word", "THETA", "DeformationContext", "unwarp",
+           "rieffel_product", "warp_inverse_check"]
 
 
 @pytest.mark.parametrize("name", dswarp.__all__)

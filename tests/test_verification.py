@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dswarp import car_fock, cli, verification
+from dswarp import car_fock, cli, deformation, verification
 from dswarp.car_fock import (FockOperator, MaskWord, OneParticleModel, boost_phases,
                              charge_projector, conjugate_by_diagonal,
                              default_model, field_B, gauge_phases,
@@ -16,7 +16,7 @@ from dswarp.verification import (SPAN_SVD_TOL, CheckReport, causal_borchers_axio
                                  check_twisted_locality, fixed_point_residual,
                                  inequivalence_witness, net_well_defined_residual,
                                  random_monomial, span_basis, span_residual, suite_car,
-                                 wedge_monomials)
+                                 suite_deformation, wedge_monomials)
 from test_fock_properties import jordan_wigner_ops
 
 MODEL = default_model()
@@ -282,6 +282,16 @@ def test_car_suite_multiplies_dense_fields_only_in_the_bogolyubov_check(monkeypa
     assert counts == {"matmul": 2 * 6, "field_B": 0}   # U B(f) U^* for six draws
 
 
+def test_gamma_of_the_transpose_fails_bogolyubov_implementation(monkeypatch):
+    """The check draws complex Hermitian h, so w = e^{ih} is not symmetric."""
+    quantize = car_fock.second_quantize
+    monkeypatch.setattr(car_fock, "second_quantize",
+                        lambda model, w: quantize(model, np.asarray(w).T))
+    check = _car_checks(default_model())["bogolyubov-implementation"]
+    assert check.max_residual > 1e-2
+    assert not check.passed
+
+
 def test_non_finite_field_vector_fails_car_anticommutators(monkeypatch):
     draw = verification._random_doubled_vector
     calls = []
@@ -414,3 +424,94 @@ def test_per_mask_spans_match_dense_span(model, seed, kappa, t, s):
 def test_mask_word_difference_needs_one_mask():
     with pytest.raises(ValueError, match="single-mask"):
         MaskWord(1, np.ones(4)) - MaskWord(2, np.ones(4))
+
+
+# -- the mask-word deformation suite can still fail ---------------------------------
+
+def _deformation_checks(model: OneParticleModel) -> dict[str, CheckReport]:
+    cfg = cli.load_config(None)
+    return {c.name: c for c in suite_deformation(model, cfg, np.random.default_rng(0))}
+
+
+def _failed(checks: dict[str, CheckReport]) -> set[str]:
+    return {name for name, check in checks.items() if not check.passed}
+
+
+def test_deformation_suite_passes_on_the_default_model():
+    assert not _failed(_deformation_checks(default_model()))
+
+
+def test_deformation_suite_uses_dense_operators_only_in_rotation_covariance(monkeypatch):
+    """Every dense product, operator distance and SVD of the suite is made by
+    rotation covariance: its three (lhs, rhs) pairs and their distances."""
+    counts: dict[tuple[str, bool], int] = {}
+    rotated: list = []       # the operators rotation covariance returned
+    depth = [0]
+
+    def counted(name, fn, enters=lambda *args: False):
+        def wrapper(*args, **kwargs):
+            key = (name, depth[0] > 0 or enters(*args))
+            counts[key] = counts.get(key, 0) + 1
+            depth[0] += key[1]
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                depth[0] -= key[1]
+        return wrapper
+
+    def rotation(*args):
+        pair = rotation_covariance(*args)
+        rotated.extend(pair)
+        return pair
+
+    rotation_covariance = verification.rotation_covariance
+    monkeypatch.setattr(verification, "rotation_covariance",
+                        counted("rotation", rotation, lambda *args: True))
+    monkeypatch.setattr(FockOperator, "__matmul__",
+                        counted("matmul", FockOperator.__matmul__))
+    monkeypatch.setattr(FockOperator, "dist", counted(
+        "dist", FockOperator.dist, lambda op, other: any(op is r for r in rotated)))
+    monkeypatch.setattr(FockOperator, "norm", counted("norm", FockOperator.norm))
+    monkeypatch.setattr(np.linalg, "svd", counted("svd", np.linalg.svd))
+    assert not _failed(_deformation_checks(default_model()))
+    assert counts == {("rotation", True): 3, ("matmul", True): 3 * 4,
+                      ("dist", True): 3, ("svd", True): 3}
+
+
+def test_antisymmetric_angle_perturbation_fails_the_deformation_suite(monkeypatch):
+    """A phase exp(i kappa M) with M real antisymmetric but not the angle matrix."""
+    model = default_model()
+    rng = np.random.default_rng(81)
+    a = rng.standard_normal((model.dim, model.dim))
+    angle = deformation.angle_matrix
+    monkeypatch.setattr(deformation, "angle_matrix", lambda m: angle(m) + (a - a.T))
+    failed = _failed(_deformation_checks(model))
+    assert {"vacuum-invariance", "deformed-twisted-commutant",
+            "covariance-identities"} <= failed
+
+
+def test_reflection_covariance_without_the_kappa_flip_fails(monkeypatch):
+    transform = deformation.covariance_transform
+
+    def no_flip(model, kappa, word, kind, parameter=None):
+        if kind != "reflection":
+            return transform(model, kappa, word, kind, parameter)
+        return (car_fock.reflect_word(model, warp_word(model, kappa, word)),
+                warp_word(model, kappa, car_fock.reflection_automorphism(model, word)))
+
+    monkeypatch.setattr(verification, "covariance_transform", no_flip)
+    assert _failed(_deformation_checks(default_model())) == {"covariance-identities"}
+
+
+def test_every_flipped_sign_in_the_reflection_table_fails_covariance(monkeypatch):
+    """A sign flip alone is a symmetry of Gamma(tau) warp Gamma(tau)^* = warp(-kappa)
+    (both sides are conjugated by the same diagonal); the check sees it because
+    its right side reflects through the fields, not through the table."""
+    table = car_fock.reflection_table
+    model = default_model()
+    perm, sign = table(model)
+    for state in range(model.dim):
+        flipped = sign.copy()
+        flipped[state] = -flipped[state]
+        monkeypatch.setattr(car_fock, "reflection_table", lambda m: (perm, flipped))
+        assert _failed(_deformation_checks(model)) == {"covariance-identities"}, state
