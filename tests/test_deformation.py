@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import roots_legendre
 
-from dswarp.car_fock import (FockOperator, MaskWord, boost_phases, charge_projector,
+from dswarp.car_fock import (FockOperator, boost_phases, charge_projector,
                              default_model, field_B, gauge_phases, identity_op,
                              reflect_word, reflection_automorphism, reflection_fock,
                              reflection_table, spinor, twist_phases,
@@ -16,7 +16,7 @@ from dswarp.deformation import (_cosine_factor, _gauss_factor, covariance_transf
                                 warp_oscillatory, warp_rotated, warp_word)
 from dswarp.car_fock import OneParticleModel
 from test_fock_properties import charge_shifts, diagonal
-from test_verification import PROPERTY, KAPPAS, SEEDS, dense, word_models
+from test_verification import PROPERTY, KAPPAS, SEEDS, _random_word, dense, word_models
 
 MODEL = default_model()
 
@@ -49,11 +49,6 @@ def dense_covariance(model: OneParticleModel, kappa: float, op: FockOperator, ki
         return r @ warp(model, kappa, op) @ r.H, warp(model, -kappa, r @ op @ r.H)
     u = diagonal(model, (boost_phases if kind == "boost" else gauge_phases)(model, parameter))
     return u @ warp(model, kappa, op) @ u.H, warp(model, kappa, u @ op @ u.H)
-
-
-def rand_word(rng, model=MODEL) -> MaskWord:
-    return MaskWord(int(rng.integers(model.dim)),
-                    rng.standard_normal(model.dim) + 1j * rng.standard_normal(model.dim))
 
 
 def test_warp_at_zero_is_identity_map():
@@ -225,14 +220,14 @@ def test_covariance_identities():
     kappa = 0.55
     for kind, param in (("gauge", 0.9), ("boost", 0.45), ("reflection", None)):
         for _ in range(5):
-            lhs, rhs = covariance_transform(MODEL, kappa, rand_word(rng), kind, param)
+            lhs, rhs = covariance_transform(MODEL, kappa, _random_word(rng, MODEL.dim), kind, param)
             assert (lhs - rhs).norm() < 1e-10
     for _ in range(5):
         lhs, rhs = rotation_covariance(MODEL, kappa, rand_op(rng), 0.6)
         assert lhs.dist(rhs) < 1e-10
     for kind in ("translation", "rotation"):
         with pytest.raises(ValueError):
-            covariance_transform(MODEL, kappa, rand_word(rng), kind, 1.0)
+            covariance_transform(MODEL, kappa, _random_word(rng, MODEL.dim), kind, 1.0)
 
 
 @PROPERTY
@@ -242,9 +237,8 @@ def test_deformation_words_match_dense_operators(model, seed, kappa, t):
     deformation suite against dense operators; the models' reflections are
     arbitrary mode permutations, so the reflection residual is not always 0."""
     rng = np.random.default_rng(seed)
-    f, g, h = (rand_word(rng, model) for _ in range(3))
-    ops = [FockOperator(dense(w), model) for w in (f, g, h)]
-    big_f, big_g, big_h = ops
+    f, g, h = (_random_word(rng, model.dim) for _ in range(3))
+    big_f, big_g, big_h = (FockOperator(dense(w), model) for w in (f, g, h))
     scale = f.norm() * g.norm() * h.norm()
 
     def close(word, op, bound):

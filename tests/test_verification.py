@@ -442,40 +442,30 @@ def test_deformation_suite_passes_on_the_default_model():
 
 
 def test_deformation_suite_uses_dense_operators_only_in_rotation_covariance(monkeypatch):
-    """Every dense product, operator distance and SVD of the suite is made by
+    """Every dense product, operator distance and SVD of the suite belongs to
     rotation covariance: its three (lhs, rhs) pairs and their distances."""
-    counts: dict[tuple[str, bool], int] = {}
-    rotated: list = []       # the operators rotation covariance returned
-    depth = [0]
+    counts = {}
 
-    def counted(name, fn, enters=lambda *args: False):
+    def counted(name, fn):
         def wrapper(*args, **kwargs):
-            key = (name, depth[0] > 0 or enters(*args))
-            counts[key] = counts.get(key, 0) + 1
-            depth[0] += key[1]
-            try:
-                return fn(*args, **kwargs)
-            finally:
-                depth[0] -= key[1]
+            counts[name] += 1
+            return fn(*args, **kwargs)
         return wrapper
 
-    def rotation(*args):
-        pair = rotation_covariance(*args)
-        rotated.extend(pair)
-        return pair
-
-    rotation_covariance = verification.rotation_covariance
-    monkeypatch.setattr(verification, "rotation_covariance",
-                        counted("rotation", rotation, lambda *args: True))
-    monkeypatch.setattr(FockOperator, "__matmul__",
-                        counted("matmul", FockOperator.__matmul__))
-    monkeypatch.setattr(FockOperator, "dist", counted(
-        "dist", FockOperator.dist, lambda op, other: any(op is r for r in rotated)))
-    monkeypatch.setattr(FockOperator, "norm", counted("norm", FockOperator.norm))
-    monkeypatch.setattr(np.linalg, "svd", counted("svd", np.linalg.svd))
+    for name, owner, attr in (("matmul", FockOperator, "__matmul__"),
+                              ("dist", FockOperator, "dist"), ("norm", FockOperator, "norm"),
+                              ("svd", np.linalg, "svd")):
+        monkeypatch.setattr(owner, attr, counted(name, getattr(owner, attr)))
+    counts.update(matmul=0, dist=0, norm=0, svd=0)
     assert not _failed(_deformation_checks(default_model()))
-    assert counts == {("rotation", True): 3, ("matmul", True): 3 * 4,
-                      ("dist", True): 3, ("svd", True): 3}
+    assert counts == {"matmul": 3 * 4, "dist": 3, "norm": 0, "svd": 3}
+
+    # rotation covariance answering with no dense work leaves only its 3 distances
+    monkeypatch.setattr(verification, "rotation_covariance",
+                        lambda model, kappa, op, angle: (op, op))
+    counts.update(matmul=0, dist=0, norm=0, svd=0)
+    assert not _failed(_deformation_checks(default_model()))
+    assert counts == {"matmul": 0, "dist": 3, "norm": 0, "svd": 0}
 
 
 def test_antisymmetric_angle_perturbation_fails_the_deformation_suite(monkeypatch):
