@@ -80,9 +80,10 @@ cross-mode entry receives s c and -s c and ends exactly 0: with correct
 Jordan-Wigner signs the result is exactly diagonal, and with a wrong sign
 its off-diagonal part is O(1).  That is why every ordered pair is
 scattered, cross-mode pairs included: building only the diagonal would
-assume the relation that car-anticommutators checks.  fock_npoint applies
-each B(f) to a vector with the _mode_flips tables in O(n d), and builds no
-field matrix.
+assume the relation that car-anticommutators checks.  _apply_fields
+applies a batch of fields B(f_b), one to each of a batch of vectors, with
+the _mode_flips tables in O(n d) per field and no field matrix; fock_npoint
+and field_norms act through it.
 
 Implementers
 ------------
@@ -133,10 +134,30 @@ are the moduli of its diagonal entries, so the norm is max |m_ii|.  The
 anticommutators of field_anticommutator and their residuals against
 <Cf, g> 1 are such matrices.
 
-sector_norms gives the norm of every charge sector of a gauge-invariant m
-at once, as the fixed-point checks need: one gather over the g = 0 blocks
-and one batched SVD per block shape, NaN for a block with a non-finite
-entry.
+The charge sectors are the g = 0 blocks.  sector_layout lists their
+positions per block shape, sector_blocks gathers them from a matrix, and
+block_sector_norms takes the norm of every sector from its blocks: one
+batched SVD per block shape over the nonzero blocks, 0 for a zero block and
+NaN for a block with a non-finite entry.  sector_norms is the two in turn.
+The fixed-point checks draw and transform operators as these blocks.
+
+field_norms gives the norms of fields B(f) from their action, with no
+Fock-size matrix or SVD (Golub and Van Loan, Matrix Computations, the
+Lanczos chapter).  Under the CAR, X = B(f)^* B(f) = B(Cf) B(f) obeys
+X^2 - c X + |s|^2 = 0 with the scalars c = {B(f)^*, B(f)} and s = B(f)^2,
+so the Krylov space {v, X v} of any v is invariant.  From a random start v,
+two Lanczos steps give T = [[alpha0, beta1], [beta1, alpha1]] and the last
+residual beta2, and the norm is the square root of T's larger eigenvalue.
+If beta1 <= 1e-10 |alpha0|, X v = alpha0 v and the run stops after one
+step (X is the scalar |f|^2 / 2 when f = e^{i theta} C f).  The result is
+accepted only if the last residual is at most LANCZOS_CERTIFICATE = 1e-10
+times the Ritz value (the norm of T); a random v meets every eigenspace,
+so it is then the exact norm up to rounding.  A field that fails the
+certificate, or has a non-finite number, gets operator_norm(field_B(f)).
+A Ritz value never exceeds the largest eigenvalue, so a missed eigenspace
+can only lower a norm; a wrongly built field (a dropped Jordan-Wigner
+sign gives X more eigenvalues) fails the certificate, is measured exactly
+and still fails cstar-norm-formula.
 
 Per-model caches
 ----------------
@@ -144,11 +165,13 @@ OneParticleModel.cached builds a value once per model and freezes its arrays
 (read-only).  It holds the conjugation matrix, the wedge generators per tag
 (wedge_generators), the reflection implementer (reflection_fock) and its
 signed-permutation table (reflection_table), the Majorana words, the charge
-indicator and block positions of operator_norm, the word-product table of
-field_anticommutator and, in the deformation module, the angle matrix and
-the warp phases of the last few kappas.  The per-mode-count caches
-(occupation_table, _mode_flips) hold index tables of size n 2^n, never a
-dense Fock-size matrix; the word-product table has n^2 d entries.
+indicator and block positions of operator_norm, the sector layout, the
+word-product table of field_anticommutator, in the deformation module the
+angle matrix and the warp phases of the last few kappas, and in the
+verification module the fixed-point weights at the sector entries.  The
+per-mode-count caches (occupation_table, _mode_flips) hold index tables of
+size n 2^n, never a dense Fock-size matrix; the word-product table has
+n^2 d entries.
 """
 
 from __future__ import annotations
@@ -164,6 +187,11 @@ from scipy.linalg import block_diag, expm
 
 # Largest accepted n_modes: the dense Fock dimension 2^n stays at or below 1024.
 MAX_MODES = 10
+
+# Largest relative Lanczos residual at which field_norms accepts a Ritz value.
+LANCZOS_CERTIFICATE = 1e-10
+# Fields per Lanczos batch: _apply_fields holds n d complex terms per field.
+LANCZOS_BATCH = 32
 
 
 class ModelError(ValueError):
@@ -307,10 +335,11 @@ class OneParticleModel:
             [[np.zeros((n, n)), np.eye(n)], [np.eye(n), np.zeros((n, n))]]))
 
     def apply_conjugation(self, f: np.ndarray) -> np.ndarray:
-        """C f: the two copies swapped, componentwise conjugated."""
+        """C f: the two copies swapped, componentwise conjugated; for a stack
+        of vectors, C of each row."""
         f = np.asarray(f, dtype=complex)
         n = self.n_modes
-        return np.conj(np.concatenate([f[n:], f[:n]]))
+        return np.conj(np.concatenate([f[..., n:], f[..., :n]], axis=-1))
 
     def basis_projection(self) -> np.ndarray:
         """Two-point operator of the Fock state: Pi+ (+) Pi-."""
@@ -541,28 +570,53 @@ def operator_norm(model: OneParticleModel, m: np.ndarray) -> float:
     return top
 
 
-def sector_norms(model: OneParticleModel, m: np.ndarray) -> dict[int, float]:
-    """{charge n: norm of the sector-n block m[E(n), E(n)]} for a gauge-invariant m.
+def sector_layout(model: OneParticleModel) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+    """The charge-sector blocks E(n) m E(n) of a d x d matrix m, per block shape.
 
-    Entries outside the sector blocks are not read.  One gather and one
-    batched SVD per block shape; a block with a non-finite entry has norm NaN.
+    Each item is (charges, flat): charges[b] is the charge n of block b, and
+    flat[b] holds the row-major flat positions of its entries, so m.take(flat)
+    is the stack of those blocks.  Built once per model.
+    """
+    def build():
+        layout = tuple((labels - model.d_minus, flat) for labels, flat in _norm_blocks(model, 0, 0))
+        for charges, _ in layout:
+            charges.flags.writeable = False
+        return layout
+
+    return model.cached("sector_layout", build)
+
+
+def sector_blocks(model: OneParticleModel, m: np.ndarray) -> list[np.ndarray]:
+    """The stacks of the sector blocks of m, in the order of sector_layout.
+
+    Entries outside the sector blocks are not read.
     """
     m = np.asarray(m)
     if m.shape != (model.dim, model.dim):
         raise ValueError(f"matrix shape {m.shape} does not match Fock dim {model.dim}")
+    return [m.take(flat) for _, flat in sector_layout(model)]
+
+
+def block_sector_norms(model: OneParticleModel, stacks) -> dict[int, float]:
+    """{charge n: norm of the sector-n block} from stacks in the order of sector_layout.
+
+    One batched SVD per block shape, over the blocks with a nonzero entry; a
+    zero block has norm 0, and a block with a non-finite entry norm NaN.
+    """
     norms = {}
-    for labels, flat in _norm_blocks(model, 0, 0):
-        blocks = m.take(flat)
+    for (charges, _), blocks in zip(sector_layout(model), stacks):
         finite = np.isfinite(blocks).all(axis=(1, 2))
-        top = np.full(len(labels), math.nan)
-        if finite.any():
-            top[finite] = np.linalg.svd(blocks[finite], compute_uv=False)[:, 0]
-        norms.update(zip((labels - model.d_minus).tolist(), top.tolist()))
+        top = np.where(finite, 0.0, math.nan)
+        busy = finite & blocks.any(axis=(1, 2))
+        if busy.any():
+            top[busy] = np.linalg.svd(blocks[busy], compute_uv=False)[:, 0]
+        norms.update(zip(charges.tolist(), top.tolist()))
     return dict(sorted(norms.items()))
 
 
-def identity_op(model: OneParticleModel) -> FockOperator:
-    return FockOperator(np.eye(model.dim, dtype=complex), model)
+def sector_norms(model: OneParticleModel, m: np.ndarray) -> dict[int, float]:
+    """{charge n: norm of the sector-n block E(n) m E(n)} for a gauge-invariant m."""
+    return block_sector_norms(model, sector_blocks(model, m))
 
 
 def _field_vector(model: OneParticleModel, f) -> np.ndarray:
@@ -575,14 +629,16 @@ def _field_vector(model: OneParticleModel, f) -> np.ndarray:
 
 
 def _ladder_coefficients(model: OneParticleModel, f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(lower, raise): per mode j, the coefficients of c_j and of c_j^+ in B(f).
+    """(lower, raise): per mode j, the coefficients of c_j and of c_j^+ in B(f);
+    for a stack of vectors f, one row of each per vector.
 
     A particle mode is raised by copy A and lowered by copy B; an
     antiparticle mode the other way round.
     """
     n = model.n_modes
     particle = model.mode_charges > 0
-    return np.where(particle, f[n:], f[:n]), np.where(particle, f[:n], f[n:])
+    return (np.where(particle, f[..., n:], f[..., :n]),
+            np.where(particle, f[..., :n], f[..., n:]))
 
 
 def field_B(model: OneParticleModel, f) -> FockOperator:
@@ -894,23 +950,88 @@ def quasifree_npoint(model: OneParticleModel, s: np.ndarray, fs) -> complex:
     return prefactor * total
 
 
-def fock_npoint(model: OneParticleModel, fs) -> complex:
-    """Vacuum expectation <Omega, B(f_1)...B(f_k) Omega>.
+def _apply_fields(model: OneParticleModel, fs: np.ndarray, vecs: np.ndarray) -> np.ndarray:
+    """B(fs[b]) vecs[b] for every row b, through the _mode_flips tables in O(n d).
 
-    Each B(f) acts on the vector through the _mode_flips tables, in O(n d):
-    row j of terms holds what mode j sends to each basis state.
+    terms[b, j] holds what mode j sends to each basis state; the sum over j
+    is the field's action.
     """
-    n, d = model.n_modes, model.dim
-    mode, src, dst, sign = _mode_flips(n)
+    mode, src, dst, sign = _mode_flips(model.n_modes)
+    lower_coef, raise_coef = _ladder_coefficients(model, fs)
+    terms = np.zeros((len(vecs), model.n_modes, model.dim), dtype=complex)
+    terms[:, mode, dst] = lower_coef[:, mode] * sign * vecs[:, src]
+    terms[:, mode, src] = raise_coef[:, mode] * sign * vecs[:, dst]
+    return terms.sum(axis=1)
+
+
+def fock_npoint(model: OneParticleModel, fs) -> complex:
+    """Vacuum expectation <Omega, B(f_1)...B(f_k) Omega>, each B(f) applied to
+    the vector by _apply_fields, with no field matrix."""
     omega = model.vacuum()
-    vec = omega
+    vec = omega[None, :]
     for f in reversed(list(fs)):
-        lower_coef, raise_coef = _ladder_coefficients(model, _field_vector(model, f))
-        terms = np.zeros((n, d), dtype=complex)
-        terms[mode, dst] = lower_coef[mode] * sign * vec[src]
-        terms[mode, src] = raise_coef[mode] * sign * vec[dst]
-        vec = terms.sum(axis=0)
-    return complex(np.vdot(omega, vec))
+        vec = _apply_fields(model, _field_vector(model, f)[None, :], vec)
+    return complex(np.vdot(omega, vec[0]))
+
+
+def _lanczos(model: OneParticleModel, fs: np.ndarray,
+             starts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Two Lanczos steps on X = B(f)^* B(f) = B(Cf) B(f) for each row f of fs,
+    from the matching row of starts; see "Norms".
+
+    Returns (ritz, residual, one_step) per row: the larger Ritz value, the
+    Lanczos residual after the last step taken relative to it, and whether
+    the run stopped after one step (X v = alpha0 v).  A row whose numbers
+    are not finite gets a NaN residual.
+    """
+    adjoints = model.apply_conjugation(fs)
+
+    def gram(x: np.ndarray) -> np.ndarray:
+        return _apply_fields(model, adjoints, _apply_fields(model, fs, x))
+
+    def inner(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        return np.einsum("bi,bi->b", a.conj(), b).real
+
+    with np.errstate(all="ignore"):
+        v = starts / np.linalg.norm(starts, axis=1, keepdims=True)
+        w = gram(v)
+        alpha0 = inner(v, w)
+        r = w - alpha0[:, None] * v
+        beta1 = np.linalg.norm(r, axis=1)
+        one_step = beta1 <= LANCZOS_CERTIFICATE * np.abs(alpha0)
+        q = r / np.where(one_step, 1.0, beta1)[:, None]
+        u = gram(q)
+        alpha1 = inner(q, u)
+        beta2 = np.linalg.norm(u - alpha1[:, None] * q - beta1[:, None] * v, axis=1)
+        ritz = np.where(one_step, alpha0,
+                        0.5 * (alpha0 + alpha1) + np.hypot(0.5 * (alpha0 - alpha1), beta1))
+        residual = np.where(one_step, beta1, beta2) / np.abs(ritz)
+    residual[one_step & (ritz == 0.0)] = 0.0        # X = 0, so B(f) = 0
+    residual[~np.isfinite(ritz)] = math.nan
+    return ritz, residual, one_step
+
+
+def field_norms(model: OneParticleModel, fs, rng: np.random.Generator) -> np.ndarray:
+    """The operator norms of B(f) for the rows f of fs, with no field matrix.
+
+    Each norm is the square root of a certified Lanczos Ritz value of
+    B(f)^* B(f) from a random start drawn from rng; a row that the
+    certificate rejects gets operator_norm(field_B(model, f)).  See "Norms".
+    """
+    fs = np.asarray(fs, dtype=complex)
+    if fs.ndim != 2 or fs.shape[1] != model.doubled_dim:
+        raise ValueError(f"field vectors must be rows of {model.doubled_dim} components, "
+                         f"got shape {fs.shape}")
+    shape = (len(fs), model.dim)
+    starts = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    ritz, residual = np.empty(len(fs)), np.empty(len(fs))
+    for rows in range(0, len(fs), LANCZOS_BATCH):
+        batch = slice(rows, rows + LANCZOS_BATCH)
+        ritz[batch], residual[batch], _ = _lanczos(model, fs[batch], starts[batch])
+    norms = np.sqrt(np.maximum(ritz, 0.0))
+    for b in np.nonzero(~(residual <= LANCZOS_CERTIFICATE))[0]:
+        norms[b] = operator_norm(model, field_B(model, fs[b]).matrix)
+    return norms
 
 
 def car_norm_bound(model: OneParticleModel, f) -> float:

@@ -118,7 +118,12 @@ def rieffel_word(model: OneParticleModel, kappa: float, f: MaskWord, g: MaskWord
 def warp_rotated(model: OneParticleModel, kappa: float, op: FockOperator,
                  angle: float | None = None) -> FockOperator:
     """Warp along the rotated flow r_* xi (rotated boost, same gauge)."""
-    rot = rotation_fock(model, angle)
+    return _warp_along(model, kappa, op, rotation_fock(model, angle))
+
+
+def _warp_along(model: OneParticleModel, kappa: float, op: FockOperator,
+                rot: FockOperator) -> FockOperator:
+    """Warp along the flow rotated by the implementer rot: rot warp(rot^* op rot) rot^*."""
     inner = FockOperator(rot.H.matrix @ op.matrix @ rot.matrix, model)
     return FockOperator(rot.matrix @ warp(model, kappa, inner).matrix @ rot.H.matrix, model)
 
@@ -148,9 +153,10 @@ def covariance_transform(model: OneParticleModel, kappa: float, word: MaskWord,
 def rotation_covariance(model: OneParticleModel, kappa: float, op: FockOperator,
                         angle: float | None = None) -> tuple[FockOperator, FockOperator]:
     """Both sides of rotation covariance, as dense operators: the rotated warped
-    operator, and the rotated operator warped along the rotated flow."""
+    operator, and the rotated operator warped along the rotated flow.  The
+    implementer is built once and serves both sides."""
     g = rotation_fock(model, angle)
-    return g @ warp(model, kappa, op) @ g.H, warp_rotated(model, kappa, g @ op @ g.H, angle)
+    return g @ warp(model, kappa, op) @ g.H, _warp_along(model, kappa, g @ op @ g.H, g)
 
 
 # -- oscillatory-integral oracle ----------------------------------------------

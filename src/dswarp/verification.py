@@ -30,6 +30,18 @@ basis states) all keep the form, so every residual is a word's largest
 absolute entry, exact for a monomial, and no SVD is taken.  Rotation
 covariance alone draws a dense operator: the rotation's implementer mixes
 modes.
+
+The fixed-point suite draws its random gauge-invariant operators as their
+charge-sector blocks (car_fock.sector_layout): one complex Gaussian stack
+per block shape, or a diagonal one.  The boost commutator [K, A E(n)] and
+the kappa-derivative of the warp at zero both act block by block, with the
+weights phi_i - phi_j and the warp phases of the difference steps taken at
+the block entries once per model, so no operator of the loop is d x d and
+no dense warp runs.  fixed_point_residual takes a dense operator, gathers
+its blocks once and runs the same block code.  The car suite compares each
+anticommutator with <Cf, g> on its diagonal and takes the field norms of
+cstar-norm-formula from car_fock.field_norms, certified Lanczos runs on the
+fields' action.
 """
 
 from __future__ import annotations
@@ -44,12 +56,12 @@ import numpy as np
 from . import geometry
 from . import spin_group as sg
 from . import wedges as wd
-from .car_fock import (FockOperator, MaskWord, OneParticleModel, bogolyubov_fock,
-                       boost_phases, car_norm_bound, charge_projector, field_anticommutator,
-                       field_B, fock_npoint, gauge_phases, identity_op, operator_norm,
-                       quasifree_npoint, sector_norms, spinor, twist_phases,
-                       wedge_generators)
-from .deformation import (covariance_transform, oracle_sweep, rieffel_word,
+from .car_fock import (FockOperator, MaskWord, OneParticleModel, block_sector_norms,
+                       bogolyubov_fock, boost_phases, car_norm_bound, charge_projector,
+                       field_anticommutator, field_B, field_norms, fock_npoint, gauge_phases,
+                       operator_norm, quasifree_npoint, sector_blocks, sector_layout, spinor,
+                       twist_phases, wedge_generators)
+from .deformation import (angle_matrix, covariance_transform, oracle_sweep, rieffel_word,
                           rotation_covariance, warp, warp_rotated, warp_word)
 
 SPAN_SVD_TOL = 1e-9
@@ -198,37 +210,68 @@ def _twisted_commutator_norm(f: MaskWord, g: MaskWord, z: np.ndarray) -> float:
 
 # -- fixed points --------------------------------------------------------------
 
-def deformation_derivative_at_zero(model: OneParticleModel, op: FockOperator,
-                                   step: float = 1e-4) -> float:
-    """|d/dkappa warp(A)|_0| by central differences with one Richardson step."""
-    def central(h: float) -> np.ndarray:
-        plus = warp(model, h, op).matrix
-        minus = warp(model, -h, op).matrix
+# Central-difference step of the kappa-derivative; the Richardson step halves it.
+DERIVATIVE_STEP = 1e-4
+
+
+def _sector_weights(model: OneParticleModel) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+    """Per block shape of sector_layout: (dphi, phases) at every block entry.
+
+    dphi is phi_i - phi_j, and phases[s] is the warp phase exp(i kappa
+    angle_ij) for kappa = +h, -h, +h/2, -h/2 with h = DERIVATIVE_STEP, the
+    same floats as warp_phase at those entries.  Built once per model.
+    """
+    def build():
+        angle, phi, h = angle_matrix(model), model.phases, DERIVATIVE_STEP
+        weights = []
+        for _, flat in sector_layout(model):
+            rows, cols = np.divmod(flat, model.dim)
+            theta = angle.take(flat)
+            pair = (phi[rows] - phi[cols],
+                    np.stack([np.exp(1j * k * theta) for k in (h, -h, h / 2.0, -h / 2.0)]))
+            for a in pair:
+                a.flags.writeable = False
+            weights.append(pair)
+        return tuple(weights)
+
+    return model.cached("sector_weights", build)
+
+
+def sector_fixed_point_residual(model: OneParticleModel,
+                                stacks: list[np.ndarray]) -> tuple[dict[int, float], float]:
+    """Per-sector boost-commutator norms and the kappa-derivative at zero of the
+    gauge-invariant operator A whose sector blocks are stacks (the order of
+    sector_layout).
+
+    K and E(n) are diagonal, so [K, A E(n)] is the sector-n block times
+    phi_i - phi_j.  The derivative is |d/dkappa warp(A)|_0| by central
+    differences with one Richardson step; warp is entrywise, so it keeps the
+    blocks, and the norm of A's derivative is the largest block norm.
+    """
+    def central(h: float, plus: np.ndarray, minus: np.ndarray) -> np.ndarray:
         return (plus - minus) / (2.0 * h)
 
-    coarse = central(step)
-    fine = central(step / 2.0)
-    refined = (4.0 * fine - coarse) / 3.0
-    return operator_norm(model, refined)
+    commutators, refined = [], []
+    for (dphi, phases), blocks in zip(_sector_weights(model), stacks):
+        commutators.append(dphi * blocks)
+        plus, minus, plus_half, minus_half = blocks * phases
+        coarse = central(DERIVATIVE_STEP, plus, minus)
+        fine = central(DERIVATIVE_STEP / 2.0, plus_half, minus_half)
+        refined.append((4.0 * fine - coarse) / 3.0)
+    return (block_sector_norms(model, commutators),
+            worst(block_sector_norms(model, refined).values()))
 
 
 def fixed_point_residual(model: OneParticleModel, op: FockOperator,
                          gauge_tol: float = 1e-10) -> tuple[dict[int, float], float]:
-    """Per-sector boost-commutator norms and the kappa-derivative at zero.
+    """sector_fixed_point_residual of a dense gauge-invariant operator.
 
     The derivative vanishes iff every charged-sector commutator [K, A E(n)],
-    n != 0, vanishes; gauge-invariant inputs are required.  K and E(n) are
-    diagonal, so [K, A E(n)] is (phi_i - phi_j) A_ij on the sector-n columns
-    and zero elsewhere; for a gauge-invariant A that is the sector-n block,
-    and sector_norms takes all of them at once.
+    n != 0, vanishes; an operator that is not gauge-invariant is refused.
     """
     if not op.is_gauge_invariant(gauge_tol):
         raise ValueError("fixed-point analysis needs a gauge-invariant operator")
-    phi = model.phases
-    commutator = (phi[:, None] - phi[None, :]) * op.matrix
-    sector_residuals = sector_norms(model, commutator)
-    derivative = deformation_derivative_at_zero(model, op)
-    return sector_residuals, derivative
+    return sector_fixed_point_residual(model, sector_blocks(model, op.matrix))
 
 
 # -- unitary inequivalence ------------------------------------------------------
@@ -343,6 +386,23 @@ def _random_words(model: OneParticleModel, rng: np.random.Generator,
     shape = (len(masks), model.dim)
     vecs = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     return [MaskWord(int(m), v) for m, v in zip(masks, vecs)]
+
+
+def _random_sector_blocks(model: OneParticleModel, rng: np.random.Generator,
+                          diagonal: bool) -> list[np.ndarray]:
+    """A random gauge-invariant operator as its sector blocks (sector_layout
+    order), complex Gaussian on every block entry or only on the diagonal."""
+    stacks = []
+    for _, flat in sector_layout(model):
+        if diagonal:
+            count, size = flat.shape[:2]
+            blocks = np.zeros(flat.shape, dtype=complex)
+            blocks[:, np.arange(size), np.arange(size)] = (
+                rng.standard_normal((count, size)) + 1j * rng.standard_normal((count, size)))
+        else:
+            blocks = rng.standard_normal(flat.shape) + 1j * rng.standard_normal(flat.shape)
+        stacks.append(blocks)
+    return stacks
 
 
 def _random_doubled_vector(model: OneParticleModel, rng: np.random.Generator) -> np.ndarray:
@@ -467,15 +527,18 @@ def suite_wedges(model: OneParticleModel, cfg: dict, rng) -> list[CheckReport]:
 
 def suite_car(model: OneParticleModel, cfg: dict, rng) -> list[CheckReport]:
     tol = cfg["tolerances"]
-    car, norm = [], []
+    car, fs = [], []
     for _ in range(200):
         f = _random_doubled_vector(model, rng)
         g = _random_doubled_vector(model, rng)
-        bf = field_B(model, f)
-        anti = field_anticommutator(model, f, g)
-        target = complex(np.vdot(model.apply_conjugation(f), g)) * identity_op(model)
-        car.append(anti.dist(target))
-        norm.append(abs(bf.norm() - car_norm_bound(model, f)))
+        residual = field_anticommutator(model, f, g).matrix    # {B(f), B(g)} - <Cf, g> 1
+        residual.flat[::model.dim + 1] -= complex(np.vdot(model.apply_conjugation(f), g))
+        car.append(operator_norm(model, residual))
+        fs.append(f)
+    # the Lanczos start vectors come from a child generator (numpy >= 1.25), so
+    # rng's own stream, and every later draw of the suite, stays as it was
+    norm = [abs(b - car_norm_bound(model, f))
+            for b, f in zip(field_norms(model, fs, rng.spawn(1)[0]), fs)]
 
     s_fock = model.basis_projection()
     quasi = []
@@ -617,14 +680,8 @@ def suite_fixed_point(model: OneParticleModel, cfg: dict, rng) -> list[CheckRepo
     low, high = 1e-8, 1e-6
     inconsistent = 0
     for idx in range(100):
-        if idx % 2 == 0:
-            mat = np.diag(rng.standard_normal(model.dim)
-                          + 1j * rng.standard_normal(model.dim))
-            op = FockOperator(mat, model)
-        else:
-            op = _random_operator(model, rng)
-            op = FockOperator(op.charge_shift(0), model)
-        sectors, derivative = fixed_point_residual(model, op)
+        stacks = _random_sector_blocks(model, rng, diagonal=idx % 2 == 0)
+        sectors, derivative = sector_fixed_point_residual(model, stacks)
         charged = worst(r for n, r in sectors.items() if n != 0)
         both_zero = charged < low and derivative < low
         both_moving = charged > high and derivative > high

@@ -17,12 +17,13 @@ from dswarp import spin_group as sg
 from dswarp import wedges as wd
 from dswarp.car_fock import (FockOperator, boost_phases, car_norm_bound,
                              charge_projector, default_model, field_B, fock_npoint,
-                             gauge_phases, identity_op, quasifree_npoint, spinor,
+                             gauge_phases, quasifree_npoint, spinor,
                              twist_phases, wedge_subalgebra_basis)
 from dswarp.deformation import oracle_residuals, warp
 from dswarp.verification import (check_twisted_locality, fixed_point_residual,
                                  inequivalence_witness)
 from test_deformation import rieffel_product, warp_inverse_check
+from test_fock_properties import identity_op
 
 MODEL = default_model()
 

@@ -8,12 +8,12 @@ from dswarp.car_fock import (FockOperator, ModelError, OneParticleModel,
                              bogolyubov_fock, boost_phases, car_norm_bound,
                              charge_projector, cospinor,
                              default_model, field_B,
-                             fock_npoint, gauge_phases, identity_op,
+                             fock_npoint, gauge_phases,
                              occupation_table,
                              quasifree_npoint, reflection_fock, rotation_fock,
                              spinor, twist_phases, validate_quasifree,
                              wedge_subalgebra_basis)
-from test_fock_properties import charge_shifts, dgamma, diagonal
+from test_fock_properties import charge_shifts, dgamma, diagonal, identity_op
 
 MODEL = default_model()
 

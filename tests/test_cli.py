@@ -444,9 +444,15 @@ def test_mode_cap_is_car_fock_max_modes(tmp_path, capsys):
 
 # -- NaN never passes ----------------------------------------------------------------
 
-def test_nan_residual_fails_car_suite(monkeypatch):
+def _nan_car_residuals(monkeypatch):
+    """NaN for the norms that the car-anticommutators and Bogolyubov residuals take."""
     from dswarp.car_fock import FockOperator
     monkeypatch.setattr(FockOperator, "dist", lambda self, other: float("nan"))
+    monkeypatch.setattr(verification, "operator_norm", lambda model, m: float("nan"))
+
+
+def test_nan_residual_fails_car_suite(monkeypatch):
+    _nan_car_residuals(monkeypatch)
     model = cli.model_from_config(cli.load_config(None))
     checks = {c.name: c for c in verification.suite_car(model, cli.load_config(None),
                                                         np.random.default_rng(0))}
@@ -456,8 +462,7 @@ def test_nan_residual_fails_car_suite(monkeypatch):
 
 
 def test_nan_residual_written_as_null(monkeypatch, tmp_path):
-    from dswarp.car_fock import FockOperator
-    monkeypatch.setattr(FockOperator, "dist", lambda self, other: float("nan"))
+    _nan_car_residuals(monkeypatch)
     out = tmp_path / "out"
     assert cli.main(["verify", "--suite", "car", "--out", str(out)]) == 1
 

@@ -1,11 +1,13 @@
 import dswarp
 import pytest
 
-# Names that were removed in favour of the array and phase-vector paths.
+# Names removed from the program: replaced by the array, phase-vector and block
+# paths, or moved into the tests as oracles.
 REMOVED = ["Quaternion", "Q_ZERO", "Q_ONE", "Q_E1", "Q_E2", "Q_E3", "annihilation_ops",
            "gauge_unitary", "boost_unitary", "twist_Z", "grading_Y", "charge_operator",
            "random_spin_word", "THETA", "DeformationContext", "unwarp",
-           "rieffel_product", "warp_inverse_check"]
+           "rieffel_product", "warp_inverse_check", "identity_op",
+           "deformation_derivative_at_zero"]
 
 
 @pytest.mark.parametrize("name", dswarp.__all__)
@@ -14,9 +16,9 @@ def test_exported_name_resolves(name):
 
 
 def test_removed_names_are_not_exported():
-    from dswarp import car_fock, deformation, quaternion, spin_group
+    from dswarp import car_fock, deformation, quaternion, spin_group, verification
     assert not set(REMOVED) & set(dswarp.__all__)
-    for module in (dswarp, car_fock, deformation, quaternion, spin_group):
+    for module in (dswarp, car_fock, deformation, quaternion, spin_group, verification):
         assert not [n for n in REMOVED if hasattr(module, n)], module.__name__
     for attr in ("annihilators", "gauge_one_particle", "boost_one_particle", "charge_values"):
         assert not hasattr(car_fock.OneParticleModel, attr)

@@ -4,9 +4,10 @@ The references are the dense constructions the fast paths replaced: the
 Kronecker-product Jordan-Wigner tower for the fields, dense field products for
 the anticommutator table and the n-point function, exp(i dGamma(h)) on that
 tower for the second quantization Gamma(e^{ih}), the full commutator
-[K, A E(n)] for the fixed-point sectors, one full SVD for the charge-block
-operator norm, dense products with diagonal matrices for conjugation, and the
-uncached phase expression for warp.
+[K, A E(n)] and the dense warp's kappa-derivative for the fixed-point
+sectors, one full SVD for the charge-block operator norm and for the
+Lanczos field norm, dense products with diagonal matrices for conjugation,
+and the uncached phase expression for warp.
 Models are small random ones, up to 3 + 3 modes.
 """
 
@@ -19,13 +20,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import block_diag, expm
 
-from dswarp.car_fock import (FockOperator, OneParticleModel, _mode_flips, _word_products,
+from dswarp.car_fock import (LANCZOS_BATCH, LANCZOS_CERTIFICATE, FockOperator,
+                             OneParticleModel, _lanczos, _mode_flips, _word_products,
                              boost_phases, charge_projector, conjugate_by_diagonal,
-                             default_model, field_anticommutator, field_B, fock_npoint,
-                             gauge_phases, identity_op, operator_norm, reflection_fock,
-                             second_quantize, sector_norms, twist_phases, wedge_generators)
+                             default_model, field_anticommutator, field_B, field_norms,
+                             fock_npoint, gauge_phases, operator_norm, reflection_fock,
+                             second_quantize, sector_blocks, sector_layout, sector_norms,
+                             twist_phases, wedge_generators)
 from dswarp.deformation import RECENT_PHASES, angle_matrix, warp, warp_phase
-from dswarp.verification import _ladder, fixed_point_residual
+from dswarp.verification import (_ladder, _random_sector_blocks, fixed_point_residual,
+                                 sector_fixed_point_residual)
 
 PROPERTY = settings(max_examples=30, deadline=None)
 
@@ -63,6 +67,10 @@ def oracle_field(model: OneParticleModel, f: np.ndarray) -> np.ndarray:
         else:
             out += raise_coef * c + lower_coef * cdag
     return out
+
+
+def identity_op(model: OneParticleModel) -> FockOperator:
+    return FockOperator(np.eye(model.dim, dtype=complex), model)
 
 
 def diagonal(model: OneParticleModel, values) -> FockOperator:
@@ -233,6 +241,112 @@ def test_sector_block_norm_matches_full_commutator_norm(model, seed):
         assert abs(block_norm - full) <= 1e-13 * full
 
 
+def deformation_derivative_at_zero(model: OneParticleModel, op: FockOperator,
+                                   step: float = 1e-4) -> float:
+    """|d/dkappa warp(A)|_0| by central differences of the dense warp with one
+    Richardson step, and the norm by operator_norm (the fixed-point oracle)."""
+    def central(h: float) -> np.ndarray:
+        plus = warp(model, h, op).matrix
+        minus = warp(model, -h, op).matrix
+        return (plus - minus) / (2.0 * h)
+
+    coarse = central(step)
+    fine = central(step / 2.0)
+    refined = (4.0 * fine - coarse) / 3.0
+    return operator_norm(model, refined)
+
+
+def _from_sector_blocks(model: OneParticleModel, stacks) -> FockOperator:
+    """The dense gauge-invariant operator with the given sector blocks."""
+    m = np.zeros(model.dim ** 2, dtype=complex)
+    for (_, flat), blocks in zip(sector_layout(model), stacks):
+        m[flat.ravel()] = blocks.ravel()
+    return FockOperator(m.reshape(model.dim, model.dim), model)
+
+
+@PROPERTY
+@given(models(), SEEDS, st.sampled_from(["gauge-invariant", "diagonal", "mover"]))
+def test_block_fixed_point_path_matches_dense_derivative(model, seed, case):
+    """The suite's block draws, and dense operators through fixed_point_residual,
+    against the dense warp's derivative.  The commutator norms are compared by
+    test_sector_block_norm_matches_full_commutator_norm."""
+    rng = np.random.default_rng(seed)
+    if case == "mover":
+        j, k = rng.choice(model.n_modes, size=2, replace=False)
+        if model.mode_charges[j] != model.mode_charges[k]:
+            k = j             # a charge-0 hopping needs one species; c_j^+ c_j is a number operator
+        op = _ladder(model, int(j), True) @ _ladder(model, int(k), False)
+        stacks = sector_blocks(model, op.matrix)
+    else:
+        stacks = _random_sector_blocks(model, rng, diagonal=case == "diagonal")
+        op = _from_sector_blocks(model, stacks)
+    assert op.is_gauge_invariant(0.0)
+    sectors, derivative = sector_fixed_point_residual(model, stacks)
+    assert (sectors, derivative) == fixed_point_residual(model, op)
+
+    dense = deformation_derivative_at_zero(model, op)
+    assert abs(derivative - dense) <= 1e-13 * dense
+    if case == "diagonal":
+        assert derivative == 0.0 and max(sectors.values()) == 0.0
+
+
+def _field_case(model: OneParticleModel, rng, case: str) -> np.ndarray:
+    """A field vector: generic, on one copy only, or with f = e^{i theta} C f."""
+    f = _random_vector(rng, model.doubled_dim)
+    n = model.n_modes
+    if case == "copy A":
+        f[n:] = 0.0
+    elif case == "copy B":
+        f[:n] = 0.0
+    elif case == "selfadjoint up to a phase":
+        f = f + np.exp(1j * rng.uniform(0.0, 2.0 * np.pi)) * model.apply_conjugation(f)
+    return f
+
+
+FIELD_CASES = ["generic", "copy A", "copy B", "selfadjoint up to a phase"]
+
+
+@PROPERTY
+@given(models(), SEEDS)
+def test_lanczos_field_norm_equals_dense_svd(model, seed):
+    """Every case is certified without the fallback.  For f = e^{i theta} C f,
+    B(f)^* B(f) is the scalar |f|^2 / 2 and the run stops after one step."""
+    rng = np.random.default_rng(seed)
+    fs = np.stack([_field_case(model, rng, case) for case in FIELD_CASES])
+    _, residual, one_step = _lanczos(model, fs, _random_matrix(rng, model.dim)[:len(fs)])
+    assert (residual <= LANCZOS_CERTIFICATE).all()
+    assert one_step.tolist() == [False, False, False, True]
+    for f, norm in zip(fs, field_norms(model, fs, rng)):
+        dense = float(np.linalg.norm(field_B(model, f).matrix, 2))
+        assert abs(norm - dense) <= 1e-13 * dense
+
+
+def test_lanczos_field_norms_across_batches_equal_dense_svd():
+    model = default_model()
+    rng = np.random.default_rng(37)
+    count = 2 * LANCZOS_BATCH + 3
+    fs = np.stack([_field_case(model, rng, FIELD_CASES[b % 4]) for b in range(count)])
+    fs[5] = 0.0
+    norms = field_norms(model, fs, rng)
+    dense = np.array([np.linalg.norm(field_B(model, f).matrix, 2) for f in fs])
+    assert norms[5] == 0.0
+    assert np.max(np.abs(norms - dense)) <= 1e-13 * np.max(dense)
+    with pytest.raises(ValueError, match="rows of 8 components"):
+        field_norms(model, fs[:, :7], rng)
+
+
+def test_lanczos_field_norm_of_a_non_finite_field_is_nan():
+    model = default_model()
+    rng = np.random.default_rng(38)
+    fs = _random_matrix(rng, model.doubled_dim)[:3]
+    fs[1, 2] = np.nan
+    fs[2, 0] = 1e200         # B(f)^* B(f) overflows: the fallback takes the exact norm
+    with np.errstate(all="raise"):
+        norms = field_norms(model, fs, rng)
+    assert np.isnan(norms[1]) and np.isfinite(norms[[0, 2]]).all()
+    assert abs(norms[2] - np.linalg.norm(field_B(model, fs[2]).matrix, 2)) <= 1e-13 * norms[2]
+
+
 @PROPERTY
 @given(models(), SEEDS)
 def test_sector_norms_equal_full_svd_of_each_sector_block(model, seed):
@@ -321,7 +435,9 @@ def test_parity_homogeneous_operator_takes_no_full_size_svd(model, seed, case):
         m = _norm_cases(model, rng)[case]
     # shifts of one parity have an even gcd, so the blocks are at most d/2 wide
     shapes = _recorded_svd_shapes(model, m)
-    assert bool(shapes) == bool(m.any())
+    # a matrix with no nonzero entry off the diagonal takes no SVD; the dense
+    # anticommutator of two fields is one whenever its cross terms cancel exactly
+    assert bool(shapes) == bool((m - np.diag(m.diagonal())).any())
     assert all(max(s[-2:]) <= model.dim // 2 for s in shapes)
 
 

@@ -9,7 +9,7 @@ from dswarp import car_fock, cli, deformation, verification
 from dswarp.car_fock import (FockOperator, MaskWord, OneParticleModel, boost_phases,
                              charge_projector, conjugate_by_diagonal,
                              default_model, field_B, gauge_phases,
-                             identity_op, sector_norms, twist_phases, wedge_generators,
+                             sector_norms, twist_phases, wedge_generators,
                              wedge_subalgebra_basis)
 from dswarp.deformation import warp, warp_word
 from dswarp.verification import (SPAN_SVD_TOL, CheckReport, causal_borchers_axioms,
@@ -17,7 +17,7 @@ from dswarp.verification import (SPAN_SVD_TOL, CheckReport, causal_borchers_axio
                                  inequivalence_witness, net_well_defined_residual,
                                  random_monomial, span_basis, span_residual, suite_car,
                                  suite_deformation, wedge_monomials)
-from test_fock_properties import jordan_wigner_ops
+from test_fock_properties import identity_op, jordan_wigner_ops
 
 MODEL = default_model()
 
@@ -264,22 +264,50 @@ def test_car_anticommutators_fail_without_jordan_wigner_signs(monkeypatch):
     assert not check.passed
 
 
+def test_cstar_norm_formula_fails_without_jordan_wigner_signs(monkeypatch):
+    """Unsigned modes commute, so B(f)^* B(f) has more than two eigenvalues: the
+    Lanczos certificate rejects every field, and the exact fallback norm
+    misses the CAR formula."""
+    mode, src, dst, _ = car_fock._mode_flips(4)
+    unsigned = (mode, src, dst, np.ones(len(mode)))
+    monkeypatch.setattr(car_fock, "_mode_flips", lambda n: unsigned)
+    built, build = [], car_fock.field_B
+    monkeypatch.setattr(car_fock, "field_B", lambda model, f: built.append(1) or build(model, f))
+    check = _car_checks(default_model())["cstar-norm-formula"]      # a fresh model
+    assert len(built) == 200
+    assert check.max_residual > 1e-2
+    assert not check.passed
+
+
 def test_car_suite_multiplies_dense_fields_only_in_the_bogolyubov_check(monkeypatch):
-    counts = {"matmul": 0, "field_B": 0}
-    matmul, build = FockOperator.__matmul__, car_fock.field_B
+    """The Bogolyubov check's six draws make every dense product (U B(f) U^*),
+    build every field (B(f) and B(uf)) and take every SVD (one batched SVD of
+    the two parity blocks per distance).  The anticommutators, the n-point
+    functions and the Lanczos norms of cstar-norm-formula take none."""
+    counts = {}
 
     def counted(name, fn):
-        def wrapper(*args):
+        def wrapper(*args, **kwargs):
             counts[name] += 1
-            return fn(*args)
+            return fn(*args, **kwargs)
         return wrapper
 
-    monkeypatch.setattr(FockOperator, "__matmul__", counted("matmul", matmul))
-    # patched in car_fock only: counts the fields that fock_npoint and the
-    # anticommutator build, not the B(f) whose norm cstar-norm-formula checks
-    monkeypatch.setattr(car_fock, "field_B", counted("field_B", build))
+    for name, owner, attr in (("matmul", FockOperator, "__matmul__"),
+                              ("car_fock.field_B", car_fock, "field_B"),
+                              ("verification.field_B", verification, "field_B"),
+                              ("svd", np.linalg, "svd")):
+        monkeypatch.setattr(owner, attr, counted(name, getattr(owner, attr)))
+    counts.update(dict.fromkeys(["matmul", "car_fock.field_B", "verification.field_B",
+                                 "svd"], 0))
+    assert all(c.passed for c in _car_checks(default_model()).values())
+    assert counts == {"matmul": 2 * 6, "car_fock.field_B": 0, "verification.field_B": 2 * 6,
+                      "svd": 6}
+
+    # the six SVDs belong to the Bogolyubov distances: with those stubbed, there are none
+    monkeypatch.setattr(FockOperator, "dist", lambda self, other: 0.0)
+    counts.update(dict.fromkeys(counts, 0))
     _car_checks(default_model())
-    assert counts == {"matmul": 2 * 6, "field_B": 0}   # U B(f) U^* for six draws
+    assert counts["svd"] == 0
 
 
 def test_gamma_of_the_transpose_fails_bogolyubov_implementation(monkeypatch):
@@ -320,6 +348,41 @@ def test_sector_norms_give_nan_for_a_sector_with_a_nan_entry():
     assert sorted(norms) == [-2, -1, 0, 1, 2]
     assert np.isnan(norms[1])
     assert all(np.isfinite(r) and r > 0.0 for n, r in norms.items() if n != 1)
+
+
+class _RecordingRng:
+    """A generator that records the shape of every standard_normal draw."""
+
+    def __init__(self, seed: int):
+        self.rng, self.shapes = np.random.default_rng(seed), []
+
+    def standard_normal(self, size=None):
+        self.shapes.append((size,) if isinstance(size, int) else tuple(size))
+        return self.rng.standard_normal(size)
+
+
+@pytest.mark.parametrize("model", [default_model(), OneParticleModel(
+    4, 3, [1.0, -1.0, 2.0, -2.0], [1.0, -1.0, 0.0], [0, 2, 4])], ids=["dim16", "dim128"])
+def test_fixed_point_loop_draws_sector_blocks_and_takes_no_dense_warp(monkeypatch, model):
+    """Each of the 100 operators is drawn as its sector blocks, real and imaginary
+    parts apart: no draw is d x d.  The only dense warps are the two of
+    sector-projector-is-fixed and cross-frequency-observable-moves."""
+    warps, dense_warp = [], verification.warp
+    monkeypatch.setattr(verification, "warp",
+                        lambda *args: warps.append(1) or dense_warp(*args))
+    rng = _RecordingRng(5)
+    checks = verification.suite_fixed_point(model, cli.load_config(None), rng)
+    assert all(c.passed for c in checks)
+    assert len(warps) == 2
+    layout = car_fock.sector_layout(model)
+    per_operator = 2 * len(layout)
+    assert len(rng.shapes) == 100 * per_operator
+    d, entries = model.dim, sum(flat.size for _, flat in layout)
+    for idx in range(100):
+        shapes = rng.shapes[idx * per_operator:(idx + 1) * per_operator]
+        drawn = sum(int(np.prod(shape)) for shape in shapes)
+        assert drawn == 2 * (d if idx % 2 == 0 else entries), idx
+        assert all(shape[-2:] != (d, d) for shape in shapes)
 
 
 # -- mask words against the dense oracle ---------------------------------------------
