@@ -51,7 +51,7 @@ Boost, gauge, charge projectors, the grading Y = (-1)^N and the twist
 Z = (1 - iY)/sqrt(2) are diagonal in the occupation basis, with eigenvalues
 read off model.phases, model.charges and model.parities.  The unitaries are
 kept as their diagonals (boost_phases, gauge_phases, twist_phases), and
-conjugation by one is entrywise (conjugate_by_diagonal); the dense matrix,
+conjugation by one is entrywise (MaskWord.conjugated_by); the dense matrix,
 where a test wants one, is np.diag of the vector.  charge_projector is the
 one dense diagonal builder, since the fixed-point checks deform E(n) itself.
 
@@ -115,31 +115,26 @@ reflection covariance puts one on each side.
 Norms
 -----
 operator_norm gives the exact largest singular value of a Fock-size matrix
-m by cutting it along the charge.  Let S be the set of charge shifts
-q_i - q_j over the nonzero entries m[i, j], s0 one of them, and g the gcd
-of the differences s - s0 over S (g = 0 when S holds one shift).  Every
-nonzero entry then has q_i = q_j + s0 mod g, so m maps the columns of
-charge class r (charge mod g, or the charge itself for g = 0) only into
-the rows of class r + s0, and distinct r give disjoint row sets.  Up to a
-permutation of rows and columns, m is the direct sum of these blocks, and
-its norm is the largest block norm: an identity, not a bound.  Fields are
-odd and anticommutators even, so both split into two d/2 x d/2 parity
-blocks; gauge-invariant operators split into their charge sectors; a dense
-matrix has g = 1 and takes one plain SVD.  S is read from the sums of |m|
-over pairs of charges, one pass over m, and the block positions are
-tabulated once per model and (g, s0 mod g).  A non-finite entry makes
-those sums non-finite, and the norm is then NaN.  A finite matrix with no
-nonzero entry off the diagonal (S = {0}) takes no SVD: its singular values
-are the moduli of its diagonal entries, so the norm is max |m_ii|.  The
-anticommutators of field_anticommutator and their residuals against
-<Cf, g> 1 are such matrices.
+m by four rules, for the three shapes the checks produce.  A zero matrix
+has norm 0, and a non-finite entry gives NaN.  A single-mask matrix, one
+whose nonzero entries all sit at (i ^ S, i) for one mask S, is a monomial
+(a permutation times a diagonal), so its norm is its largest absolute
+entry, as for MaskWord.norm; diagonal matrices are the mask S = 0.  The
+mask is read off the first nonzero entry, and the d entries on it are
+gathered and counted against the nonzero count of m.  A parity-even or
+parity-odd matrix (fields are odd, anticommutators even) is the direct
+sum of its two d/2 x d/2 parity blocks up to a permutation, and takes one
+batched SVD of the pair.  Anything else takes one d x d SVD.  In a full
+verify the oracle's spinor residuals, the mover, warp(e1) - e1 and the
+car-anticommutators residuals are single-mask, the Bogolyubov residuals
+parity-odd and the rotation-covariance residuals dense.
 
-The charge sectors are the g = 0 blocks.  sector_layout lists their
-positions per block shape, sector_blocks gathers them from a matrix, and
-block_sector_norms takes the norm of every sector from its blocks: one
-batched SVD per block shape over the nonzero blocks, 0 for a zero block and
-NaN for a block with a non-finite entry.  sector_norms is the two in turn.
-The fixed-point checks draw and transform operators as these blocks.
+The charge sectors E(n) m E(n) carry the fixed-point checks.  sector_layout
+lists their positions per block shape, sector_blocks gathers them from a
+matrix, and block_sector_norms takes the norm of every sector from its
+blocks: one batched SVD per block shape over the nonzero blocks, 0 for a
+zero block and NaN for a block with a non-finite entry.  The fixed-point
+checks draw and transform operators as these blocks.
 
 field_norms gives the norms of fields B(f) from their action, with no
 Fock-size matrix or SVD (Golub and Van Loan, Matrix Computations, the
@@ -163,15 +158,15 @@ Per-model caches
 ----------------
 OneParticleModel.cached builds a value once per model and freezes its arrays
 (read-only).  It holds the conjugation matrix, the wedge generators per tag
-(wedge_generators), the reflection implementer (reflection_fock) and its
-signed-permutation table (reflection_table), the Majorana words, the charge
-indicator and block positions of operator_norm, the sector layout, the
-word-product table of field_anticommutator, in the deformation module the
-angle matrix and the warp phases of the last few kappas, and in the
-verification module the fixed-point weights at the sector entries.  The
-per-mode-count caches (occupation_table, _mode_flips) hold index tables of
-size n 2^n, never a dense Fock-size matrix; the word-product table has
-n^2 d entries.
+(wedge_generators), the signed-permutation table of the reflection
+(reflection_table), the Majorana words, the sector layout, the word-product
+table of field_anticommutator, in the deformation module the angle matrix
+and the warp phases of the last few kappas, and in the verification module
+the fixed-point weights at the sector entries.  The per-mode-count caches
+(occupation_table, _mode_flips) hold index tables of size n 2^n; the
+word-product table has n^2 d entries, the sector layout one entry per
+sector-block entry, and only the angle matrix and the warp phases are
+Fock-size arrays.
 """
 
 from __future__ import annotations
@@ -491,83 +486,35 @@ class MaskWord:
 
 # -- operator norms -----------------------------------------------------------
 
-def _charge_indicator(model: OneParticleModel) -> np.ndarray:
-    """(d, n+1) 0/1 matrix: entry [i, c] is 1 iff basis state i has charge index c.
-
-    The charge index of a state is its charge plus d_minus, so index
-    differences are charge differences.
-    """
-    return model.cached("charge_indicator", lambda: (
-        (model.charges + model.d_minus)[:, None] == np.arange(model.n_modes + 1)[None, :]
-    ).astype(float))
-
-
-def _norm_blocks(model: OneParticleModel, g: int,
-                 offset: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
-    """Blocks of a matrix that maps column class r into row class r + offset.
-
-    A state's class is its charge index mod g, or the index itself for g = 0.
-    Blocks of one shape are stacked: each item is (labels, flat), where
-    labels[b] is the column class of block b and flat[b] holds the row-major
-    flat positions of its entries, so m.take(flat) gathers every block at once.
-    Built once per model and (g, offset).
-    """
-    def build():
-        index = model.charges + model.d_minus
-        classes = index % g if g else index
-        shapes: dict[tuple[int, int], tuple[list, list]] = {}
-        for r in range(g or model.n_modes + 1):
-            cols = np.nonzero(classes == r)[0]
-            rows = np.nonzero(classes == ((r + offset) % g if g else r + offset))[0]
-            if len(rows) and len(cols):
-                labels, flats = shapes.setdefault((len(rows), len(cols)), ([], []))
-                labels.append(r)
-                flats.append(rows[:, None] * model.dim + cols[None, :])
-        out = tuple((np.array(labels), np.stack(flats)) for labels, flats in shapes.values())
-        for pair in out:
-            for a in pair:
-                a.flags.writeable = False
-        return out
-
-    return model.cached(("norm_blocks", g, offset), build)
-
-
 def operator_norm(model: OneParticleModel, m: np.ndarray) -> float:
     """Largest singular value of the d x d matrix m, NaN if an entry is not finite.
 
-    m is cut into the charge-class blocks of which it is a direct sum, and
-    the result is the largest block norm; see "Norms" in the module docstring.
+    A single-mask matrix gives its largest absolute entry, a parity-even or
+    parity-odd one the larger norm of its two parity blocks, anything else
+    one full SVD; see "Norms" in the module docstring.
     """
     m = np.asarray(m)
-    if m.shape != (model.dim, model.dim):
-        raise ValueError(f"matrix shape {m.shape} does not match Fock dim {model.dim}")
-    indicator = _charge_indicator(model)
-    # weight[a, c]: sum of |m| over rows of charge index a and columns of index c
-    with np.errstate(invalid="ignore", over="ignore"):
-        weight = indicator.T @ np.abs(m) @ indicator
-    if not np.isfinite(weight).all():
-        if not np.isfinite(m).all():
-            return math.nan
-        return float(np.linalg.svd(m, compute_uv=False)[0])    # the sums overflowed
-    rows, cols = np.nonzero(weight)
-    if not len(rows):
+    d = model.dim
+    if m.shape != (d, d):
+        raise ValueError(f"matrix shape {m.shape} does not match Fock dim {d}")
+    count = np.count_nonzero(m)
+    if not count:
         return 0.0
-    shifts = (rows - cols).tolist()
-    if not any(shifts) and np.count_nonzero(m) == np.count_nonzero(m.diagonal()):
-        return float(np.abs(m.diagonal()).max())     # diagonal: the moduli are the singular values
-    s0 = shifts[0]
-    g = math.gcd(*(s - s0 for s in shifts))
-    if g == 1:
-        return float(np.linalg.svd(m, compute_uv=False)[0])
-    present = np.zeros(g or len(weight), dtype=bool)
-    present[cols % g if g else cols] = True
-    top = 0.0
-    for labels, flat in _norm_blocks(model, g, s0 % g if g else s0):
-        hit = present[labels]
-        if hit.any():
-            blocks = m.take(flat if hit.all() else flat[hit])
-            top = max(top, float(np.linalg.svd(blocks, compute_uv=False)[:, 0].max()))
-    return top
+    row, col = divmod(int(np.argmax(m != 0)), d)       # the first nonzero entry
+    cols = np.arange(d)
+    entries = m[cols ^ (row ^ col), cols]                # the d entries on its mask
+    if np.count_nonzero(entries) == count:
+        if not np.isfinite(entries).all():
+            return math.nan
+        return float(np.abs(entries).max())      # a monomial: permutation times diagonal
+    if not np.isfinite(m).all():
+        return math.nan
+    halves = np.stack([np.nonzero(model.parities == p)[0] for p in (1, -1)])   # even, odd states
+    rows = halves if model.parities[row] == model.parities[col] else halves[::-1]
+    blocks = m.take(rows[:, :, None] * d + halves[:, None, :])
+    if np.count_nonzero(blocks) == count:
+        return float(np.linalg.svd(blocks, compute_uv=False)[:, 0].max())
+    return float(np.linalg.svd(m, compute_uv=False)[0])
 
 
 def sector_layout(model: OneParticleModel) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
@@ -575,12 +522,19 @@ def sector_layout(model: OneParticleModel) -> tuple[tuple[np.ndarray, np.ndarray
 
     Each item is (charges, flat): charges[b] is the charge n of block b, and
     flat[b] holds the row-major flat positions of its entries, so m.take(flat)
-    is the stack of those blocks.  Built once per model.
+    is the stack of those blocks.  Built once per model, with read-only arrays.
     """
     def build():
-        layout = tuple((labels - model.d_minus, flat) for labels, flat in _norm_blocks(model, 0, 0))
-        for charges, _ in layout:
-            charges.flags.writeable = False
+        shapes: dict[int, tuple[list, list]] = {}
+        for n in range(-model.d_minus, model.d_plus + 1):
+            states = np.nonzero(model.charges == n)[0]
+            charges, flats = shapes.setdefault(len(states), ([], []))
+            charges.append(n)
+            flats.append(states[:, None] * model.dim + states[None, :])
+        layout = tuple((np.array(charges), np.stack(flats)) for charges, flats in shapes.values())
+        for pair in layout:
+            for a in pair:
+                a.flags.writeable = False
         return layout
 
     return model.cached("sector_layout", build)
@@ -612,11 +566,6 @@ def block_sector_norms(model: OneParticleModel, stacks) -> dict[int, float]:
             top[busy] = np.linalg.svd(blocks[busy], compute_uv=False)[:, 0]
         norms.update(zip(charges.tolist(), top.tolist()))
     return dict(sorted(norms.items()))
-
-
-def sector_norms(model: OneParticleModel, m: np.ndarray) -> dict[int, float]:
-    """{charge n: norm of the sector-n block E(n) m E(n)} for a gauge-invariant m."""
-    return block_sector_norms(model, sector_blocks(model, m))
 
 
 def _field_vector(model: OneParticleModel, f) -> np.ndarray:
@@ -739,11 +688,6 @@ def twist_phases(model: OneParticleModel) -> np.ndarray:
     return (1.0 - 1j * model.parities) / np.sqrt(2.0)
 
 
-def conjugate_by_diagonal(u: np.ndarray, m: np.ndarray) -> np.ndarray:
-    """u m u^* for the diagonal unitary with diagonal u, entrywise."""
-    return u[:, None] * m * u.conj()[None, :]
-
-
 def charge_projector(model: OneParticleModel, n: int) -> FockOperator:
     return FockOperator(np.diag((model.charges == n).astype(complex)), model)
 
@@ -767,13 +711,6 @@ def second_quantize(model: OneParticleModel, w: np.ndarray) -> FockOperator:
         out[np.ix_(states, states)] = np.linalg.det(
             w[modes[:, None, :, None], modes[None, :, None, :]])
     return FockOperator(out, model)
-
-
-def reflection_fock(model: OneParticleModel) -> FockOperator:
-    """Implementer Gamma(tau) of the wedge reflection, built once per model."""
-    return FockOperator(model.cached(
-        "reflection_fock", lambda: second_quantize(model, model.reflection_modes()).matrix),
-        model)
 
 
 def reflection_table(model: OneParticleModel) -> tuple[np.ndarray, np.ndarray]:

@@ -98,15 +98,6 @@ def reflection_cover() -> SpinElement:
     return SpinElement(QuatMatrix2.diag(ONE, -ONE))
 
 
-def rotation_cover(q) -> SpinElement:
-    """diag(q, q) for a unit quaternion q, a (4,) array: covers an edge rotation (SO(3))."""
-    q = np.asarray(q, dtype=float)
-    n2 = float(q @ q)
-    if abs(n2 - 1.0) > 1e-10:
-        raise ValueError(f"rotation cover needs a unit quaternion, |q|^2 = {n2}")
-    return SpinElement(QuatMatrix2.diag(q, q))
-
-
 def covering_hom(g: SpinElement) -> np.ndarray:
     """The 5x5 proper orthochronous image of g, shape (..., 5, 5) for a batch."""
     conj = g.matrix[..., None] @ GAMMA_STACK @ g.inverse_matrix()[..., None]  # (..., nu)

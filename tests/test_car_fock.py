@@ -10,10 +10,10 @@ from dswarp.car_fock import (FockOperator, ModelError, OneParticleModel,
                              default_model, field_B,
                              fock_npoint, gauge_phases,
                              occupation_table,
-                             quasifree_npoint, reflection_fock, rotation_fock,
+                             quasifree_npoint, rotation_fock,
                              spinor, twist_phases, validate_quasifree,
                              wedge_subalgebra_basis)
-from test_fock_properties import charge_shifts, dgamma, diagonal, identity_op
+from test_fock_properties import charge_shifts, dgamma, diagonal, identity_op, reflection_fock
 
 MODEL = default_model()
 

@@ -8,14 +8,14 @@ from scipy.special import roots_legendre
 
 from dswarp.car_fock import (FockOperator, boost_phases, charge_projector,
                              default_model, field_B, gauge_phases,
-                             reflect_word, reflection_automorphism, reflection_fock,
+                             reflect_word, reflection_automorphism,
                              reflection_table, spinor, twist_phases,
                              wedge_subalgebra_basis)
 from dswarp.deformation import (_cosine_factor, _gauss_factor, covariance_transform,
                                 oracle_residuals, rieffel_word, rotation_covariance, warp,
                                 warp_oscillatory, warp_rotated, warp_word)
 from dswarp.car_fock import OneParticleModel
-from test_fock_properties import charge_shifts, diagonal, identity_op
+from test_fock_properties import charge_shifts, diagonal, identity_op, reflection_fock
 from test_verification import PROPERTY, KAPPAS, SEEDS, _random_word, dense, word_models
 
 MODEL = default_model()
@@ -284,7 +284,6 @@ def test_deformation_words_match_dense_operators(model, seed, kappa, t):
 def test_reflection_pins_kappa_sign():
     # the negative control: keeping +kappa on the right side breaks covariance
     rng = np.random.default_rng(62)
-    from dswarp.car_fock import reflection_fock
     kappa = 0.55
     op = rand_op(rng)
     r = reflection_fock(MODEL)

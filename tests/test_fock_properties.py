@@ -5,9 +5,9 @@ Kronecker-product Jordan-Wigner tower for the fields, dense field products for
 the anticommutator table and the n-point function, exp(i dGamma(h)) on that
 tower for the second quantization Gamma(e^{ih}), the full commutator
 [K, A E(n)] and the dense warp's kappa-derivative for the fixed-point
-sectors, one full SVD for the charge-block operator norm and for the
-Lanczos field norm, dense products with diagonal matrices for conjugation,
-and the uncached phase expression for warp.
+sectors, one full SVD for the operator norm (single-mask, parity-block and
+dense) and for the Lanczos field norm, dense products with diagonal
+matrices for conjugation, and the uncached phase expression for warp.
 Models are small random ones, up to 3 + 3 modes.
 """
 
@@ -22,12 +22,12 @@ from scipy.linalg import block_diag, expm
 
 from dswarp.car_fock import (LANCZOS_BATCH, LANCZOS_CERTIFICATE, FockOperator,
                              OneParticleModel, _lanczos, _mode_flips, _word_products,
-                             boost_phases, charge_projector, conjugate_by_diagonal,
+                             block_sector_norms, boost_phases, charge_projector,
                              default_model, field_anticommutator, field_B, field_norms,
-                             fock_npoint, gauge_phases, operator_norm, reflection_fock,
-                             second_quantize, sector_blocks, sector_layout, sector_norms,
+                             fock_npoint, gauge_phases, operator_norm, reflection_table,
+                             second_quantize, sector_blocks, sector_layout, spinor,
                              twist_phases, wedge_generators)
-from dswarp.deformation import RECENT_PHASES, angle_matrix, warp, warp_phase
+from dswarp.deformation import RECENT_PHASES, angle_matrix, warp, warp_oscillatory, warp_phase
 from dswarp.verification import (_ladder, _random_sector_blocks, fixed_point_residual,
                                  sector_fixed_point_residual)
 
@@ -84,6 +84,22 @@ def charge_shifts(op: FockOperator, tol: float = 0.0) -> dict[int, np.ndarray]:
     n = op.model.n_modes
     blocks = {m: op.charge_shift(m) for m in range(-n, n + 1)}
     return {m: b for m, b in blocks.items() if np.max(np.abs(b)) > tol}
+
+
+def conjugate_by_diagonal(u: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """u m u^* for the diagonal unitary with diagonal u, entrywise."""
+    return u[:, None] * m * u.conj()[None, :]
+
+
+def reflection_fock(model: OneParticleModel) -> FockOperator:
+    """The dense implementer Gamma(tau) of the wedge reflection (the oracle for
+    the signed-permutation table)."""
+    return second_quantize(model, model.reflection_modes())
+
+
+def sector_norms(model: OneParticleModel, m: np.ndarray) -> dict[int, float]:
+    """{charge n: norm of the sector-n block E(n) m E(n)} for a gauge-invariant m."""
+    return block_sector_norms(model, sector_blocks(model, m))
 
 
 def dgamma(model: OneParticleModel, h: np.ndarray) -> np.ndarray:
@@ -359,8 +375,38 @@ def test_sector_norms_equal_full_svd_of_each_sector_block(model, seed):
         assert abs(block_norm - full) <= 1e-13 * full
 
 
+def _two_mask_matrix(model, rng) -> np.ndarray:
+    """A matrix on two masks of different parity, one bit and two bits: neither
+    single-mask nor parity-homogeneous."""
+    d = model.dim
+    a, b = rng.choice(model.n_modes, size=2, replace=False)
+    cols = np.arange(d)
+    m = np.zeros((d, d), dtype=complex)
+    for mask in (1 << int(a), (1 << int(a)) | (1 << int(b))):
+        m[cols ^ mask, cols] = _random_vector(rng, d)
+    return m
+
+
+def _single_mode_field(model, rng) -> np.ndarray:
+    """B(f) for f on one mode, both copies."""
+    n, j = model.n_modes, int(rng.integers(model.n_modes))
+    f = np.zeros(model.doubled_dim, dtype=complex)
+    f[[j, n + j]] = _random_vector(rng, 2)
+    return field_B(model, f).matrix
+
+
+def _oracle_residual(model, rng) -> np.ndarray:
+    """warp_oscillatory(spinor) - warp(spinor) for a spinor on one mode, as the
+    oracle checks take it."""
+    f_minus = np.zeros(model.n_modes, dtype=complex)
+    f_minus[int(rng.integers(model.n_modes))] = _random_vector(rng, 1)[0]
+    op = spinor(model, f_minus)
+    kappa, eps = rng.uniform(-1.0, 1.0), 10.0 ** rng.uniform(-3.0, -1.0)
+    return warp_oscillatory(model, kappa, op, eps).matrix - warp(model, kappa, op).matrix
+
+
 def _norm_cases(model, rng) -> dict[str, np.ndarray]:
-    """Matrices with the charge structures the checks take norms of."""
+    """Matrices with the charge and mask structures the checks take norms of."""
     d, n = model.dim, model.n_modes
     f, g = (rng.standard_normal(model.doubled_dim) + 1j * rng.standard_normal(model.doubled_dim)
             for _ in range(2))
@@ -369,6 +415,7 @@ def _norm_cases(model, rng) -> dict[str, np.ndarray]:
     dense = FockOperator(_random_matrix(rng, d), model)
     one = np.zeros((d, d), dtype=complex)
     one[rng.integers(d), rng.integers(d)] = rng.standard_normal() + 1j
+    j, k = rng.choice(n, size=2, replace=False)
     return {
         "field": bf.matrix,
         "product": (bf @ bg).matrix,
@@ -382,12 +429,17 @@ def _norm_cases(model, rng) -> dict[str, np.ndarray]:
         "dense": dense.matrix,
         "one-entry": one,
         "zero": np.zeros((d, d), dtype=complex),
+        "mover": (_ladder(model, int(j), True) @ _ladder(model, int(k), False)).matrix,
+        "one-mode-field": _single_mode_field(model, rng),
+        "oracle-residual": _oracle_residual(model, rng),
+        "two-mask": _two_mask_matrix(model, rng),
     }
 
 
 NORM_CASES = st.sampled_from(["field", "product", "anticommutator", "car-residual",
                               "structured-car-residual", "diagonal", "gauge-invariant",
-                              "charge-shift", "dense", "one-entry", "zero"])
+                              "charge-shift", "dense", "one-entry", "zero", "mover",
+                              "one-mode-field", "oracle-residual", "two-mask"])
 
 
 @PROPERTY
@@ -423,9 +475,16 @@ def _recorded_svd_shapes(model, m) -> list[tuple[int, ...]]:
     return shapes
 
 
+def _single_mask(m: np.ndarray) -> bool:
+    """Whether every nonzero entry m[i, j] has the same mask i ^ j."""
+    rows, cols = np.nonzero(m)
+    return len(np.unique(rows ^ cols)) <= 1
+
+
 @PROPERTY
 @given(models(), SEEDS, st.sampled_from(["field", "product", "anticommutator",
-                                         "car-residual", "even", "odd"]))
+                                         "car-residual", "even", "odd", "mover",
+                                         "one-mode-field", "oracle-residual"]))
 def test_parity_homogeneous_operator_takes_no_full_size_svd(model, seed, case):
     rng = np.random.default_rng(seed)
     if case in ("even", "odd"):
@@ -433,11 +492,11 @@ def test_parity_homogeneous_operator_takes_no_full_size_svd(model, seed, case):
         m = np.where(same if case == "even" else ~same, _random_matrix(rng, model.dim), 0.0)
     else:
         m = _norm_cases(model, rng)[case]
-    # shifts of one parity have an even gcd, so the blocks are at most d/2 wide
     shapes = _recorded_svd_shapes(model, m)
-    # a matrix with no nonzero entry off the diagonal takes no SVD; the dense
-    # anticommutator of two fields is one whenever its cross terms cancel exactly
-    assert bool(shapes) == bool((m - np.diag(m.diagonal())).any())
+    # a single-mask matrix takes no SVD; the dense anticommutator of two fields
+    # is one (diagonal) whenever its cross terms cancel exactly
+    assert bool(shapes) == (not _single_mask(m))
+    # the others take one SVD of the two parity blocks, each d/2 wide
     assert all(max(s[-2:]) <= model.dim // 2 for s in shapes)
 
 
@@ -451,8 +510,10 @@ def test_diagonal_operator_takes_no_svd(model, seed, case):
 
 def test_dense_operator_takes_one_svd_and_zero_takes_none():
     model = default_model()
-    m = _random_matrix(np.random.default_rng(3), model.dim)
+    rng = np.random.default_rng(3)
+    m = _random_matrix(rng, model.dim)
     assert _recorded_svd_shapes(model, m) == [(model.dim, model.dim)]
+    assert _recorded_svd_shapes(model, _two_mask_matrix(model, rng)) == [(model.dim, model.dim)]
     assert _recorded_svd_shapes(model, np.zeros_like(m)) == []
     assert operator_norm(model, np.zeros_like(m)) == 0.0
 
@@ -513,8 +574,12 @@ def test_per_model_caches_are_read_only():
     assert angle_matrix(model) is angle_matrix(model)
     _assert_frozen(angle_matrix(model))
     _assert_frozen(warp_phase(model, 0.5))
-    assert reflection_fock(model).matrix is reflection_fock(model).matrix
-    _assert_frozen(reflection_fock(model).matrix)
+    for table in reflection_table(model):
+        _assert_frozen(table)
+    assert sector_layout(model) is sector_layout(model)
+    for pair in sector_layout(model):
+        for table in pair:
+            _assert_frozen(table)
     for table in _mode_flips(model.n_modes):
         _assert_frozen(table)
     assert _word_products(model) is _word_products(model)

@@ -5,6 +5,11 @@ from dswarp import spin_group as sg
 from dswarp.quaternion import ONE, ZERO, QuatMatrix2
 
 
+def rotation_cover(q) -> sg.SpinElement:
+    """diag(q, q) for a unit quaternion q, a (4,) array: covers an edge rotation (SO(3))."""
+    return sg.SpinElement(QuatMatrix2.diag(q, q))
+
+
 def test_identity_and_kernel():
     ident = sg.spin_identity()
     np.testing.assert_allclose(sg.covering_hom(ident), np.eye(5), atol=0)
@@ -87,7 +92,7 @@ def test_rotation_cover_stabilizes_boost():
     rng = np.random.default_rng(79)
     q = rng.standard_normal(4)
     q = q / np.sqrt(q @ q)
-    rot = sg.rotation_cover(q)
+    rot = rotation_cover(q)
     lam = sg.covering_hom(rot)
     # edge rotation: fixes e0, e1 and commutes with the wedge boost
     np.testing.assert_allclose(lam[:2, :2], np.eye(2), atol=1e-12)

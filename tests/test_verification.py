@@ -7,17 +7,16 @@ from hypothesis import strategies as st
 
 from dswarp import car_fock, cli, deformation, verification
 from dswarp.car_fock import (FockOperator, MaskWord, OneParticleModel, boost_phases,
-                             charge_projector, conjugate_by_diagonal,
-                             default_model, field_B, gauge_phases,
-                             sector_norms, twist_phases, wedge_generators,
-                             wedge_subalgebra_basis)
+                             charge_projector, default_model, field_B, gauge_phases,
+                             twist_phases, wedge_generators, wedge_subalgebra_basis)
 from dswarp.deformation import warp, warp_word
 from dswarp.verification import (SPAN_SVD_TOL, CheckReport, causal_borchers_axioms,
                                  check_twisted_locality, fixed_point_residual,
                                  inequivalence_witness, net_well_defined_residual,
                                  random_monomial, span_basis, span_residual, suite_car,
                                  suite_deformation, wedge_monomials)
-from test_fock_properties import identity_op, jordan_wigner_ops
+from test_fock_properties import (conjugate_by_diagonal, identity_op, jordan_wigner_ops,
+                                  sector_norms)
 
 MODEL = default_model()
 
@@ -310,6 +309,49 @@ def test_car_suite_multiplies_dense_fields_only_in_the_bogolyubov_check(monkeypa
     assert counts["svd"] == 0
 
 
+def test_full_verify_takes_norm_svds_only_for_bogolyubov_and_rotation_covariance(monkeypatch):
+    """Of the operator norms of one default verify, only the six Bogolyubov
+    residuals (parity-odd: one SVD of the two d/2 x d/2 parity blocks each) and
+    the three rotation-covariance residuals (dense: one d x d SVD each) take an
+    SVD.  The car-anticommutators diagonals, the oracle's spinor residuals and
+    the fixed-point suite's two distances are single-mask and take none."""
+    cfg = cli.load_config(None)
+    model = cli.model_from_config(cfg)
+    current, inside, calls, svds = [None], [], {}, {}
+    svd, norm = np.linalg.svd, car_fock.operator_norm
+
+    def recording_svd(a, *args, **kwargs):
+        if inside:
+            svds.setdefault(inside[-1], []).append(a.shape)
+        return svd(a, *args, **kwargs)
+
+    def counted(label):
+        def wrapper(model, m):
+            key = label or current[0]
+            calls[key] = calls.get(key, 0) + 1
+            inside.append(key)
+            try:
+                return norm(model, m)
+            finally:
+                inside.pop()
+        return wrapper
+
+    def in_suite(name, run):
+        return lambda *args: current.__setitem__(0, name) or run(*args)
+
+    monkeypatch.setattr(np.linalg, "svd", recording_svd)
+    monkeypatch.setattr(car_fock, "operator_norm", counted(None))
+    monkeypatch.setattr(verification, "operator_norm", counted("car-anticommutators"))
+    for name, run in list(verification.SUITES.items()):
+        monkeypatch.setitem(verification.SUITES, name, in_suite(name, run))
+    checks, _ = verification.run_suites(model, cfg)
+    assert all(c.passed for suite in checks.values() for c in suite)
+    d = model.dim
+    assert calls == {"car-anticommutators": 200, "car": 6, "deformation": 3, "oracle": 6,
+                     "fixed_point": 2}
+    assert svds == {"car": [(2, d // 2, d // 2)] * 6, "deformation": [(d, d)] * 3}
+
+
 def test_gamma_of_the_transpose_fails_bogolyubov_implementation(monkeypatch):
     """The check draws complex Hermitian h, so w = e^{ih} is not symmetric."""
     quantize = car_fock.second_quantize
@@ -541,6 +583,21 @@ def test_antisymmetric_angle_perturbation_fails_the_deformation_suite(monkeypatc
     failed = _failed(_deformation_checks(model))
     assert {"vacuum-invariance", "deformed-twisted-commutant",
             "covariance-identities"} <= failed
+
+
+@pytest.mark.xfail(strict=True, reason="the rotation half of covariance-identities conjugates "
+                   "both sides by the same implementer, so no angle-matrix mutant shows")
+def test_antisymmetric_angle_perturbation_fails_rotation_covariance(monkeypatch):
+    """The mutant of the test above, on the rotation half alone."""
+    model = default_model()
+    rng = np.random.default_rng(81)
+    a = rng.standard_normal((model.dim, model.dim))
+    angle = deformation.angle_matrix
+    monkeypatch.setattr(deformation, "angle_matrix", lambda m: angle(m) + (a - a.T))
+    op = FockOperator(rng.standard_normal((model.dim, model.dim))
+                      + 1j * rng.standard_normal((model.dim, model.dim)), model)
+    lhs, rhs = deformation.rotation_covariance(model, 0.5, op, 0.6)
+    assert lhs.dist(rhs) > cli.load_config(None)["tolerances"]["composed"]
 
 
 def test_reflection_covariance_without_the_kappa_flip_fails(monkeypatch):
