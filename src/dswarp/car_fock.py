@@ -178,7 +178,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.linalg import block_diag, expm
 
 # Largest accepted n_modes: the dense Fock dimension 2^n stays at or below 1024.
 MAX_MODES = 10
@@ -606,11 +605,11 @@ def field_word(model: OneParticleModel, f) -> MaskWord:
     """B(f) as a MaskWord; f must be supported on a single mode (either copy)."""
     f = _field_vector(model, f)
     n = model.n_modes
-    modes = np.unique(np.nonzero(f)[0] % n)
+    modes = sorted(set((np.nonzero(f)[0] % n).tolist()))
     if len(modes) != 1:
         raise ValueError(f"B(f) is a single-mask word only for f on one mode; "
-                         f"f lives on modes {modes.tolist()}")
-    j = int(modes[0])
+                         f"f lives on modes {modes}")
+    j = modes[0]
     mode, src, dst, sign = _mode_flips(n)
     sel = mode == j
     lower_coef, raise_coef = _ladder_coefficients(model, f)
@@ -786,11 +785,33 @@ def reflection_automorphism(model: OneParticleModel, word: MaskWord) -> MaskWord
 
 def rotation_fock(model: OneParticleModel, angle: float | None = None) -> FockOperator:
     """Implementer Gamma(exp(angle g)) of the rotation (charge-commuting, real
-    orthogonal); angle defaults to the model's rotation_angle."""
+    orthogonal); angle defaults to the model's rotation_angle.
+
+    g is made of 2x2 rotation blocks, so g^3 = -g and
+    exp(angle g) = 1 + sin(angle) g + (1 - cos(angle)) g^2.
+    """
     phi = model.rotation_angle if angle is None else float(angle)
     if phi is None:
         raise ModelError("model has no rotation")
-    return second_quantize(model, expm(phi * model.rotation_mode_generator()))
+    g = model.rotation_mode_generator()
+    return second_quantize(model, np.eye(model.n_modes) + math.sin(phi) * g
+                           + (1.0 - math.cos(phi)) * (g @ g))
+
+
+def _expi_hermitian(h: np.ndarray) -> np.ndarray:
+    """e^{ih} of a Hermitian h, as V diag(e^{i lambda}) V^* from its eigenbasis."""
+    lam, v = np.linalg.eigh(h)
+    return (v * np.exp(1j * lam)) @ v.conj().T
+
+
+def _block_diag(*blocks: np.ndarray) -> np.ndarray:
+    """The square blocks along the diagonal of one matrix, zero elsewhere."""
+    out = np.zeros((sum(len(b) for b in blocks),) * 2, dtype=np.result_type(*blocks))
+    start = 0
+    for b in blocks:
+        out[start:start + len(b), start:start + len(b)] = b
+        start += len(b)
+    return out
 
 
 def bogolyubov_fock(model: OneParticleModel, h_plus: np.ndarray,
@@ -806,11 +827,11 @@ def bogolyubov_fock(model: OneParticleModel, h_plus: np.ndarray,
     h_minus = np.asarray(h_minus, dtype=complex)
     if h_plus.shape != (dp, dp) or h_minus.shape != (dm, dm):
         raise ValueError("Bogolyubov generator blocks have wrong shapes")
-    w_plus, w_minus = expm(1j * h_plus), expm(1j * h_minus)
-    w = block_diag(w_plus, w_minus)
+    w_plus, w_minus = _expi_hermitian(h_plus), _expi_hermitian(h_minus)
+    w = _block_diag(w_plus, w_minus)
     # antiparticle modes are raised by copy B, so Gamma takes the conjugate block
-    big_u = second_quantize(model, block_diag(w_plus, np.conj(w_minus)))
-    return big_u, block_diag(w, np.conj(w))
+    big_u = second_quantize(model, _block_diag(w_plus, np.conj(w_minus)))
+    return big_u, _block_diag(w, np.conj(w))
 
 
 # -- quasifree states -------------------------------------------------------

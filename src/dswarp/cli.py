@@ -19,7 +19,9 @@ import sys
 from importlib import resources
 from pathlib import Path
 
+import jsonschema
 import numpy as np
+import numpy.random   # numpy 2 loads it on first use; loaded here, a run loads no module
 
 from . import __version__
 from . import spin_group as sg
@@ -201,8 +203,6 @@ def write_report(report: dict, out_dir: str, fmt: str = "json") -> Path:
 
 
 def validate_report_schema(report: dict):
-    import jsonschema
-
     schema = json.loads(resources.files("dswarp").joinpath("report_schema.json")
                         .read_text(encoding="utf-8"))
     jsonschema.validate(report_payload_without_timings(report), schema)

@@ -14,13 +14,50 @@ x_tilde = sum x^mu gamma_mu.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
-from scipy.linalg import expm
 
 from .geometry import ETA, ETA_DIAG, GAMMA_STACK, gamma
 from .quaternion import ONE, QuatMatrix2, qmat_dist
 
 SP11_TOL = 1e-10
+
+
+# Largest 1-norm at which the degree-16 Taylor polynomial is used unscaled:
+# its remainder 0.8^17 / 17! = 6.3e-17 is below the unit roundoff 2^-53.
+_EXPM_THETA = 0.8
+_EXPM_GROUPS = np.array([1.0 / math.factorial(k) for k in range(16)]).reshape(4, 4)
+
+
+def expm(a) -> np.ndarray:
+    """exp(a) for a real (..., m, m) stack, by scaling and squaring.
+
+    The stack is scaled by 2^-s until every 1-norm is at most _EXPM_THETA,
+    the degree-16 Taylor polynomial is evaluated in powers of a^4
+    (Paterson-Stockmeyer: 6 products), and the result is squared s times.
+    Unlike an eigen-decomposition this is safe for the non-normal and
+    nilpotent so(1,4) elements (Higham, SIAM J. Matrix Anal. Appl. 26, 2005).
+    """
+    a = np.asarray(a, dtype=float)
+    # s = ceil(log2(norm / theta)); frexp gives (0, 0) at 0 and exponent 0 if not finite
+    mantissa, exponent = math.frexp(float(np.abs(a).sum(axis=-2).max(initial=0.0))
+                                    / _EXPM_THETA)
+    squarings = max(exponent - (mantissa == 0.5), 0)
+    powers = np.empty((4,) + a.shape)           # I, a, a^2, a^3 of the scaled stack
+    powers[0] = np.eye(a.shape[-1])
+    powers[1] = np.ldexp(a, -squarings)
+    np.matmul(powers[1], powers[1], out=powers[2])
+    np.matmul(powers[2], powers[1], out=powers[3])
+    a4 = powers[2] @ powers[2]
+    # groups[j] = sum_i a^i / (4j + i)!, so exp(a) ~ sum_j groups[j] a^{4j} + a^16 / 16!
+    groups = (_EXPM_GROUPS @ powers.reshape(4, -1)).reshape(powers.shape)
+    out = groups[3] + a4 / math.factorial(16)
+    for j in (2, 1, 0):
+        out = groups[j] + out @ a4
+    for _ in range(squarings):
+        out = out @ out
+    return out
 
 
 class NotInSpinGroupError(ValueError):

@@ -2,10 +2,10 @@ import itertools
 
 import numpy as np
 import pytest
-from scipy.linalg import expm
+from scipy.linalg import block_diag, expm
 
-from dswarp.car_fock import (FockOperator, ModelError, OneParticleModel,
-                             bogolyubov_fock, boost_phases, car_norm_bound,
+from dswarp.car_fock import (FockOperator, ModelError, OneParticleModel, _block_diag,
+                             _expi_hermitian, bogolyubov_fock, boost_phases, car_norm_bound,
                              charge_projector, cospinor,
                              default_model, field_B,
                              fock_npoint, gauge_phases,
@@ -321,6 +321,33 @@ def test_rotation_implementer_commutes_with_charge():
     q = diagonal(MODEL, MODEL.charges)
     assert (g @ q - q @ g).norm() < 1e-13
     np.testing.assert_allclose(g.matrix @ MODEL.vacuum(), MODEL.vacuum(), atol=1e-14)
+
+
+@pytest.mark.parametrize("model", [MODEL, OneParticleModel(4, 3, [1, -1, 2, -2], [1, -1, 0], [0]),
+                                   OneParticleModel(3, 0, [1, -1, 2], [], [0])])
+@pytest.mark.parametrize("angle", [0.6, -2.5, 2.0 * np.pi])
+def test_rotation_implementer_is_gamma_of_the_mode_rotation(model, angle):
+    """The closed form 1 + sin g + (1 - cos) g^2 against scipy's exponential."""
+    w = expm(angle * model.rotation_mode_generator())
+    assert rotation_fock(model, angle).dist(exterior_rep(model, w)) < 1e-13
+
+
+@pytest.mark.parametrize("k", [0, 1, 2, 3, 6])
+def test_hermitian_exponential_matches_scipy_and_is_unitary(k):
+    rng = np.random.default_rng(50 + k)
+    for _ in range(10):
+        x = rand_vec(rng, k * k).reshape(k, k) * rng.uniform(0.1, 5.0)
+        h = x + x.conj().T
+        w = _expi_hermitian(h)
+        np.testing.assert_allclose(w, expm(1j * h), rtol=0, atol=1e-13)
+        np.testing.assert_allclose(w @ w.conj().T, np.eye(k), rtol=0, atol=1e-13)
+
+
+def test_block_diag_places_blocks_on_the_diagonal():
+    a, b = np.arange(4.0).reshape(2, 2), np.full((1, 1), 1j)
+    np.testing.assert_array_equal(_block_diag(a, np.zeros((0, 0)), b),
+                                  block_diag(a, b))
+    assert _block_diag(a, b).dtype == complex
 
 
 def test_charge_shift_decomposition():

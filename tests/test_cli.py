@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -492,3 +496,33 @@ def test_overflowing_warp_fails_without_traceback(tmp_path, capsys):
     for name in ("warp-inverse", "adjoint-compatibility", "rieffel-associativity"):
         assert checks[name]["max_residual"] is None
         assert checks[name]["pass"] is False
+
+
+# Run in a fresh interpreter: import dswarp.cli, then the default verify and the
+# other subcommands; print the scipy modules the import loaded and the modules
+# the runs added.
+_IMPORT_PROBE = """
+import contextlib, io, json, sys
+import dswarp.cli
+scipy = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+loaded = set(sys.modules)
+codes = []
+for argv in (["verify", "--out", sys.argv[1]],
+             ["oracle", "--kappa", "0.5", "--eps", "0.1", "0.01", "0.001", "1e-5"],
+             ["group", "--t", "0.5"], ["wedges", "--seed", "3"], ["deform"]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        codes.append(dswarp.cli.main(argv))
+print(json.dumps({"scipy": scipy, "added": sorted(set(sys.modules) - loaded),
+                  "codes": codes}))
+"""
+
+
+def test_cli_import_loads_every_module_a_run_needs_and_no_scipy(tmp_path):
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    run = subprocess.run([sys.executable, "-c", _IMPORT_PROBE, str(tmp_path / "out")],
+                         capture_output=True, text=True, env=env, timeout=300)
+    assert run.returncode == 0, run.stderr
+    result = json.loads(run.stdout.splitlines()[-1])
+    assert result == {"scipy": [], "added": [], "codes": [0, 0, 0, 0, 0]}

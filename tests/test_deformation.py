@@ -4,14 +4,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.special import roots_legendre
+from scipy.special import roots_legendre, sici
 
 from dswarp.car_fock import (FockOperator, boost_phases, charge_projector,
                              default_model, field_B, gauge_phases,
                              reflect_word, reflection_automorphism,
                              reflection_table, spinor, twist_phases,
                              wedge_subalgebra_basis)
-from dswarp.deformation import (_cosine_factor, _gauss_factor, covariance_transform,
+from dswarp.deformation import (_cosine_factor, _gauss_factor, _si_cin, covariance_transform,
                                 oracle_residuals, rieffel_word, rotation_covariance, warp,
                                 warp_oscillatory, warp_rotated, warp_word)
 from dswarp.car_fock import OneParticleModel
@@ -374,6 +374,52 @@ def test_cosine_factors_at_removable_points(eps):
     assert np.isfinite(values).all()
     for value, alpha, beta in zip(values, alphas, betas):
         assert abs(value - cosine_factor_oracle(eps, alpha, beta)) < 1e-12
+
+
+# -- Si and Cin against scipy.special.sici ---------------------------------------
+
+def _sici_args():
+    rng = np.random.default_rng(19)
+    edges = [0.0, 5e-324, np.nextafter(4.0, 0.0), 4.0, np.nextafter(4.0, 5.0), 1e300, 1.7e308]
+    return np.concatenate([rng.uniform(0.0, 10.0, 20000),
+                           10.0 ** rng.uniform(-5.0, 6.0, 20000), edges])
+
+
+def test_si_cin_match_scipy_sici():
+    x = _sici_args()
+    si, cin = _si_cin(x)
+    ref_si, ci = sici(x)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ref_cin = np.where(x == 0, 0.0, np.euler_gamma + np.log(x) - ci)
+    assert np.max(np.abs(si - ref_si)) <= 2e-15
+    assert np.max(np.abs(cin - ref_cin) / np.maximum(1.0, ref_cin)) <= 2e-15
+
+
+# Si(x) and Cin(x) to 20 digits (40-digit mpmath), on both sides of the series limit 4
+SI_CIN_REFERENCE = [(1.0, 0.94608307036718301494, 0.23981174200056472594),
+                    (4.0, 1.7582031389490530581, 2.1044917239083538911),
+                    (10.0, 1.6583475942188740493, 2.9252571909000339173)]
+
+
+@pytest.mark.parametrize("x, si_ref, cin_ref", SI_CIN_REFERENCE)
+def test_si_cin_within_two_ulp_of_reference(x, si_ref, cin_ref):
+    si, cin = _si_cin(np.array([x]))
+    assert abs(si[0] - si_ref) <= 2 * np.spacing(si_ref)
+    assert abs(cin[0] - cin_ref) <= 2 * np.spacing(cin_ref)
+
+
+def test_si_cin_is_odd_and_even():
+    x = _sici_args()
+    si, cin = _si_cin(x)
+    neg_si, neg_cin = _si_cin(-x)
+    np.testing.assert_array_equal(neg_si, -si)
+    np.testing.assert_array_equal(neg_cin, cin)
+
+
+def test_si_cin_at_infinity_and_nan():
+    si, cin = _si_cin(np.array([np.inf, -np.inf, np.nan]))
+    np.testing.assert_array_equal(si, [np.pi / 2, -np.pi / 2, np.nan])
+    np.testing.assert_array_equal(cin, [np.inf, np.inf, np.nan])
 
 
 @pytest.mark.parametrize("factor", [_gauss_factor, _cosine_factor],

@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dswarp import spin_group as sg
 from dswarp.quaternion import ONE, ZERO, QuatMatrix2
@@ -139,10 +142,9 @@ def test_rotation_flow_periodicity():
 
 
 def test_l2_flow_is_pure_boost_at_s_zero():
-    from scipy.linalg import expm
     t = 0.9
     flow = sg.abelian_flow("L2", t, 0.0)
-    np.testing.assert_allclose(flow, expm(t * sg.lie_generator(0, 1).astype(float)),
+    np.testing.assert_allclose(flow, scipy.linalg.expm(t * sg.lie_generator(0, 1).astype(float)),
                                atol=1e-12)
     # orientation: exp(-2 pi t M_01) equals the wedge boost
     np.testing.assert_allclose(sg.abelian_flow("L2", -2.0 * np.pi * t, 0.0),
@@ -160,3 +162,37 @@ def test_reflection_obstruction_identity():
     assert report["max_residual"] < 1e-10
     lhs = sg.J12 @ sg.abelian_flow("L2", 1.0, 1.0) @ sg.J12
     np.testing.assert_allclose(lhs, sg.abelian_flow("L2", -1.0, -1.0), atol=1e-10)
+
+
+# -- the numpy exponential against scipy.linalg.expm ---------------------------------
+
+def assert_expm_matches_scipy(a: np.ndarray):
+    """sg.expm(a) agrees with scipy within 1e-12 of the largest entry of exp(a)."""
+    ref = scipy.linalg.expm(a)
+    assert np.max(np.abs(sg.expm(a) - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.floats(-2.0, 2.0), min_size=10, max_size=10))
+def test_expm_of_so14_combination_matches_scipy(coeffs):
+    assert_expm_matches_scipy(sum(c * m.astype(float) for c, (_, _, m) in
+                                  zip(coeffs, sg.lie_basis())))
+
+
+@pytest.mark.parametrize("t", [*np.linspace(-1.5, 1.5, 13), 2.0 * np.pi, -2.0 * np.pi])
+@pytest.mark.parametrize("tag", sorted(sg.ABELIAN_SUBGROUPS))
+def test_expm_of_abelian_generators_matches_scipy(tag, t):
+    for g in sg.ABELIAN_SUBGROUPS[tag]:
+        assert_expm_matches_scipy(t * g.astype(float))
+
+
+def test_expm_of_a_stack_is_the_expm_of_each_matrix():
+    rng = np.random.default_rng(11)
+    stack = np.stack([sum(c * m.astype(float) for c, (_, _, m) in
+                          zip(rng.uniform(-2.0, 2.0, size=10), sg.lie_basis()))
+                      for _ in range(4)] + [np.zeros((5, 5))])
+    out = sg.expm(stack)
+    assert out.shape == stack.shape
+    for a, e in zip(stack, out):
+        np.testing.assert_allclose(e, scipy.linalg.expm(a), rtol=0, atol=1e-12 * np.max(np.abs(e)))
+    np.testing.assert_array_equal(out[-1], np.eye(5))
