@@ -43,7 +43,9 @@ matrix).  A single ladder operator is the field of a unit vector: c_j^+ is
 B(e) with e on the copy that raises mode j (copy A for a particle mode, copy
 B for an antiparticle mode), and c_j is B(e) on the other copy.  The entries
 equal those of the Kronecker-product tower exactly; the tests keep that tower
-as the oracle.
+as the oracle.  _apply_fields applies a batch of fields B(f_b), one to each
+of a batch of vectors, with the same tables in O(n d) per field and no field
+matrix; fock_npoint and field_norms act through it.
 
 Diagonal operators
 ------------------
@@ -64,26 +66,8 @@ masks XOR), and so do the adjoint and entrywise phases such as warp and
 diagonal conjugation.  MaskWord stores D P_S as (S, vector of the d nonzero
 entries), so a product is a gather in O(d) and the operator norm is the
 largest absolute entry.  The wedge generators on the W0 and W0p bases are
-such fields.
-
-Products
---------
-B(f) is the sum of f_a W_a over the 2n unit words W_a = field_word(e_a), so
-{B(f), B(g)} = sum_{a,b} (C + C^T)_{ab} W_a W_b with C = outer(f, g).  The
-word table (_word_products, once per model) holds the nonzero entries of
-W_a W_b for every ordered pair: +-1 each, at most d/2 per pair, so n^2 d in
-all.  field_anticommutator multiplies each entry by its symmetrized
-coefficient and sums them into a d x d array with one bincount per real
-and imaginary part.  The coefficient of a pair on two different modes
-equals that of the reversed pair, and the two words anticommute, so every
-cross-mode entry receives s c and -s c and ends exactly 0: with correct
-Jordan-Wigner signs the result is exactly diagonal, and with a wrong sign
-its off-diagonal part is O(1).  That is why every ordered pair is
-scattered, cross-mode pairs included: building only the diagonal would
-assume the relation that car-anticommutators checks.  _apply_fields
-applies a batch of fields B(f_b), one to each of a batch of vectors, with
-the _mode_flips tables in O(n d) per field and no field matrix; fock_npoint
-and field_norms act through it.
+such fields, and so are the 2n unit fields field_word(e_a) whose
+anticommutators the car suite checks.
 
 Implementers
 ------------
@@ -125,9 +109,9 @@ gathered and counted against the nonzero count of m.  A parity-even or
 parity-odd matrix (fields are odd, anticommutators even) is the direct
 sum of its two d/2 x d/2 parity blocks up to a permutation, and takes one
 batched SVD of the pair.  Anything else takes one d x d SVD.  In a full
-verify the oracle's spinor residuals, the mover, warp(e1) - e1 and the
-car-anticommutators residuals are single-mask, the Bogolyubov residuals
-parity-odd and the rotation-covariance residuals dense.
+verify the oracle's spinor residuals, the mover and warp(e1) - e1 are
+single-mask and the Bogolyubov residuals parity-odd; no check takes the
+norm of a dense matrix.
 
 The charge sectors E(n) m E(n) carry the fixed-point checks.  sector_layout
 lists their positions per block shape, sector_blocks gathers them from a
@@ -159,12 +143,11 @@ Per-model caches
 OneParticleModel.cached builds a value once per model and freezes its arrays
 (read-only).  It holds the conjugation matrix, the wedge generators per tag
 (wedge_generators), the signed-permutation table of the reflection
-(reflection_table), the Majorana words, the sector layout, the word-product
-table of field_anticommutator, in the deformation module the angle matrix
-and the warp phases of the last few kappas, and in the verification module
-the fixed-point weights at the sector entries.  The per-mode-count caches
-(occupation_table, _mode_flips) hold index tables of size n 2^n; the
-word-product table has n^2 d entries, the sector layout one entry per
+(reflection_table), the Majorana words, the sector layout, in the
+deformation module the angle matrix and the warp phases of the last few
+kappas, and in the verification module the fixed-point weights at the
+sector entries.  The per-mode-count caches (occupation_table, _mode_flips)
+hold index tables of size n 2^n; the sector layout has one entry per
 sector-block entry, and only the angle matrix and the warp phases are
 Fock-size arrays.
 """
@@ -617,43 +600,6 @@ def field_word(model: OneParticleModel, f) -> MaskWord:
     vec[src[sel]] = lower_coef[j] * sign[sel]
     vec[dst[sel]] = raise_coef[j] * sign[sel]
     return MaskWord(1 << (n - 1 - j), vec)
-
-
-def _word_products(model: OneParticleModel) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Nonzero entries of W_a W_b for every ordered pair of the 2n unit words.
-
-    W_a is field_word(model, e_a).  The table is three flat arrays (pair,
-    pos, val): entry e belongs to the pair a * 2n + b, sits at the row-major
-    position pos[e] of a d x d matrix and equals val[e], which is +-1.
-    Built once per model.
-    """
-    def build():
-        n2, d = model.doubled_dim, model.dim
-        words = [field_word(model, e) for e in np.eye(n2)]
-        pair, pos, val = [], [], []
-        for a, wa in enumerate(words):
-            for b, wb in enumerate(words):
-                w = wa @ wb
-                cols = np.nonzero(w.vec)[0]
-                pair.append(np.full(len(cols), a * n2 + b))
-                pos.append((cols ^ w.mask) * d + cols)
-                val.append(w.vec[cols].real)
-        return tuple(np.concatenate(x) for x in (pair, pos, val))
-
-    return model.cached("word_products", build)
-
-
-def field_anticommutator(model: OneParticleModel, f, g) -> FockOperator:
-    """{B(f), B(g)}, scattered from the word-product table; see "Products"."""
-    f, g = _field_vector(model, f), _field_vector(model, g)
-    pair, pos, val = _word_products(model)
-    c = np.outer(f, g)
-    coef = (c + c.T).ravel()[pair] * val
-    size = model.dim ** 2
-    out = np.empty(size, dtype=complex)
-    out.real = np.bincount(pos, coef.real, size)
-    out.imag = np.bincount(pos, coef.imag, size)
-    return FockOperator(out.reshape(model.dim, model.dim), model)
 
 
 def cospinor(model: OneParticleModel, f_plus) -> FockOperator:

@@ -21,9 +21,10 @@ vacuum-compatible, and is the normative implementation.  Being entrywise, it
 keeps every zero of F, so warp_word applies it to a mask word at the word's
 d entries, and rieffel_word, the deformed product warp(-kappa, warp f warp
 g), stays a mask word.  The boost, gauge and reflection covariance
-identities are taken on mask words too (covariance_transform); only the
-rotation, whose implementer mixes modes, needs dense operators
-(rotation_covariance).
+identities are taken on mask words too (covariance_transform).  Rotation
+covariance is not checked: warp_rotated defines the warp along the rotated
+flow by conjugating with the rotation's implementer, so that identity would
+hold for any unitary implementer and any phase.
 
 Oscillatory oracle
 ------------------
@@ -120,15 +121,11 @@ def rieffel_word(model: OneParticleModel, kappa: float, f: MaskWord, g: MaskWord
 
 def warp_rotated(model: OneParticleModel, kappa: float, op: FockOperator,
                  angle: float | None = None) -> FockOperator:
-    """Warp along the rotated flow r_* xi (rotated boost, same gauge)."""
-    return _warp_along(model, kappa, op, rotation_fock(model, angle))
-
-
-def _warp_along(model: OneParticleModel, kappa: float, op: FockOperator,
-                rot: FockOperator) -> FockOperator:
-    """Warp along the flow rotated by the implementer rot: rot warp(rot^* op rot) rot^*."""
-    inner = FockOperator(rot.H.matrix @ op.matrix @ rot.matrix, model)
-    return FockOperator(rot.matrix @ warp(model, kappa, inner).matrix @ rot.H.matrix, model)
+    """Warp along the rotated flow r_* xi (rotated boost, same gauge):
+    rot warp(rot^* op rot) rot^* with rot the rotation's implementer."""
+    rot = rotation_fock(model, angle).matrix
+    inner = FockOperator(rot.conj().T @ op.matrix @ rot, model)
+    return FockOperator(rot @ warp(model, kappa, inner).matrix @ rot.conj().T, model)
 
 
 def covariance_transform(model: OneParticleModel, kappa: float, word: MaskWord,
@@ -140,7 +137,6 @@ def covariance_transform(model: OneParticleModel, kappa: float, word: MaskWord,
     gauge are diagonal and leave the flow fixed.  The reflection flips kappa;
     lhs conjugates by Gamma(tau) and rhs applies the reflection automorphism
     on the fields, so the identity also asks that Gamma(tau) implement it.
-    The rotation mixes modes and has rotation_covariance.
     """
     if kind in ("boost", "gauge"):
         u = (boost_phases if kind == "boost" else gauge_phases)(model, float(parameter))
@@ -150,16 +146,7 @@ def covariance_transform(model: OneParticleModel, kappa: float, word: MaskWord,
         return (reflect_word(model, warp_word(model, kappa, word)),
                 warp_word(model, -kappa, reflection_automorphism(model, word)))
     raise ValueError(f"unknown covariance kind {kind!r}; expected 'boost', 'gauge' "
-                     "or 'reflection' (the rotation is rotation_covariance)")
-
-
-def rotation_covariance(model: OneParticleModel, kappa: float, op: FockOperator,
-                        angle: float | None = None) -> tuple[FockOperator, FockOperator]:
-    """Both sides of rotation covariance, as dense operators: the rotated warped
-    operator, and the rotated operator warped along the rotated flow.  The
-    implementer is built once and serves both sides."""
-    g = rotation_fock(model, angle)
-    return g @ warp(model, kappa, op) @ g.H, _warp_along(model, kappa, g @ op @ g.H, g)
+                     "or 'reflection'")
 
 
 # -- oscillatory-integral oracle ----------------------------------------------

@@ -387,8 +387,7 @@ TWO_PLUS_ZERO = {"d_plus": 2, "d_minus": 0, "boost_freqs_plus": [1.0, -1.0],
     ({"reflection_pairing": None}, "locality", "no reflection_pairing"),
     ({"reflection_pairing": None}, "deformation", "no reflection_pairing"),
     ({"rotation_angle": None}, "inequivalence", "no rotation_angle"),
-    (ONE_PLUS_ONE, "deformation", "no reflection_pairing and no species block of two modes "
-                                  "to rotate"),
+    (ONE_PLUS_ONE, "deformation", "no reflection_pairing"),
     (ONE_PLUS_ONE, "inequivalence", "no species block of two modes to rotate"),
     (ONE_PLUS_ONE, "fixed_point", "no two modes of one species with distinct boost frequencies"),
     (TWO_PLUS_ZERO, "inequivalence", "no antiparticle mode"),
@@ -412,7 +411,7 @@ def test_suite_the_model_cannot_run_is_refused(tmp_path, capsys, monkeypatch, mo
 
 
 def test_deformation_runs_without_rotation_angle(tmp_path):
-    # the deformation suite rotates by its own angle, not the model's
+    # no deformation check rotates
     path = _write_config(tmp_path, {"model": {"rotation_angle": None}})
     assert cli.main(["verify", "--config", path, "--suite", "deformation",
                      "--out", str(tmp_path / "o")]) == 0
@@ -449,10 +448,12 @@ def test_mode_cap_is_car_fock_max_modes(tmp_path, capsys):
 # -- NaN never passes ----------------------------------------------------------------
 
 def _nan_car_residuals(monkeypatch):
-    """NaN for the norms that the car-anticommutators and Bogolyubov residuals take."""
-    from dswarp.car_fock import FockOperator
+    """NaN in the unit words of car-anticommutators and in the Bogolyubov distances."""
+    from dswarp.car_fock import FockOperator, MaskWord
+    word = verification.field_word
     monkeypatch.setattr(FockOperator, "dist", lambda self, other: float("nan"))
-    monkeypatch.setattr(verification, "operator_norm", lambda model, m: float("nan"))
+    monkeypatch.setattr(verification, "field_word",
+                        lambda model, f: MaskWord(word(model, f).mask, np.full(model.dim, np.nan)))
 
 
 def test_nan_residual_fails_car_suite(monkeypatch):

@@ -12,8 +12,8 @@ from dswarp.car_fock import (FockOperator, boost_phases, charge_projector,
                              reflection_table, spinor, twist_phases,
                              wedge_subalgebra_basis)
 from dswarp.deformation import (_cosine_factor, _gauss_factor, _si_cin, covariance_transform,
-                                oracle_residuals, rieffel_word, rotation_covariance, warp,
-                                warp_oscillatory, warp_rotated, warp_word)
+                                oracle_residuals, rieffel_word, warp, warp_oscillatory,
+                                warp_rotated, warp_word)
 from dswarp.car_fock import OneParticleModel
 from test_fock_properties import charge_shifts, diagonal, identity_op, reflection_fock
 from test_verification import PROPERTY, KAPPAS, SEEDS, _random_word, dense, word_models
@@ -222,9 +222,6 @@ def test_covariance_identities():
         for _ in range(5):
             lhs, rhs = covariance_transform(MODEL, kappa, _random_word(rng, MODEL.dim), kind, param)
             assert (lhs - rhs).norm() < 1e-10
-    for _ in range(5):
-        lhs, rhs = rotation_covariance(MODEL, kappa, rand_op(rng), 0.6)
-        assert lhs.dist(rhs) < 1e-10
     for kind in ("translation", "rotation"):
         with pytest.raises(ValueError):
             covariance_transform(MODEL, kappa, _random_word(rng, MODEL.dim), kind, 1.0)
@@ -492,16 +489,6 @@ def test_single_mode_model_oracle():
     res = [warp_oscillatory(tiny, kappa, op, e).dist(exact) for e in (0.2, 0.1, 0.05)]
     assert res[0] > res[1] > res[2]
     assert res[2] < 1e-3
-
-
-def test_rotation_covariance_builds_the_implementer_once(monkeypatch):
-    from dswarp import deformation
-    built, build = [], deformation.rotation_fock
-    monkeypatch.setattr(deformation, "rotation_fock",
-                        lambda *args: built.append(1) or build(*args))
-    lhs, rhs = rotation_covariance(MODEL, 0.55, rand_op(np.random.default_rng(64)), 0.6)
-    assert len(built) == 1
-    assert lhs.dist(rhs) < 1e-10
 
 
 def test_rotated_flow_matches_sector_formula():

@@ -8,7 +8,8 @@ REMOVED = ["Quaternion", "Q_ZERO", "Q_ONE", "Q_E1", "Q_E2", "Q_E3", "annihilatio
            "random_spin_word", "THETA", "DeformationContext", "unwarp",
            "rieffel_product", "warp_inverse_check", "identity_op",
            "deformation_derivative_at_zero", "sector_norms", "conjugate_by_diagonal",
-           "reflection_fock", "rotation_cover"]
+           "reflection_fock", "rotation_cover", "field_anticommutator",
+           "rotation_covariance"]
 
 
 @pytest.mark.parametrize("name", dswarp.__all__)
