@@ -19,7 +19,7 @@ from .spin_group import (SpinElement, abelian_flow, boost_base, boost_cover,
                          reflection_obstruction_check)
 from .verification import (CheckReport, causal_borchers_axioms, check_twisted_locality,
                            fixed_point_residual, inequivalence_witness)
-from .wedges import Wedge, causal_complement, inclusion_rigidity_probe, wedge_contains
+from .wedges import Wedge, causal_complement, rigidity_witnesses, wedge_contains
 
 __all__ = [
     "__version__",
@@ -28,7 +28,7 @@ __all__ = [
     "SpinElement", "covering_hom", "boost_cover", "boost_base",
     "reflection_base", "reflection_cover", "lie_bracket", "abelian_flow",
     "reflection_obstruction_check",
-    "Wedge", "wedge_contains", "causal_complement", "inclusion_rigidity_probe",
+    "Wedge", "wedge_contains", "causal_complement", "rigidity_witnesses",
     "OneParticleModel", "FockOperator", "default_model", "field_B", "spinor",
     "cospinor", "gauge_phases", "charge_projector", "boost_phases", "twist_phases",
     "quasifree_npoint", "wedge_subalgebra_basis",

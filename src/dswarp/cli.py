@@ -1,9 +1,9 @@
 """Batch entry point: JSON config in, machine-readable verification reports out.
 
 Subcommands: verify (run suites), group (covering/Lie computations), wedges
-(region probes), deform (warp a named generator), oracle (regularized integral
-sweep), report (render a report JSON as a table).  Exit codes: 0 all checks
-pass, 1 check failure, 2 config error.
+(membership and a rigidity witness), deform (warp a named generator), oracle
+(regularized integral sweep), report (render a report JSON as a table).  Exit
+codes: 0 all checks pass, 1 check failure, 2 config error.
 
 This module loads and validates configs, builds the model, and reads and
 writes reports; the suites and their checks live in dswarp.verification.
@@ -271,14 +271,22 @@ def _cmd_wedges(args) -> int:
     w0 = wd.Wedge.reference()
     g = sg.random_proper_lorentz(rng)
     moved = wd.Wedge(g)
-    probe = wd.inclusion_rigidity_probe(w0, moved, seed=args.seed)
+    if wd.wedges_equal(w0, moved):
+        verdict, witness = "EQUAL", None
+    else:
+        # a point of W0 outside the moved wedge, confirmed by wedge_contains;
+        # a missing one is NaN, written as nulls with exit code 1
+        witness = wd.rigidity_witnesses(w0.frame, moved.frame)[0]
+        confirmed = (not np.isnan(witness).any() and wd.wedge_contains(w0, witness)
+                     and not wd.wedge_contains(moved, witness))
+        verdict, witness = ("WITNESS" if confirmed else "MISSING"), witness.tolist()
     payload = {
         "seed": args.seed,
         "reference_contains_e1": wd.wedge_contains(w0, [0.0, 1.0, 0.0, 0.0, 0.0]),
         "complement_contains_minus_e1": wd.wedge_contains(
             wd.causal_complement(w0), [0.0, -1.0, 0.0, 0.0, 0.0]),
-        "random_pair_verdict": probe.verdict,
-        "random_pair_trials": probe.trials,
+        "random_pair_verdict": verdict,
+        "random_pair_witness": witness,
     }
     return _print_json(payload)
 
@@ -379,7 +387,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_group.add_argument("--t", type=float, default=0.5, help="boost parameter")
     p_group.set_defaults(func=_cmd_group)
 
-    p_wedges = sub.add_parser("wedges", help="wedge region probes")
+    p_wedges = sub.add_parser("wedges", help="wedge membership and a rigidity witness")
     p_wedges.add_argument("--seed", type=int, default=0)
     p_wedges.set_defaults(func=_cmd_wedges)
 

@@ -8,6 +8,8 @@ import numpy as np
 import pytest
 
 from dswarp import cli, verification
+from dswarp import spin_group as sg
+from dswarp import wedges as wd
 
 
 def _write_config(tmp_path, overrides):
@@ -129,7 +131,20 @@ def test_wedges_subcommand(capsys):
     assert rc == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["reference_contains_e1"] is True
-    assert payload["random_pair_verdict"] in ("WITNESS", "EQUAL")
+    assert payload["random_pair_verdict"] == "WITNESS"
+    assert "random_pair_trials" not in payload
+    witness = np.array(payload["random_pair_witness"])
+    moved = wd.Wedge(sg.random_proper_lorentz(np.random.default_rng(3)))
+    assert wd.wedge_contains(wd.Wedge.reference(), witness)
+    assert not wd.wedge_contains(moved, witness)
+
+
+def test_wedges_subcommand_equal_pair_has_null_witness(capsys, monkeypatch):
+    monkeypatch.setattr(sg, "random_proper_lorentz", lambda rng: sg.boost_base(0.6))
+    assert cli.main(["wedges", "--seed", "3"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["random_pair_verdict"] == "EQUAL"
+    assert payload["random_pair_witness"] is None
 
 
 def test_deform_subcommand(capsys):
@@ -331,15 +346,17 @@ def test_deform_nonfinite_matrix_written_as_null(capsys):
     assert [None, None] in json.loads(out)["matrix_row_major"]
 
 
-@pytest.mark.parametrize("t", ["2", "nan"])
+@pytest.mark.parametrize("t", ["nan"])
 def test_group_outside_checkable_range_refused(tmp_path, capsys, t):
-    # at t = 2 the boost's Lorentz defect (3.2e-6) exceeds the 1e-8 gate
     _assert_refused(["group", "--t", t], tmp_path, capsys)
 
 
 def test_group_inside_checkable_range_accepted(capsys):
-    assert cli.main(["group", "--t", "1.5"]) == 0
-    assert json.loads(capsys.readouterr().out)["t"] == 1.5
+    # at t = 2 the boost's Lorentz defect is 3.2e-6, rounding on entries of
+    # size cosh(4 pi)^2; the SO(1,4)_0 gate scales with ||Lambda||^2
+    for t in (1.5, 2.0):
+        assert cli.main(["group", "--t", str(t)]) == 0
+        assert json.loads(capsys.readouterr().out)["t"] == t
 
 
 def test_wedges_negative_seed_refused(tmp_path, capsys):

@@ -161,27 +161,30 @@ def test_sampler_verdicts_equal_wedge_contains(frame_seed, seed, n):
     assert np.array_equal(wd.sample_wedge_points(wedge, n, seed).points, np.array(expected))
 
 
-@settings(max_examples=15, deadline=None)
-@given(seeds, seeds)
-def test_probe_verdicts_equal_wedge_contains(frame_seed, seed):
-    # The witness is the first point of the probe's batches inside w1 and
-    # outside w2 by wedge_contains (the probe's w2 margin is -MEMBERSHIP_MARGIN,
-    # which only a point within 1e-12 of the edge of w2 could tell apart).
-    frames = np.random.default_rng(frame_seed)
-    w1 = wd.Wedge(sg.random_proper_lorentz(frames))
-    w2 = wd.Wedge(sg.random_proper_lorentz(frames))
-    probe = wd.inclusion_rigidity_probe(w1, w2, n=8192, seed=seed)
+@PROPERTY
+@given(seeds, batch_sizes, st.data())
+def test_witness_verdicts_equal_wedge_contains(seed, n, data):
+    # n pairs, some of them equal wedges (w1 moved by a stabilizer element):
+    # a witness is built iff the wedges differ, wedge_contains confirms it,
+    # and the stacked construction equals the per-pair one exactly
     rng = np.random.default_rng(seed)
-    witness, trials = None, 0
-    while witness is None and trials < 8192:
-        batch = geo.sample_hyperboloid(2048, rng)
-        trials += 2048
-        candidates = batch[wd.wedge_contains(w1, batch)]
-        outside = candidates[~wd.wedge_contains(w2, candidates)]
-        witness = outside[0] if len(outside) else None
-    assert probe.verdict == ("WITNESS" if witness is not None else "INCONCLUSIVE")
-    assert probe.trials == trials
-    assert witness is None or np.array_equal(probe.witness, witness)
+    first = sg.random_proper_lorentz(rng, count=n)
+    second = sg.random_proper_lorentz(rng, count=n)
+    for i in data.draw(st.sets(st.integers(min_value=0, max_value=n - 1))):
+        edge = np.linalg.qr(rng.normal(size=(3, 3)))[0]
+        edge[:, 0] *= np.linalg.det(edge)                    # into SO(3)
+        stabilizer = sg.boost_base(rng.uniform(-0.5, 0.5))
+        stabilizer[2:, 2:] = edge
+        second[i] = first[i] @ stabilizer
+    points, margins = wd.rigidity_witnesses(first, second)
+    for f1, f2, x, margin in zip(first, second, points, margins):
+        w1, w2 = wd.Wedge(f1), wd.Wedge(f2)
+        built = not np.isnan(x).any()
+        assert built == (not wd.wedges_equal(w1, w2))
+        if built:
+            assert wd.wedge_contains(w1, x) and not wd.wedge_contains(w2, x)
+        single = wd.rigidity_witnesses(f1, f2)
+        assert np.array_equal(single[0], x, equal_nan=True) and single[1] == margin
 
 
 @PROPERTY

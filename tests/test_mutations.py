@@ -1,0 +1,73 @@
+"""Mutation matrix: each check of the default report shown able to fail.
+
+A mutant is a named replacement of one program function.  It is patched in
+every dswarp module that holds the function under its name (a module that
+imported it by name keeps its own reference).  Each mutant declares the
+check IDs that must FAIL on the default config, and runs only the suites
+those checks belong to, each with the generator the default run gives it.
+
+Mutation testing: DeMillo, Lipton and Sayward, "Hints on test data
+selection", IEEE Computer 11 (1978).
+"""
+
+import sys
+
+import numpy as np
+import pytest
+
+from dswarp import cli, verification
+from dswarp import wedges as wd
+
+
+def _membership(reduce):
+    """A wedge_contains that gates reduce(y) in place of y1 - |y0|, y = frame^-1 x."""
+    def contains(w, x):
+        y = np.einsum("ij,...j->...i", np.linalg.inv(w.frame)[:2], np.asarray(x, dtype=float))
+        inside = reduce(y[..., 0], y[..., 1]) > wd.MEMBERSHIP_MARGIN
+        return bool(inside) if inside.ndim == 0 else inside
+    return contains
+
+
+# name -> (module, function name, replacement, suites, check IDs that must FAIL)
+MUTANTS = {
+    "wedge_contains-y0-y1-swapped": (
+        wd, "wedge_contains", _membership(lambda y0, y1: y0 - np.abs(y1)), ["wedges"],
+        {"boost-preserves-reference-wedge", "reflection-maps-to-complement",
+         "rigidity-witness-200-pairs"}),
+    "wedge_contains-abs-y0-dropped": (
+        wd, "wedge_contains", _membership(lambda y0, y1: y1 - y0), ["wedges"],
+        {"rigidity-witness-200-pairs"}),
+}
+
+
+def _patch_everywhere(monkeypatch, module, name, replacement):
+    original = getattr(module, name)
+    for mod in list(sys.modules.values()):
+        if (getattr(mod, "__name__", "").split(".")[0] == "dswarp"
+                and getattr(mod, name, None) is original):
+            monkeypatch.setattr(mod, name, replacement)
+
+
+def _failing_checks(suites) -> dict[str, float]:
+    """Residuals of the failing checks of the given suites on the default config."""
+    cfg = cli.validate_config(cli.load_config(None))
+    model = cli.model_from_config(cfg)
+    failing = {}
+    for name in suites:
+        rng = np.random.default_rng([model.seed, cfg["suites"].index(name)])
+        for check in verification.SUITES[name](model, cfg, rng):
+            if not check.passed:
+                failing[check.name] = check.max_residual
+    return failing
+
+
+@pytest.mark.parametrize("suites", sorted({tuple(m[3]) for m in MUTANTS.values()}))
+def test_unmutated_suites_pass(suites):
+    assert _failing_checks(suites) == {}
+
+
+@pytest.mark.parametrize("name", sorted(MUTANTS))
+def test_mutant_is_killed(monkeypatch, name):
+    module, attr, replacement, suites, killed_by = MUTANTS[name]
+    _patch_everywhere(monkeypatch, module, attr, replacement)
+    assert set(_failing_checks(suites)) == killed_by

@@ -59,6 +59,42 @@ def test_boost_base_is_lorentz():
     assert sg.is_proper_orthochronous(lam)
 
 
+@pytest.mark.parametrize("t", [0.5, 2.0, 3.0])
+def test_lorentz_gate_scales_with_the_norm_and_refuses_every_sign_flip(t):
+    # the covering image of the boost lift passes at every t (its defect at
+    # t = 2 is 3.2e-6, at t = 3 about 1.2), and flipping the sign of any one
+    # nonzero entry is refused: off the unit block the Lorentz defect grows
+    # like the entries squared, on it only the determinant changes sign
+    lam = sg.covering_hom(sg.boost_cover(t))
+    assert sg.is_proper_orthochronous(lam)
+    flipped = []
+    for i, j in zip(*np.nonzero(lam)):
+        bad = lam.copy()
+        bad[i, j] = -bad[i, j]
+        flipped.append(bad)
+    assert len(flipped) == 7
+    assert not np.any(sg.is_proper_orthochronous(np.array(flipped)))
+
+
+def test_lorentz_gate_no_weaker_than_1e8_up_to_t_1():
+    lam = sg.boost_base(1.0)
+    assert sg.LORENTZ_ROUNDING * np.sum(lam * lam) <= 1e-8
+    off = lam.copy()
+    off[2, 2] += 1e-8                       # a defect of 2e-8 at entries of size one
+    assert not sg.is_proper_orthochronous(off)
+
+
+def test_stacked_random_lorentz_equals_single_draws():
+    # the same coefficients; one expm scaling for the whole stack moves the
+    # last bits only
+    singles_rng, stack_rng = np.random.default_rng(31), np.random.default_rng(31)
+    singles = np.array([sg.random_proper_lorentz(singles_rng) for _ in range(50)])
+    stack = sg.random_proper_lorentz(stack_rng, count=50)
+    assert np.max(np.abs(stack - singles)) <= 1e-14
+    assert np.all(sg.is_proper_orthochronous(stack))
+    assert singles_rng.random() == stack_rng.random()
+
+
 def test_reflection_properties():
     j = sg.reflection_base()
     np.testing.assert_allclose(j @ j, np.eye(5), atol=0)
