@@ -54,8 +54,8 @@ Z = (1 - iY)/sqrt(2) are diagonal in the occupation basis, with eigenvalues
 read off model.phases, model.charges and model.parities.  The unitaries are
 kept as their diagonals (boost_phases, gauge_phases, twist_phases), and
 conjugation by one is entrywise (MaskWord.conjugated_by); the dense matrix,
-where a test wants one, is np.diag of the vector.  charge_projector is the
-one dense diagonal builder, since the fixed-point checks deform E(n) itself.
+where a test wants one, is np.diag of the vector.  charge_projector gives
+E(n) as the mask word of mask 0, since the fixed-point checks deform it.
 
 Mask words
 ----------
@@ -72,20 +72,36 @@ anticommutators the car suite checks.
 Implementers
 ------------
 The reflection, the rotation and the Bogolyubov maps are number-conserving
-second quantizations Gamma(w) of n x n mode-space unitaries w (second_quantize),
-with Gamma(w) c_a^+ Gamma(w)^* = sum_b w[b, a] c_b^+ and Gamma(w) Omega = Omega.
+second quantizations Gamma(w) of n x n mode-space unitaries w, with
+Gamma(w) c_a^+ Gamma(w)^* = sum_b w[b, a] c_b^+ and Gamma(w) Omega = Omega.
 The basis state occupying S = {a_1 < ... < a_k} is c_{a_1}^+ ... c_{a_k}^+ Omega
 with sign +1: the Jordan-Wigner string of c_{a_i}^+ counts only lower modes,
 which are empty when the product is applied from the right.  Expanding
 Gamma(w) of that product and sorting each term into ascending order gives the
-minor formula
+minor formula (the quasifree calculus of Araki, "On quasifree states of CAR
+and Bogoliubov automorphisms", Publ. RIMS 6 (1970))
 
     Gamma(w)[T, S] = det w[T, S]   if |T| = |S|,   0 otherwise,
 
-rows T and columns S both listed ascending.  Gamma is built one particle
-number k at a time, as a batch of k x k determinants (the 0 x 0 one is 1), so
-nothing is exponentiated at Fock size.  For a permutation w every minor is
-exactly 0 or +-1.
+rows T and columns S both listed ascending.  For a permutation w every minor
+is exactly 0 or +-1.
+
+Gamma(w) is never formed as a d x d matrix.  It maps the number-k states to
+themselves, so second_quantize_blocks keeps it as its number blocks G_k, rows
+and columns in ascending state order (number_states).  Every implementer the
+checks need keeps the particle and the antiparticle modes apart, w = w+ (+)
+w-, and then a minor of w is the product of a minor of w+ and one of w-
+(particle modes come first, so no sign is picked up).  Gamma(w) is therefore
+Gamma(w+) (x) Gamma(w-), and G_k gathers its entries from the two species
+factors, 2^{d_plus} and 2^{d_minus} wide, each built from its k x k minors.
+
+A field moves the particle number by one.  The lowering part
+sum_j lambda_j c_j of B(f) is the direct sum of its blocks L_k from the
+number-k to the number-(k-1) states (lowering_blocks), and the raising part
+is the adjoint of the lowering part of B(f)^* = B(Cf).  So Gamma B(f)
+Gamma^* is known from the block products G_{k-1} L_k G_k^* of both, and
+Gamma moves a vector one number block at a time (apply_number_blocks).  The
+one-particle map that Gamma(w) implements on the fields is one_particle_map.
 
 The reflection is such a permutation, so Gamma(tau) is a signed permutation
 of the basis states, and reflection_table builds it from the occupation bits
@@ -99,23 +115,19 @@ reflection covariance puts one on each side.
 Norms
 -----
 operator_norm gives the exact largest singular value of a Fock-size matrix
-m by four rules, for the three shapes the checks produce.  A zero matrix
-has norm 0, and a non-finite entry gives NaN.  A single-mask matrix, one
-whose nonzero entries all sit at (i ^ S, i) for one mask S, is a monomial
-(a permutation times a diagonal), so its norm is its largest absolute
-entry, as for MaskWord.norm; diagonal matrices are the mask S = 0.  The
-mask is read off the first nonzero entry, and the d entries on it are
-gathered and counted against the nonzero count of m.  A parity-even or
-parity-odd matrix (fields are odd, anticommutators even) is the direct
-sum of its two d/2 x d/2 parity blocks up to a permutation, and takes one
-batched SVD of the pair.  Anything else takes one d x d SVD.  In a full
-verify the oracle's spinor residuals, the mover and warp(e1) - e1 are
-single-mask and the Bogolyubov residuals parity-odd; no check takes the
-norm of a dense matrix.
+m.  A zero matrix has norm 0, and a non-finite entry gives NaN.  A
+single-mask matrix, one whose nonzero entries all sit at (i ^ S, i) for one
+mask S, is a monomial (a permutation times a diagonal), so its norm is its
+largest absolute entry, as for MaskWord.norm; diagonal matrices are the
+mask S = 0.  The mask is read off the first nonzero entry, and the d
+entries on it are gathered and counted against the nonzero count of m.
+Anything else takes one d x d SVD.  In a full verify only the oracle's
+spinor residuals reach operator_norm, and they are single-mask; a d x d
+SVD is taken only for a field that fails the Lanczos certificate below.
 
 The charge sectors E(n) m E(n) carry the fixed-point checks.  sector_layout
 lists their positions per block shape, sector_blocks gathers them from a
-matrix, and block_sector_norms takes the norm of every sector from its
+matrix or a mask word, and block_sector_norms takes the norm of every sector from its
 blocks: one batched SVD per block shape over the nonzero blocks, 0 for a
 zero block and NaN for a block with a non-finite entry.  The fixed-point
 checks draw and transform operators as these blocks.
@@ -146,10 +158,10 @@ OneParticleModel.cached builds a value once per model and freezes its arrays
 (reflection_table), the Majorana words, the sector layout, in the
 deformation module the angle matrix and the warp phases of the last few
 kappas, and in the verification module the fixed-point weights at the
-sector entries.  The per-mode-count caches (occupation_table, _mode_flips)
-hold index tables of size n 2^n; the sector layout has one entry per
-sector-block entry, and only the angle matrix and the warp phases are
-Fock-size arrays.
+sector entries.  The per-mode-count caches (occupation_table, _mode_flips,
+_number_layout) hold index tables of size n 2^n; the sector layout has one
+entry per sector-block entry, and only the angle matrix and the warp phases
+are Fock-size arrays.
 """
 
 from __future__ import annotations
@@ -471,9 +483,8 @@ class MaskWord:
 def operator_norm(model: OneParticleModel, m: np.ndarray) -> float:
     """Largest singular value of the d x d matrix m, NaN if an entry is not finite.
 
-    A single-mask matrix gives its largest absolute entry, a parity-even or
-    parity-odd one the larger norm of its two parity blocks, anything else
-    one full SVD; see "Norms" in the module docstring.
+    A single-mask matrix gives its largest absolute entry, anything else one
+    full SVD; see "Norms" in the module docstring.
     """
     m = np.asarray(m)
     d = model.dim
@@ -491,11 +502,6 @@ def operator_norm(model: OneParticleModel, m: np.ndarray) -> float:
         return float(np.abs(entries).max())      # a monomial: permutation times diagonal
     if not np.isfinite(m).all():
         return math.nan
-    halves = np.stack([np.nonzero(model.parities == p)[0] for p in (1, -1)])   # even, odd states
-    rows = halves if model.parities[row] == model.parities[col] else halves[::-1]
-    blocks = m.take(rows[:, :, None] * d + halves[:, None, :])
-    if np.count_nonzero(blocks) == count:
-        return float(np.linalg.svd(blocks, compute_uv=False)[:, 0].max())
     return float(np.linalg.svd(m, compute_uv=False)[0])
 
 
@@ -522,11 +528,19 @@ def sector_layout(model: OneParticleModel) -> tuple[tuple[np.ndarray, np.ndarray
     return model.cached("sector_layout", build)
 
 
-def sector_blocks(model: OneParticleModel, m: np.ndarray) -> list[np.ndarray]:
-    """The stacks of the sector blocks of m, in the order of sector_layout.
+def sector_blocks(model: OneParticleModel, m) -> list[np.ndarray]:
+    """The stacks of the sector blocks of m, a d x d matrix or a MaskWord, in
+    the order of sector_layout.
 
-    Entries outside the sector blocks are not read.
+    Entries outside the sector blocks are not read.  A mask word's entry at
+    (row, col) is vec[col] where row = col ^ mask, and 0 elsewhere.
     """
+    if isinstance(m, MaskWord):
+        stacks = []
+        for _, flat in sector_layout(model):
+            rows, cols = np.divmod(flat, model.dim)
+            stacks.append(np.where(rows == cols ^ m.mask, m.vec[cols], 0.0))
+        return stacks
     m = np.asarray(m)
     if m.shape != (model.dim, model.dim):
         raise ValueError(f"matrix shape {m.shape} does not match Fock dim {model.dim}")
@@ -584,22 +598,31 @@ def field_B(model: OneParticleModel, f) -> FockOperator:
     return FockOperator(out, model)
 
 
-def field_word(model: OneParticleModel, f) -> MaskWord:
-    """B(f) as a MaskWord; f must be supported on a single mode (either copy)."""
+def field_words(model: OneParticleModel, f) -> list[MaskWord]:
+    """B(f) as the sum of its single-mode fields: one mask word per mode on
+    which f has a nonzero component, in mode order."""
     f = _field_vector(model, f)
     n = model.n_modes
-    modes = sorted(set((np.nonzero(f)[0] % n).tolist()))
-    if len(modes) != 1:
+    mode, src, dst, sign = _mode_flips(n)
+    lower_coef, raise_coef = _ladder_coefficients(model, f)
+    words = []
+    for j in np.nonzero((lower_coef != 0) | (raise_coef != 0))[0]:
+        sel = mode == j
+        vec = np.zeros(model.dim, dtype=complex)
+        vec[src[sel]] = lower_coef[j] * sign[sel]
+        vec[dst[sel]] = raise_coef[j] * sign[sel]
+        words.append(MaskWord(1 << (n - 1 - int(j)), vec))
+    return words
+
+
+def field_word(model: OneParticleModel, f) -> MaskWord:
+    """B(f) as a MaskWord; f must be supported on a single mode (either copy)."""
+    words = field_words(model, f)
+    if len(words) != 1:
+        modes = [model.n_modes - w.mask.bit_length() for w in words]
         raise ValueError(f"B(f) is a single-mask word only for f on one mode; "
                          f"f lives on modes {modes}")
-    j = modes[0]
-    mode, src, dst, sign = _mode_flips(n)
-    sel = mode == j
-    lower_coef, raise_coef = _ladder_coefficients(model, f)
-    vec = np.zeros(model.dim, dtype=complex)
-    vec[src[sel]] = lower_coef[j] * sign[sel]
-    vec[dst[sel]] = raise_coef[j] * sign[sel]
-    return MaskWord(1 << (n - 1 - j), vec)
+    return words[0]
 
 
 def cospinor(model: OneParticleModel, f_plus) -> FockOperator:
@@ -633,29 +656,108 @@ def twist_phases(model: OneParticleModel) -> np.ndarray:
     return (1.0 - 1j * model.parities) / np.sqrt(2.0)
 
 
-def charge_projector(model: OneParticleModel, n: int) -> FockOperator:
-    return FockOperator(np.diag((model.charges == n).astype(complex)), model)
+def charge_projector(model: OneParticleModel, n: int) -> MaskWord:
+    """E(n) as the diagonal mask word: 1 on the charge-n states, 0 elsewhere."""
+    return MaskWord(0, (model.charges == n).astype(complex))
 
 
-def second_quantize(model: OneParticleModel, w: np.ndarray) -> FockOperator:
-    """Gamma(w) of a mode-space map w: the entry at (T, S) is det w[T, S].
+@lru_cache(maxsize=8)
+def _number_layout(n: int):
+    """Per particle number k, the basis states with k occupied modes (ascending)
+    and the modes each occupies; and where the entries of c_0..c_{n-1} sit in
+    the lowering blocks.
 
-    T and S are occupied-mode sets in ascending order, and the entry is zero
-    unless |T| = |S|; see "Implementers" in the module docstring.
+    Returns (states, modes, (mode, flat, sign), offsets): modes[k] is the
+    (len(states[k]), k) table of occupied modes, ascending.  Lowering block
+    k-1 (k = 1..n) maps the number-k states to the number-(k-1) states and
+    fills offsets[k-1]:offsets[k] of one flat buffer, row-major; the
+    _mode_flips entry e lands at flat[e] with coefficient index mode[e] and
+    sign sign[e].
     """
-    w = np.asarray(w)
-    n = model.n_modes
-    if w.shape != (n, n):
-        raise ValueError(f"mode-space operator must be {n}x{n}")
     occ = occupation_table(n)
     number = occ.sum(axis=1)
-    out = np.zeros((model.dim, model.dim), dtype=complex)
-    for k in range(n + 1):
-        states = np.nonzero(number == k)[0]
-        modes = np.nonzero(occ[states])[1].reshape(len(states), k)
-        out[np.ix_(states, states)] = np.linalg.det(
-            w[modes[:, None, :, None], modes[None, :, None, :]])
-    return FockOperator(out, model)
+    states = tuple(np.nonzero(number == k)[0] for k in range(n + 1))
+    modes = tuple(np.nonzero(occ[s])[1].reshape(len(s), k) for k, s in enumerate(states))
+    sizes = np.array([len(s) for s in states])
+    position = np.empty(2 ** n, dtype=int)            # rank of a state among its number
+    for s in states:
+        position[s] = np.arange(len(s))
+    offsets = np.concatenate([[0], np.cumsum(sizes[:-1] * sizes[1:])])
+    mode, src, dst, sign = _mode_flips(n)
+    k = number[src]
+    flat = offsets[k - 1] + position[dst] * sizes[k] + position[src]
+    for a in (*states, *modes, flat, offsets):
+        a.flags.writeable = False
+    return states, modes, (mode, flat, sign), offsets
+
+
+def number_states(model: OneParticleModel) -> tuple[np.ndarray, ...]:
+    """The basis states of particle number k = 0..n, each in ascending order:
+    the rows and columns of the number blocks."""
+    return _number_layout(model.n_modes)[0]
+
+
+def _species_gamma(w: np.ndarray) -> np.ndarray:
+    """Gamma(w) on the 2^m states of m modes of one species, for a (..., m, m)
+    stack: entry (T, S) is det w[T, S], one batch of k x k minors per k."""
+    m = w.shape[-1]
+    out = np.zeros(w.shape[:-2] + (2 ** m, 2 ** m), dtype=np.result_type(w, float))
+    for states, modes in zip(*_number_layout(m)[:2]):
+        out[..., states[:, None], states] = np.linalg.det(
+            w[..., modes[:, None, :, None], modes[None, :, None, :]])
+    return out
+
+
+def second_quantize_blocks(model: OneParticleModel, w) -> tuple[np.ndarray, ...]:
+    """Gamma(w) as its number blocks G_0..G_n, for a mode-space map w (or a
+    stack of them) that keeps the particle and the antiparticle modes apart.
+
+    G_k is indexed by number_states(model)[k] and equals det w[T, S] there;
+    it is gathered from the species factors Gamma(w+) and Gamma(w-).  See
+    "Implementers" in the module docstring.
+    """
+    w = np.asarray(w)
+    n, dp, dm = model.n_modes, model.d_plus, model.d_minus
+    if w.shape[-2:] != (n, n):
+        raise ValueError(f"mode-space operator must be {n}x{n}")
+    if w[..., :dp, dp:].any() or w[..., dp:, :dp].any():
+        raise ValueError("mode-space operator mixes particle and antiparticle modes")
+    plus, minus = _species_gamma(w[..., :dp, :dp]), _species_gamma(w[..., dp:, dp:])
+    low = (1 << dm) - 1
+    blocks = []
+    for states in number_states(model):
+        p, q = states >> dm, states & low            # the particle and antiparticle bits
+        blocks.append(plus[..., p[:, None], p] * minus[..., q[:, None], q])
+    return tuple(blocks)
+
+
+def apply_number_blocks(model: OneParticleModel, blocks, v: np.ndarray,
+                        adjoint: bool = False) -> np.ndarray:
+    """The operator with number blocks G_k (G_k^* with adjoint) applied to the
+    vector v, one number block at a time."""
+    out = np.zeros(model.dim, dtype=complex)
+    for states, g in zip(number_states(model), blocks):
+        out[states] = (g.conj().T if adjoint else g) @ v[states]
+    return out
+
+
+def lowering_blocks(model: OneParticleModel, fs) -> tuple[np.ndarray, ...]:
+    """The number blocks of the lowering part sum_j lambda_j c_j of B(f).
+
+    Block k-1 (k = 1..n) maps the number-k states to the number-(k-1)
+    states, rows and columns in ascending state order.  fs is a doubled-space
+    vector or a stack of them, with a stack of blocks for a stack.
+    """
+    fs = np.asarray(fs, dtype=complex)
+    if fs.shape[-1:] != (model.doubled_dim,):
+        raise ValueError(f"field vectors must have {model.doubled_dim} components, "
+                         f"got shape {fs.shape}")
+    states, _, (mode, flat, sign), offsets = _number_layout(model.n_modes)
+    lower, _ = _ladder_coefficients(model, fs)
+    flat_blocks = np.zeros(fs.shape[:-1] + (offsets[-1],), dtype=complex)
+    flat_blocks[..., flat] = lower[..., mode] * sign
+    return tuple(flat_blocks[..., a:b].reshape(fs.shape[:-1] + (len(rows), len(cols)))
+                 for a, b, rows, cols in zip(offsets, offsets[1:], states, states[1:]))
 
 
 def reflection_table(model: OneParticleModel) -> tuple[np.ndarray, np.ndarray]:
@@ -729,9 +831,9 @@ def reflection_automorphism(model: OneParticleModel, word: MaskWord) -> MaskWord
     return image @ MaskWord(0, y)
 
 
-def rotation_fock(model: OneParticleModel, angle: float | None = None) -> FockOperator:
-    """Implementer Gamma(exp(angle g)) of the rotation (charge-commuting, real
-    orthogonal); angle defaults to the model's rotation_angle.
+def rotation_modes(model: OneParticleModel, angle: float | None = None) -> np.ndarray:
+    """The mode-space rotation exp(angle g) (real orthogonal, charge-commuting);
+    angle defaults to the model's rotation_angle.
 
     g is made of 2x2 rotation blocks, so g^3 = -g and
     exp(angle g) = 1 + sin(angle) g + (1 - cos(angle)) g^2.
@@ -740,44 +842,58 @@ def rotation_fock(model: OneParticleModel, angle: float | None = None) -> FockOp
     if phi is None:
         raise ModelError("model has no rotation")
     g = model.rotation_mode_generator()
-    return second_quantize(model, np.eye(model.n_modes) + math.sin(phi) * g
-                           + (1.0 - math.cos(phi)) * (g @ g))
+    return np.eye(model.n_modes) + math.sin(phi) * g + (1.0 - math.cos(phi)) * (g @ g)
 
 
 def _expi_hermitian(h: np.ndarray) -> np.ndarray:
-    """e^{ih} of a Hermitian h, as V diag(e^{i lambda}) V^* from its eigenbasis."""
+    """e^{ih} of a Hermitian h (or a stack), as V diag(e^{i lambda}) V^* from its
+    eigenbasis."""
     lam, v = np.linalg.eigh(h)
-    return (v * np.exp(1j * lam)) @ v.conj().T
+    return (v * np.exp(1j * lam)[..., None, :]) @ np.conj(np.swapaxes(v, -1, -2))
 
 
 def _block_diag(*blocks: np.ndarray) -> np.ndarray:
-    """The square blocks along the diagonal of one matrix, zero elsewhere."""
-    out = np.zeros((sum(len(b) for b in blocks),) * 2, dtype=np.result_type(*blocks))
+    """The square blocks (or stacks of them) along the diagonal of one matrix,
+    zero elsewhere."""
+    size = sum(b.shape[-1] for b in blocks)
+    batch = np.broadcast_shapes(*(b.shape[:-2] for b in blocks))
+    out = np.zeros(batch + (size, size), dtype=np.result_type(*blocks))
     start = 0
     for b in blocks:
-        out[start:start + len(b), start:start + len(b)] = b
-        start += len(b)
+        stop = start + b.shape[-1]
+        out[..., start:stop, start:stop] = b
+        start = stop
     return out
 
 
-def bogolyubov_fock(model: OneParticleModel, h_plus: np.ndarray,
-                    h_minus: np.ndarray) -> tuple[FockOperator, np.ndarray]:
-    """Implementer for u = (e^{ih+} (+) e^{ih-}) (+) conj on the doubled space.
+def one_particle_map(model: OneParticleModel, w: np.ndarray) -> np.ndarray:
+    """The 2n x 2n doubled-space map u with Gamma(w) B(f) Gamma(w)^* = B(u f),
+    for a mode-space map w (or a stack) that keeps the species apart.
+
+    Copy A raises the particle modes and lowers the antiparticle modes, so on
+    copy A u is a = w+ (+) conj(w-); copy B carries conj(a).
+    """
+    dp = model.d_plus
+    a = _block_diag(w[..., :dp, :dp], np.conj(w[..., dp:, dp:]))
+    return _block_diag(a, np.conj(a))
+
+
+def bogolyubov_modes(model: OneParticleModel, h_plus: np.ndarray,
+                     h_minus: np.ndarray) -> np.ndarray:
+    """The mode-space map w whose Gamma(w) implements the Bogolyubov map
+    u = (e^{ih+} (+) e^{ih-}) (+) conj on the doubled space.
 
     h_plus and h_minus are Hermitian blocks on the particle and antiparticle
-    mode spaces.  Returns (U, u) with U the Fock unitary and u the 2n x 2n
-    one-particle map; u commutes with C and with the basis projection.
+    mode spaces, or stacks of them.  Antiparticle modes are raised by copy B,
+    so w = e^{ih+} (+) conj(e^{ih-}), and one_particle_map(model, w) is u; u
+    commutes with C and with the basis projection.
     """
     dp, dm = model.d_plus, model.d_minus
     h_plus = np.asarray(h_plus, dtype=complex)
     h_minus = np.asarray(h_minus, dtype=complex)
-    if h_plus.shape != (dp, dp) or h_minus.shape != (dm, dm):
+    if h_plus.shape[-2:] != (dp, dp) or h_minus.shape[-2:] != (dm, dm):
         raise ValueError("Bogolyubov generator blocks have wrong shapes")
-    w_plus, w_minus = _expi_hermitian(h_plus), _expi_hermitian(h_minus)
-    w = _block_diag(w_plus, w_minus)
-    # antiparticle modes are raised by copy B, so Gamma takes the conjugate block
-    big_u = second_quantize(model, _block_diag(w_plus, np.conj(w_minus)))
-    return big_u, _block_diag(w, np.conj(w))
+    return _block_diag(_expi_hermitian(h_plus), np.conj(_expi_hermitian(h_minus)))
 
 
 # -- quasifree states -------------------------------------------------------

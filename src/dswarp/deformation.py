@@ -22,9 +22,10 @@ keeps every zero of F, so warp_word applies it to a mask word at the word's
 d entries, and rieffel_word, the deformed product warp(-kappa, warp f warp
 g), stays a mask word.  The boost, gauge and reflection covariance
 identities are taken on mask words too (covariance_transform).  Rotation
-covariance is not checked: warp_rotated defines the warp along the rotated
-flow by conjugating with the rotation's implementer, so that identity would
-hold for any unitary implementer and any phase.
+covariance is not checked: the warp along the rotated flow (the
+inequivalence witness) is defined by conjugating with the rotation's
+implementer, so that identity would hold for any unitary implementer and any
+phase.
 
 Oscillatory oracle
 ------------------
@@ -69,9 +70,10 @@ from collections import OrderedDict
 
 import numpy as np
 
-from .car_fock import (FockOperator, MaskWord, OneParticleModel, boost_phases,
-                       gauge_phases, reflect_word, reflection_automorphism, rotation_fock,
-                       spinor)
+from .car_fock import (FockOperator, MaskWord, OneParticleModel, apply_number_blocks,
+                       boost_phases, field_words, gauge_phases, one_particle_map,
+                       reflect_word, reflection_automorphism, rotation_modes,
+                       second_quantize_blocks, spinor)
 
 CUTOFF_WIDTH = 6.0
 
@@ -119,13 +121,23 @@ def rieffel_word(model: OneParticleModel, kappa: float, f: MaskWord, g: MaskWord
     return warp_word(model, -kappa, warp_word(model, kappa, f) @ warp_word(model, kappa, g))
 
 
-def warp_rotated(model: OneParticleModel, kappa: float, op: FockOperator,
-                 angle: float | None = None) -> FockOperator:
-    """Warp along the rotated flow r_* xi (rotated boost, same gauge):
-    rot warp(rot^* op rot) rot^* with rot the rotation's implementer."""
-    rot = rotation_fock(model, angle).matrix
-    inner = FockOperator(rot.conj().T @ op.matrix @ rot, model)
-    return FockOperator(rot @ warp(model, kappa, inner).matrix @ rot.conj().T, model)
+def warp_rotated_apply(model: OneParticleModel, kappa: float, f, v: np.ndarray,
+                       angle: float | None = None) -> np.ndarray:
+    """The warp of B(f) along the rotated flow r_* xi (rotated boost, same
+    gauge), applied to the vector v: R warp(R^* B(f) R) R^* v, with R the
+    rotation's implementer Gamma(w).
+
+    R^* B(f) R = B(u^* f) (u = one_particle_map), a sum of single-mode
+    fields that warp_word warps, and R acts on v by its number blocks, so no
+    Fock-size matrix is formed.
+    """
+    w = rotation_modes(model, angle)
+    gammas = second_quantize_blocks(model, w)
+    pulled = apply_number_blocks(model, gammas, v, adjoint=True)
+    inner = np.zeros(model.dim, dtype=complex)
+    for word in field_words(model, one_particle_map(model, w).conj().T @ f):
+        inner += warp_word(model, kappa, word).apply(pulled)
+    return apply_number_blocks(model, gammas, inner)
 
 
 def covariance_transform(model: OneParticleModel, kappa: float, word: MaskWord,

@@ -67,16 +67,24 @@ class NotInSpinGroupError(ValueError):
 class SpinElement:
     """An element of Sp(1,1), or a batch of them, stored as a 2x2 quaternionic matrix.
 
-    Construction checks membership for every element of the batch.
+    Construction checks membership for every element of the batch: the
+    defect max|g^* gamma0 g - gamma0| of an element g is gated at
+    tol * max(1, ||g||_F^2 / 2), the rounding of g^* gamma0 g, which grows
+    like the entries squared.  That is tol at the identity (||1||_F^2 = 2),
+    and cosh(2 pi t) tol for the boost lift at t.  An element whose squared
+    norm overflows is refused.
     """
 
     __slots__ = ("matrix",)
 
     def __init__(self, matrix: QuatMatrix2, tol: float = SP11_TOL):
-        residual = np.max(sp11_residual(matrix), initial=0.0)
-        if not residual <= tol:
+        residual = sp11_residual(matrix)
+        scale = np.maximum(1.0, 0.5 * np.sum(matrix.array ** 2, axis=(-3, -2, -1)))
+        if not np.all(np.isfinite(scale) & (residual <= tol * scale)):
+            worst = np.max(residual / scale, initial=0.0)
             raise NotInSpinGroupError(
-                f"not an Sp(1,1) element: membership residual {residual:.3e}")
+                f"not an Sp(1,1) element: membership residual {worst:.3e} "
+                f"relative to max(1, |g|_F^2 / 2)")
         self.matrix = matrix
 
     @classmethod
@@ -162,14 +170,15 @@ def is_proper_orthochronous(lam: np.ndarray):
     ((Lam^-1)_00 = Lam_00), which stays accurate where LU on Lam loses every
     digit (at t = 3 the boost's LU determinant is 0).  A Lorentz matrix has
     det = +-1, so the determinant gate is capped at 1: det = -1 is refused
-    however large Lam is.
+    however large Lam is.  A Lam whose ||Lam||_F^2 overflows cannot be
+    checked and is refused.
     """
     lam = np.asarray(lam, dtype=float)
     bound = LORENTZ_ROUNDING * np.sum(lam * lam, axis=(-2, -1))
     defect = np.max(np.abs(np.swapaxes(lam, -1, -2) @ ETA @ lam - ETA), axis=(-2, -1))
     lam00 = lam[..., 0, 0]
     det_gap = np.abs(np.linalg.det(lam[..., 1:, 1:]) - lam00)      # |det Lam - 1| * Lam_00
-    ok = ((defect <= bound) & (lam00 >= 1.0 - 1e-10)
+    ok = (np.isfinite(bound) & (defect <= bound) & (lam00 >= 1.0 - 1e-10)
           & (det_gap <= np.minimum(bound, 1.0) * lam00))
     return bool(ok) if ok.ndim == 0 else ok
 

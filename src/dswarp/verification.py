@@ -35,8 +35,8 @@ per block shape, or a diagonal one.  The boost commutator [K, A E(n)] and
 the kappa-derivative of the warp at zero both act block by block, with the
 weights phi_i - phi_j and the warp phases of the difference steps taken at
 the block entries once per model, so no operator of the loop is d x d and
-no dense warp runs.  fixed_point_residual takes a dense operator, gathers
-its blocks once and runs the same block code.
+no dense warp runs.  fixed_point_residual takes a dense operator or a mask
+word, gathers its blocks once and runs the same block code.
 
 The CAR {B(f), B(g)} = <Cf, g> 1 is bilinear in f and g, so it holds for
 every pair exactly when it holds for the 2n unit vectors.  The car suite
@@ -45,6 +45,14 @@ mask S_a ^ S_b, so each anticommutator is one mask word, <Ce_a, e_b> is
 subtracted on mask 0, and the residual is the largest absolute entry.  The
 field norms of cstar-norm-formula come from car_fock.field_norms, certified
 Lanczos runs on the fields' action.
+
+Every implementer a check needs, Gamma(w) of a Bogolyubov map or of the
+rotation, conserves the particle number and is kept as its number blocks
+(car_fock, "Implementers").  bogolyubov-implementation compares Gamma B(f)
+Gamma^* with B(u f) block by block (bogolyubov_residuals), the inequivalence
+witness applies the rotated warp to one vector
+(deformation.warp_rotated_apply), and the fixed-point suite takes E(1) and
+the mover as mask words, so no check forms a Fock-size matrix product.
 """
 
 from __future__ import annotations
@@ -60,12 +68,12 @@ from . import geometry
 from . import spin_group as sg
 from . import wedges as wd
 from .car_fock import (FockOperator, MaskWord, OneParticleModel, block_sector_norms,
-                       bogolyubov_fock, boost_phases, car_norm_bound, charge_projector,
-                       field_B, field_norms, field_word, fock_npoint, gauge_phases,
-                       quasifree_npoint, sector_blocks, sector_layout, spinor, twist_phases,
-                       wedge_generators)
+                       bogolyubov_modes, boost_phases, car_norm_bound, charge_projector,
+                       field_norms, field_word, fock_npoint, gauge_phases, lowering_blocks,
+                       one_particle_map, quasifree_npoint, second_quantize_blocks,
+                       sector_blocks, sector_layout, twist_phases, wedge_generators)
 from .deformation import (angle_matrix, covariance_transform, oracle_sweep, rieffel_word,
-                          warp, warp_rotated, warp_word)
+                          warp_rotated_apply, warp_word)
 
 SPAN_SVD_TOL = 1e-9
 
@@ -265,27 +273,65 @@ def sector_fixed_point_residual(model: OneParticleModel,
             worst(block_sector_norms(model, refined).values()))
 
 
-def fixed_point_residual(model: OneParticleModel, op: FockOperator,
+def fixed_point_residual(model: OneParticleModel, op: FockOperator | MaskWord,
                          gauge_tol: float = 1e-10) -> tuple[dict[int, float], float]:
-    """sector_fixed_point_residual of a dense gauge-invariant operator.
+    """sector_fixed_point_residual of a gauge-invariant operator, dense or a mask word.
 
     The derivative vanishes iff every charged-sector commutator [K, A E(n)],
-    n != 0, vanishes; an operator that is not gauge-invariant is refused.
+    n != 0, vanishes; an operator with an entry above gauge_tol that moves
+    the charge is refused.
     """
-    if not op.is_gauge_invariant(gauge_tol):
+    if isinstance(op, MaskWord):
+        moves = model.charges[op.rows()] != model.charges
+        invariant = np.max(np.abs(op.vec[moves]), initial=0.0) <= gauge_tol
+        stacks = sector_blocks(model, op)
+    else:
+        invariant = op.is_gauge_invariant(gauge_tol)
+        stacks = sector_blocks(model, op.matrix)
+    if not invariant:
         raise ValueError("fixed-point analysis needs a gauge-invariant operator")
-    return sector_fixed_point_residual(model, sector_blocks(model, op.matrix))
+    return sector_fixed_point_residual(model, stacks)
+
+
+# -- Bogolyubov implementers -----------------------------------------------------
+
+def bogolyubov_residuals(model: OneParticleModel, w: np.ndarray, u: np.ndarray,
+                         fs: np.ndarray) -> np.ndarray:
+    """How far Gamma(w_b) is from implementing u_b, for each draw b of the stacks.
+
+    R = Gamma B(f) Gamma^* - B(u f) moves the particle number by one.  Its
+    lowering part is a direct sum of number blocks, G_{k-1} L_k(f) G_k^* -
+    L_k(u f), and its raising part is the adjoint of the lowering part of
+    R^* = Gamma B(Cf) Gamma^* - B(C u f); each part's norm is its largest
+    block norm.  The residual is the larger part's norm, or |Gamma Omega -
+    Omega| = |G_0 - 1| if that is larger; a block with a non-finite entry
+    makes it NaN.
+    """
+    gammas = second_quantize_blocks(model, w)
+    images = np.einsum("...ij,...j->...i", u, fs)
+
+    def parts(f):       # the lowering blocks of B(f) and of B(f)^* = B(Cf)
+        return lowering_blocks(model, np.stack([f, model.apply_conjugation(f)]))
+
+    residuals = np.abs(gammas[0][..., 0, 0] - 1.0)
+    for g_out, g_in, x, y in zip(gammas, gammas[1:], parts(fs), parts(images)):
+        blocks = g_out @ x @ np.conj(np.swapaxes(g_in, -1, -2)) - y
+        finite = np.isfinite(blocks).all(axis=(-2, -1))     # a block with a NaN has norm NaN
+        norms = np.linalg.svd(np.where(finite[..., None, None], blocks, 0.0),
+                              compute_uv=False)[..., 0]
+        residuals = np.maximum(residuals, np.where(finite, norms, math.nan).max(axis=0))
+    return residuals
 
 
 # -- unitary inequivalence ------------------------------------------------------
 
-def _ladder(model: OneParticleModel, j: int, create: bool) -> FockOperator:
+def _ladder(model: OneParticleModel, j: int, create: bool) -> MaskWord:
     """c_j^+ (create) or c_j, as the field of the unit vector on the copy that
     raises (or lowers) mode j: copy A raises a particle mode, copy B an
     antiparticle mode."""
     f = np.zeros(model.doubled_dim, dtype=complex)
     f[j if create == (model.mode_charges[j] > 0) else model.n_modes + j] = 1.0
-    return field_B(model, f)
+    return field_word(model, f)
 
 
 def inequivalence_witness(model: OneParticleModel, kappa: float,
@@ -294,9 +340,9 @@ def inequivalence_witness(model: OneParticleModel, kappa: float,
 
     group residual: commutator defect of the wedge boost (rapidity parameter
     kappa) with the (x1, x2)-plane rotation, in 5x5 matrices.  fock residual:
-    the two warpings of a charge-lowering field along the original and the
-    rotated flow, applied to a charge-one one-particle vector.  Both vanish
-    iff kappa * phi = 0.
+    the two warpings of a charge-lowering field psi along the original and
+    the rotated flow (warp_rotated_apply), applied to the charge-one vector
+    c_0^+ Omega.  Both vanish iff kappa * phi = 0.
     """
     if model.rotation_angle is None and phi != 0.0:
         raise ValueError("model has no rotation")
@@ -306,15 +352,12 @@ def inequivalence_witness(model: OneParticleModel, kappa: float,
     rot = sg.rotation_base(phi)
     group_residual = float(np.linalg.norm(lam @ rot - rot @ lam, 2))
 
-    f_minus = np.zeros(model.n_modes, dtype=complex)
-    f_minus[model.d_plus] = 1.0             # first antiparticle mode
-    psi_op = spinor(model, f_minus)
-    straight = warp(model, kappa, psi_op)
-    rotated = warp_rotated(model, kappa, psi_op, phi)
-
-    one_particle = _ladder(model, 0, True).matrix @ model.vacuum()   # mode 0, charge +1
-    diff = (straight.matrix - rotated.matrix) @ one_particle
-    fock_residual = float(np.linalg.norm(diff))
+    psi = np.zeros(model.doubled_dim, dtype=complex)
+    psi[model.n_modes + model.d_plus] = 1.0     # the spinor of the first antiparticle mode
+    one_particle = _ladder(model, 0, True).apply(model.vacuum())   # mode 0, charge +1
+    straight = warp_word(model, kappa, field_word(model, psi)).apply(one_particle)
+    rotated = warp_rotated_apply(model, kappa, psi, one_particle, phi)
+    fock_residual = float(np.linalg.norm(straight - rotated))
     return group_residual, fock_residual
 
 
@@ -561,17 +604,15 @@ def suite_car(model: OneParticleModel, cfg: dict, rng) -> list[CheckReport]:
             rhs = fock_npoint(model, fs)
             quasi.append(abs(lhs - rhs))
 
-    bogo = []
+    draws = []
     for _ in range(6):
         # complex Hermitian, so that w = e^{ih} is not symmetric and a Gamma(w)
         # built from the transpose of w fails
         hp, hm = (_random_hermitian(k, rng) for k in (model.d_plus, model.d_minus))
-        big_u, u_one = bogolyubov_fock(model, hp, hm)
-        f = _random_doubled_vector(model, rng)
-        lhs = big_u @ field_B(model, f) @ big_u.H
-        rhs = field_B(model, u_one @ f)
-        bogo.append(lhs.dist(rhs))
-        bogo.append(np.linalg.norm(big_u.matrix @ model.vacuum() - model.vacuum()))
+        draws.append((hp, hm, _random_doubled_vector(model, rng)))
+    hp, hm, fs = (np.stack(x) for x in zip(*draws))
+    w = bogolyubov_modes(model, hp, hm)
+    bogo = bogolyubov_residuals(model, w, one_particle_map(model, w), fs)
 
     omega = model.vacuum()
     vac_res = worst([
@@ -700,12 +741,12 @@ def suite_fixed_point(model: OneParticleModel, cfg: dict, rng) -> list[CheckRepo
     e1 = charge_projector(model, 1)
     sectors, derivative = fixed_point_residual(model, e1)
     e1_res = worst([*sectors.values(), derivative])
-    e1_fixed = warp(model, 0.3, e1).dist(e1)
+    e1_fixed = (warp_word(model, 0.3, e1) - e1).norm()
 
     j, k = _cross_frequency_pair(model)
     mover = _ladder(model, j, True) @ _ladder(model, k, False)   # charge 0, boost-moving
     _, mover_derivative = fixed_point_residual(model, mover)
-    mover_moved = warp(model, 0.3, mover).dist(mover)
+    mover_moved = (warp_word(model, 0.3, mover) - mover).norm()
     return [
         CheckReport("derivative-commutator-equivalence", float(inconsistent), 0.0,
                     {"samples": 100, "low": low, "high": high}),

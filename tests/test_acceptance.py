@@ -23,7 +23,7 @@ from dswarp.deformation import oracle_residuals, warp
 from dswarp.verification import (check_twisted_locality, fixed_point_residual,
                                  inequivalence_witness)
 from test_deformation import rieffel_product, warp_inverse_check
-from test_fock_properties import identity_op
+from test_fock_properties import dense_op, identity_op
 
 MODEL = default_model()
 
@@ -270,7 +270,7 @@ def test_criterion_09_fixed_points():
             bad += 1
     _check("9a derivative/commutator equivalence on 100 operators", float(bad), 0.0)
 
-    e1 = charge_projector(MODEL, 1)
+    e1 = dense_op(MODEL, charge_projector(MODEL, 1))
     sectors, derivative = fixed_point_residual(MODEL, e1)
     fixed = max(max(sectors.values()), derivative,
                 warp(MODEL, 0.3, e1).dist(e1))

@@ -5,15 +5,16 @@ import pytest
 from scipy.linalg import block_diag, expm
 
 from dswarp.car_fock import (FockOperator, ModelError, OneParticleModel, _block_diag,
-                             _expi_hermitian, bogolyubov_fock, boost_phases, car_norm_bound,
+                             _expi_hermitian, boost_phases, car_norm_bound,
                              charge_projector, cospinor,
                              default_model, field_B,
                              fock_npoint, gauge_phases,
                              occupation_table,
-                             quasifree_npoint, rotation_fock,
+                             quasifree_npoint,
                              spinor, twist_phases, validate_quasifree,
                              wedge_subalgebra_basis)
-from test_fock_properties import charge_shifts, dgamma, diagonal, identity_op, reflection_fock
+from test_fock_properties import (bogolyubov_fock, charge_shifts, dgamma, diagonal, identity_op,
+                                  reflection_fock, rotation_fock)
 
 MODEL = default_model()
 
@@ -179,13 +180,15 @@ def test_gauge_phases_on_spinors():
 def test_gauge_unitary_periodicity_and_projectors():
     assert diagonal(MODEL, gauge_phases(MODEL, 2.0 * np.pi)).dist(identity_op(MODEL)) < 1e-12
     charges = np.unique(MODEL.charges).tolist()
-    total = sum(charge_projector(MODEL, n).matrix for n in charges)
-    np.testing.assert_array_equal(total, np.eye(16))
+    # E(n) is the diagonal mask word of the charge-n states
+    assert all(charge_projector(MODEL, n).mask == 0 for n in charges)
+    total = sum(charge_projector(MODEL, n).vec for n in charges)
+    np.testing.assert_array_equal(total, np.ones(16))
     for n in charges:
         for k in charges:
             prod = charge_projector(MODEL, n) @ charge_projector(MODEL, k)
             if n == k:
-                assert prod.dist(charge_projector(MODEL, n)) == 0.0
+                assert (prod - charge_projector(MODEL, n)).norm() == 0.0
             else:
                 assert prod.norm() == 0.0
 
@@ -348,6 +351,17 @@ def test_block_diag_places_blocks_on_the_diagonal():
     np.testing.assert_array_equal(_block_diag(a, np.zeros((0, 0)), b),
                                   block_diag(a, b))
     assert _block_diag(a, b).dtype == complex
+
+
+def test_block_diag_and_hermitian_exponential_take_stacks():
+    rng = np.random.default_rng(49)
+    x = rand_vec(rng, 3 * 9).reshape(3, 3, 3)
+    h = x + np.conj(np.swapaxes(x, -1, -2))
+    stacked = _expi_hermitian(h)
+    b = np.stack([np.eye(2)] * 3)
+    for i in range(3):
+        np.testing.assert_allclose(stacked[i], _expi_hermitian(h[i]), rtol=0, atol=1e-14)
+        np.testing.assert_array_equal(_block_diag(stacked, b)[i], block_diag(stacked[i], b[i]))
 
 
 def test_charge_shift_decomposition():

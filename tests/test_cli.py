@@ -2,14 +2,32 @@ import json
 import os
 import subprocess
 import sys
+from importlib import resources
 from pathlib import Path
 
+import jsonschema
 import numpy as np
 import pytest
 
 from dswarp import cli, verification
 from dswarp import spin_group as sg
 from dswarp import wedges as wd
+
+
+def validate_report_schema(report: dict):
+    """The report, without its timings, against the shipped report_schema.json."""
+    schema = json.loads(resources.files("dswarp").joinpath("report_schema.json")
+                        .read_text(encoding="utf-8"))
+    jsonschema.validate(cli.report_payload_without_timings(report), schema)
+
+
+@pytest.fixture(autouse=True)
+def every_written_report_matches_the_schema(tmp_path):
+    """After each test, every report.json written under its tmp_path, by an
+    in-process run or a child process, is validated against the schema."""
+    yield
+    for path in tmp_path.rglob("report.json"):
+        validate_report_schema(json.loads(path.read_text()))
 
 
 def _write_config(tmp_path, overrides):
@@ -96,15 +114,11 @@ def test_report_schema_validates(tmp_path):
     cfg = cli.load_config(None)
     cfg["suites"] = ["lie"]
     report = cli.run(cfg)
-    cli.validate_report_schema(report)
+    validate_report_schema(report)
     bad = cli.report_payload_without_timings(report)
     del bad["seed"]
-    import jsonschema
     with pytest.raises(jsonschema.ValidationError):
-        from importlib import resources
-        schema = json.loads(resources.files("dswarp")
-                            .joinpath("report_schema.json").read_text())
-        jsonschema.validate(bad, schema)
+        validate_report_schema(bad)
 
 
 def test_csv_output(tmp_path):
@@ -346,8 +360,11 @@ def test_deform_nonfinite_matrix_written_as_null(capsys):
     assert [None, None] in json.loads(out)["matrix_row_major"]
 
 
-@pytest.mark.parametrize("t", ["10", "nan"])
+@pytest.mark.parametrize("t", ["100", "nan"])
 def test_group_outside_checkable_range_refused(tmp_path, capsys, t):
+    # at t = 100 the lift's entries are about 1e136, finite, but the squared
+    # norm of its covering image overflows, so the SO(1,4)_0 gate cannot be
+    # evaluated
     _assert_refused(["group", "--t", t], tmp_path, capsys)
 
 
@@ -361,6 +378,15 @@ def test_group_t2_accepted_by_scaled_gate(capsys):
     # size cosh(4 pi)^2; the SO(1,4)_0 gate scales with ||Lambda||^2
     assert cli.main(["group", "--t", "2"]) == 0
     assert json.loads(capsys.readouterr().out)["t"] == 2.0
+
+
+def test_group_accepted_for_every_t_up_to_6(capsys):
+    # the Sp(1,1) membership gate scales with ||g||_F^2, so rounding alone no
+    # longer refuses the boost lift from t = 2.3 on
+    for step in range(120):
+        t = round(0.05 * step, 2)
+        assert cli.main(["group", "--t", repr(t)]) == 0, t
+        assert json.loads(capsys.readouterr().out)["t"] == t
 
 
 def test_wedges_negative_seed_refused(tmp_path, capsys):
@@ -469,10 +495,12 @@ def test_mode_cap_is_car_fock_max_modes(tmp_path, capsys):
 # -- NaN never passes ----------------------------------------------------------------
 
 def _nan_car_residuals(monkeypatch):
-    """NaN in the unit words of car-anticommutators and in the Bogolyubov distances."""
-    from dswarp.car_fock import FockOperator, MaskWord
-    word = verification.field_word
-    monkeypatch.setattr(FockOperator, "dist", lambda self, other: float("nan"))
+    """NaN in the unit words of car-anticommutators and in the number blocks of
+    the Bogolyubov implementers."""
+    from dswarp.car_fock import MaskWord
+    word, blocks = verification.field_word, verification.second_quantize_blocks
+    monkeypatch.setattr(verification, "second_quantize_blocks",
+                        lambda model, w: tuple(np.full_like(g, np.nan) for g in blocks(model, w)))
     monkeypatch.setattr(verification, "field_word",
                         lambda model, f: MaskWord(word(model, f).mask, np.full(model.dim, np.nan)))
 
@@ -501,7 +529,7 @@ def test_nan_residual_written_as_null(monkeypatch, tmp_path):
         assert checks[name]["pass"] is False
         assert checks[name]["max_residual"] is None
     assert checks["cstar-norm-formula"]["max_residual"] is not None
-    cli.validate_report_schema(report)
+    validate_report_schema(report)
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -513,20 +541,23 @@ def test_overflowing_warp_fails_without_traceback(tmp_path, capsys):
                      "--out", str(out)]) == 1
     assert "Traceback" not in capsys.readouterr().err
     report = json.loads((out / "report.json").read_text())
-    cli.validate_report_schema(report)
+    validate_report_schema(report)
     checks = {c["name"]: c for c in report["suites"][0]["checks"]}
     for name in ("warp-inverse", "adjoint-compatibility", "rieffel-associativity"):
         assert checks[name]["max_residual"] is None
         assert checks[name]["pass"] is False
 
 
-# Run in a fresh interpreter: import dswarp.cli, then the default verify and the
-# other subcommands; print the scipy modules the import loaded and the modules
-# the runs added.
+# Run in a fresh interpreter with scipy and jsonschema blocked (an import of
+# either fails): import dswarp.cli, then the default verify and the other
+# subcommands; print the scipy and jsonschema modules the import loaded and the
+# modules the runs added.
 _IMPORT_PROBE = """
 import contextlib, io, json, sys
+sys.modules["scipy"] = sys.modules["jsonschema"] = None
 import dswarp.cli
-scipy = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+blocked = sorted(m for m in sys.modules if m.split(".")[0] in ("scipy", "jsonschema")
+                 and sys.modules[m] is not None)
 loaded = set(sys.modules)
 codes = []
 for argv in (["verify", "--out", sys.argv[1]],
@@ -534,7 +565,7 @@ for argv in (["verify", "--out", sys.argv[1]],
              ["group", "--t", "0.5"], ["wedges", "--seed", "3"], ["deform"]):
     with contextlib.redirect_stdout(io.StringIO()):
         codes.append(dswarp.cli.main(argv))
-print(json.dumps({"scipy": scipy, "added": sorted(set(sys.modules) - loaded),
+print(json.dumps({"blocked": blocked, "added": sorted(set(sys.modules) - loaded),
                   "codes": codes}))
 """
 
@@ -547,4 +578,4 @@ def test_cli_import_loads_every_module_a_run_needs_and_no_scipy(tmp_path):
                          capture_output=True, text=True, env=env, timeout=300)
     assert run.returncode == 0, run.stderr
     result = json.loads(run.stdout.splitlines()[-1])
-    assert result == {"scipy": [], "added": [], "codes": [0, 0, 0, 0, 0]}
+    assert result == {"blocked": [], "added": [], "codes": [0, 0, 0, 0, 0]}

@@ -13,9 +13,10 @@ from dswarp.car_fock import (FockOperator, boost_phases, charge_projector,
                              wedge_subalgebra_basis)
 from dswarp.deformation import (_cosine_factor, _gauss_factor, _si_cin, covariance_transform,
                                 oracle_residuals, rieffel_word, warp, warp_oscillatory,
-                                warp_rotated, warp_word)
+                                warp_word)
 from dswarp.car_fock import OneParticleModel
-from test_fock_properties import charge_shifts, diagonal, identity_op, reflection_fock
+from test_fock_properties import (charge_shifts, dense_op, diagonal, identity_op,
+                                  reflection_fock, rotation_fock, warp_rotated)
 from test_verification import PROPERTY, KAPPAS, SEEDS, _random_word, dense, word_models
 
 MODEL = default_model()
@@ -65,7 +66,7 @@ def test_warp_fixes_unit_and_gauge_invariant_boost_commuting():
     # flows, and is fixed by the deformation
     diag = FockOperator(np.diag(np.exp(MODEL.charges + 0.3 * MODEL.phases)), MODEL)
     assert warp(MODEL, kappa, diag).dist(diag) == 0.0
-    e1 = charge_projector(MODEL, 1)
+    e1 = dense_op(MODEL, charge_projector(MODEL, 1))
     assert warp(MODEL, kappa, e1).dist(e1) == 0.0
 
 
@@ -126,7 +127,7 @@ def test_warp_inverse():
     kappa = 0.9
     for _ in range(10):
         assert warp_inverse_check(MODEL, kappa, rand_op(rng)) < 1e-12
-    e1 = charge_projector(MODEL, 1)
+    e1 = dense_op(MODEL, charge_projector(MODEL, 1))
     assert warp(MODEL, -kappa, warp(MODEL, kappa, e1)).dist(e1) == 0.0
     f = np.zeros(4)
     f[0] = 1.0
@@ -493,7 +494,6 @@ def test_single_mode_model_oracle():
 
 def test_rotated_flow_matches_sector_formula():
     # warp along the rotated flow = conjugated sector formula with rotated U's
-    from dswarp.car_fock import rotation_fock
     rng = np.random.default_rng(63)
     kappa, phi = 0.6, 0.5
     op = rand_op(rng)
@@ -503,7 +503,7 @@ def test_rotated_flow_matches_sector_formula():
     expected = np.zeros_like(op.matrix)
     for m, block in charge_shifts(op).items():
         for n in np.unique(MODEL.charges).tolist():
-            en = charge_projector(MODEL, n).matrix
+            en = np.diag(charge_projector(MODEL, n).vec)
             expected += (u_rot(kappa * n).matrix @ block
                          @ u_rot(-kappa * (n + m)).matrix @ en)
     assert warp_rotated(MODEL, kappa, op, phi).dist(FockOperator(expected, MODEL)) < 1e-12

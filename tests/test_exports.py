@@ -9,7 +9,9 @@ REMOVED = ["Quaternion", "Q_ZERO", "Q_ONE", "Q_E1", "Q_E2", "Q_E3", "annihilatio
            "rieffel_product", "warp_inverse_check", "identity_op",
            "deformation_derivative_at_zero", "sector_norms", "conjugate_by_diagonal",
            "reflection_fock", "rotation_cover", "field_anticommutator",
-           "rotation_covariance", "inclusion_rigidity_probe", "ProbeResult"]
+           "rotation_covariance", "inclusion_rigidity_probe", "ProbeResult",
+           "second_quantize", "rotation_fock", "bogolyubov_fock", "warp_rotated",
+           "validate_report_schema"]
 
 
 @pytest.mark.parametrize("name", dswarp.__all__)
@@ -18,9 +20,11 @@ def test_exported_name_resolves(name):
 
 
 def test_removed_names_are_not_exported():
-    from dswarp import car_fock, deformation, quaternion, spin_group, verification, wedges
+    from dswarp import (car_fock, cli, deformation, quaternion, spin_group, verification,
+                        wedges)
     assert not set(REMOVED) & set(dswarp.__all__)
-    for module in (dswarp, car_fock, deformation, quaternion, spin_group, verification, wedges):
+    for module in (dswarp, car_fock, cli, deformation, quaternion, spin_group, verification,
+                   wedges):
         assert not [n for n in REMOVED if hasattr(module, n)], module.__name__
     for attr in ("annihilators", "gauge_one_particle", "boost_one_particle", "charge_values"):
         assert not hasattr(car_fock.OneParticleModel, attr)

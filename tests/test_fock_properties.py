@@ -3,7 +3,10 @@
 The references are the dense constructions the fast paths replaced: the
 Kronecker-product Jordan-Wigner tower for the fields, dense field products for
 the n-point function, exp(i dGamma(h)) on that
-tower for the second quantization Gamma(e^{ih}), the full commutator
+tower for the second quantization Gamma(e^{ih}), the dense Gamma(w) by k x k
+minors (second_quantize) for its number blocks, dense products
+Gamma B(f) Gamma^* for the Bogolyubov block products, the dense rotated warp
+for the inequivalence witness, the full commutator
 [K, A E(n)] and the dense warp's kappa-derivative for the fixed-point
 sectors, one full SVD for the operator norm (single-mask, parity-block and
 dense) and for the Lanczos field norm, dense products with diagonal
@@ -20,15 +23,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import block_diag, expm
 
-from dswarp.car_fock import (LANCZOS_BATCH, LANCZOS_CERTIFICATE, FockOperator,
-                             OneParticleModel, _lanczos, _mode_flips, block_sector_norms,
+from dswarp.car_fock import (LANCZOS_BATCH, LANCZOS_CERTIFICATE, FockOperator, MaskWord,
+                             OneParticleModel, _expi_hermitian, _lanczos, _mode_flips,
+                             block_sector_norms, bogolyubov_modes,
                              boost_phases, charge_projector, default_model, field_B,
-                             field_norms, fock_npoint, gauge_phases, operator_norm,
-                             reflection_table,
-                             second_quantize, sector_blocks, sector_layout, spinor,
+                             field_norms, fock_npoint, gauge_phases, lowering_blocks,
+                             number_states, occupation_table, one_particle_map,
+                             operator_norm, reflection_table, rotation_modes,
+                             second_quantize_blocks, sector_blocks, sector_layout, spinor,
                              twist_phases, wedge_generators)
-from dswarp.deformation import RECENT_PHASES, angle_matrix, warp, warp_oscillatory, warp_phase
-from dswarp.verification import (_ladder, _random_sector_blocks, fixed_point_residual,
+from dswarp.deformation import (RECENT_PHASES, angle_matrix, warp, warp_oscillatory,
+                                warp_phase, warp_rotated_apply)
+from dswarp.verification import (_ladder, _random_sector_blocks, bogolyubov_residuals,
+                                 fixed_point_residual, inequivalence_witness,
                                  sector_fixed_point_residual)
 
 PROPERTY = settings(max_examples=30, deadline=None)
@@ -67,6 +74,64 @@ def oracle_field(model: OneParticleModel, f: np.ndarray) -> np.ndarray:
         else:
             out += raise_coef * c + lower_coef * cdag
     return out
+
+
+def dense(word: MaskWord) -> np.ndarray:
+    """The d x d matrix of a mask word."""
+    d = len(word.vec)
+    m = np.zeros((d, d), dtype=complex)
+    m[word.rows(), np.arange(d)] = word.vec
+    return m
+
+
+def dense_op(model: OneParticleModel, word: MaskWord) -> FockOperator:
+    return FockOperator(dense(word), model)
+
+
+def second_quantize(model: OneParticleModel, w: np.ndarray) -> FockOperator:
+    """The dense Gamma(w) of any n x n mode-space map w: the entry at (T, S) is
+    det w[T, S] for |T| = |S|, one batch of k x k minors per particle number k
+    (the oracle for the number blocks)."""
+    w = np.asarray(w)
+    n = model.n_modes
+    if w.shape != (n, n):
+        raise ValueError(f"mode-space operator must be {n}x{n}")
+    occ = occupation_table(n)
+    number = occ.sum(axis=1)
+    out = np.zeros((model.dim, model.dim), dtype=complex)
+    for k in range(n + 1):
+        states = np.nonzero(number == k)[0]
+        modes = np.nonzero(occ[states])[1].reshape(len(states), k)
+        out[np.ix_(states, states)] = np.linalg.det(
+            w[modes[:, None, :, None], modes[None, :, None, :]])
+    return FockOperator(out, model)
+
+
+def rotation_fock(model: OneParticleModel, angle: float | None = None) -> FockOperator:
+    """The dense implementer Gamma(exp(angle g)) of the rotation."""
+    return second_quantize(model, rotation_modes(model, angle))
+
+
+def bogolyubov_fock(model: OneParticleModel, h_plus: np.ndarray,
+                    h_minus: np.ndarray) -> tuple[FockOperator, np.ndarray]:
+    """(U, u): the dense implementer U = Gamma(w) of the Bogolyubov map and the
+    2n x 2n one-particle map u = (e^{ih+} (+) e^{ih-}) (+) conj, built from the
+    two exponentials directly."""
+    w_plus = _expi_hermitian(np.asarray(h_plus, dtype=complex))
+    w_minus = _expi_hermitian(np.asarray(h_minus, dtype=complex))
+    # antiparticle modes are raised by copy B, so Gamma takes the conjugate block
+    big_u = second_quantize(model, block_diag(w_plus, np.conj(w_minus)))
+    w = block_diag(w_plus, w_minus)
+    return big_u, block_diag(w, np.conj(w))
+
+
+def warp_rotated(model: OneParticleModel, kappa: float, op: FockOperator,
+                 angle: float | None = None) -> FockOperator:
+    """The dense warp along the rotated flow: rot warp(rot^* op rot) rot^*,
+    with rot the dense rotation implementer."""
+    rot = rotation_fock(model, angle).matrix
+    inner = FockOperator(rot.conj().T @ op.matrix @ rot, model)
+    return FockOperator(rot @ warp(model, kappa, inner).matrix @ rot.conj().T, model)
 
 
 def identity_op(model: OneParticleModel) -> FockOperator:
@@ -145,8 +210,8 @@ def test_bit_built_field_equals_kronecker_oracle(model, seed):
 @given(models())
 def test_bit_built_annihilators_equal_kronecker_oracle(model):
     for j, oracle in enumerate(jordan_wigner_ops(model.n_modes)):
-        assert (_ladder(model, j, False).matrix == oracle).all()
-        assert (_ladder(model, j, True).matrix == oracle.conj().T).all()
+        assert (dense(_ladder(model, j, False)) == oracle).all()
+        assert (dense(_ladder(model, j, True)) == oracle.conj().T).all()
 
 
 def _random_vector(rng, dim):
@@ -174,7 +239,7 @@ def test_field_built_hopping_equals_kronecker_oracle_product(model):
     ops = jordan_wigner_ops(model.n_modes)
     for j, k in itertools.product(range(model.n_modes), repeat=2):
         built = _ladder(model, j, True) @ _ladder(model, k, False)
-        assert (built.matrix == ops[j].conj().T @ ops[k]).all(), (j, k)
+        assert (dense(built) == ops[j].conj().T @ ops[k]).all(), (j, k)
 
 
 def _species_block_unitary(model, rng) -> tuple[np.ndarray, np.ndarray]:
@@ -222,7 +287,123 @@ def test_second_quantize_refuses_a_map_of_the_wrong_size():
     model = default_model()
     for shape in ((4, 3), (3, 3), (8, 8)):
         with pytest.raises(ValueError, match="mode-space operator must be 4x4"):
-            second_quantize(model, np.eye(*shape))
+            second_quantize_blocks(model, np.eye(*shape))
+
+
+def test_number_blocks_refuse_a_map_that_mixes_the_species():
+    model = default_model()
+    w = np.eye(4)
+    w[0, 3] = 1e-3
+    with pytest.raises(ValueError, match="mixes particle and antiparticle"):
+        second_quantize_blocks(model, w)
+
+
+def _number_block(m: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    return m[np.ix_(rows, cols)]
+
+
+@PROPERTY
+@given(models(), SEEDS)
+def test_number_blocks_equal_the_dense_minor_formula(model, seed):
+    """The species-factor blocks of a stack of maps against the dense k x k
+    minors of each map; the dense Gamma has no entry outside the blocks."""
+    rng = np.random.default_rng(seed)
+    ws = np.stack([_species_block_unitary(model, rng)[0] for _ in range(2)])
+    stacked = second_quantize_blocks(model, ws)
+    for b, w in enumerate(ws):
+        full = second_quantize(model, w).matrix
+        outside = full.copy()
+        for states, g in zip(number_states(model), stacked):
+            block = _number_block(full, states, states)
+            assert np.max(np.abs(g[b] - block)) <= 1e-13 * np.max(np.abs(block))
+            outside[np.ix_(states, states)] = 0.0
+        assert not outside.any()
+
+
+@PROPERTY
+@given(models(), SEEDS)
+def test_bogolyubov_block_products_equal_the_dense_ones(model, seed):
+    """G_{k-1} L_k G_k^* of B(f) and of B(Cf) against the number blocks of the
+    dense product Gamma B(f) Gamma^* (the raising block is the adjoint of the
+    second), and bogolyubov_residuals against the dense norms of the raising
+    and lowering parts of Gamma B(f) Gamma^* - B(u f), for the implemented u
+    and for the u of another map."""
+    rng = np.random.default_rng(seed)
+    w, other = (_species_block_unitary(model, rng)[0] for _ in range(2))
+    f = _random_vector(rng, model.doubled_dim)
+    big = second_quantize(model, w)
+    conjugated = (big @ field_B(model, f) @ big.H).matrix
+    gammas = second_quantize_blocks(model, w)
+    parts = lowering_blocks(model, np.stack([f, model.apply_conjugation(f)]))
+    states = number_states(model)
+    scale = np.max(np.abs(conjugated))
+    for k in range(1, model.n_modes + 1):
+        g_out, g_in = gammas[k - 1], gammas[k]
+        lower, raise_adjoint = (g_out @ x @ g_in.conj().T for x in parts[k - 1])
+        assert np.max(np.abs(lower - _number_block(conjugated, states[k - 1], states[k]))) \
+            <= 1e-13 * scale
+        assert np.max(np.abs(raise_adjoint.conj().T
+                             - _number_block(conjugated, states[k], states[k - 1]))) \
+            <= 1e-13 * scale
+
+    number = occupation_table(model.n_modes).sum(axis=1)
+    steps = number[:, None] - number[None, :]
+    block_norms = []
+    for u in (one_particle_map(model, w), one_particle_map(model, other)):
+        residual = conjugated - field_B(model, u @ f).matrix
+        dense_norm = max(np.linalg.norm(np.where(steps == step, residual, 0.0), 2)
+                         for step in (1, -1))
+        block_norms.append(bogolyubov_residuals(model, w[None], u[None], f[None])[0])
+        assert abs(block_norms[-1] - dense_norm) <= 1e-13 * max(dense_norm, scale)
+    assert block_norms[0] <= 1e-12 * scale
+
+
+def test_bogolyubov_modes_give_the_dense_implementer():
+    """bogolyubov_modes and one_particle_map against the dense pair built from
+    the two exponentials, for a stack of generators."""
+    model = OneParticleModel(3, 2, [1, -1, 2], [1, -1], [0])
+    rng = np.random.default_rng(39)
+    hp, hm = (_random_matrix(rng, k) for k in (3, 2))
+    hp, hm = hp + hp.conj().T, hm + hm.conj().T
+    big_u, u_one = bogolyubov_fock(model, hp, hm)
+    w = bogolyubov_modes(model, np.stack([hp, hp]), np.stack([hm, hm]))
+    np.testing.assert_allclose(one_particle_map(model, w[1]), u_one, rtol=0, atol=1e-14)
+    for states, g in zip(number_states(model), second_quantize_blocks(model, w)):
+        block = _number_block(big_u.matrix, states, states)
+        assert np.max(np.abs(g - block)) <= 1e-13
+
+
+@st.composite
+def rotation_models(draw):
+    """Models of 1 + 1 to 3 + 3 modes with a species of two modes to rotate."""
+    dp = draw(st.integers(1, 3))
+    dm = draw(st.integers(2 if dp < 2 else 1, 3))
+    return OneParticleModel(dp, dm,
+                            draw(st.lists(FREQS, min_size=dp, max_size=dp)),
+                            draw(st.lists(FREQS, min_size=dm, max_size=dm)),
+                            localized_modes=[0], rotation_angle=0.3)
+
+
+@PROPERTY
+@given(rotation_models(), SEEDS, st.floats(-2.0, 2.0), st.floats(-4.0, 4.0))
+def test_rotated_warp_on_a_vector_equals_the_dense_rotated_warp(model, seed, kappa, phi):
+    """warp_rotated_apply of a random field on a random vector, and the
+    inequivalence witness, against the dense rotated warp."""
+    rng = np.random.default_rng(seed)
+    f = _random_vector(rng, model.doubled_dim)
+    v = _random_vector(rng, model.dim)
+    dense_vec = warp_rotated(model, kappa, field_B(model, f), phi).matrix @ v
+    block_vec = warp_rotated_apply(model, kappa, f, v, phi)
+    assert np.max(np.abs(block_vec - dense_vec)) <= 1e-13 * np.max(np.abs(dense_vec))
+
+    psi_f = np.zeros(model.n_modes)
+    psi_f[model.d_plus] = 1.0
+    psi = spinor(model, psi_f)
+    one_particle = field_B(model, np.eye(model.doubled_dim)[0]).matrix @ model.vacuum()
+    straight = warp(model, kappa, psi).matrix @ one_particle
+    rotated = warp_rotated(model, kappa, psi, phi).matrix @ one_particle
+    _, fock = inequivalence_witness(model, kappa, phi)
+    assert abs(fock - np.linalg.norm(straight - rotated)) <= 1e-13
 
 
 @PROPERTY
@@ -235,7 +416,7 @@ def test_sector_block_norm_matches_full_commutator_norm(model, seed):
     k = np.diag(model.phases.astype(complex))
     assert sorted(sectors) == np.unique(model.charges).tolist()
     for n, block_norm in sectors.items():
-        an = op.matrix @ charge_projector(model, n).matrix
+        an = op.matrix @ dense(charge_projector(model, n))
         full = float(np.linalg.norm(k @ an - an @ k, 2))
         assert abs(block_norm - full) <= 1e-13 * full
 
@@ -274,8 +455,11 @@ def test_block_fixed_point_path_matches_dense_derivative(model, seed, case):
         j, k = rng.choice(model.n_modes, size=2, replace=False)
         if model.mode_charges[j] != model.mode_charges[k]:
             k = j             # a charge-0 hopping needs one species; c_j^+ c_j is a number operator
-        op = _ladder(model, int(j), True) @ _ladder(model, int(k), False)
-        stacks = sector_blocks(model, op.matrix)
+        word = _ladder(model, int(j), True) @ _ladder(model, int(k), False)
+        stacks = sector_blocks(model, word)
+        op = dense_op(model, word)
+        assert all((a == b).all() for a, b in zip(stacks, sector_blocks(model, op.matrix)))
+        assert fixed_point_residual(model, word) == fixed_point_residual(model, op)
     else:
         stacks = _random_sector_blocks(model, rng, diagonal=case == "diagonal")
         op = _from_sector_blocks(model, stacks)
@@ -408,7 +592,7 @@ def _norm_cases(model, rng) -> dict[str, np.ndarray]:
             for _ in range(2))
     bf, bg = field_B(model, f), field_B(model, g)
     anti = (bf @ bg + bg @ bf).matrix
-    dense = FockOperator(_random_matrix(rng, d), model)
+    full = FockOperator(_random_matrix(rng, d), model)
     one = np.zeros((d, d), dtype=complex)
     one[rng.integers(d), rng.integers(d)] = rng.standard_normal() + 1j
     j, k = rng.choice(n, size=2, replace=False)
@@ -420,12 +604,12 @@ def _norm_cases(model, rng) -> dict[str, np.ndarray]:
         "structured-car-residual": (_unit_anticommutator(model, f, g)
                                     - np.vdot(model.apply_conjugation(f), g) * np.eye(d)),
         "diagonal": np.diag(_random_vector(rng, d)),
-        "gauge-invariant": dense.charge_shift(0),
-        "charge-shift": dense.charge_shift(int(rng.integers(-n, n + 1))),
-        "dense": dense.matrix,
+        "gauge-invariant": full.charge_shift(0),
+        "charge-shift": full.charge_shift(int(rng.integers(-n, n + 1))),
+        "dense": full.matrix,
         "one-entry": one,
         "zero": np.zeros((d, d), dtype=complex),
-        "mover": (_ladder(model, int(j), True) @ _ladder(model, int(k), False)).matrix,
+        "mover": dense(_ladder(model, int(j), True) @ _ladder(model, int(k), False)),
         "one-mode-field": _single_mode_field(model, rng),
         "oracle-residual": _oracle_residual(model, rng),
         "two-mask": _two_mask_matrix(model, rng),
@@ -469,31 +653,6 @@ def _recorded_svd_shapes(model, m) -> list[tuple[int, ...]]:
         patch.setattr(np.linalg, "svd", recording)
         operator_norm(model, m)
     return shapes
-
-
-def _single_mask(m: np.ndarray) -> bool:
-    """Whether every nonzero entry m[i, j] has the same mask i ^ j."""
-    rows, cols = np.nonzero(m)
-    return len(np.unique(rows ^ cols)) <= 1
-
-
-@PROPERTY
-@given(models(), SEEDS, st.sampled_from(["field", "product", "anticommutator",
-                                         "car-residual", "even", "odd", "mover",
-                                         "one-mode-field", "oracle-residual"]))
-def test_parity_homogeneous_operator_takes_no_full_size_svd(model, seed, case):
-    rng = np.random.default_rng(seed)
-    if case in ("even", "odd"):
-        same = np.equal.outer(model.parities, model.parities)
-        m = np.where(same if case == "even" else ~same, _random_matrix(rng, model.dim), 0.0)
-    else:
-        m = _norm_cases(model, rng)[case]
-    shapes = _recorded_svd_shapes(model, m)
-    # a single-mask matrix takes no SVD; the dense anticommutator of two fields
-    # is one (diagonal) whenever its cross terms cancel exactly
-    assert bool(shapes) == (not _single_mask(m))
-    # the others take one SVD of the two parity blocks, each d/2 wide
-    assert all(max(s[-2:]) <= model.dim // 2 for s in shapes)
 
 
 @PROPERTY

@@ -15,7 +15,7 @@ import sys
 import numpy as np
 import pytest
 
-from dswarp import cli, verification
+from dswarp import car_fock, cli, verification
 from dswarp import wedges as wd
 
 
@@ -28,8 +28,26 @@ def _membership(reduce):
     return contains
 
 
+_SECOND_QUANTIZE_BLOCKS = car_fock.second_quantize_blocks
+
+
+def _gamma_of_the_transpose(model, w):
+    """Number blocks of Gamma(w^T) in place of Gamma(w)."""
+    return _SECOND_QUANTIZE_BLOCKS(model, np.swapaxes(w, -1, -2))
+
+
 # name -> (module, function name, replacement, suites, check IDs that must FAIL)
 MUTANTS = {
+    # e^{ih} of a complex Hermitian h is not symmetric, so Gamma(w^T) does not
+    # implement u; the block residual is 3.7 on the default config
+    "second_quantize_blocks-of-the-transpose": (
+        car_fock, "second_quantize_blocks", _gamma_of_the_transpose, ["car"],
+        {"bogolyubov-implementation"}),
+    # with the identity as the rotation's implementer the rotated warp is the
+    # straight one, so the Fock witness is 0 at every kappa
+    "rotation_modes-identity": (
+        car_fock, "rotation_modes", lambda model, angle=None: np.eye(model.n_modes),
+        ["inequivalence"], {"witness-nonzero"}),
     "wedge_contains-y0-y1-swapped": (
         wd, "wedge_contains", _membership(lambda y0, y1: y0 - np.abs(y1)), ["wedges"],
         {"boost-preserves-reference-wedge", "reflection-maps-to-complement",

@@ -76,6 +76,32 @@ def test_lorentz_gate_scales_with_the_norm_and_refuses_every_sign_flip(t):
     assert not np.any(sg.is_proper_orthochronous(np.array(flipped)))
 
 
+@pytest.mark.parametrize("t", [0.5, 2.0, 3.0, 5.0])
+def test_sp11_gate_scales_with_the_norm_and_refuses_every_sign_flip(t):
+    # the boost lift [[c, -s], [-s, c]] is accepted, its defect being rounding
+    # on entries of size cosh(pi t); flipping the sign of any one of its four
+    # nonzero entries moves g^* gamma0 g by about c s or c^2, far above the gate
+    lift = sg._boost_array(t)
+    sg.SpinElement(QuatMatrix2(lift))
+    entries = list(zip(*np.nonzero(lift)))
+    assert len(entries) == 4
+    for index in entries:
+        bad = lift.copy()
+        bad[index] = -bad[index]
+        with pytest.raises(sg.NotInSpinGroupError):
+            sg.SpinElement(QuatMatrix2(bad))
+
+
+def test_sp11_gate_is_the_absolute_tolerance_at_the_identity():
+    ident = QuatMatrix2.identity().array
+    near = ident.copy()
+    near[0, 1, 2] = 0.9 * sg.SP11_TOL
+    sg.SpinElement(QuatMatrix2(near))
+    near[0, 1, 2] = 2.0 * sg.SP11_TOL
+    with pytest.raises(sg.NotInSpinGroupError):
+        sg.SpinElement(QuatMatrix2(near))
+
+
 def test_lorentz_gate_no_weaker_than_1e8_up_to_t_1():
     lam = sg.boost_base(1.0)
     assert sg.LORENTZ_ROUNDING * np.sum(lam * lam) <= 1e-8

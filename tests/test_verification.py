@@ -15,22 +15,16 @@ from dswarp.verification import (SPAN_SVD_TOL, CheckReport, causal_borchers_axio
                                  inequivalence_witness, net_well_defined_residual,
                                  random_monomial, span_basis, span_residual, suite_car,
                                  suite_deformation, wedge_monomials)
-from test_fock_properties import (conjugate_by_diagonal, identity_op, jordan_wigner_ops,
-                                  sector_norms)
+from test_fock_properties import (conjugate_by_diagonal, dense, dense_op, identity_op,
+                                  jordan_wigner_ops, sector_norms)
 
 MODEL = default_model()
 
 
 # -- dense oracle ----------------------------------------------------------------
-# Wedge words as dense d x d matrices, spans by one SVD of the words x d^2
-# stack: the reference the mask-word path is compared against.
-
-def dense(word: MaskWord) -> np.ndarray:
-    d = len(word.vec)
-    m = np.zeros((d, d), dtype=complex)
-    m[word.rows(), np.arange(d)] = word.vec
-    return m
-
+# Wedge words as dense d x d matrices (test_fock_properties.dense), spans by one
+# SVD of the words x d^2 stack: the reference the mask-word path is compared
+# against.
 
 def dense_generators(model: OneParticleModel, tag: str) -> list[np.ndarray]:
     return [field_B(model, f).matrix for f in wedge_subalgebra_basis(model, tag)]
@@ -155,10 +149,13 @@ def test_twisted_locality_negative_control():
 def test_fixed_point_unit_and_projector():
     sectors, derivative = fixed_point_residual(MODEL, identity_op(MODEL))
     assert max(sectors.values()) == 0.0 and derivative == 0.0
-    e1 = charge_projector(MODEL, 1)
-    sectors, derivative = fixed_point_residual(MODEL, e1)
-    assert max(sectors.values()) == 0.0 and derivative == 0.0
+    word = charge_projector(MODEL, 1)
+    e1 = dense_op(MODEL, word)
+    for op in (word, e1):
+        sectors, derivative = fixed_point_residual(MODEL, op)
+        assert max(sectors.values()) == 0.0 and derivative == 0.0
     # E(1) is fixed by the deformation but is not a multiple of the identity
+    assert (warp_word(MODEL, 0.3, word) - word).norm() == 0.0
     assert warp(MODEL, 0.3, e1).dist(e1) == 0.0
     assert e1.dist(identity_op(MODEL) * (np.trace(e1.matrix) / MODEL.dim)) > 0.1
 
@@ -167,6 +164,8 @@ def test_fixed_point_rejects_charged_operator():
     ops = jordan_wigner_ops(MODEL.n_modes)
     with pytest.raises(ValueError):
         fixed_point_residual(MODEL, FockOperator(ops[0], MODEL))
+    with pytest.raises(ValueError, match="gauge-invariant"):
+        fixed_point_residual(MODEL, verification._ladder(MODEL, 0, False))
 
 
 def test_fixed_point_cross_frequency_mover():
@@ -309,12 +308,9 @@ def test_cstar_norm_formula_fails_without_jordan_wigner_signs(monkeypatch):
     assert not check.passed
 
 
-def test_car_suite_multiplies_dense_fields_only_in_the_bogolyubov_check(monkeypatch):
-    """The Bogolyubov check's six draws make every dense product (U B(f) U^*),
-    build every field (B(f) and B(uf)) and take every SVD (one batched SVD of
-    the two parity blocks per distance).  The anticommutators, the n-point
-    functions and the Lanczos norms of cstar-norm-formula take none."""
-    counts = {}
+def _count_calls(monkeypatch, targets) -> dict[str, int]:
+    """Patch each (name, owner, attribute) to count its calls; returns the counts."""
+    counts = dict.fromkeys([name for name, _, _ in targets], 0)
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -322,66 +318,60 @@ def test_car_suite_multiplies_dense_fields_only_in_the_bogolyubov_check(monkeypa
             return fn(*args, **kwargs)
         return wrapper
 
-    for name, owner, attr in (("matmul", FockOperator, "__matmul__"),
-                              ("car_fock.field_B", car_fock, "field_B"),
-                              ("verification.field_B", verification, "field_B"),
-                              ("svd", np.linalg, "svd")):
+    for name, owner, attr in targets:
         monkeypatch.setattr(owner, attr, counted(name, getattr(owner, attr)))
-    counts.update(dict.fromkeys(["matmul", "car_fock.field_B", "verification.field_B",
-                                 "svd"], 0))
-    assert all(c.passed for c in _car_checks(default_model()).values())
-    assert counts == {"matmul": 2 * 6, "car_fock.field_B": 0, "verification.field_B": 2 * 6,
-                      "svd": 6}
-
-    # the six SVDs belong to the Bogolyubov distances: with those stubbed, there are none
-    monkeypatch.setattr(FockOperator, "dist", lambda self, other: 0.0)
-    counts.update(dict.fromkeys(counts, 0))
-    _car_checks(default_model())
-    assert counts["svd"] == 0
+    return counts
 
 
-def test_full_verify_takes_14_norms_and_svds_only_for_bogolyubov(monkeypatch):
-    """One default verify takes 14 operator norms: car 6, oracle 6 and
-    fixed_point 2.  Only the six Bogolyubov residuals (parity-odd) take an
-    SVD, one of the two d/2 x d/2 parity blocks each; the oracle's spinor
-    residuals and the fixed-point suite's two distances are single-mask."""
-    cfg = cli.load_config(None)
-    model = cli.model_from_config(cfg)
-    current, inside, calls, svds = [None], [], {}, {}
-    svd, norm = np.linalg.svd, car_fock.operator_norm
+def _record_svd_shapes(monkeypatch) -> list[tuple[int, ...]]:
+    """The shapes of the arrays np.linalg.svd is called on, as they come."""
+    shapes, svd = [], np.linalg.svd
 
-    def recording_svd(a, *args, **kwargs):
-        if inside:
-            svds.setdefault(inside[-1], []).append(a.shape)
+    def recording(a, *args, **kwargs):
+        shapes.append(np.shape(a))
         return svd(a, *args, **kwargs)
 
-    def counted(model, m):
-        calls[current[0]] = calls.get(current[0], 0) + 1
-        inside.append(current[0])
-        try:
-            return norm(model, m)
-        finally:
-            inside.pop()
+    monkeypatch.setattr(np.linalg, "svd", recording)
+    return shapes
 
-    def in_suite(name, run):
-        return lambda *args: current.__setitem__(0, name) or run(*args)
 
-    monkeypatch.setattr(np.linalg, "svd", recording_svd)
-    monkeypatch.setattr(car_fock, "operator_norm", counted)
-    for name, run in list(verification.SUITES.items()):
-        monkeypatch.setitem(verification.SUITES, name, in_suite(name, run))
+@pytest.mark.parametrize("model", [default_model(), OneParticleModel(
+    4, 3, [1.0, -1.0, 2.0, -2.0], [1.0, -1.0, 0.0], [0, 2, 4])], ids=["dim16", "dim128"])
+def test_car_suite_builds_no_dense_field_product_or_fock_size_svd(monkeypatch, model):
+    """The Bogolyubov check works on number blocks: no dense field, no dense
+    product, and its SVDs are of the k -> k-1 blocks, one batch per k over the
+    two parts and the six draws.  The other checks take no SVD."""
+    counts = _count_calls(monkeypatch, [("matmul", FockOperator, "__matmul__"),
+                                        ("field_B", car_fock, "field_B"),
+                                        ("operator_norm", car_fock, "operator_norm")])
+    shapes = _record_svd_shapes(monkeypatch)
+    assert all(c.passed for c in _car_checks(model).values())
+    assert counts == {"matmul": 0, "field_B": 0, "operator_norm": 0}
+    sizes = [len(states) for states in car_fock.number_states(model)]
+    assert shapes == [(2, 6, a, b) for a, b in zip(sizes, sizes[1:])]
+
+
+def test_full_verify_takes_no_dense_product_and_no_fock_size_svd(monkeypatch):
+    """One default verify makes no FockOperator product and no SVD of a d x d
+    or d/2 x d/2 array.  Only the oracle's six spinor residuals reach
+    operator_norm, and they are single-mask."""
+    cfg = cli.load_config(None)
+    model = cli.model_from_config(cfg)
+    counts = _count_calls(monkeypatch, [("matmul", FockOperator, "__matmul__"),
+                                        ("operator_norm", car_fock, "operator_norm")])
+    shapes = _record_svd_shapes(monkeypatch)
     checks, _ = verification.run_suites(model, cfg)
     assert all(c.passed for suite in checks.values() for c in suite)
+    assert counts == {"matmul": 0, "operator_norm": 6}
     d = model.dim
-    assert calls == {"car": 6, "oracle": 6, "fixed_point": 2}
-    assert svds == {"car": [(2, d // 2, d // 2)] * 6}
+    assert shapes and not [s for s in shapes if s[-2:] in ((d, d), (d // 2, d // 2))]
 
 
 def test_gamma_of_the_transpose_fails_bogolyubov_implementation(monkeypatch):
     """The check draws complex Hermitian h, so w = e^{ih} is not symmetric."""
-    quantize = car_fock.second_quantize
-    monkeypatch.setattr(car_fock, "second_quantize",
-                        lambda model, w: quantize(model, np.asarray(w).T))
+    quantize = car_fock.second_quantize_blocks
+    monkeypatch.setattr(verification, "second_quantize_blocks",
+                        lambda model, w: quantize(model, np.swapaxes(w, -1, -2)))
     check = _car_checks(default_model())["bogolyubov-implementation"]
     assert check.max_residual > 1e-2
     assert not check.passed
@@ -426,15 +416,14 @@ class _RecordingRng:
     4, 3, [1.0, -1.0, 2.0, -2.0], [1.0, -1.0, 0.0], [0, 2, 4])], ids=["dim16", "dim128"])
 def test_fixed_point_loop_draws_sector_blocks_and_takes_no_dense_warp(monkeypatch, model):
     """Each of the 100 operators is drawn as its sector blocks, real and imaginary
-    parts apart: no draw is d x d.  The only dense warps are the two of
-    sector-projector-is-fixed and cross-frequency-observable-moves."""
-    warps, dense_warp = [], verification.warp
-    monkeypatch.setattr(verification, "warp",
-                        lambda *args: warps.append(1) or dense_warp(*args))
+    parts apart: no draw is d x d.  E(1) and the mover are mask words, so the
+    suite builds no dense operator and takes no dense warp."""
+    counts = _count_calls(monkeypatch, [("warp", deformation, "warp"),
+                                        ("FockOperator", FockOperator, "__post_init__")])
     rng = _RecordingRng(5)
     checks = verification.suite_fixed_point(model, cli.load_config(None), rng)
     assert all(c.passed for c in checks)
-    assert len(warps) == 2
+    assert counts == {"warp": 0, "FockOperator": 0}
     layout = car_fock.sector_layout(model)
     per_operator = 2 * len(layout)
     assert len(rng.shapes) == 100 * per_operator
@@ -567,19 +556,10 @@ def test_deformation_suite_passes_on_the_default_model():
 
 def test_deformation_suite_makes_no_dense_product_norm_or_svd(monkeypatch):
     """Every residual of the suite is a mask word's largest absolute entry."""
-    counts = {}
-
-    def counted(name, fn):
-        def wrapper(*args, **kwargs):
-            counts[name] += 1
-            return fn(*args, **kwargs)
-        return wrapper
-
-    for name, owner, attr in (("matmul", FockOperator, "__matmul__"),
-                              ("dist", FockOperator, "dist"), ("norm", FockOperator, "norm"),
-                              ("svd", np.linalg, "svd")):
-        monkeypatch.setattr(owner, attr, counted(name, getattr(owner, attr)))
-    counts.update(matmul=0, dist=0, norm=0, svd=0)
+    counts = _count_calls(monkeypatch, [("matmul", FockOperator, "__matmul__"),
+                                        ("dist", FockOperator, "dist"),
+                                        ("norm", FockOperator, "norm"),
+                                        ("svd", np.linalg, "svd")])
     assert not _failed(_deformation_checks(default_model()))
     assert counts == {"matmul": 0, "dist": 0, "norm": 0, "svd": 0}
 
