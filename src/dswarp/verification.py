@@ -38,6 +38,19 @@ the block entries once per model, so no operator of the loop is d x d and
 no dense warp runs.  fixed_point_residual takes a dense operator or a mask
 word, gathers its blocks once and runs the same block code.
 
+The loop classifies each draw from bounds first (fixed_point_consistent).
+Both sides scale A's block entries, by phi_i - phi_j and by the Richardson
+difference D of the warp phases, and a block's largest absolute entry is at
+most its 2-norm, which is at most its Frobenius norm.  So |A|^2 and the
+squared weights give a lower and an upper bound on each side, without an
+SVD.  Both upper bounds below low, or both lower bounds above high, make
+the draw consistent; a lower bound at or above low with an upper bound at
+or below high makes it inconsistent.  Only a draw the bounds leave open,
+or one with a non-finite entry, falls back to the block SVDs of
+sector_fixed_point_residual.  The suite's draws are diagonal (both sides
+exactly 0) or dense Gaussian (both O(1)), so none falls back: the suite's
+only SVDs are those fixed_point_residual takes on the mover.
+
 The CAR {B(f), B(g)} = <Cf, g> 1 is bilinear in f and g, so it holds for
 every pair exactly when it holds for the 2n unit vectors.  The car suite
 checks it on the unit words W_a = B(e_a): W_a W_b and W_b W_a both have the
@@ -223,6 +236,17 @@ def _twisted_commutator_norm(f: MaskWord, g: MaskWord, z: np.ndarray) -> float:
 
 # Central-difference step of the kappa-derivative; the Richardson step halves it.
 DERIVATIVE_STEP = 1e-4
+# Largest charge-moving entry that fixed_point_residual reads as gauge-invariant.
+GAUGE_TOL = 1e-10
+
+
+def _richardson(plus, minus, plus_half, minus_half):
+    """The kappa-derivative at 0 from values at kappa = +h, -h, +h/2, -h/2 with
+    h = DERIVATIVE_STEP: central differences with one Richardson step."""
+    h = DERIVATIVE_STEP
+    coarse = (plus - minus) / (2.0 * h)
+    fine = (plus_half - minus_half) / h
+    return (4.0 * fine - coarse) / 3.0
 
 
 def _sector_weights(model: OneParticleModel) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
@@ -248,6 +272,23 @@ def _sector_weights(model: OneParticleModel) -> tuple[tuple[np.ndarray, np.ndarr
     return model.cached("sector_weights", build)
 
 
+def _bound_weights(model: OneParticleModel) -> tuple[np.ndarray, ...]:
+    """Per block shape of sector_layout: a (2, count, size, size) stack of the
+    squared factors by which sector_fixed_point_residual scales each entry.
+
+    Row 0 is (phi_i - phi_j)^2 on the charged blocks and 0 on the charge-0
+    block; row 1 is |D|^2, where D is the Richardson derivative of the warp
+    phases of _sector_weights.  Built once per model.
+    """
+    def build():
+        return tuple(np.stack([np.where((charges != 0)[:, None, None], dphi ** 2, 0.0),
+                               np.abs(_richardson(*phases)) ** 2])
+                     for (charges, _), (dphi, phases)
+                     in zip(sector_layout(model), _sector_weights(model)))
+
+    return model.cached("bound_weights", build)
+
+
 def sector_fixed_point_residual(model: OneParticleModel,
                                 stacks: list[np.ndarray]) -> tuple[dict[int, float], float]:
     """Per-sector boost-commutator norms and the kappa-derivative at zero of the
@@ -259,34 +300,70 @@ def sector_fixed_point_residual(model: OneParticleModel,
     differences with one Richardson step; warp is entrywise, so it keeps the
     blocks, and the norm of A's derivative is the largest block norm.
     """
-    def central(h: float, plus: np.ndarray, minus: np.ndarray) -> np.ndarray:
-        return (plus - minus) / (2.0 * h)
-
     commutators, refined = [], []
     for (dphi, phases), blocks in zip(_sector_weights(model), stacks):
         commutators.append(dphi * blocks)
-        plus, minus, plus_half, minus_half = blocks * phases
-        coarse = central(DERIVATIVE_STEP, plus, minus)
-        fine = central(DERIVATIVE_STEP / 2.0, plus_half, minus_half)
-        refined.append((4.0 * fine - coarse) / 3.0)
+        refined.append(_richardson(*(blocks * phases)))
     return (block_sector_norms(model, commutators),
             worst(block_sector_norms(model, refined).values()))
 
 
-def fixed_point_residual(model: OneParticleModel, op: FockOperator | MaskWord,
-                         gauge_tol: float = 1e-10) -> tuple[dict[int, float], float]:
+def fixed_point_bounds(model: OneParticleModel,
+                       stacks: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """Lower and upper bounds, without an SVD, on the largest charged-sector
+    commutator norm and on the derivative of sector_fixed_point_residual,
+    each a pair (commutator, derivative).
+
+    Both sides scale A's block entries, by phi_i - phi_j and by D
+    (_bound_weights).  A block's largest absolute entry is at most its
+    2-norm, which is at most its Frobenius norm, so the bounds are the
+    largest scaled entry and the largest Frobenius norm over the blocks.  A
+    non-finite entry of A makes them non-finite.
+    """
+    lower = upper = np.zeros(2)
+    for weights, blocks in zip(_bound_weights(model), stacks):
+        scaled = weights * (blocks.real ** 2 + blocks.imag ** 2)
+        lower = np.maximum(lower, scaled.max(axis=(1, 2, 3)))
+        upper = np.maximum(upper, scaled.sum(axis=(2, 3)).max(axis=1))
+    return np.sqrt(lower), np.sqrt(upper)
+
+
+def fixed_point_consistent(model: OneParticleModel, stacks: list[np.ndarray],
+                           low: float, high: float) -> bool:
+    """Whether the charged commutator norm and the derivative of the operator
+    with sector blocks stacks are both below low or both above high.
+
+    fixed_point_bounds settle most operators: both upper bounds below low or
+    both lower bounds above high make it consistent, and a lower bound at or
+    above low with an upper bound at or below high make it inconsistent.
+    Any other operator, a non-finite one included, is decided on the norms
+    of sector_fixed_point_residual.
+    """
+    lower, upper = fixed_point_bounds(model, stacks)
+    if np.isfinite(upper).all():
+        if (upper < low).all() or (lower > high).all():
+            return True
+        if (lower >= low).any() and (upper <= high).any():
+            return False
+    sectors, derivative = sector_fixed_point_residual(model, stacks)
+    charged = worst(r for n, r in sectors.items() if n != 0)
+    return (charged < low and derivative < low) or (charged > high and derivative > high)
+
+
+def fixed_point_residual(model: OneParticleModel,
+                         op: FockOperator | MaskWord) -> tuple[dict[int, float], float]:
     """sector_fixed_point_residual of a gauge-invariant operator, dense or a mask word.
 
     The derivative vanishes iff every charged-sector commutator [K, A E(n)],
-    n != 0, vanishes; an operator with an entry above gauge_tol that moves
+    n != 0, vanishes; an operator with an entry above GAUGE_TOL that moves
     the charge is refused.
     """
     if isinstance(op, MaskWord):
         moves = model.charges[op.rows()] != model.charges
-        invariant = np.max(np.abs(op.vec[moves]), initial=0.0) <= gauge_tol
+        invariant = np.max(np.abs(op.vec[moves]), initial=0.0) <= GAUGE_TOL
         stacks = sector_blocks(model, op)
     else:
-        invariant = op.is_gauge_invariant(gauge_tol)
+        invariant = op.is_gauge_invariant(GAUGE_TOL)
         stacks = sector_blocks(model, op.matrix)
     if not invariant:
         raise ValueError("fixed-point analysis needs a gauge-invariant operator")
@@ -728,15 +805,8 @@ def _cross_frequency_pair(model: OneParticleModel) -> tuple[int, int] | None:
 
 def suite_fixed_point(model: OneParticleModel, cfg: dict, rng) -> list[CheckReport]:
     low, high = 1e-8, 1e-6
-    inconsistent = 0
-    for idx in range(100):
-        stacks = _random_sector_blocks(model, rng, diagonal=idx % 2 == 0)
-        sectors, derivative = sector_fixed_point_residual(model, stacks)
-        charged = worst(r for n, r in sectors.items() if n != 0)
-        both_zero = charged < low and derivative < low
-        both_moving = charged > high and derivative > high
-        if not (both_zero or both_moving):
-            inconsistent += 1
+    draws = (_random_sector_blocks(model, rng, diagonal=idx % 2 == 0) for idx in range(100))
+    inconsistent = sum(not fixed_point_consistent(model, stacks, low, high) for stacks in draws)
 
     e1 = charge_projector(model, 1)
     sectors, derivative = fixed_point_residual(model, e1)

@@ -8,9 +8,10 @@ minors (second_quantize) for its number blocks, dense products
 Gamma B(f) Gamma^* for the Bogolyubov block products, the dense rotated warp
 for the inequivalence witness, the full commutator
 [K, A E(n)] and the dense warp's kappa-derivative for the fixed-point
-sectors, one full SVD for the operator norm (single-mask, parity-block and
-dense) and for the Lanczos field norm, dense products with diagonal
-matrices for conjugation, and the uncached phase expression for warp.
+sectors, the block SVDs for the fixed-point bounds and classification, one
+full SVD for the operator norm (single-mask, parity-block and dense) and for
+the Lanczos field norm, dense products with diagonal matrices for
+conjugation, and the uncached phase expression for warp.
 Models are small random ones, up to 3 + 3 modes.
 """
 
@@ -34,7 +35,9 @@ from dswarp.car_fock import (LANCZOS_BATCH, LANCZOS_CERTIFICATE, FockOperator, M
                              twist_phases, wedge_generators)
 from dswarp.deformation import (RECENT_PHASES, angle_matrix, warp, warp_oscillatory,
                                 warp_phase, warp_rotated_apply)
+from dswarp import verification
 from dswarp.verification import (_ladder, _random_sector_blocks, bogolyubov_residuals,
+                                 fixed_point_bounds, fixed_point_consistent,
                                  fixed_point_residual, inequivalence_witness,
                                  sector_fixed_point_residual)
 
@@ -471,6 +474,66 @@ def test_block_fixed_point_path_matches_dense_derivative(model, seed, case):
     assert abs(derivative - dense) <= 1e-13 * dense
     if case == "diagonal":
         assert derivative == 0.0 and max(sectors.values()) == 0.0
+
+
+LOW, HIGH = 1e-8, 1e-6      # the thresholds of derivative-commutator-equivalence
+
+
+def _scaled_draws(model: OneParticleModel, rng, count: int) -> list[list[np.ndarray]]:
+    """The suite's draws, diagonal and dense in turn, each scaled by 10^U(-10, -4)
+    so that their norms fall below, between and above the thresholds."""
+    return [[blocks * 10.0 ** rng.uniform(-10.0, -4.0)
+             for blocks in _random_sector_blocks(model, rng, diagonal=idx % 2 == 0)]
+            for idx in range(count)]
+
+
+def _spectral_norms(model: OneParticleModel, stacks) -> np.ndarray:
+    """(largest charged commutator norm, derivative) from the block SVDs; NaN propagates."""
+    sectors, derivative = sector_fixed_point_residual(model, stacks)
+    return np.array([np.max([r for n, r in sectors.items() if n != 0]), derivative])
+
+
+def _spectral_consistent(model: OneParticleModel, stacks) -> bool:
+    norms = _spectral_norms(model, stacks)
+    return bool((norms < LOW).all() or (norms > HIGH).all())
+
+
+@PROPERTY
+@given(models(), SEEDS)
+def test_bounded_fixed_point_classification_equals_the_spectral_one(model, seed):
+    """Every draw, one with a NaN entry included, is classified as the block
+    SVDs classify it, and the bounds bracket the spectral norms."""
+    rng = np.random.default_rng(seed)
+    draws = _scaled_draws(model, rng, 40)
+    poisoned = _random_sector_blocks(model, rng, diagonal=False)
+    blocks = poisoned[rng.integers(len(poisoned))]
+    blocks.flat[rng.integers(blocks.size)] = np.nan
+    draws.append(poisoned)
+
+    bounded = [fixed_point_consistent(model, stacks, LOW, HIGH) for stacks in draws]
+    assert bounded == [_spectral_consistent(model, stacks) for stacks in draws]
+    assert bounded.count(False) >= 1 and not bounded[-1]
+    for stacks in draws[:-1]:
+        lower, upper = fixed_point_bounds(model, stacks)
+        norms = _spectral_norms(model, stacks)
+        assert (lower <= norms * (1.0 + 1e-10)).all() and (norms <= upper * (1.0 + 1e-10)).all()
+
+
+@pytest.mark.parametrize("model", [default_model(), OneParticleModel(
+    4, 3, [1.0, -1.0, 2.0, -2.0], [1.0, -1.0, 0.0], [0, 2, 4])], ids=["dim16", "dim128"])
+def test_scaled_draws_are_certified_refuted_and_left_to_the_svds(monkeypatch, model):
+    """On scaled draws the bounds certify some draws consistent and refute
+    others; the rest take the block SVDs of sector_fixed_point_residual."""
+    spectral, residual = [], verification.sector_fixed_point_residual
+    monkeypatch.setattr(verification, "sector_fixed_point_residual",
+                        lambda m, stacks: spectral.append(1) or residual(m, stacks))
+    routes = []
+    for stacks in _scaled_draws(model, np.random.default_rng(3), 200):
+        calls = len(spectral)
+        consistent = fixed_point_consistent(model, stacks, LOW, HIGH)
+        routes.append("spectral" if len(spectral) > calls
+                      else "certified" if consistent else "refuted")
+    assert set(routes) == {"certified", "refuted", "spectral"}
 
 
 def _field_case(model: OneParticleModel, rng, case: str) -> np.ndarray:

@@ -5,6 +5,9 @@ every dswarp module that holds the function under its name (a module that
 imported it by name keeps its own reference).  Each mutant declares the
 check IDs that must FAIL on the default config, and runs only the suites
 those checks belong to, each with the generator the default run gives it.
+An open mutant fails no check yet and names the ROADMAP item that will kill
+it; it is a strict xfail, so the change that kills it must move it to
+MUTANTS.
 
 Mutation testing: DeMillo, Lipton and Sayward, "Hints on test data
 selection", IEEE Computer 11 (1978).
@@ -15,7 +18,7 @@ import sys
 import numpy as np
 import pytest
 
-from dswarp import car_fock, cli, verification
+from dswarp import car_fock, cli, deformation, verification
 from dswarp import wedges as wd
 
 
@@ -34,6 +37,9 @@ _SECOND_QUANTIZE_BLOCKS = car_fock.second_quantize_blocks
 def _gamma_of_the_transpose(model, w):
     """Number blocks of Gamma(w^T) in place of Gamma(w)."""
     return _SECOND_QUANTIZE_BLOCKS(model, np.swapaxes(w, -1, -2))
+
+
+_ANGLE_MATRIX = deformation.angle_matrix
 
 
 # name -> (module, function name, replacement, suites, check IDs that must FAIL)
@@ -55,6 +61,27 @@ MUTANTS = {
     "wedge_contains-abs-y0-dropped": (
         wd, "wedge_contains", _membership(lambda y0, y1: y1 - y0), ["wedges"],
         {"rigidity-witness-200-pairs"}),
+    # no deformation: the derivative is 0 on every draw and on the mover, while
+    # the commutator of each of the 50 dense draws is O(1)
+    "angle_matrix-zero": (
+        deformation, "angle_matrix", lambda model: np.zeros((model.dim, model.dim)),
+        ["fixed_point"], {"derivative-commutator-equivalence",
+                          "cross-frequency-observable-moves"}),
+}
+
+# Open mutants: nothing fails yet, and a named ROADMAP item will kill them.
+# name -> (module, function name, replacement, suites, item)
+OPEN_MUTANTS = {
+    # derivative-commutator-equivalence compares both sides only against
+    # thresholds 100x apart: a doubled angle doubles the derivative, and the
+    # charge-free angle phi_i - phi_j makes it equal to the commutator
+    "angle_matrix-doubled": (
+        deformation, "angle_matrix", lambda model: 2.0 * _ANGLE_MATRIX(model),
+        ["fixed_point"], "ROADMAP item 8: derivative block = i n [K, A E(n)]"),
+    "angle_matrix-phi-only": (
+        deformation, "angle_matrix",
+        lambda model: np.subtract.outer(model.phases, model.phases),
+        ["fixed_point"], "ROADMAP item 8: derivative block = i n [K, A E(n)]"),
 }
 
 
@@ -79,7 +106,8 @@ def _failing_checks(suites) -> dict[str, float]:
     return failing
 
 
-@pytest.mark.parametrize("suites", sorted({tuple(m[3]) for m in MUTANTS.values()}))
+@pytest.mark.parametrize("suites", sorted({tuple(m[3]) for m in [*MUTANTS.values(),
+                                                                  *OPEN_MUTANTS.values()]}))
 def test_unmutated_suites_pass(suites):
     assert _failing_checks(suites) == {}
 
@@ -89,3 +117,19 @@ def test_mutant_is_killed(monkeypatch, name):
     module, attr, replacement, suites, killed_by = MUTANTS[name]
     _patch_everywhere(monkeypatch, module, attr, replacement)
     assert set(_failing_checks(suites)) == killed_by
+
+
+def test_zero_angle_fails_every_dense_fixed_point_draw(monkeypatch):
+    module, attr, replacement, suites, _ = MUTANTS["angle_matrix-zero"]
+    _patch_everywhere(monkeypatch, module, attr, replacement)
+    assert _failing_checks(suites)["derivative-commutator-equivalence"] == 50.0
+
+
+@pytest.mark.parametrize("name", [
+    pytest.param(name, marks=pytest.mark.xfail(strict=True, reason=f"open: {item}"))
+    for name, (*_, item) in sorted(OPEN_MUTANTS.items())])
+def test_open_mutant_fails_a_check(monkeypatch, name):
+    """Open mutants fail no check today; a change that kills one moves it to MUTANTS."""
+    module, attr, replacement, suites, _ = OPEN_MUTANTS[name]
+    _patch_everywhere(monkeypatch, module, attr, replacement)
+    assert _failing_checks(suites)

@@ -435,6 +435,35 @@ def test_fixed_point_loop_draws_sector_blocks_and_takes_no_dense_warp(monkeypatc
         assert all(shape[-2:] != (d, d) for shape in shapes)
 
 
+@pytest.mark.parametrize("model", [default_model(), OneParticleModel(
+    4, 3, [1.0, -1.0, 2.0, -2.0], [1.0, -1.0, 0.0], [0, 2, 4])], ids=["dim16", "dim128"])
+def test_fixed_point_loop_takes_no_svd(monkeypatch, model):
+    """The entry and Frobenius bounds settle all 100 draws, so the only SVDs
+    of the suite are those of fixed_point_residual on E(1) and the mover,
+    after the loop.  E(1) is diagonal and takes none.  The mover takes one
+    batch per block shape over its nonzero blocks for the commutator, then
+    the same without the charge-0 block, where the warp angle is 0, for the
+    derivative."""
+    shapes = _record_svd_shapes(monkeypatch)
+    svds_before, residual = [], verification.fixed_point_residual
+    monkeypatch.setattr(verification, "fixed_point_residual",
+                        lambda m, op: svds_before.append(len(shapes)) or residual(m, op))
+    checks = verification.suite_fixed_point(model, cli.load_config(None),
+                                            np.random.default_rng(5))
+    assert all(c.passed for c in checks)
+    assert svds_before == [0, 0]
+    j, k = verification._cross_frequency_pair(model)
+    mover = verification._ladder(model, j, True) @ verification._ladder(model, k, False)
+    expected = []
+    for charged_only in (False, True):
+        for (charges, _), blocks in zip(car_fock.sector_layout(model),
+                                        car_fock.sector_blocks(model, mover)):
+            busy = blocks.any(axis=(1, 2)) & ((charges != 0) | (not charged_only))
+            if busy.any():
+                expected.append((int(busy.sum()), *blocks.shape[1:]))
+    assert shapes == expected
+
+
 # -- mask words against the dense oracle ---------------------------------------------
 
 PROPERTY = settings(max_examples=30, deadline=None)
