@@ -115,22 +115,18 @@ reflection covariance puts one on each side.
 Norms
 -----
 operator_norm gives the exact largest singular value of a Fock-size matrix
-m.  A zero matrix has norm 0, and a non-finite entry gives NaN.  A
-single-mask matrix, one whose nonzero entries all sit at (i ^ S, i) for one
-mask S, is a monomial (a permutation times a diagonal), so its norm is its
-largest absolute entry, as for MaskWord.norm; diagonal matrices are the
-mask S = 0.  The mask is read off the first nonzero entry, and the d
-entries on it are gathered and counted against the nonzero count of m.
-Anything else takes one d x d SVD.  In a full verify only the oracle's
-spinor residuals reach operator_norm, and they are single-mask; a d x d
-SVD is taken only for a field that fails the Lanczos certificate below.
+m by one d x d SVD.  A zero matrix has norm 0, and a non-finite entry gives
+NaN.  Every single-mode operator a command builds stays a MaskWord, whose
+norm is its largest absolute entry, so in a verify operator_norm is reached
+only for a field that fails the Lanczos certificate below; FockOperator and
+operator_norm are otherwise the dense reference of the tests.
 
 The charge sectors E(n) m E(n) carry the fixed-point checks.  sector_layout
-lists their positions per block shape, sector_blocks gathers them from a
-matrix or a mask word, and block_sector_norms takes the norm of every sector from its
-blocks: one batched SVD per block shape over the nonzero blocks, 0 for a
-zero block and NaN for a block with a non-finite entry.  The fixed-point
-checks draw and transform operators as these blocks.
+lists their positions per block shape, and block_sector_norms takes the
+norm of every sector from its blocks: one batched SVD per block shape over
+the nonzero blocks, 0 for a zero block and NaN for a block with a
+non-finite entry.  The fixed-point checks draw and transform random
+operators as these blocks.
 
 field_norms gives the norms of fields B(f) from their action, with no
 Fock-size matrix or SVD (Golub and Van Loan, Matrix Computations, the
@@ -156,12 +152,11 @@ OneParticleModel.cached builds a value once per model and freezes its arrays
 (read-only).  It holds the conjugation matrix, the wedge generators per tag
 (wedge_generators), the signed-permutation table of the reflection
 (reflection_table), the Majorana words, the sector layout, in the
-deformation module the angle matrix and the warp phases of the last few
-kappas, and in the verification module the fixed-point weights at the
-sector entries.  The per-mode-count caches (occupation_table, _mode_flips,
-_number_layout) hold index tables of size n 2^n; the sector layout has one
-entry per sector-block entry, and only the angle matrix and the warp phases
-are Fock-size arrays.
+deformation module the angle matrix, and in the verification module the
+fixed-point weights at the sector entries.  The per-mode-count caches
+(occupation_table, _mode_flips, _number_layout) hold index tables of size
+n 2^n; the sector layout has one entry per sector-block entry, and only the
+angle matrix is a Fock-size array.
 """
 
 from __future__ import annotations
@@ -431,9 +426,6 @@ class FockOperator:
         mask = (q[:, None] - q[None, :]) == m
         return np.where(mask, self.matrix, 0.0)
 
-    def is_gauge_invariant(self, tol: float = 1e-10) -> bool:
-        return float(np.max(np.abs(self.matrix - self.charge_shift(0)))) <= tol
-
 
 @dataclass(frozen=True)
 class MaskWord:
@@ -481,25 +473,14 @@ class MaskWord:
 # -- operator norms -----------------------------------------------------------
 
 def operator_norm(model: OneParticleModel, m: np.ndarray) -> float:
-    """Largest singular value of the d x d matrix m, NaN if an entry is not finite.
-
-    A single-mask matrix gives its largest absolute entry, anything else one
-    full SVD; see "Norms" in the module docstring.
-    """
+    """Largest singular value of the d x d matrix m by one SVD; 0 for a zero
+    matrix, NaN if an entry is not finite."""
     m = np.asarray(m)
     d = model.dim
     if m.shape != (d, d):
         raise ValueError(f"matrix shape {m.shape} does not match Fock dim {d}")
-    count = np.count_nonzero(m)
-    if not count:
+    if not np.count_nonzero(m):
         return 0.0
-    row, col = divmod(int(np.argmax(m != 0)), d)       # the first nonzero entry
-    cols = np.arange(d)
-    entries = m[cols ^ (row ^ col), cols]                # the d entries on its mask
-    if np.count_nonzero(entries) == count:
-        if not np.isfinite(entries).all():
-            return math.nan
-        return float(np.abs(entries).max())      # a monomial: permutation times diagonal
     if not np.isfinite(m).all():
         return math.nan
     return float(np.linalg.svd(m, compute_uv=False)[0])
@@ -526,25 +507,6 @@ def sector_layout(model: OneParticleModel) -> tuple[tuple[np.ndarray, np.ndarray
         return layout
 
     return model.cached("sector_layout", build)
-
-
-def sector_blocks(model: OneParticleModel, m) -> list[np.ndarray]:
-    """The stacks of the sector blocks of m, a d x d matrix or a MaskWord, in
-    the order of sector_layout.
-
-    Entries outside the sector blocks are not read.  A mask word's entry at
-    (row, col) is vec[col] where row = col ^ mask, and 0 elsewhere.
-    """
-    if isinstance(m, MaskWord):
-        stacks = []
-        for _, flat in sector_layout(model):
-            rows, cols = np.divmod(flat, model.dim)
-            stacks.append(np.where(rows == cols ^ m.mask, m.vec[cols], 0.0))
-        return stacks
-    m = np.asarray(m)
-    if m.shape != (model.dim, model.dim):
-        raise ValueError(f"matrix shape {m.shape} does not match Fock dim {model.dim}")
-    return [m.take(flat) for _, flat in sector_layout(model)]
 
 
 def block_sector_norms(model: OneParticleModel, stacks) -> dict[int, float]:

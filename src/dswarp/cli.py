@@ -25,9 +25,8 @@ import numpy.random   # numpy 2 loads it on first use; loaded here, a run loads 
 from . import __version__
 from . import spin_group as sg
 from . import wedges as wd
-from .car_fock import (MAX_MODES, FockOperator, ModelError, OneParticleModel, cospinor,
-                       field_B, spinor)
-from .deformation import oracle_sweep, warp
+from .car_fock import MAX_MODES, MaskWord, ModelError, OneParticleModel, field_word
+from .deformation import oracle_sweep, warp_word
 from .verification import SUITES, _finite_or_none, covering_summary, run_suites, unrunnable
 
 DEFAULT_KAPPA_GRID = [-1.0, -0.5, -0.1, 0.0, 0.1, 0.5, 1.0]
@@ -296,33 +295,29 @@ def _require_finite(value: float, option: str) -> float:
     return value
 
 
-def _generator_by_name(model: OneParticleModel, name: str, mode: int) -> FockOperator:
+def _generator_by_name(model: OneParticleModel, name: str, mode: int) -> MaskWord:
+    """The named single-mode generator as a mask word: psi = B(0 (+) e_mode),
+    psidag = B(e_mode (+) 0) and b = B(e_mode) on the doubled space."""
     size = model.doubled_dim if name == "b" else model.n_modes
     if not 0 <= mode < size:
         raise ConfigError(f"--mode {mode} is out of range for generator {name!r}: "
                           f"expected 0..{size - 1}")
-    if name == "psi":
-        vec = np.zeros(model.n_modes)
-        vec[mode] = 1.0
-        return spinor(model, vec)
-    if name == "psidag":
-        vec = np.zeros(model.n_modes)
-        vec[mode] = 1.0
-        return cospinor(model, vec)
-    if name == "b":
-        vec = np.zeros(model.doubled_dim)
-        vec[mode] = 1.0
-        return field_B(model, vec)
-    raise ConfigError(f"unknown generator {name!r}; expected psi, psidag or b")
+    if name not in ("psi", "psidag", "b"):
+        raise ConfigError(f"unknown generator {name!r}; expected psi, psidag or b")
+    f = np.zeros(model.doubled_dim)
+    f[model.n_modes + mode if name == "psi" else mode] = 1.0
+    return field_word(model, f)
 
 
 def _cmd_deform(args) -> int:
     cfg = load_config(args.config)
     validate_config(cfg)
     model = model_from_config(cfg)
-    op = _generator_by_name(model, args.generator, args.mode)
-    warped = warp(model, _require_finite(args.kappa, "--kappa"), op)
-    flat = [[float(z.real), float(z.imag)] for z in warped.matrix.ravel()]
+    word = _generator_by_name(model, args.generator, args.mode)
+    warped = warp_word(model, _require_finite(args.kappa, "--kappa"), word)
+    matrix = np.zeros((model.dim, model.dim), dtype=complex)
+    matrix[warped.rows(), np.arange(model.dim)] = warped.vec
+    flat = [[float(z.real), float(z.imag)] for z in matrix.ravel()]
     payload = {
         "generator": args.generator,
         "mode": args.mode,

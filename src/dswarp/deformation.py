@@ -20,8 +20,12 @@ This makes warp exactly linear, invertible (kappa -> -kappa), adjoint- and
 vacuum-compatible, and is the normative implementation.  Being entrywise, it
 keeps every zero of F, so warp_word applies it to a mask word at the word's
 d entries, and rieffel_word, the deformed product warp(-kappa, warp f warp
-g), stays a mask word.  The boost, gauge and reflection covariance
-identities are taken on mask words too (covariance_transform).  Rotation
+g), stays a mask word.  Every single-mode operator a command warps (the
+deform generators, the oracle's spinor, the fixed-point words) is a mask
+word, so no command calls the dense warp; it takes its phase from
+angle_matrix on each call and is the tests' dense reference.  The boost,
+gauge and reflection covariance identities are taken on mask words too
+(covariance_transform).  Rotation
 covariance is not checked: the warp along the rotated flow (the
 inequivalence witness) is defined by conjugating with the rotation's
 implementer, so that identity would hold for any unitary implementer and any
@@ -32,8 +36,10 @@ Oscillatory oracle
 The defining integral (1/4 pi^2) int dv dv' e^{-i v v'} chi(eps v, eps v')
 tau_{kappa theta v}(F) U(v') is evaluated independently for two cutoffs, as a
 verification oracle: a width-6 Gaussian and a width-6 raised cosine (compact
-support), both in closed form.  For an entry (i, j) the integral factorizes into two 2D
-factors J(alpha, beta) with
+support), both in closed form.  It is entrywise too, so warp_oscillatory
+takes a mask word and evaluates the factors at its nonzero entries only.
+For an entry (i, j) the integral factorizes into two 2D factors J(alpha,
+beta) with
 
     boost pair:  alpha = -kappa (q_i - q_j),  beta = phi_j,
     gauge pair:  alpha = +kappa (phi_i - phi_j),  beta = q_j,
@@ -66,20 +72,15 @@ The tests pin both to scipy.special.sici within 2e-15.
 from __future__ import annotations
 
 import math
-from collections import OrderedDict
 
 import numpy as np
 
 from .car_fock import (FockOperator, MaskWord, OneParticleModel, apply_number_blocks,
-                       boost_phases, field_words, gauge_phases, one_particle_map,
+                       boost_phases, field_word, field_words, gauge_phases, one_particle_map,
                        reflect_word, reflection_automorphism, rotation_modes,
-                       second_quantize_blocks, spinor)
+                       second_quantize_blocks)
 
 CUTOFF_WIDTH = 6.0
-
-# Warp phases kept per model: the most recent kappas, enough for +-kappa and
-# for the +-h, +-h/2 steps of a central-difference derivative.
-RECENT_PHASES = 4
 
 
 def angle_matrix(model: OneParticleModel) -> np.ndarray:
@@ -88,25 +89,9 @@ def angle_matrix(model: OneParticleModel) -> np.ndarray:
     return model.cached("angle_matrix", lambda: np.outer(phi, q) - np.outer(q, phi))
 
 
-def warp_phase(model: OneParticleModel, kappa: float) -> np.ndarray:
-    """exp(i kappa angle), read-only; the model keeps the RECENT_PHASES latest."""
-    recent = model.cached("warp_phases", OrderedDict)
-    key = (kappa, math.copysign(1.0, kappa))   # -0.0 is its own key
-    phase = recent.get(key)
-    if phase is None:
-        phase = np.exp(1j * kappa * angle_matrix(model))
-        phase.flags.writeable = False
-        recent[key] = phase
-        if len(recent) > RECENT_PHASES:
-            recent.popitem(last=False)
-    else:
-        recent.move_to_end(key)
-    return phase
-
-
 def warp(model: OneParticleModel, kappa: float, op: FockOperator) -> FockOperator:
     """The warped operator, by the exact sector formula; warp at -kappa inverts it."""
-    return FockOperator(op.matrix * warp_phase(model, kappa), model)
+    return FockOperator(op.matrix * np.exp(1j * kappa * angle_matrix(model)), model)
 
 
 def warp_word(model: OneParticleModel, kappa: float, word: MaskWord) -> MaskWord:
@@ -260,28 +245,30 @@ def _cosine_factor(eps: float, alpha: np.ndarray, beta: np.ndarray) -> np.ndarra
 _CUTOFF_FACTORS = {"gaussian": _gauss_factor, "cosine": _cosine_factor}
 
 
-def warp_oscillatory(model: OneParticleModel, kappa: float, op: FockOperator, eps: float,
-                     cutoff: str = "gaussian") -> FockOperator:
-    """The eps-regularized warped convolution for the named cutoff."""
+def warp_oscillatory(model: OneParticleModel, kappa: float, word: MaskWord, eps: float,
+                     cutoff: str = "gaussian") -> MaskWord:
+    """The eps-regularized warped convolution of a mask word for the named
+    cutoff; the two cutoff factors are evaluated at the word's nonzero entries."""
     if eps <= 0:
         raise ValueError("regulator eps must be positive")
     factor = _CUTOFF_FACTORS.get(cutoff)
     if factor is None:
         raise ValueError(f"unknown cutoff {cutoff!r}; expected 'gaussian' or 'cosine'")
     phi, q = model.phases.astype(float), model.charges.astype(float)
-    rows, cols = np.nonzero(op.matrix)
+    cols = np.nonzero(word.vec)[0]
+    rows = cols ^ word.mask
     boost = factor(eps, -kappa * (q[rows] - q[cols]), phi[cols])
     gauge = factor(eps, kappa * (phi[rows] - phi[cols]), q[cols])
-    out = np.zeros_like(op.matrix)
-    out[rows, cols] = op.matrix[rows, cols] * (boost * gauge)
-    return FockOperator(out, model)
+    vec = np.zeros_like(word.vec, dtype=complex)
+    vec[cols] = word.vec[cols] * (boost * gauge)
+    return MaskWord(word.mask, vec)
 
 
-def oracle_residuals(model: OneParticleModel, kappa: float, op: FockOperator, epsilons,
+def oracle_residuals(model: OneParticleModel, kappa: float, word: MaskWord, epsilons,
                      cutoff: str = "gaussian") -> list[float]:
     """Distance of the regularized integral from the closed form, per eps."""
-    exact = warp(model, kappa, op)
-    return [warp_oscillatory(model, kappa, op, float(e), cutoff).dist(exact)
+    exact = warp_word(model, kappa, word)
+    return [(warp_oscillatory(model, kappa, word, float(e), cutoff) - exact).norm()
             for e in epsilons]
 
 
@@ -292,12 +279,12 @@ def oracle_sweep(model: OneParticleModel, kappa: float, epsilons: list[float]) -
     cutoffs, one residual per regulator in epsilons; decreasing means finite
     and strictly decreasing.
     """
-    f_minus = np.zeros(model.n_modes)
-    f_minus[model.d_plus if model.d_minus else 0] = 1.0
-    op = spinor(model, f_minus)
+    f = np.zeros(model.doubled_dim)
+    f[model.n_modes + (model.d_plus if model.d_minus else 0)] = 1.0    # B(0 (+) e)
+    word = field_word(model, f)
     sweep = {}
     for cutoff in ("gaussian", "cosine"):
-        residuals = oracle_residuals(model, kappa, op, epsilons, cutoff)
+        residuals = oracle_residuals(model, kappa, word, epsilons, cutoff)
         decreasing = (all(math.isfinite(r) for r in residuals)
                       and all(a > b for a, b in zip(residuals, residuals[1:])))
         sweep[cutoff] = (residuals, decreasing)

@@ -160,6 +160,22 @@ def covering_hom(g: SpinElement) -> np.ndarray:
 # and 2.3e-3 at t = 2, where the defect is 3.2e-6.
 LORENTZ_ROUNDING = 256 * np.finfo(float).eps / 2
 
+# Largest Lam_00 whose determinant gate the cofactor can decide.  In
+# det(Lam[1:, 1:]) / Lam_00 the unit diagonal entries Lam_22..Lam_44 of a
+# boost are sums of terms of size up to Lam_00 that cancel to 1, so each
+# carries an absolute rounding error of a few u Lam_00 (u = eps / 2; at most
+# 3.3 u Lam_00 over the boost lifts on the 0.01 grid of t up to 10).  With
+# 4 u Lam_00 on every entry of the unit block, its three diagonal errors put
+# up to 12 u Lam_00 into |det - 1| at first order and its three 2 x 2 minors
+# up to 6 (4 u Lam_00)^2 at second; the entries of row and column 1 that
+# should be 0 enter divided by Lam_11.  At Lam_00 = 1 / (32 u) = 2^48 that
+# is at most 12/32 + 6/64 < 0.47, below the gate |det - 1| <= 1 with room: a
+# proper Lam passes, and an improper one (|det - 1| = 2) still fails.
+# Further out rounding alone can decide the verdict (|det - 1| is 0.58 at
+# t = 5.67 and 2.4 at t = 5.83), so a larger Lam_00 is refused.  The boost
+# lift is checkable up to t = acosh(2^48) / (2 pi) = 5.4056.
+COFACTOR_CAP = 2.0 ** 48
+
 
 def is_proper_orthochronous(lam: np.ndarray):
     """Lorentz, time-orienting and unimodular; one verdict per (..., 5, 5) matrix.
@@ -170,8 +186,9 @@ def is_proper_orthochronous(lam: np.ndarray):
     ((Lam^-1)_00 = Lam_00), which stays accurate where LU on Lam loses every
     digit (at t = 3 the boost's LU determinant is 0).  A Lorentz matrix has
     det = +-1, so the determinant gate is capped at 1: det = -1 is refused
-    however large Lam is.  A Lam whose ||Lam||_F^2 overflows cannot be
-    checked and is refused.
+    however large Lam is.  A Lam with Lam_00 above COFACTOR_CAP, where the
+    cofactor's rounding can reach that gate, or whose ||Lam||_F^2 overflows,
+    cannot be checked and is refused.
     """
     lam = np.asarray(lam, dtype=float)
     bound = LORENTZ_ROUNDING * np.sum(lam * lam, axis=(-2, -1))
@@ -179,7 +196,7 @@ def is_proper_orthochronous(lam: np.ndarray):
     lam00 = lam[..., 0, 0]
     det_gap = np.abs(np.linalg.det(lam[..., 1:, 1:]) - lam00)      # |det Lam - 1| * Lam_00
     ok = (np.isfinite(bound) & (defect <= bound) & (lam00 >= 1.0 - 1e-10)
-          & (det_gap <= np.minimum(bound, 1.0) * lam00))
+          & (lam00 <= COFACTOR_CAP) & (det_gap <= np.minimum(bound, 1.0) * lam00))
     return bool(ok) if ok.ndim == 0 else ok
 
 

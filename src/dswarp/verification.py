@@ -35,8 +35,10 @@ per block shape, or a diagonal one.  The boost commutator [K, A E(n)] and
 the kappa-derivative of the warp at zero both act block by block, with the
 weights phi_i - phi_j and the warp phases of the difference steps taken at
 the block entries once per model, so no operator of the loop is d x d and
-no dense warp runs.  fixed_point_residual takes a dense operator or a mask
-word, gathers its blocks once and runs the same block code.
+no dense warp runs.  fixed_point_residual takes E(1) and the mover, single-
+mask words: every sector block of one is a monomial, so its norms are
+largest absolute entries of the scaled word, with the same weights taken at
+the word's entries.
 
 The loop classifies each draw from bounds first (fixed_point_consistent).
 Both sides scale A's block entries, by phi_i - phi_j and by the Richardson
@@ -48,8 +50,8 @@ the draw consistent; a lower bound at or above low with an upper bound at
 or below high makes it inconsistent.  Only a draw the bounds leave open,
 or one with a non-finite entry, falls back to the block SVDs of
 sector_fixed_point_residual.  The suite's draws are diagonal (both sides
-exactly 0) or dense Gaussian (both O(1)), so none falls back: the suite's
-only SVDs are those fixed_point_residual takes on the mover.
+exactly 0) or dense Gaussian (both O(1)), so none falls back, and the suite
+takes no SVD.
 
 The CAR {B(f), B(g)} = <Cf, g> 1 is bilinear in f and g, so it holds for
 every pair exactly when it holds for the 2n unit vectors.  The car suite
@@ -80,11 +82,11 @@ import numpy as np
 from . import geometry
 from . import spin_group as sg
 from . import wedges as wd
-from .car_fock import (FockOperator, MaskWord, OneParticleModel, block_sector_norms,
+from .car_fock import (MaskWord, OneParticleModel, block_sector_norms,
                        bogolyubov_modes, boost_phases, car_norm_bound, charge_projector,
                        field_norms, field_word, fock_npoint, gauge_phases, lowering_blocks,
                        one_particle_map, quasifree_npoint, second_quantize_blocks,
-                       sector_blocks, sector_layout, twist_phases, wedge_generators)
+                       sector_layout, twist_phases, wedge_generators)
 from .deformation import (angle_matrix, covariance_transform, oracle_sweep, rieffel_word,
                           warp_rotated_apply, warp_word)
 
@@ -249,21 +251,25 @@ def _richardson(plus, minus, plus_half, minus_half):
     return (4.0 * fine - coarse) / 3.0
 
 
+def _step_phases(theta: np.ndarray) -> np.ndarray:
+    """The warp phases exp(i kappa theta) at the angles theta, stacked for
+    kappa = +h, -h, +h/2, -h/2 with h = DERIVATIVE_STEP (_richardson's order)."""
+    h = DERIVATIVE_STEP
+    return np.stack([np.exp(1j * k * theta) for k in (h, -h, h / 2.0, -h / 2.0)])
+
+
 def _sector_weights(model: OneParticleModel) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
     """Per block shape of sector_layout: (dphi, phases) at every block entry.
 
-    dphi is phi_i - phi_j, and phases[s] is the warp phase exp(i kappa
-    angle_ij) for kappa = +h, -h, +h/2, -h/2 with h = DERIVATIVE_STEP, the
-    same floats as warp_phase at those entries.  Built once per model.
+    dphi is phi_i - phi_j, and phases is _step_phases of angle_ij, the same
+    floats as the dense warp at those entries.  Built once per model.
     """
     def build():
-        angle, phi, h = angle_matrix(model), model.phases, DERIVATIVE_STEP
+        angle, phi = angle_matrix(model), model.phases
         weights = []
         for _, flat in sector_layout(model):
             rows, cols = np.divmod(flat, model.dim)
-            theta = angle.take(flat)
-            pair = (phi[rows] - phi[cols],
-                    np.stack([np.exp(1j * k * theta) for k in (h, -h, h / 2.0, -h / 2.0)]))
+            pair = (phi[rows] - phi[cols], _step_phases(angle.take(flat)))
             for a in pair:
                 a.flags.writeable = False
             weights.append(pair)
@@ -351,23 +357,28 @@ def fixed_point_consistent(model: OneParticleModel, stacks: list[np.ndarray],
 
 
 def fixed_point_residual(model: OneParticleModel,
-                         op: FockOperator | MaskWord) -> tuple[dict[int, float], float]:
-    """sector_fixed_point_residual of a gauge-invariant operator, dense or a mask word.
+                         word: MaskWord) -> tuple[dict[int, float], float]:
+    """sector_fixed_point_residual of a gauge-invariant mask word.
 
+    Every sector block of a single-mask word is a monomial (a permutation
+    times a diagonal), so each sector's commutator norm and the derivative
+    norm are largest absolute entries of the word's sector entries, scaled
+    by phi_i - phi_j and by the Richardson difference of the warp phases.
     The derivative vanishes iff every charged-sector commutator [K, A E(n)],
-    n != 0, vanishes; an operator with an entry above GAUGE_TOL that moves
-    the charge is refused.
+    n != 0, vanishes; a word with an entry above GAUGE_TOL that moves the
+    charge is refused.
     """
-    if isinstance(op, MaskWord):
-        moves = model.charges[op.rows()] != model.charges
-        invariant = np.max(np.abs(op.vec[moves]), initial=0.0) <= GAUGE_TOL
-        stacks = sector_blocks(model, op)
-    else:
-        invariant = op.is_gauge_invariant(GAUGE_TOL)
-        stacks = sector_blocks(model, op.matrix)
-    if not invariant:
+    rows, q = word.rows(), model.charges
+    moves = q[rows] != q
+    if not np.max(np.abs(word.vec[moves]), initial=0.0) <= GAUGE_TOL:
         raise ValueError("fixed-point analysis needs a gauge-invariant operator")
-    return sector_fixed_point_residual(model, stacks)
+    cols = np.nonzero(~moves)[0]
+    rows, vec, charge = rows[cols], word.vec[cols], q[cols]
+    commutator = np.abs((model.phases[rows] - model.phases[cols]) * vec)
+    derivative = np.abs(_richardson(*(vec * _step_phases(angle_matrix(model)[rows, cols]))))
+    sectors = {n: float(np.max(commutator[charge == n], initial=0.0))
+               for n in range(-model.d_minus, model.d_plus + 1)}
+    return sectors, float(np.max(derivative, initial=0.0))
 
 
 # -- Bogolyubov implementers -----------------------------------------------------

@@ -16,14 +16,14 @@ from dswarp import geometry as geo
 from dswarp import spin_group as sg
 from dswarp import wedges as wd
 from dswarp.car_fock import (FockOperator, boost_phases, car_norm_bound,
-                             charge_projector, default_model, field_B, fock_npoint,
-                             gauge_phases, quasifree_npoint, spinor,
+                             charge_projector, default_model, field_B, field_word,
+                             fock_npoint, gauge_phases, quasifree_npoint,
                              twist_phases, wedge_subalgebra_basis)
 from dswarp.deformation import oracle_residuals, warp
 from dswarp.verification import (check_twisted_locality, fixed_point_residual,
                                  inequivalence_witness)
 from test_deformation import rieffel_product, warp_inverse_check
-from test_fock_properties import dense_op, identity_op
+from test_fock_properties import dense_fixed_point_residual, dense_op, identity_op
 
 MODEL = default_model()
 
@@ -225,12 +225,12 @@ def test_criterion_06_deformation():
 
 def test_criterion_07_oracle():
     kappa = 0.5
-    f = np.zeros(4)
-    f[2] = 1.0
-    op = spinor(MODEL, f)
+    f = np.zeros(8)
+    f[4 + 2] = 1.0                  # the spinor B(0 (+) e_2)
+    word = field_word(MODEL, f)
     epsilons = [0.1, 0.05, 0.025]
     for cutoff in ("gaussian", "cosine"):
-        residuals = oracle_residuals(MODEL, kappa, op, epsilons, cutoff)
+        residuals = oracle_residuals(MODEL, kappa, word, epsilons, cutoff)
         monotone = 0.0 if residuals[0] > residuals[1] > residuals[2] else 1.0
         _check(f"7a {cutoff} cutoff monotone decay", monotone, 0.0)
         _check(f"7b {cutoff} cutoff residual at eps = 0.025", residuals[-1], 1e-3)
@@ -263,15 +263,15 @@ def test_criterion_09_fixed_points():
                                       + 1j * rng.standard_normal(MODEL.dim)), MODEL)
         else:
             op = FockOperator(_rand_op(rng).charge_shift(0), MODEL)
-        sectors, derivative = fixed_point_residual(MODEL, op)
+        sectors, derivative = dense_fixed_point_residual(MODEL, op)
         charged = max((r for n, r in sectors.items() if n != 0), default=0.0)
         if not ((charged < low and derivative < low)
                 or (charged > high and derivative > high)):
             bad += 1
     _check("9a derivative/commutator equivalence on 100 operators", float(bad), 0.0)
 
+    sectors, derivative = fixed_point_residual(MODEL, charge_projector(MODEL, 1))
     e1 = dense_op(MODEL, charge_projector(MODEL, 1))
-    sectors, derivative = fixed_point_residual(MODEL, e1)
     fixed = max(max(sectors.values()), derivative,
                 warp(MODEL, 0.3, e1).dist(e1))
     _check("9b sector projector is a non-scalar fixed point", fixed, 1e-8)

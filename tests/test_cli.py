@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -12,6 +13,8 @@ import pytest
 from dswarp import cli, verification
 from dswarp import spin_group as sg
 from dswarp import wedges as wd
+from dswarp.car_fock import cospinor, field_B, field_word, spinor
+from dswarp.deformation import warp
 
 
 def validate_report_schema(report: dict):
@@ -350,6 +353,67 @@ def test_oracle_nonfinite_kappa_refused(tmp_path, capsys):
     _assert_refused(["oracle", "--kappa", "nan", "--eps", "0.1"], tmp_path, capsys)
 
 
+FOCK128_MODEL = {"d_plus": 4, "d_minus": 3,
+                  "boost_freqs_plus": [1.0, -1.0, 2.0, -2.0],
+                  "boost_freqs_minus": [1.0, -1.0, 0.0],
+                  "localized_modes": [0, 2, 4], "reflection_pairing": [1, 0, 3, 2, 5, 4, 6]}
+
+
+def _deform_matrix(capsys, argv) -> tuple[int, np.ndarray]:
+    """Exit code and printed matrix of `dswarp deform`; a null entry is NaN."""
+    rc = cli.main(["deform", *argv])
+    payload = json.loads(capsys.readouterr().out)
+    flat = np.array([[math.nan if x is None else x for x in z]
+                     for z in payload["matrix_row_major"]])
+    return rc, (flat[:, 0] + 1j * flat[:, 1]).reshape(payload["dim"], payload["dim"])
+
+
+@pytest.mark.parametrize("model_cfg", [{}, FOCK128_MODEL], ids=["default", "fock128"])
+@pytest.mark.parametrize("kappa", [0.5, -1.0])
+def test_deform_equals_dense_warp_of_field_B(tmp_path, monkeypatch, model_cfg, kappa):
+    """Every generator and mode: the mask-word deform output equals the dense
+    warp(model, kappa, field_B(model, e)) entry for entry (only the sign of a
+    zero may differ), and psi and psidag are the spinor and cospinor.  The
+    payload is taken before its JSON encoding, which writes each float
+    exactly; the other deform tests run the printing."""
+    path = str(_write_config(tmp_path, {"model": model_cfg}))
+    model = cli.model_from_config(cli.load_config(path))
+    payloads = []
+    monkeypatch.setattr(cli, "_print_json", lambda payload: payloads.append(payload) or 0)
+    n, d = model.n_modes, model.dim
+    for generator, size in (("psi", n), ("psidag", n), ("b", 2 * n)):
+        for mode in range(size):
+            index = n + mode if generator == "psi" else mode
+            dense = field_B(model, np.eye(2 * n)[index])
+            if generator != "b":
+                named = (spinor if generator == "psi" else cospinor)(model, np.eye(n)[mode])
+                assert (named.matrix == dense.matrix).all()
+            cli.main(["deform", "--config", path, "--generator", generator,
+                      "--mode", str(mode), "--kappa", repr(kappa)])
+            flat = np.array(payloads.pop()["matrix_row_major"])
+            got = (flat[:, 0] + 1j * flat[:, 1]).reshape(d, d)
+            assert (got == warp(model, kappa, dense).matrix).all(), (generator, mode)
+
+
+def test_deform_overflow_nulls_sit_on_the_word_entries(capsys):
+    """At kappa 1e308 the warp phase overflows where |angle| >= 2.  The output
+    is null only at the word's own entries where the dense warp is NaN; the
+    dense warp also writes 0 * NaN into cells off the word."""
+    model = cli.model_from_config(cli.load_config(None))
+    rc, got = _deform_matrix(capsys, ["--generator", "b", "--mode", "0", "--kappa", "1e308"])
+    assert rc == 1
+    d = model.dim
+    word = field_word(model, np.eye(model.doubled_dim)[0])
+    on_word = np.zeros((d, d), dtype=bool)
+    on_word[word.rows(), np.arange(d)] = True
+    with np.errstate(all="ignore"):
+        dense = warp(model, 1e308, field_B(model, np.eye(model.doubled_dim)[0])).matrix
+    assert (np.isnan(got) == (np.isnan(dense) & on_word)).all()
+    assert np.isnan(got).sum() == 8 and np.isnan(dense).sum() == 104
+    finite = ~np.isnan(dense)
+    assert (got[finite] == dense[finite]).all() and (got[~finite & ~on_word] == 0.0).all()
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_deform_nonfinite_matrix_written_as_null(capsys):
     # at kappa 1e308 the warp phases overflow: the entries are written as
@@ -380,13 +444,18 @@ def test_group_t2_accepted_by_scaled_gate(capsys):
     assert json.loads(capsys.readouterr().out)["t"] == 2.0
 
 
-def test_group_accepted_for_every_t_up_to_6(capsys):
+def test_group_accepted_for_every_t_up_to_the_cofactor_cap(capsys):
     # the Sp(1,1) membership gate scales with ||g||_F^2, so rounding alone no
-    # longer refuses the boost lift from t = 2.3 on
-    for step in range(120):
+    # longer refuses the boost lift from t = 2.3 on; the SO(1,4)_0 gate
+    # accepts up to Lambda_00 = COFACTOR_CAP, t = 5.4056
+    for step in range(109):
         t = round(0.05 * step, 2)
         assert cli.main(["group", "--t", repr(t)]) == 0, t
         assert json.loads(capsys.readouterr().out)["t"] == t
+
+
+def test_group_refused_just_past_the_cofactor_cap(tmp_path, capsys):
+    _assert_refused(["group", "--t", "5.41"], tmp_path, capsys)
 
 
 def test_wedges_negative_seed_refused(tmp_path, capsys):

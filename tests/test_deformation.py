@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import roots_legendre, sici
 
-from dswarp.car_fock import (FockOperator, boost_phases, charge_projector,
-                             default_model, field_B, gauge_phases,
+from dswarp.car_fock import (FockOperator, MaskWord, boost_phases, charge_projector,
+                             default_model, field_B, field_word, gauge_phases,
                              reflect_word, reflection_automorphism,
                              reflection_table, spinor, twist_phases,
                              wedge_subalgebra_basis)
@@ -15,7 +15,8 @@ from dswarp.deformation import (_cosine_factor, _gauss_factor, _si_cin, covarian
                                 oracle_residuals, rieffel_word, warp, warp_oscillatory,
                                 warp_word)
 from dswarp.car_fock import OneParticleModel
-from test_fock_properties import (charge_shifts, dense_op, diagonal, identity_op,
+from test_fock_properties import (charge_shifts, dense_op, dense_warp_oscillatory,
+                                  diagonal, identity_op,
                                   reflection_fock, rotation_fock, warp_rotated)
 from test_verification import PROPERTY, KAPPAS, SEEDS, _random_word, dense, word_models
 
@@ -436,12 +437,10 @@ def test_factor_converges_at_second_order(factor):
 def test_cosine_oracle_memory_is_bounded():
     # eps = 0.0125 is a 614400-node rule; no array of that size may be built
     kappa = 0.5
-    f = np.zeros(4)
-    f[2] = 1.0
-    op = spinor(MODEL, f)
+    word = field_word(MODEL, np.eye(MODEL.doubled_dim)[MODEL.n_modes + 2])
     tracemalloc.start()
     try:
-        warp_oscillatory(MODEL, kappa, op, 0.0125, "cosine")
+        warp_oscillatory(MODEL, kappa, word, 0.0125, "cosine")
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -450,10 +449,10 @@ def test_cosine_oracle_memory_is_bounded():
 
 def test_oscillatory_unit_operator():
     kappa = 0.5
-    one = identity_op(MODEL)
+    one = MaskWord(0, np.ones(MODEL.dim, dtype=complex))
     previous = None
     for eps in (0.4, 0.2, 0.1):
-        res = warp_oscillatory(MODEL, kappa, one, eps).dist(one)
+        res = (warp_oscillatory(MODEL, kappa, one, eps) - one).norm()
         if previous is not None:
             assert res < previous
         previous = res
@@ -462,19 +461,18 @@ def test_oscillatory_unit_operator():
 
 def test_oscillatory_requires_positive_regulator():
     kappa = 0.5
+    one = MaskWord(0, np.ones(MODEL.dim, dtype=complex))
     with pytest.raises(ValueError):
-        warp_oscillatory(MODEL, kappa, identity_op(MODEL), 0.0)
+        warp_oscillatory(MODEL, kappa, one, 0.0)
     with pytest.raises(ValueError):
-        warp_oscillatory(MODEL, kappa, identity_op(MODEL), 0.1, cutoff="box")
+        warp_oscillatory(MODEL, kappa, one, 0.1, cutoff="box")
 
 
 def test_oracle_converges_to_closed_form():
     kappa = 0.5
-    f = np.zeros(4)
-    f[2] = 1.0
-    op = spinor(MODEL, f)
+    word = field_word(MODEL, np.eye(MODEL.doubled_dim)[MODEL.n_modes + 2])
     for cutoff in ("gaussian", "cosine"):
-        residuals = oracle_residuals(MODEL, kappa, op, [0.1, 0.05, 0.025], cutoff)
+        residuals = oracle_residuals(MODEL, kappa, word, [0.1, 0.05, 0.025], cutoff)
         assert residuals[0] > residuals[1] > residuals[2]
         assert residuals[2] < 1e-3
 
@@ -483,13 +481,30 @@ def test_single_mode_model_oracle():
     tiny = OneParticleModel(1, 1, [1.0], [-1.0], localized_modes=[0],
                             reflection_pairing=None, seed=1)
     kappa = 0.4
-    f = np.zeros(2)
-    f[0] = 1.0
-    op = FockOperator(field_B(tiny, np.concatenate([f, np.zeros(2)])).matrix, tiny)
-    exact = warp(tiny, kappa, op)
-    res = [warp_oscillatory(tiny, kappa, op, e).dist(exact) for e in (0.2, 0.1, 0.05)]
+    word = field_word(tiny, [1.0, 0.0, 0.0, 0.0])
+    res = oracle_residuals(tiny, kappa, word, (0.2, 0.1, 0.05))
     assert res[0] > res[1] > res[2]
     assert res[2] < 1e-3
+
+
+@PROPERTY
+@given(word_models(), SEEDS, KAPPAS, st.sampled_from(["gaussian", "cosine"]))
+def test_word_oracle_matches_dense_reference(model, seed, kappa, cutoff):
+    """warp_oscillatory on a mask word, some entries zero, equals the cutoff
+    factors applied at every nonzero entry of its dense matrix, and its
+    residuals are the dense operator norms of the difference from the dense warp."""
+    rng = np.random.default_rng(seed)
+    word = _random_word(rng, model.dim)
+    word.vec[rng.random(model.dim) < 0.3] = 0.0
+    epsilons = 10.0 ** rng.uniform(-3.0, -1.0, size=2)
+    op = dense_op(model, word)
+    for eps, residual in zip(epsilons, oracle_residuals(model, kappa, word, epsilons, cutoff)):
+        got = warp_oscillatory(model, kappa, word, eps, cutoff)
+        expected = dense_warp_oscillatory(model, kappa, op, eps, cutoff)
+        assert got.mask == word.mask
+        assert (dense(got) == expected.matrix).all()
+        exact = expected.dist(warp(model, kappa, op))
+        assert abs(residual - exact) <= 1e-13 * exact
 
 
 def test_rotated_flow_matches_sector_formula():

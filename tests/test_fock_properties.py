@@ -8,10 +8,11 @@ minors (second_quantize) for its number blocks, dense products
 Gamma B(f) Gamma^* for the Bogolyubov block products, the dense rotated warp
 for the inequivalence witness, the full commutator
 [K, A E(n)] and the dense warp's kappa-derivative for the fixed-point
-sectors, the block SVDs for the fixed-point bounds and classification, one
-full SVD for the operator norm (single-mask, parity-block and dense) and for
-the Lanczos field norm, dense products with diagonal matrices for
-conjugation, and the uncached phase expression for warp.
+sectors, the block SVDs for the fixed-point bounds and classification and
+for the mask-word fixed-point norms, one full SVD for the operator norm and
+for the Lanczos field norm, dense products with diagonal matrices for
+conjugation, the phase expression for the dense warp, and the cutoff factors
+at every nonzero entry of a dense matrix for the mask-word oracle.
 Models are small random ones, up to 3 + 3 modes.
 """
 
@@ -31,10 +32,9 @@ from dswarp.car_fock import (LANCZOS_BATCH, LANCZOS_CERTIFICATE, FockOperator, M
                              field_norms, fock_npoint, gauge_phases, lowering_blocks,
                              number_states, occupation_table, one_particle_map,
                              operator_norm, reflection_table, rotation_modes,
-                             second_quantize_blocks, sector_blocks, sector_layout, spinor,
+                             second_quantize_blocks, sector_layout, spinor,
                              twist_phases, wedge_generators)
-from dswarp.deformation import (RECENT_PHASES, angle_matrix, warp, warp_oscillatory,
-                                warp_phase, warp_rotated_apply)
+from dswarp.deformation import _CUTOFF_FACTORS, angle_matrix, warp, warp_rotated_apply
 from dswarp import verification
 from dswarp.verification import (_ladder, _random_sector_blocks, bogolyubov_residuals,
                                  fixed_point_bounds, fixed_point_consistent,
@@ -165,9 +165,38 @@ def reflection_fock(model: OneParticleModel) -> FockOperator:
     return second_quantize(model, model.reflection_modes())
 
 
+def sector_blocks(model: OneParticleModel, m: np.ndarray) -> list[np.ndarray]:
+    """The stacks of the sector blocks E(n) m E(n) of the d x d matrix m, in the
+    order of sector_layout; entries outside the blocks are not read."""
+    return [np.asarray(m).take(flat) for _, flat in sector_layout(model)]
+
+
 def sector_norms(model: OneParticleModel, m: np.ndarray) -> dict[int, float]:
     """{charge n: norm of the sector-n block E(n) m E(n)} for a gauge-invariant m."""
     return block_sector_norms(model, sector_blocks(model, m))
+
+
+def dense_fixed_point_residual(model: OneParticleModel,
+                               op: FockOperator) -> tuple[dict[int, float], float]:
+    """sector_fixed_point_residual of a dense gauge-invariant operator, from its
+    sector blocks; an entry above GAUGE_TOL that moves the charge is refused."""
+    if set(charge_shifts(op, verification.GAUGE_TOL)) - {0}:
+        raise ValueError("fixed-point analysis needs a gauge-invariant operator")
+    return sector_fixed_point_residual(model, sector_blocks(model, op.matrix))
+
+
+def dense_warp_oscillatory(model: OneParticleModel, kappa: float, op: FockOperator,
+                           eps: float, cutoff: str = "gaussian") -> FockOperator:
+    """The regularized warp of a dense operator: the two cutoff factors at every
+    nonzero entry (the reference for the mask-word oracle)."""
+    factor = _CUTOFF_FACTORS[cutoff]
+    phi, q = model.phases.astype(float), model.charges.astype(float)
+    rows, cols = np.nonzero(op.matrix)
+    boost = factor(eps, -kappa * (q[rows] - q[cols]), phi[cols])
+    gauge = factor(eps, kappa * (phi[rows] - phi[cols]), q[cols])
+    out = np.zeros_like(op.matrix)
+    out[rows, cols] = op.matrix[rows, cols] * (boost * gauge)
+    return FockOperator(out, model)
 
 
 def dgamma(model: OneParticleModel, h: np.ndarray) -> np.ndarray:
@@ -415,7 +444,7 @@ def test_sector_block_norm_matches_full_commutator_norm(model, seed):
     rng = np.random.default_rng(seed)
     op = FockOperator(_random_matrix(rng, model.dim), model)
     op = FockOperator(op.charge_shift(0), model)
-    sectors, _ = fixed_point_residual(model, op)
+    sectors, _ = dense_fixed_point_residual(model, op)
     k = np.diag(model.phases.astype(complex))
     assert sorted(sectors) == np.unique(model.charges).tolist()
     for n, block_norm in sectors.items():
@@ -447,28 +476,43 @@ def _from_sector_blocks(model: OneParticleModel, stacks) -> FockOperator:
     return FockOperator(m.reshape(model.dim, model.dim), model)
 
 
+def _gauge_invariant_word(model: OneParticleModel, rng) -> MaskWord:
+    """A random mask word with its charge-moving entries zeroed."""
+    word = MaskWord(int(rng.integers(model.dim)), _random_vector(rng, model.dim))
+    word.vec[model.charges[word.rows()] != model.charges] = 0.0
+    return word
+
+
 @PROPERTY
-@given(models(), SEEDS, st.sampled_from(["gauge-invariant", "diagonal", "mover"]))
+@given(models(), SEEDS, st.sampled_from(["gauge-invariant", "diagonal", "mover", "word"]))
 def test_block_fixed_point_path_matches_dense_derivative(model, seed, case):
-    """The suite's block draws, and dense operators through fixed_point_residual,
-    against the dense warp's derivative.  The commutator norms are compared by
+    """The suite's block draws and the mask words of fixed_point_residual against
+    the dense warp's derivative, and the words' norms against the block SVDs.
+    The commutator norms are compared by
     test_sector_block_norm_matches_full_commutator_norm."""
     rng = np.random.default_rng(seed)
-    if case == "mover":
-        j, k = rng.choice(model.n_modes, size=2, replace=False)
-        if model.mode_charges[j] != model.mode_charges[k]:
-            k = j             # a charge-0 hopping needs one species; c_j^+ c_j is a number operator
-        word = _ladder(model, int(j), True) @ _ladder(model, int(k), False)
-        stacks = sector_blocks(model, word)
+    if case in ("mover", "word"):
+        if case == "mover":
+            j, k = rng.choice(model.n_modes, size=2, replace=False)
+            if model.mode_charges[j] != model.mode_charges[k]:
+                k = j         # a charge-0 hopping needs one species; c_j^+ c_j is a number operator
+            word = _ladder(model, int(j), True) @ _ladder(model, int(k), False)
+        else:
+            word = _gauge_invariant_word(model, rng)
         op = dense_op(model, word)
-        assert all((a == b).all() for a, b in zip(stacks, sector_blocks(model, op.matrix)))
-        assert fixed_point_residual(model, word) == fixed_point_residual(model, op)
+        stacks = sector_blocks(model, op.matrix)
+        sectors, derivative = fixed_point_residual(model, word)
+        block_sectors, block_derivative = sector_fixed_point_residual(model, stacks)
+        assert list(sectors) == list(block_sectors)
+        for n, norm in sectors.items():
+            assert abs(norm - block_sectors[n]) <= 1e-13 * block_sectors[n]
+        assert abs(derivative - block_derivative) <= 1e-13 * block_derivative
     else:
         stacks = _random_sector_blocks(model, rng, diagonal=case == "diagonal")
         op = _from_sector_blocks(model, stacks)
-    assert op.is_gauge_invariant(0.0)
-    sectors, derivative = sector_fixed_point_residual(model, stacks)
-    assert (sectors, derivative) == fixed_point_residual(model, op)
+        sectors, derivative = sector_fixed_point_residual(model, stacks)
+        assert (sectors, derivative) == dense_fixed_point_residual(model, op)
+    assert not set(charge_shifts(op)) - {0}
 
     dense = deformation_derivative_at_zero(model, op)
     assert abs(derivative - dense) <= 1e-13 * dense
@@ -632,7 +676,8 @@ def _oracle_residual(model, rng) -> np.ndarray:
     f_minus[int(rng.integers(model.n_modes))] = _random_vector(rng, 1)[0]
     op = spinor(model, f_minus)
     kappa, eps = rng.uniform(-1.0, 1.0), 10.0 ** rng.uniform(-3.0, -1.0)
-    return warp_oscillatory(model, kappa, op, eps).matrix - warp(model, kappa, op).matrix
+    return (dense_warp_oscillatory(model, kappa, op, eps).matrix
+            - warp(model, kappa, op).matrix)
 
 
 def _unit_anticommutator(model, f, g) -> np.ndarray:
@@ -718,14 +763,6 @@ def _recorded_svd_shapes(model, m) -> list[tuple[int, ...]]:
     return shapes
 
 
-@PROPERTY
-@given(models(), SEEDS, st.sampled_from(["structured-car-residual", "diagonal"]))
-def test_diagonal_operator_takes_no_svd(model, seed, case):
-    m = _norm_cases(model, np.random.default_rng(seed))[case]
-    assert _recorded_svd_shapes(model, m) == []
-    assert operator_norm(model, m) == np.abs(m.diagonal()).max()
-
-
 def test_dense_operator_takes_one_svd_and_zero_takes_none():
     model = default_model()
     rng = np.random.default_rng(3)
@@ -754,15 +791,13 @@ KAPPAS = st.one_of(st.sampled_from([0.0, -0.0, 0.5, -0.5, 1e-4, -1e-4]),
 
 @PROPERTY
 @given(models(), st.lists(KAPPAS, min_size=1, max_size=12), SEEDS)
-def test_cached_warp_phase_is_bit_identical(model, kappas, seed):
+def test_dense_warp_is_bit_identical(model, kappas, seed):
     op_matrix = _random_matrix(np.random.default_rng(seed), model.dim)
     op = FockOperator(op_matrix, model)
     phi, q = model.phases, model.charges
     for kappa in kappas + kappas[::-1]:
         expected = np.exp(1j * kappa * (np.outer(phi, q) - np.outer(q, phi)))
-        assert warp_phase(model, kappa).tobytes() == expected.tobytes()
         assert warp(model, kappa, op).matrix.tobytes() == (op_matrix * expected).tobytes()
-    assert len(model.cached("warp_phases", dict)) <= RECENT_PHASES
 
 
 def _assert_frozen(a: np.ndarray):
@@ -791,7 +826,6 @@ def test_per_model_caches_are_read_only():
     _assert_frozen(model.conjugation_matrix())
     assert angle_matrix(model) is angle_matrix(model)
     _assert_frozen(angle_matrix(model))
-    _assert_frozen(warp_phase(model, 0.5))
     for table in reflection_table(model):
         _assert_frozen(table)
     assert sector_layout(model) is sector_layout(model)

@@ -42,6 +42,15 @@ def _gamma_of_the_transpose(model, w):
 _ANGLE_MATRIX = deformation.angle_matrix
 
 
+def _car_norm_bound_minus(model, f):
+    """car_norm_bound with the square root of the pairing term subtracted."""
+    f = np.asarray(f, dtype=complex)
+    norm2 = float(np.real(np.vdot(f, f)))
+    pairing = abs(np.vdot(f, model.apply_conjugation(f)))
+    inner = max(norm2 ** 2 - pairing ** 2, 0.0)
+    return float(np.sqrt(0.5 * (norm2 - np.sqrt(inner))))
+
+
 # name -> (module, function name, replacement, suites, check IDs that must FAIL)
 MUTANTS = {
     # e^{ih} of a complex Hermitian h is not symmetric, so Gamma(w^T) does not
@@ -67,6 +76,19 @@ MUTANTS = {
         deformation, "angle_matrix", lambda model: np.zeros((model.dim, model.dim)),
         ["fixed_point"], {"derivative-commutator-equivalence",
                           "cross-frequency-observable-moves"}),
+    # kappa's sign flipped in the closed form only: the oscillatory integral
+    # keeps the true sign, so both cutoffs end at residual 1.68
+    "angle_matrix-negated": (
+        deformation, "angle_matrix", lambda model: -_ANGLE_MATRIX(model), ["oracle"],
+        {"oracle-gaussian-final-residual", "oracle-gaussian-monotone-decay",
+         "oracle-cosine-final-residual", "oracle-cosine-monotone-decay"}),
+    # the smaller root of the C*-norm formula: the worst field is off by 4.90
+    "car_norm_bound-minus-sqrt": (
+        car_fock, "car_norm_bound", _car_norm_bound_minus, ["car"], {"cstar-norm-formula"}),
+    # the complement left unreflected is the wedge itself
+    "causal_complement-unreflected": (
+        wd, "causal_complement", lambda w: w, ["wedges"],
+        {"reflection-maps-to-complement", "complement-spacelike"}),
 }
 
 # Open mutants: nothing fails yet, and a named ROADMAP item will kill them.

@@ -110,6 +110,33 @@ def test_lorentz_gate_no_weaker_than_1e8_up_to_t_1():
     assert not sg.is_proper_orthochronous(off)
 
 
+def test_boost_lift_verdict_changes_once_on_the_t_grid():
+    """The covering image of the boost lift, on the 0.01 grid of t from 0 to
+    60, is accepted up to the cofactor cap and refused from there on: the
+    verdict changes once, where cosh(2 pi t) passes COFACTOR_CAP."""
+    ts = np.arange(6001) / 100.0
+    lift = sg.boost_cover(ts)
+    verdicts = []
+    with np.errstate(over="ignore", invalid="ignore"):     # ||Lam||_F^2 overflows from t = 56.5
+        for i in range(len(ts)):
+            try:
+                sg.covering_hom(lift[i])
+                verdicts.append(True)
+            except sg.NotInSpinGroupError:
+                verdicts.append(False)
+    changes = [t for t, a, b in zip(ts[1:], verdicts, verdicts[1:]) if a != b]
+    assert changes == [5.41]
+    assert np.cosh(2.0 * np.pi * 5.40) <= sg.COFACTOR_CAP < np.cosh(2.0 * np.pi * 5.41)
+
+
+def test_cofactor_cap_refuses_a_proper_lorentz_matrix_past_it():
+    lam = sg.boost_base(5.41)        # entries from cosh and sinh: det Lam = 1 to rounding
+    assert lam[0, 0] > sg.COFACTOR_CAP
+    assert abs(np.linalg.det(lam[1:, 1:]) / lam[0, 0] - 1.0) < 1e-14
+    assert not sg.is_proper_orthochronous(lam)
+    assert sg.is_proper_orthochronous(sg.boost_base(5.40))
+
+
 def test_stacked_random_lorentz_equals_single_draws():
     # the same coefficients; one expm scaling for the whole stack moves the
     # last bits only

@@ -15,8 +15,8 @@ from dswarp.verification import (SPAN_SVD_TOL, CheckReport, causal_borchers_axio
                                  inequivalence_witness, net_well_defined_residual,
                                  random_monomial, span_basis, span_residual, suite_car,
                                  suite_deformation, wedge_monomials)
-from test_fock_properties import (conjugate_by_diagonal, dense, dense_op, identity_op,
-                                  jordan_wigner_ops, sector_norms)
+from test_fock_properties import (conjugate_by_diagonal, dense, dense_fixed_point_residual,
+                                  dense_op, identity_op, jordan_wigner_ops, sector_norms)
 
 MODEL = default_model()
 
@@ -147,12 +147,12 @@ def test_twisted_locality_negative_control():
 
 
 def test_fixed_point_unit_and_projector():
-    sectors, derivative = fixed_point_residual(MODEL, identity_op(MODEL))
+    sectors, derivative = fixed_point_residual(MODEL, MaskWord(0, np.ones(MODEL.dim)))
     assert max(sectors.values()) == 0.0 and derivative == 0.0
     word = charge_projector(MODEL, 1)
     e1 = dense_op(MODEL, word)
-    for op in (word, e1):
-        sectors, derivative = fixed_point_residual(MODEL, op)
+    for residual in (fixed_point_residual(MODEL, word), dense_fixed_point_residual(MODEL, e1)):
+        sectors, derivative = residual
         assert max(sectors.values()) == 0.0 and derivative == 0.0
     # E(1) is fixed by the deformation but is not a multiple of the identity
     assert (warp_word(MODEL, 0.3, word) - word).norm() == 0.0
@@ -161,17 +161,24 @@ def test_fixed_point_unit_and_projector():
 
 
 def test_fixed_point_rejects_charged_operator():
-    ops = jordan_wigner_ops(MODEL.n_modes)
-    with pytest.raises(ValueError):
-        fixed_point_residual(MODEL, FockOperator(ops[0], MODEL))
+    lowering = verification._ladder(MODEL, 0, False)
     with pytest.raises(ValueError, match="gauge-invariant"):
-        fixed_point_residual(MODEL, verification._ladder(MODEL, 0, False))
+        fixed_point_residual(MODEL, lowering)
+    for scale in (2.0 * verification.GAUGE_TOL, np.nan):
+        with pytest.raises(ValueError, match="gauge-invariant"):
+            fixed_point_residual(MODEL, MaskWord(lowering.mask, scale * lowering.vec))
+    # charge-moving entries at or below GAUGE_TOL are read as zero
+    sectors, derivative = fixed_point_residual(
+        MODEL, MaskWord(lowering.mask, verification.GAUGE_TOL * lowering.vec))
+    assert max(sectors.values()) == 0.0 and derivative == 0.0
 
 
 def test_fixed_point_cross_frequency_mover():
     ops = jordan_wigner_ops(MODEL.n_modes)
+    word = verification._ladder(MODEL, 0, True) @ verification._ladder(MODEL, 1, False)
     mover = FockOperator(ops[0].conj().T @ ops[1], MODEL)
-    sectors, derivative = fixed_point_residual(MODEL, mover)
+    assert (dense(word) == mover.matrix).all()
+    sectors, derivative = fixed_point_residual(MODEL, word)
     assert derivative > 1e-6
     assert max(r for n, r in sectors.items() if n != 0) > 1e-6
     assert warp(MODEL, 0.3, mover).dist(mover) > 1e-3
@@ -188,7 +195,7 @@ def test_fixed_point_equivalence_on_random_operators():
             raw = rng.standard_normal((MODEL.dim, MODEL.dim)) \
                 + 1j * rng.standard_normal((MODEL.dim, MODEL.dim))
             op = FockOperator(FockOperator(raw, MODEL).charge_shift(0), MODEL)
-        sectors, derivative = fixed_point_residual(MODEL, op)
+        sectors, derivative = dense_fixed_point_residual(MODEL, op)
         charged = max((r for n, r in sectors.items() if n != 0), default=0.0)
         assert (charged < low and derivative < low) or \
                (charged > high and derivative > high)
@@ -351,20 +358,38 @@ def test_car_suite_builds_no_dense_field_product_or_fock_size_svd(monkeypatch, m
     assert shapes == [(2, 6, a, b) for a, b in zip(sizes, sizes[1:])]
 
 
-def test_full_verify_takes_no_dense_product_and_no_fock_size_svd(monkeypatch):
-    """One default verify makes no FockOperator product and no SVD of a d x d
-    or d/2 x d/2 array.  Only the oracle's six spinor residuals reach
-    operator_norm, and they are single-mask."""
-    cfg = cli.load_config(None)
+def _assert_verify_builds_no_fock_operator(monkeypatch, cfg: dict):
+    """The verify of cfg passes, constructs no FockOperator, makes no
+    operator_norm call and takes no SVD of a d x d or d/2 x d/2 array."""
     model = cli.model_from_config(cfg)
-    counts = _count_calls(monkeypatch, [("matmul", FockOperator, "__matmul__"),
+    counts = _count_calls(monkeypatch, [("FockOperator", FockOperator, "__post_init__"),
                                         ("operator_norm", car_fock, "operator_norm")])
     shapes = _record_svd_shapes(monkeypatch)
     checks, _ = verification.run_suites(model, cfg)
+    assert list(checks) == cfg["suites"]
     assert all(c.passed for suite in checks.values() for c in suite)
-    assert counts == {"matmul": 0, "operator_norm": 6}
+    assert counts == {"FockOperator": 0, "operator_norm": 0}
     d = model.dim
     assert shapes and not [s for s in shapes if s[-2:] in ((d, d), (d // 2, d // 2))]
+
+
+def test_full_verify_takes_no_dense_product_and_no_fock_size_svd(monkeypatch):
+    """Every single-mode operator of a default verify stays a mask word: the
+    oracle's spinor, E(1) and the fixed-point mover included."""
+    _assert_verify_builds_no_fock_operator(monkeypatch, cli.load_config(None))
+
+
+def test_fock128_verify_takes_no_dense_product_and_no_fock_size_svd(monkeypatch):
+    """The same on the 4+3-mode model (dim 128) with the Fock suites."""
+    cfg = cli.load_config(None)
+    cfg["model"].update({"d_plus": 4, "d_minus": 3,
+                         "boost_freqs_plus": [1.0, -1.0, 2.0, -2.0],
+                         "boost_freqs_minus": [1.0, -1.0, 0.0],
+                         "localized_modes": [0, 2, 4],
+                         "reflection_pairing": [1, 0, 3, 2, 5, 4, 6]})
+    cfg["suites"] = ["car", "deformation", "oracle", "locality", "fixed_point",
+                     "inequivalence"]
+    _assert_verify_builds_no_fock_operator(monkeypatch, cfg)
 
 
 def test_gamma_of_the_transpose_fails_bogolyubov_implementation(monkeypatch):
@@ -438,30 +463,20 @@ def test_fixed_point_loop_draws_sector_blocks_and_takes_no_dense_warp(monkeypatc
 @pytest.mark.parametrize("model", [default_model(), OneParticleModel(
     4, 3, [1.0, -1.0, 2.0, -2.0], [1.0, -1.0, 0.0], [0, 2, 4])], ids=["dim16", "dim128"])
 def test_fixed_point_loop_takes_no_svd(monkeypatch, model):
-    """The entry and Frobenius bounds settle all 100 draws, so the only SVDs
-    of the suite are those of fixed_point_residual on E(1) and the mover,
-    after the loop.  E(1) is diagonal and takes none.  The mover takes one
-    batch per block shape over its nonzero blocks for the commutator, then
-    the same without the charge-0 block, where the warp angle is 0, for the
-    derivative."""
+    """The entry and Frobenius bounds settle all 100 draws, and E(1) and the
+    mover are single-mask words, whose sector norms are largest entries: the
+    whole suite takes no SVD."""
     shapes = _record_svd_shapes(monkeypatch)
-    svds_before, residual = [], verification.fixed_point_residual
+    calls, residual = [], verification.fixed_point_residual
     monkeypatch.setattr(verification, "fixed_point_residual",
-                        lambda m, op: svds_before.append(len(shapes)) or residual(m, op))
+                        lambda m, word: calls.append(word.mask) or residual(m, word))
     checks = verification.suite_fixed_point(model, cli.load_config(None),
                                             np.random.default_rng(5))
     assert all(c.passed for c in checks)
-    assert svds_before == [0, 0]
     j, k = verification._cross_frequency_pair(model)
-    mover = verification._ladder(model, j, True) @ verification._ladder(model, k, False)
-    expected = []
-    for charged_only in (False, True):
-        for (charges, _), blocks in zip(car_fock.sector_layout(model),
-                                        car_fock.sector_blocks(model, mover)):
-            busy = blocks.any(axis=(1, 2)) & ((charges != 0) | (not charged_only))
-            if busy.any():
-                expected.append((int(busy.sum()), *blocks.shape[1:]))
-    assert shapes == expected
+    n = model.n_modes
+    assert calls == [0, (1 << (n - 1 - j)) ^ (1 << (n - 1 - k))]
+    assert shapes == []
 
 
 # -- mask words against the dense oracle ---------------------------------------------
