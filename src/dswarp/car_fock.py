@@ -121,13 +121,6 @@ norm is its largest absolute entry, so in a verify operator_norm is reached
 only for a field that fails the Lanczos certificate below; FockOperator and
 operator_norm are otherwise the dense reference of the tests.
 
-The charge sectors E(n) m E(n) carry the fixed-point checks.  sector_layout
-lists their positions per block shape, and block_sector_norms takes the
-norm of every sector from its blocks: one batched SVD per block shape over
-the nonzero blocks, 0 for a zero block and NaN for a block with a
-non-finite entry.  The fixed-point checks draw and transform random
-operators as these blocks.
-
 field_norms gives the norms of fields B(f) from their action, with no
 Fock-size matrix or SVD (Golub and Van Loan, Matrix Computations, the
 Lanczos chapter).  Under the CAR, X = B(f)^* B(f) = B(Cf) B(f) obeys
@@ -151,12 +144,10 @@ Per-model caches
 OneParticleModel.cached builds a value once per model and freezes its arrays
 (read-only).  It holds the conjugation matrix, the wedge generators per tag
 (wedge_generators), the signed-permutation table of the reflection
-(reflection_table), the Majorana words, the sector layout, in the
-deformation module the angle matrix, and in the verification module the
-fixed-point weights at the sector entries.  The per-mode-count caches
-(occupation_table, _mode_flips, _number_layout) hold index tables of size
-n 2^n; the sector layout has one entry per sector-block entry, and only the
-angle matrix is a Fock-size array.
+(reflection_table), the Majorana words, and in the deformation module the
+angle matrix.  The per-mode-count caches (occupation_table, _mode_flips,
+_number_layout) hold index tables of size n 2^n, and only the angle matrix
+is a Fock-size array.
 """
 
 from __future__ import annotations
@@ -484,46 +475,6 @@ def operator_norm(model: OneParticleModel, m: np.ndarray) -> float:
     if not np.isfinite(m).all():
         return math.nan
     return float(np.linalg.svd(m, compute_uv=False)[0])
-
-
-def sector_layout(model: OneParticleModel) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
-    """The charge-sector blocks E(n) m E(n) of a d x d matrix m, per block shape.
-
-    Each item is (charges, flat): charges[b] is the charge n of block b, and
-    flat[b] holds the row-major flat positions of its entries, so m.take(flat)
-    is the stack of those blocks.  Built once per model, with read-only arrays.
-    """
-    def build():
-        shapes: dict[int, tuple[list, list]] = {}
-        for n in range(-model.d_minus, model.d_plus + 1):
-            states = np.nonzero(model.charges == n)[0]
-            charges, flats = shapes.setdefault(len(states), ([], []))
-            charges.append(n)
-            flats.append(states[:, None] * model.dim + states[None, :])
-        layout = tuple((np.array(charges), np.stack(flats)) for charges, flats in shapes.values())
-        for pair in layout:
-            for a in pair:
-                a.flags.writeable = False
-        return layout
-
-    return model.cached("sector_layout", build)
-
-
-def block_sector_norms(model: OneParticleModel, stacks) -> dict[int, float]:
-    """{charge n: norm of the sector-n block} from stacks in the order of sector_layout.
-
-    One batched SVD per block shape, over the blocks with a nonzero entry; a
-    zero block has norm 0, and a block with a non-finite entry norm NaN.
-    """
-    norms = {}
-    for (charges, _), blocks in zip(sector_layout(model), stacks):
-        finite = np.isfinite(blocks).all(axis=(1, 2))
-        top = np.where(finite, 0.0, math.nan)
-        busy = finite & blocks.any(axis=(1, 2))
-        if busy.any():
-            top[busy] = np.linalg.svd(blocks[busy], compute_uv=False)[:, 0]
-        norms.update(zip(charges.tolist(), top.tolist()))
-    return dict(sorted(norms.items()))
 
 
 def _field_vector(model: OneParticleModel, f) -> np.ndarray:

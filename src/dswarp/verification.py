@@ -29,29 +29,20 @@ boost and gauge conjugation and the reflection (a signed permutation of the
 basis states) all keep the form, so every residual is a word's largest
 absolute entry, exact for a monomial, and no SVD is taken.
 
-The fixed-point suite draws its random gauge-invariant operators as their
-charge-sector blocks (car_fock.sector_layout): one complex Gaussian stack
-per block shape, or a diagonal one.  The boost commutator [K, A E(n)] and
-the kappa-derivative of the warp at zero both act block by block, with the
-weights phi_i - phi_j and the warp phases of the difference steps taken at
-the block entries once per model, so no operator of the loop is d x d and
-no dense warp runs.  fixed_point_residual takes E(1) and the mover, single-
-mask words: every sector block of one is a monomial, so its norms are
-largest absolute entries of the scaled word, with the same weights taken at
-the word's entries.
-
-The loop classifies each draw from bounds first (fixed_point_consistent).
-Both sides scale A's block entries, by phi_i - phi_j and by the Richardson
-difference D of the warp phases, and a block's largest absolute entry is at
-most its 2-norm, which is at most its Frobenius norm.  So |A|^2 and the
-squared weights give a lower and an upper bound on each side, without an
-SVD.  Both upper bounds below low, or both lower bounds above high, make
-the draw consistent; a lower bound at or above low with an upper bound at
-or below high makes it inconsistent.  Only a draw the bounds leave open,
-or one with a non-finite entry, falls back to the block SVDs of
-sector_fixed_point_residual.  The suite's draws are diagonal (both sides
-exactly 0) or dense Gaussian (both O(1)), so none falls back, and the suite
-takes no SVD.
+The fixed-point statement is linear in A and holds entry by entry.  For a
+gauge-invariant A, the kappa-derivative of the warp at zero is
+sum_n i n [K, A E(n)]: on the charge-n sector every entry has q_i = q_j = n,
+so the warp angle phi_i q_j - q_i phi_j there is n (phi_i - phi_j), and K
+and E(n) are diagonal, so [K, A E(n)] scales the entry A_ij by
+phi_i - phi_j.  Both sides scale each sector entry of A by a number, so the
+identity holds for every A exactly when those numbers agree at every sector
+entry.  derivative-commutator-equivalence compares them once per entry
+(derivative_commutator_residual): the Richardson derivative of the warp
+phase, from angle_matrix, against i n (phi_i - phi_j), from the boost
+phases and the charges.  It draws nothing and takes no SVD.
+fixed_point_residual takes E(1) and the mover, single-mask words: every
+sector block of one is a monomial, so its norms are largest absolute
+entries of the scaled word.
 
 The CAR {B(f), B(g)} = <Cf, g> 1 is bilinear in f and g, so it holds for
 every pair exactly when it holds for the 2n unit vectors.  The car suite
@@ -82,11 +73,10 @@ import numpy as np
 from . import geometry
 from . import spin_group as sg
 from . import wedges as wd
-from .car_fock import (MaskWord, OneParticleModel, block_sector_norms,
-                       bogolyubov_modes, boost_phases, car_norm_bound, charge_projector,
-                       field_norms, field_word, fock_npoint, gauge_phases, lowering_blocks,
-                       one_particle_map, quasifree_npoint, second_quantize_blocks,
-                       sector_layout, twist_phases, wedge_generators)
+from .car_fock import (MaskWord, OneParticleModel, bogolyubov_modes, boost_phases,
+                       car_norm_bound, charge_projector, field_norms, field_word, fock_npoint,
+                       gauge_phases, lowering_blocks, one_particle_map, quasifree_npoint,
+                       second_quantize_blocks, twist_phases, wedge_generators)
 from .deformation import (angle_matrix, covariance_transform, oracle_sweep, rieffel_word,
                           warp_rotated_apply, warp_word)
 
@@ -242,131 +232,59 @@ DERIVATIVE_STEP = 1e-4
 GAUGE_TOL = 1e-10
 
 
-def _richardson(plus, minus, plus_half, minus_half):
-    """The kappa-derivative at 0 from values at kappa = +h, -h, +h/2, -h/2 with
-    h = DERIVATIVE_STEP: central differences with one Richardson step."""
-    h = DERIVATIVE_STEP
+def _richardson(values, h: float):
+    """The kappa-derivative at 0 from values at kappa = +h, -h, +h/2, -h/2:
+    central differences with one Richardson step."""
+    plus, minus, plus_half, minus_half = values
     coarse = (plus - minus) / (2.0 * h)
     fine = (plus_half - minus_half) / h
     return (4.0 * fine - coarse) / 3.0
 
 
-def _step_phases(theta: np.ndarray) -> np.ndarray:
+def _step_phases(theta: np.ndarray, h: float) -> np.ndarray:
     """The warp phases exp(i kappa theta) at the angles theta, stacked for
-    kappa = +h, -h, +h/2, -h/2 with h = DERIVATIVE_STEP (_richardson's order)."""
-    h = DERIVATIVE_STEP
+    kappa = +h, -h, +h/2, -h/2 (_richardson's order)."""
     return np.stack([np.exp(1j * k * theta) for k in (h, -h, h / 2.0, -h / 2.0)])
 
 
-def _sector_weights(model: OneParticleModel) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
-    """Per block shape of sector_layout: (dphi, phases) at every block entry.
+def derivative_commutator_residual(model: OneParticleModel) -> tuple[float, float]:
+    """(residual, scale s) of d/dkappa warp(A)|_0 = sum_n i n [K, A E(n)],
+    decided at every charge-sector entry (see the module docstring).
 
-    dphi is phi_i - phi_j, and phases is _step_phases of angle_ij, the same
-    floats as the dense warp at those entries.  Built once per model.
+    On an entry (i, j) with q_i = q_j = n, D_ij is the Richardson derivative
+    at kappa = 0 of the warp phase exp(i kappa angle_ij), and the right side
+    is i n (phi_i - phi_j), from the boost phases and the charges.  The
+    residual is the largest |D_ij - i n (phi_i - phi_j)| / s, with s = max(1,
+    largest |n (phi_i - phi_j)|), and the step is h = DERIVATIVE_STEP / s, so
+    h |angle_ij| <= 1e-4 on every model.  Relative to s, the truncation error
+    is (h angle)^4 / 480 <= 2e-19, and the rounding of the four phases,
+    divided by the steps, gives about 3u / DERIVATIVE_STEP = 7e-12 (u the
+    unit round-off).
     """
-    def build():
-        angle, phi = angle_matrix(model), model.phases
-        weights = []
-        for _, flat in sector_layout(model):
-            rows, cols = np.divmod(flat, model.dim)
-            pair = (phi[rows] - phi[cols], _step_phases(angle.take(flat)))
-            for a in pair:
-                a.flags.writeable = False
-            weights.append(pair)
-        return tuple(weights)
-
-    return model.cached("sector_weights", build)
-
-
-def _bound_weights(model: OneParticleModel) -> tuple[np.ndarray, ...]:
-    """Per block shape of sector_layout: a (2, count, size, size) stack of the
-    squared factors by which sector_fixed_point_residual scales each entry.
-
-    Row 0 is (phi_i - phi_j)^2 on the charged blocks and 0 on the charge-0
-    block; row 1 is |D|^2, where D is the Richardson derivative of the warp
-    phases of _sector_weights.  Built once per model.
-    """
-    def build():
-        return tuple(np.stack([np.where((charges != 0)[:, None, None], dphi ** 2, 0.0),
-                               np.abs(_richardson(*phases)) ** 2])
-                     for (charges, _), (dphi, phases)
-                     in zip(sector_layout(model), _sector_weights(model)))
-
-    return model.cached("bound_weights", build)
-
-
-def sector_fixed_point_residual(model: OneParticleModel,
-                                stacks: list[np.ndarray]) -> tuple[dict[int, float], float]:
-    """Per-sector boost-commutator norms and the kappa-derivative at zero of the
-    gauge-invariant operator A whose sector blocks are stacks (the order of
-    sector_layout).
-
-    K and E(n) are diagonal, so [K, A E(n)] is the sector-n block times
-    phi_i - phi_j.  The derivative is |d/dkappa warp(A)|_0| by central
-    differences with one Richardson step; warp is entrywise, so it keeps the
-    blocks, and the norm of A's derivative is the largest block norm.
-    """
-    commutators, refined = [], []
-    for (dphi, phases), blocks in zip(_sector_weights(model), stacks):
-        commutators.append(dphi * blocks)
-        refined.append(_richardson(*(blocks * phases)))
-    return (block_sector_norms(model, commutators),
-            worst(block_sector_norms(model, refined).values()))
-
-
-def fixed_point_bounds(model: OneParticleModel,
-                       stacks: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
-    """Lower and upper bounds, without an SVD, on the largest charged-sector
-    commutator norm and on the derivative of sector_fixed_point_residual,
-    each a pair (commutator, derivative).
-
-    Both sides scale A's block entries, by phi_i - phi_j and by D
-    (_bound_weights).  A block's largest absolute entry is at most its
-    2-norm, which is at most its Frobenius norm, so the bounds are the
-    largest scaled entry and the largest Frobenius norm over the blocks.  A
-    non-finite entry of A makes them non-finite.
-    """
-    lower = upper = np.zeros(2)
-    for weights, blocks in zip(_bound_weights(model), stacks):
-        scaled = weights * (blocks.real ** 2 + blocks.imag ** 2)
-        lower = np.maximum(lower, scaled.max(axis=(1, 2, 3)))
-        upper = np.maximum(upper, scaled.sum(axis=(2, 3)).max(axis=1))
-    return np.sqrt(lower), np.sqrt(upper)
-
-
-def fixed_point_consistent(model: OneParticleModel, stacks: list[np.ndarray],
-                           low: float, high: float) -> bool:
-    """Whether the charged commutator norm and the derivative of the operator
-    with sector blocks stacks are both below low or both above high.
-
-    fixed_point_bounds settle most operators: both upper bounds below low or
-    both lower bounds above high make it consistent, and a lower bound at or
-    above low with an upper bound at or below high make it inconsistent.
-    Any other operator, a non-finite one included, is decided on the norms
-    of sector_fixed_point_residual.
-    """
-    lower, upper = fixed_point_bounds(model, stacks)
-    if np.isfinite(upper).all():
-        if (upper < low).all() or (lower > high).all():
-            return True
-        if (lower >= low).any() and (upper <= high).any():
-            return False
-    sectors, derivative = sector_fixed_point_residual(model, stacks)
-    charged = worst(r for n, r in sectors.items() if n != 0)
-    return (charged < low and derivative < low) or (charged > high and derivative > high)
+    phi, q = model.phases, model.charges
+    sectors = [(n, np.nonzero(q == n)[0]) for n in range(-model.d_minus, model.d_plus + 1)]
+    scale = float(max(1.0, *(abs(n) * np.ptp(phi[s]) for n, s in sectors)))
+    h = DERIVATIVE_STEP / scale
+    angle = angle_matrix(model)
+    residuals = []
+    for n, s in sectors:
+        derivative = _richardson(_step_phases(angle[np.ix_(s, s)], h), h)
+        residuals.append(np.max(np.abs(derivative - 1j * n * np.subtract.outer(phi[s], phi[s]))))
+    return worst(residuals) / scale, scale
 
 
 def fixed_point_residual(model: OneParticleModel,
                          word: MaskWord) -> tuple[dict[int, float], float]:
-    """sector_fixed_point_residual of a gauge-invariant mask word.
+    """Per-sector norms of the boost commutator [K, A E(n)], and the norm of
+    the kappa-derivative at zero of warp(A), for a gauge-invariant mask word A.
 
     Every sector block of a single-mask word is a monomial (a permutation
     times a diagonal), so each sector's commutator norm and the derivative
     norm are largest absolute entries of the word's sector entries, scaled
-    by phi_i - phi_j and by the Richardson difference of the warp phases.
-    The derivative vanishes iff every charged-sector commutator [K, A E(n)],
-    n != 0, vanishes; a word with an entry above GAUGE_TOL that moves the
-    charge is refused.
+    by phi_i - phi_j and by the Richardson difference of the warp phases at
+    h = DERIVATIVE_STEP.  The derivative vanishes iff every charged-sector
+    commutator [K, A E(n)], n != 0, vanishes; a word with an entry above
+    GAUGE_TOL that moves the charge is refused.
     """
     rows, q = word.rows(), model.charges
     moves = q[rows] != q
@@ -375,7 +293,8 @@ def fixed_point_residual(model: OneParticleModel,
     cols = np.nonzero(~moves)[0]
     rows, vec, charge = rows[cols], word.vec[cols], q[cols]
     commutator = np.abs((model.phases[rows] - model.phases[cols]) * vec)
-    derivative = np.abs(_richardson(*(vec * _step_phases(angle_matrix(model)[rows, cols]))))
+    h = DERIVATIVE_STEP
+    derivative = np.abs(_richardson(vec * _step_phases(angle_matrix(model)[rows, cols], h), h))
     sectors = {n: float(np.max(commutator[charge == n], initial=0.0))
                for n in range(-model.d_minus, model.d_plus + 1)}
     return sectors, float(np.max(derivative, initial=0.0))
@@ -515,23 +434,6 @@ def _random_words(model: OneParticleModel, rng: np.random.Generator,
     shape = (len(masks), model.dim)
     vecs = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     return [MaskWord(int(m), v) for m, v in zip(masks, vecs)]
-
-
-def _random_sector_blocks(model: OneParticleModel, rng: np.random.Generator,
-                          diagonal: bool) -> list[np.ndarray]:
-    """A random gauge-invariant operator as its sector blocks (sector_layout
-    order), complex Gaussian on every block entry or only on the diagonal."""
-    stacks = []
-    for _, flat in sector_layout(model):
-        if diagonal:
-            count, size = flat.shape[:2]
-            blocks = np.zeros(flat.shape, dtype=complex)
-            blocks[:, np.arange(size), np.arange(size)] = (
-                rng.standard_normal((count, size)) + 1j * rng.standard_normal((count, size)))
-        else:
-            blocks = rng.standard_normal(flat.shape) + 1j * rng.standard_normal(flat.shape)
-        stacks.append(blocks)
-    return stacks
 
 
 def _random_doubled_vector(model: OneParticleModel, rng: np.random.Generator) -> np.ndarray:
@@ -815,9 +717,9 @@ def _cross_frequency_pair(model: OneParticleModel) -> tuple[int, int] | None:
 
 
 def suite_fixed_point(model: OneParticleModel, cfg: dict, rng) -> list[CheckReport]:
-    low, high = 1e-8, 1e-6
-    draws = (_random_sector_blocks(model, rng, diagonal=idx % 2 == 0) for idx in range(100))
-    inconsistent = sum(not fixed_point_consistent(model, stacks, low, high) for stacks in draws)
+    tol = cfg["tolerances"]
+    residual, scale = derivative_commutator_residual(model)
+    high = 1e-6
 
     e1 = charge_projector(model, 1)
     sectors, derivative = fixed_point_residual(model, e1)
@@ -829,8 +731,8 @@ def suite_fixed_point(model: OneParticleModel, cfg: dict, rng) -> list[CheckRepo
     _, mover_derivative = fixed_point_residual(model, mover)
     mover_moved = (warp_word(model, 0.3, mover) - mover).norm()
     return [
-        CheckReport("derivative-commutator-equivalence", float(inconsistent), 0.0,
-                    {"samples": 100, "low": low, "high": high}),
+        CheckReport("derivative-commutator-equivalence", residual, tol["composed"],
+                    {"scale": scale, "step": DERIVATIVE_STEP / scale}),
         CheckReport("sector-projector-is-fixed", worst([e1_res, e1_fixed]), 1e-8,
                     {"note": "non-scalar fixed point at finite dimension"}),
         CheckReport("cross-frequency-observable-moves",

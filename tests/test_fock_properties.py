@@ -8,9 +8,9 @@ minors (second_quantize) for its number blocks, dense products
 Gamma B(f) Gamma^* for the Bogolyubov block products, the dense rotated warp
 for the inequivalence witness, the full commutator
 [K, A E(n)] and the dense warp's kappa-derivative for the fixed-point
-sectors, the block SVDs for the fixed-point bounds and classification and
-for the mask-word fixed-point norms, one full SVD for the operator norm and
-for the Lanczos field norm, dense products with diagonal matrices for
+sectors and for the per-entry derivative-commutator statement, the sector
+SVDs for the mask-word fixed-point norms, one full SVD for the operator
+norm and for the Lanczos field norm, dense products with diagonal matrices for
 conjugation, the phase expression for the dense warp, and the cutoff factors
 at every nonzero entry of a dense matrix for the mask-word oracle.
 Models are small random ones, up to 3 + 3 modes.
@@ -27,19 +27,17 @@ from scipy.linalg import block_diag, expm
 
 from dswarp.car_fock import (LANCZOS_BATCH, LANCZOS_CERTIFICATE, FockOperator, MaskWord,
                              OneParticleModel, _expi_hermitian, _lanczos, _mode_flips,
-                             block_sector_norms, bogolyubov_modes,
-                             boost_phases, charge_projector, default_model, field_B,
-                             field_norms, fock_npoint, gauge_phases, lowering_blocks,
+                             bogolyubov_modes, boost_phases, charge_projector, default_model,
+                             field_B, field_norms, fock_npoint, gauge_phases, lowering_blocks,
                              number_states, occupation_table, one_particle_map,
                              operator_norm, reflection_table, rotation_modes,
-                             second_quantize_blocks, sector_layout, spinor,
-                             twist_phases, wedge_generators)
+                             second_quantize_blocks, spinor, twist_phases,
+                             wedge_generators)
 from dswarp.deformation import _CUTOFF_FACTORS, angle_matrix, warp, warp_rotated_apply
 from dswarp import verification
-from dswarp.verification import (_ladder, _random_sector_blocks, bogolyubov_residuals,
-                                 fixed_point_bounds, fixed_point_consistent,
-                                 fixed_point_residual, inequivalence_witness,
-                                 sector_fixed_point_residual)
+from dswarp.verification import (DERIVATIVE_STEP, _ladder, bogolyubov_residuals,
+                                 derivative_commutator_residual, fixed_point_residual,
+                                 inequivalence_witness)
 
 PROPERTY = settings(max_examples=30, deadline=None)
 
@@ -165,24 +163,31 @@ def reflection_fock(model: OneParticleModel) -> FockOperator:
     return second_quantize(model, model.reflection_modes())
 
 
-def sector_blocks(model: OneParticleModel, m: np.ndarray) -> list[np.ndarray]:
-    """The stacks of the sector blocks E(n) m E(n) of the d x d matrix m, in the
-    order of sector_layout; entries outside the blocks are not read."""
-    return [np.asarray(m).take(flat) for _, flat in sector_layout(model)]
+def dense_warp_derivative(model: OneParticleModel, op: FockOperator,
+                          step: float = DERIVATIVE_STEP) -> np.ndarray:
+    """d/dkappa warp(A)|_0 by central differences of the dense warp with one
+    Richardson step."""
+    def central(h: float) -> np.ndarray:
+        return (warp(model, h, op).matrix - warp(model, -h, op).matrix) / (2.0 * h)
 
-
-def sector_norms(model: OneParticleModel, m: np.ndarray) -> dict[int, float]:
-    """{charge n: norm of the sector-n block E(n) m E(n)} for a gauge-invariant m."""
-    return block_sector_norms(model, sector_blocks(model, m))
+    return (4.0 * central(step / 2.0) - central(step)) / 3.0
 
 
 def dense_fixed_point_residual(model: OneParticleModel,
                                op: FockOperator) -> tuple[dict[int, float], float]:
-    """sector_fixed_point_residual of a dense gauge-invariant operator, from its
-    sector blocks; an entry above GAUGE_TOL that moves the charge is refused."""
+    """{charge n: norm of [K, A E(n)]} and the norm of d/dkappa warp(A)|_0 for a
+    dense gauge-invariant A, by SVDs of the sector blocks m[np.ix_(s, s)]; an
+    entry above GAUGE_TOL that moves the charge is refused."""
     if set(charge_shifts(op, verification.GAUGE_TOL)) - {0}:
         raise ValueError("fixed-point analysis needs a gauge-invariant operator")
-    return sector_fixed_point_residual(model, sector_blocks(model, op.matrix))
+    commutator = np.subtract.outer(model.phases, model.phases) * op.matrix
+    derivative = dense_warp_derivative(model, op)
+    sectors, derivative_norms = {}, []
+    for n in np.unique(model.charges).tolist():
+        s = np.ix_(*2 * [np.nonzero(model.charges == n)[0]])
+        sectors[n] = float(np.linalg.norm(commutator[s], 2))
+        derivative_norms.append(np.linalg.norm(derivative[s], 2))
+    return sectors, float(max(derivative_norms))
 
 
 def dense_warp_oscillatory(model: OneParticleModel, kappa: float, op: FockOperator,
@@ -453,29 +458,6 @@ def test_sector_block_norm_matches_full_commutator_norm(model, seed):
         assert abs(block_norm - full) <= 1e-13 * full
 
 
-def deformation_derivative_at_zero(model: OneParticleModel, op: FockOperator,
-                                   step: float = 1e-4) -> float:
-    """|d/dkappa warp(A)|_0| by central differences of the dense warp with one
-    Richardson step, and the norm by operator_norm (the fixed-point oracle)."""
-    def central(h: float) -> np.ndarray:
-        plus = warp(model, h, op).matrix
-        minus = warp(model, -h, op).matrix
-        return (plus - minus) / (2.0 * h)
-
-    coarse = central(step)
-    fine = central(step / 2.0)
-    refined = (4.0 * fine - coarse) / 3.0
-    return operator_norm(model, refined)
-
-
-def _from_sector_blocks(model: OneParticleModel, stacks) -> FockOperator:
-    """The dense gauge-invariant operator with the given sector blocks."""
-    m = np.zeros(model.dim ** 2, dtype=complex)
-    for (_, flat), blocks in zip(sector_layout(model), stacks):
-        m[flat.ravel()] = blocks.ravel()
-    return FockOperator(m.reshape(model.dim, model.dim), model)
-
-
 def _gauge_invariant_word(model: OneParticleModel, rng) -> MaskWord:
     """A random mask word with its charge-moving entries zeroed."""
     word = MaskWord(int(rng.integers(model.dim)), _random_vector(rng, model.dim))
@@ -484,100 +466,66 @@ def _gauge_invariant_word(model: OneParticleModel, rng) -> MaskWord:
 
 
 @PROPERTY
-@given(models(), SEEDS, st.sampled_from(["gauge-invariant", "diagonal", "mover", "word"]))
+@given(models(), SEEDS, st.sampled_from(["mover", "word"]))
 def test_block_fixed_point_path_matches_dense_derivative(model, seed, case):
-    """The suite's block draws and the mask words of fixed_point_residual against
-    the dense warp's derivative, and the words' norms against the block SVDs.
-    The commutator norms are compared by
-    test_sector_block_norm_matches_full_commutator_norm."""
+    """The mask-word norms of fixed_point_residual against the sector SVDs of
+    the dense commutator and of the dense warp's derivative."""
     rng = np.random.default_rng(seed)
-    if case in ("mover", "word"):
-        if case == "mover":
-            j, k = rng.choice(model.n_modes, size=2, replace=False)
-            if model.mode_charges[j] != model.mode_charges[k]:
-                k = j         # a charge-0 hopping needs one species; c_j^+ c_j is a number operator
-            word = _ladder(model, int(j), True) @ _ladder(model, int(k), False)
-        else:
-            word = _gauge_invariant_word(model, rng)
-        op = dense_op(model, word)
-        stacks = sector_blocks(model, op.matrix)
-        sectors, derivative = fixed_point_residual(model, word)
-        block_sectors, block_derivative = sector_fixed_point_residual(model, stacks)
-        assert list(sectors) == list(block_sectors)
-        for n, norm in sectors.items():
-            assert abs(norm - block_sectors[n]) <= 1e-13 * block_sectors[n]
-        assert abs(derivative - block_derivative) <= 1e-13 * block_derivative
+    if case == "mover":
+        j, k = rng.choice(model.n_modes, size=2, replace=False)
+        if model.mode_charges[j] != model.mode_charges[k]:
+            k = j         # a charge-0 hopping needs one species; c_j^+ c_j is a number operator
+        word = _ladder(model, int(j), True) @ _ladder(model, int(k), False)
     else:
-        stacks = _random_sector_blocks(model, rng, diagonal=case == "diagonal")
-        op = _from_sector_blocks(model, stacks)
-        sectors, derivative = sector_fixed_point_residual(model, stacks)
-        assert (sectors, derivative) == dense_fixed_point_residual(model, op)
-    assert not set(charge_shifts(op)) - {0}
-
-    dense = deformation_derivative_at_zero(model, op)
-    assert abs(derivative - dense) <= 1e-13 * dense
-    if case == "diagonal":
-        assert derivative == 0.0 and max(sectors.values()) == 0.0
-
-
-LOW, HIGH = 1e-8, 1e-6      # the thresholds of derivative-commutator-equivalence
-
-
-def _scaled_draws(model: OneParticleModel, rng, count: int) -> list[list[np.ndarray]]:
-    """The suite's draws, diagonal and dense in turn, each scaled by 10^U(-10, -4)
-    so that their norms fall below, between and above the thresholds."""
-    return [[blocks * 10.0 ** rng.uniform(-10.0, -4.0)
-             for blocks in _random_sector_blocks(model, rng, diagonal=idx % 2 == 0)]
-            for idx in range(count)]
-
-
-def _spectral_norms(model: OneParticleModel, stacks) -> np.ndarray:
-    """(largest charged commutator norm, derivative) from the block SVDs; NaN propagates."""
-    sectors, derivative = sector_fixed_point_residual(model, stacks)
-    return np.array([np.max([r for n, r in sectors.items() if n != 0]), derivative])
-
-
-def _spectral_consistent(model: OneParticleModel, stacks) -> bool:
-    norms = _spectral_norms(model, stacks)
-    return bool((norms < LOW).all() or (norms > HIGH).all())
+        word = _gauge_invariant_word(model, rng)
+    op = dense_op(model, word)
+    sectors, derivative = fixed_point_residual(model, word)
+    dense_sectors, dense_derivative = dense_fixed_point_residual(model, op)
+    assert list(sectors) == list(dense_sectors)
+    for n, norm in sectors.items():
+        assert abs(norm - dense_sectors[n]) <= 1e-13 * dense_sectors[n]
+    assert abs(derivative - dense_derivative) <= 1e-13 * dense_derivative
+    full = operator_norm(model, dense_warp_derivative(model, op))
+    assert abs(derivative - full) <= 1e-13 * full
 
 
 @PROPERTY
 @given(models(), SEEDS)
-def test_bounded_fixed_point_classification_equals_the_spectral_one(model, seed):
-    """Every draw, one with a NaN entry included, is classified as the block
-    SVDs classify it, and the bounds bracket the spectral norms."""
+def test_warp_derivative_is_i_n_times_the_sector_commutators(model, seed):
+    """The linearity argument of derivative-commutator-equivalence, made
+    executable: for a random dense gauge-invariant A, the dense warp's
+    Richardson derivative at zero equals sum_n i n [K, A E(n)] entrywise,
+    at the suite's step DERIVATIVE_STEP / s."""
     rng = np.random.default_rng(seed)
-    draws = _scaled_draws(model, rng, 40)
-    poisoned = _random_sector_blocks(model, rng, diagonal=False)
-    blocks = poisoned[rng.integers(len(poisoned))]
-    blocks.flat[rng.integers(blocks.size)] = np.nan
-    draws.append(poisoned)
+    op = FockOperator(FockOperator(_random_matrix(rng, model.dim), model).charge_shift(0), model)
+    k = np.diag(model.phases.astype(complex))
+    expected = np.zeros((model.dim, model.dim), dtype=complex)
+    for n in np.unique(model.charges).tolist():
+        an = op.matrix @ dense(charge_projector(model, n))
+        expected += 1j * n * (k @ an - an @ k)
+    q = model.charges
+    weights = np.where(np.equal.outer(q, q), q[:, None] * np.subtract.outer(model.phases,
+                                                                            model.phases), 0.0)
+    scale = max(1.0, float(np.max(np.abs(weights))))
+    derivative = dense_warp_derivative(model, op, DERIVATIVE_STEP / scale)
+    assert np.max(np.abs(derivative - expected)) <= 1e-10 * scale * np.max(np.abs(op.matrix))
 
-    bounded = [fixed_point_consistent(model, stacks, LOW, HIGH) for stacks in draws]
-    assert bounded == [_spectral_consistent(model, stacks) for stacks in draws]
-    assert bounded.count(False) >= 1 and not bounded[-1]
-    for stacks in draws[:-1]:
-        lower, upper = fixed_point_bounds(model, stacks)
-        norms = _spectral_norms(model, stacks)
-        assert (lower <= norms * (1.0 + 1e-10)).all() and (norms <= upper * (1.0 + 1e-10)).all()
+
+@PROPERTY
+@given(models())
+def test_derivative_commutator_residual_vanishes_on_random_models(model):
+    residual, _ = derivative_commutator_residual(model)
+    assert residual <= 1e-12
 
 
-@pytest.mark.parametrize("model", [default_model(), OneParticleModel(
-    4, 3, [1.0, -1.0, 2.0, -2.0], [1.0, -1.0, 0.0], [0, 2, 4])], ids=["dim16", "dim128"])
-def test_scaled_draws_are_certified_refuted_and_left_to_the_svds(monkeypatch, model):
-    """On scaled draws the bounds certify some draws consistent and refute
-    others; the rest take the block SVDs of sector_fixed_point_residual."""
-    spectral, residual = [], verification.sector_fixed_point_residual
-    monkeypatch.setattr(verification, "sector_fixed_point_residual",
-                        lambda m, stacks: spectral.append(1) or residual(m, stacks))
-    routes = []
-    for stacks in _scaled_draws(model, np.random.default_rng(3), 200):
-        calls = len(spectral)
-        consistent = fixed_point_consistent(model, stacks, LOW, HIGH)
-        routes.append("spectral" if len(spectral) > calls
-                      else "certified" if consistent else "refuted")
-    assert set(routes) == {"certified", "refuted", "spectral"}
+@pytest.mark.parametrize("freqs", [[100.0, -100.0, 200.0, -200.0], [1e-6, -1e-6, 2e-6, -2e-6]],
+                         ids=["wide", "narrow"])
+def test_derivative_commutator_residual_on_wide_and_narrow_spectra(freqs):
+    """The step scales with the largest sector weight, so the residual stays at
+    rounding level for frequencies +-100/+-200 and for +-1e-6 (dim 64)."""
+    model = OneParticleModel(4, 2, freqs, freqs[:2], [0, 2, 4])
+    residual, _ = derivative_commutator_residual(model)
+    assert residual <= 1e-12
 
 
 def _field_case(model: OneParticleModel, rng, case: str) -> np.ndarray:
@@ -635,18 +583,6 @@ def test_lanczos_field_norm_of_a_non_finite_field_is_nan():
         norms = field_norms(model, fs, rng)
     assert np.isnan(norms[1]) and np.isfinite(norms[[0, 2]]).all()
     assert abs(norms[2] - np.linalg.norm(field_B(model, fs[2]).matrix, 2)) <= 1e-13 * norms[2]
-
-
-@PROPERTY
-@given(models(), SEEDS)
-def test_sector_norms_equal_full_svd_of_each_sector_block(model, seed):
-    m = FockOperator(_random_matrix(np.random.default_rng(seed), model.dim), model).charge_shift(0)
-    norms = sector_norms(model, m)
-    assert list(norms) == np.unique(model.charges).tolist()
-    for n, block_norm in norms.items():
-        sel = model.charges == n
-        full = float(np.linalg.norm(m[np.ix_(sel, sel)], 2))
-        assert abs(block_norm - full) <= 1e-13 * full
 
 
 def _two_mask_matrix(model, rng) -> np.ndarray:
@@ -828,9 +764,5 @@ def test_per_model_caches_are_read_only():
     _assert_frozen(angle_matrix(model))
     for table in reflection_table(model):
         _assert_frozen(table)
-    assert sector_layout(model) is sector_layout(model)
-    for pair in sector_layout(model):
-        for table in pair:
-            _assert_frozen(table)
     for table in _mode_flips(model.n_modes):
         _assert_frozen(table)

@@ -18,7 +18,8 @@ import sys
 import numpy as np
 import pytest
 
-from dswarp import car_fock, cli, deformation, verification
+from dswarp import car_fock, cli, deformation, geometry, verification
+from dswarp import spin_group as sg
 from dswarp import wedges as wd
 
 
@@ -40,6 +41,14 @@ def _gamma_of_the_transpose(model, w):
 
 
 _ANGLE_MATRIX = deformation.angle_matrix
+_STRUCTURE_RHS = sg.structure_rhs
+_BOOST_COVER = sg.boost_cover
+_EXTRACT_POINT = geometry.extract_point
+
+
+def _extract_point_x2_negated(m, tol=1e-8):
+    """extract_point with the x2 coordinate of every point negated."""
+    return _EXTRACT_POINT(m, tol) * np.array([1.0, 1.0, -1.0, 1.0, 1.0])
 
 
 def _car_norm_bound_minus(model, f):
@@ -70,12 +79,21 @@ MUTANTS = {
     "wedge_contains-abs-y0-dropped": (
         wd, "wedge_contains", _membership(lambda y0, y1: y1 - y0), ["wedges"],
         {"rigidity-witness-200-pairs"}),
-    # no deformation: the derivative is 0 on every draw and on the mover, while
-    # the commutator of each of the 50 dense draws is O(1)
+    # no deformation: the derivative is 0 at every sector entry and on the
+    # mover, so the derivative-commutator residual is exactly 1
     "angle_matrix-zero": (
         deformation, "angle_matrix", lambda model: np.zeros((model.dim, model.dim)),
         ["fixed_point"], {"derivative-commutator-equivalence",
                           "cross-frequency-observable-moves"}),
+    # a doubled angle doubles the derivative: residual 1.0
+    "angle_matrix-doubled": (
+        deformation, "angle_matrix", lambda model: 2.0 * _ANGLE_MATRIX(model),
+        ["fixed_point"], {"derivative-commutator-equivalence"}),
+    # the charge-free angle phi_i - phi_j drops the factor n: residual 2.0
+    "angle_matrix-phi-only": (
+        deformation, "angle_matrix",
+        lambda model: np.subtract.outer(model.phases, model.phases),
+        ["fixed_point"], {"derivative-commutator-equivalence"}),
     # kappa's sign flipped in the closed form only: the oscillatory integral
     # keeps the true sign, so both cutoffs end at residual 1.68
     "angle_matrix-negated": (
@@ -89,21 +107,29 @@ MUTANTS = {
     "causal_complement-unreflected": (
         wd, "causal_complement", lambda w: w, ["wedges"],
         {"reflection-maps-to-complement", "complement-spacelike"}),
+    # every structure constant with its sign flipped: residual 2.0
+    "structure_rhs-negated": (
+        sg, "structure_rhs", lambda mu, nu, rho, sig: -_STRUCTURE_RHS(mu, nu, rho, sig),
+        ["lie"], {"structure-constants-100-brackets"}),
+    # the lift at rapidity 2 pi t covers the boost at 2t: residual 1.43e5
+    "boost_cover-doubled-rapidity": (
+        sg, "boost_cover", lambda t: _BOOST_COVER(2.0 * np.asarray(t)), ["covering"],
+        {"boost-cover-matches-base"}),
+    # the roundtrip returns each point with x2 negated: residual 6.66
+    "extract_point-x2-negated": (
+        geometry, "extract_point", _extract_point_x2_negated, ["geometry"],
+        {"embed-extract-roundtrip"}),
 }
 
 # Open mutants: nothing fails yet, and a named ROADMAP item will kill them.
 # name -> (module, function name, replacement, suites, item)
 OPEN_MUTANTS = {
-    # derivative-commutator-equivalence compares both sides only against
-    # thresholds 100x apart: a doubled angle doubles the derivative, and the
-    # charge-free angle phi_i - phi_j makes it equal to the commutator
-    "angle_matrix-doubled": (
-        deformation, "angle_matrix", lambda model: 2.0 * _ANGLE_MATRIX(model),
-        ["fixed_point"], "ROADMAP item 8: derivative block = i n [K, A E(n)]"),
-    "angle_matrix-phi-only": (
-        deformation, "angle_matrix",
-        lambda model: np.subtract.outer(model.phases, model.phases),
-        ["fixed_point"], "ROADMAP item 8: derivative block = i n [K, A E(n)]"),
+    # kappa's sign flipped in the closed form: the deformation identities hold
+    # for any real antisymmetric angle, since rieffel_word is built from
+    # warp_word itself
+    "angle_matrix-negated-deformation": (
+        deformation, "angle_matrix", lambda model: -_ANGLE_MATRIX(model), ["deformation"],
+        "ROADMAP item 2: the Rieffel product from the charge grading"),
 }
 
 
@@ -142,9 +168,11 @@ def test_mutant_is_killed(monkeypatch, name):
 
 
 def test_zero_angle_fails_every_dense_fixed_point_draw(monkeypatch):
+    """With no deformation the derivative is 0 at every sector entry, so the
+    residual is the largest |n (phi_i - phi_j)| over the scale: exactly 1."""
     module, attr, replacement, suites, _ = MUTANTS["angle_matrix-zero"]
     _patch_everywhere(monkeypatch, module, attr, replacement)
-    assert _failing_checks(suites)["derivative-commutator-equivalence"] == 50.0
+    assert _failing_checks(suites)["derivative-commutator-equivalence"] == 1.0
 
 
 @pytest.mark.parametrize("name", [

@@ -16,7 +16,7 @@ from dswarp.verification import (SPAN_SVD_TOL, CheckReport, causal_borchers_axio
                                  random_monomial, span_basis, span_residual, suite_car,
                                  suite_deformation, wedge_monomials)
 from test_fock_properties import (conjugate_by_diagonal, dense, dense_fixed_point_residual,
-                                  dense_op, identity_op, jordan_wigner_ops, sector_norms)
+                                  dense_op, identity_op, jordan_wigner_ops)
 
 MODEL = default_model()
 
@@ -413,66 +413,48 @@ def test_non_finite_field_vector_fails_car_anticommutators(monkeypatch):
     assert check["pass"] is False
 
 
-def test_sector_norms_give_nan_for_a_sector_with_a_nan_entry():
-    rng = np.random.default_rng(72)
-    d = MODEL.dim
-    raw = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-    m = FockOperator(raw, MODEL).charge_shift(0)
+def _fixed_point_checks(model: OneParticleModel) -> dict[str, CheckReport]:
+    """The fixed-point suite's checks; a generator without attributes makes
+    any draw from it raise."""
+    return {c.name: c for c in verification.suite_fixed_point(model, cli.load_config(None),
+                                                              object())}
+
+
+def test_sector_norms_give_nan_for_a_sector_with_a_nan_entry(monkeypatch):
+    """A NaN warp angle at one entry of the charge-1 sector makes the
+    derivative-commutator residual NaN: the check fails and reports null."""
+    angle = deformation.angle_matrix(MODEL).copy()
     state = int(np.nonzero(MODEL.charges == 1)[0][0])
-    m[state, state] = np.nan
-    norms = sector_norms(MODEL, m)
-    assert sorted(norms) == [-2, -1, 0, 1, 2]
-    assert np.isnan(norms[1])
-    assert all(np.isfinite(r) and r > 0.0 for n, r in norms.items() if n != 1)
-
-
-class _RecordingRng:
-    """A generator that records the shape of every standard_normal draw."""
-
-    def __init__(self, seed: int):
-        self.rng, self.shapes = np.random.default_rng(seed), []
-
-    def standard_normal(self, size=None):
-        self.shapes.append((size,) if isinstance(size, int) else tuple(size))
-        return self.rng.standard_normal(size)
+    angle[state, state] = np.nan
+    monkeypatch.setattr(verification, "angle_matrix", lambda model: angle)
+    check = _fixed_point_checks(MODEL)["derivative-commutator-equivalence"].as_dict()
+    assert check["max_residual"] is None
+    assert check["pass"] is False
 
 
 @pytest.mark.parametrize("model", [default_model(), OneParticleModel(
     4, 3, [1.0, -1.0, 2.0, -2.0], [1.0, -1.0, 0.0], [0, 2, 4])], ids=["dim16", "dim128"])
 def test_fixed_point_loop_draws_sector_blocks_and_takes_no_dense_warp(monkeypatch, model):
-    """Each of the 100 operators is drawn as its sector blocks, real and imaginary
-    parts apart: no draw is d x d.  E(1) and the mover are mask words, so the
-    suite builds no dense operator and takes no dense warp."""
+    """The suite decides its statement at the sector entries: it draws nothing
+    from its generator, and E(1) and the mover are mask words, so it builds no
+    dense operator and takes no dense warp."""
     counts = _count_calls(monkeypatch, [("warp", deformation, "warp"),
                                         ("FockOperator", FockOperator, "__post_init__")])
-    rng = _RecordingRng(5)
-    checks = verification.suite_fixed_point(model, cli.load_config(None), rng)
-    assert all(c.passed for c in checks)
+    assert all(c.passed for c in _fixed_point_checks(model).values())
     assert counts == {"warp": 0, "FockOperator": 0}
-    layout = car_fock.sector_layout(model)
-    per_operator = 2 * len(layout)
-    assert len(rng.shapes) == 100 * per_operator
-    d, entries = model.dim, sum(flat.size for _, flat in layout)
-    for idx in range(100):
-        shapes = rng.shapes[idx * per_operator:(idx + 1) * per_operator]
-        drawn = sum(int(np.prod(shape)) for shape in shapes)
-        assert drawn == 2 * (d if idx % 2 == 0 else entries), idx
-        assert all(shape[-2:] != (d, d) for shape in shapes)
 
 
 @pytest.mark.parametrize("model", [default_model(), OneParticleModel(
     4, 3, [1.0, -1.0, 2.0, -2.0], [1.0, -1.0, 0.0], [0, 2, 4])], ids=["dim16", "dim128"])
 def test_fixed_point_loop_takes_no_svd(monkeypatch, model):
-    """The entry and Frobenius bounds settle all 100 draws, and E(1) and the
-    mover are single-mask words, whose sector norms are largest entries: the
-    whole suite takes no SVD."""
+    """The statement is decided entry by entry, and E(1) and the mover are
+    single-mask words, whose sector norms are largest entries: the whole
+    suite takes no SVD."""
     shapes = _record_svd_shapes(monkeypatch)
     calls, residual = [], verification.fixed_point_residual
     monkeypatch.setattr(verification, "fixed_point_residual",
                         lambda m, word: calls.append(word.mask) or residual(m, word))
-    checks = verification.suite_fixed_point(model, cli.load_config(None),
-                                            np.random.default_rng(5))
-    assert all(c.passed for c in checks)
+    assert all(c.passed for c in _fixed_point_checks(model).values())
     j, k = verification._cross_frequency_pair(model)
     n = model.n_modes
     assert calls == [0, (1 << (n - 1 - j)) ^ (1 << (n - 1 - k))]
