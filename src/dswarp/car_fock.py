@@ -35,17 +35,19 @@ Fields by bit arithmetic
 ------------------------
 c_j maps an occupied basis state i to i with bit n-1-j cleared, with the
 Jordan-Wigner sign (-1)^(number of occupied modes below j); every other entry
-is zero, and no two modes share an entry.  field_B therefore scatters the
-coefficients of f straight into a zero matrix, using the flip rows, signs and
-occupied states of all modes, which are tabulated once per mode count n
-(_mode_flips, cached like occupation_table; index tables only, no Fock-size
-matrix).  A single ladder operator is the field of a unit vector: c_j^+ is
-B(e) with e on the copy that raises mode j (copy A for a particle mode, copy
-B for an antiparticle mode), and c_j is B(e) on the other copy.  The entries
-equal those of the Kronecker-product tower exactly; the tests keep that tower
-as the oracle.  _apply_fields applies a batch of fields B(f_b), one to each
-of a batch of vectors, with the same tables in O(n d) per field and no field
-matrix; fock_npoint and field_norms act through it.
+is zero, and no two modes share an entry.  field_words therefore scatters the
+coefficients of f straight into one mask word per mode, using the flip rows,
+signs and occupied states of all modes, which are tabulated once per mode
+count n (_mode_flips, cached like occupation_table; index tables only, no
+Fock-size matrix).  A single ladder operator is the field of a unit vector:
+c_j^+ is B(e) with e on the copy that raises mode j (copy A for a particle
+mode, copy B for an antiparticle mode), and c_j is B(e) on the other copy.
+The entries equal those of the Kronecker-product tower exactly; the tests
+keep that tower as the oracle.  _apply_fields applies a batch of fields
+B(f_b), one to each of a batch of vectors, with the same tables in O(n d)
+per field and no field matrix; fock_npoint and field_norms act through it.
+field_B scatters the same coefficients into a d x d matrix.  No command
+calls it; it is the dense reference kept for the benchmark's self-test.
 
 Diagonal operators
 ------------------
@@ -114,12 +116,8 @@ reflection covariance puts one on each side.
 
 Norms
 -----
-operator_norm gives the exact largest singular value of a Fock-size matrix
-m by one d x d SVD.  A zero matrix has norm 0, and a non-finite entry gives
-NaN.  Every single-mode operator a command builds stays a MaskWord, whose
-norm is its largest absolute entry, so in a verify operator_norm is reached
-only for a field that fails the Lanczos certificate below; FockOperator and
-operator_norm are otherwise the dense reference of the tests.
+Every single-mode operator a command builds stays a MaskWord, whose operator
+norm is its largest absolute entry.
 
 field_norms gives the norms of fields B(f) from their action, with no
 Fock-size matrix or SVD (Golub and Van Loan, Matrix Computations, the
@@ -133,21 +131,22 @@ step (X is the scalar |f|^2 / 2 when f = e^{i theta} C f).  The result is
 accepted only if the last residual is at most LANCZOS_CERTIFICATE = 1e-10
 times the Ritz value (the norm of T); a random v meets every eigenspace,
 so it is then the exact norm up to rounding.  A field that fails the
-certificate, or has a non-finite number, gets operator_norm(field_B(f)).
-A Ritz value never exceeds the largest eigenvalue, so a missed eigenspace
-can only lower a norm; a wrongly built field (a dropped Jordan-Wigner
-sign gives X more eigenvalues) fails the certificate, is measured exactly
-and still fails cstar-norm-formula.
+certificate gets NaN, so a check that reads its norm fails.  For a
+correctly built field the two-step space is invariant, so only non-finite
+arithmetic fails the certificate (a NaN entry, or an f near 1e200 whose X
+overflows), which a fresh start vector would not repair.  A Ritz value never
+exceeds the largest eigenvalue, so a missed eigenspace can only lower a
+norm; a wrongly built field (a dropped Jordan-Wigner sign gives X more
+eigenvalues) fails the certificate and so fails cstar-norm-formula.
 
 Per-model caches
 ----------------
 OneParticleModel.cached builds a value once per model and freezes its arrays
 (read-only).  It holds the conjugation matrix, the wedge generators per tag
 (wedge_generators), the signed-permutation table of the reflection
-(reflection_table), the Majorana words, and in the deformation module the
-angle matrix.  The per-mode-count caches (occupation_table, _mode_flips,
-_number_layout) hold index tables of size n 2^n, and only the angle matrix
-is a Fock-size array.
+(reflection_table) and the Majorana words, no array of more than d entries;
+the per-mode-count caches (occupation_table, _mode_flips, _number_layout)
+hold index tables of size n 2^n.
 """
 
 from __future__ import annotations
@@ -371,54 +370,6 @@ def default_model(seed: int = 7) -> OneParticleModel:
 # -- operators --------------------------------------------------------------
 
 @dataclass(frozen=True)
-class FockOperator:
-    """Dense operator on the Fock space, tagged with its model."""
-
-    matrix: np.ndarray
-    model: OneParticleModel
-
-    def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=complex)
-        if m.shape != (self.model.dim, self.model.dim):
-            raise ValueError(f"operator shape {m.shape} does not match Fock dim {self.model.dim}")
-        object.__setattr__(self, "matrix", m)
-
-    def __matmul__(self, other: "FockOperator") -> "FockOperator":
-        return FockOperator(self.matrix @ other.matrix, self.model)
-
-    def __add__(self, other: "FockOperator") -> "FockOperator":
-        return FockOperator(self.matrix + other.matrix, self.model)
-
-    def __sub__(self, other: "FockOperator") -> "FockOperator":
-        return FockOperator(self.matrix - other.matrix, self.model)
-
-    def __mul__(self, scalar) -> "FockOperator":
-        return FockOperator(self.matrix * scalar, self.model)
-
-    __rmul__ = __mul__
-
-    def __neg__(self) -> "FockOperator":
-        return FockOperator(-self.matrix, self.model)
-
-    @property
-    def H(self) -> "FockOperator":
-        return FockOperator(self.matrix.conj().T, self.model)
-
-    def norm(self) -> float:
-        """Operator norm (largest singular value), NaN if an entry is not finite."""
-        return operator_norm(self.model, self.matrix)
-
-    def dist(self, other: "FockOperator") -> float:
-        return operator_norm(self.model, self.matrix - other.matrix)
-
-    def charge_shift(self, m: int) -> np.ndarray:
-        """Component sum_n E(n+m) F E(n)."""
-        q = self.model.charges
-        mask = (q[:, None] - q[None, :]) == m
-        return np.where(mask, self.matrix, 0.0)
-
-
-@dataclass(frozen=True)
 class MaskWord:
     """The operator M with M[i ^ mask, i] = vec[i] and zeros elsewhere (D P_S).
 
@@ -461,22 +412,6 @@ class MaskWord:
         return float(np.max(np.abs(self.vec)))
 
 
-# -- operator norms -----------------------------------------------------------
-
-def operator_norm(model: OneParticleModel, m: np.ndarray) -> float:
-    """Largest singular value of the d x d matrix m by one SVD; 0 for a zero
-    matrix, NaN if an entry is not finite."""
-    m = np.asarray(m)
-    d = model.dim
-    if m.shape != (d, d):
-        raise ValueError(f"matrix shape {m.shape} does not match Fock dim {d}")
-    if not np.count_nonzero(m):
-        return 0.0
-    if not np.isfinite(m).all():
-        return math.nan
-    return float(np.linalg.svd(m, compute_uv=False)[0])
-
-
 def _field_vector(model: OneParticleModel, f) -> np.ndarray:
     """f as a complex doubled-space vector; any other shape is refused."""
     f = np.asarray(f, dtype=complex)
@@ -499,8 +434,10 @@ def _ladder_coefficients(model: OneParticleModel, f: np.ndarray) -> tuple[np.nda
             np.where(particle, f[..., :n], f[..., n:]))
 
 
-def field_B(model: OneParticleModel, f) -> FockOperator:
-    """The selfdual generator B(f), f in the doubled space C^{2n}."""
+def field_B(model: OneParticleModel, f) -> np.ndarray:
+    """The selfdual generator B(f), f in the doubled space C^{2n}, as a d x d
+    matrix: the dense reference kept for the benchmark's self-test, which no
+    command calls."""
     f = _field_vector(model, f)
     d = model.dim
     mode, src, dst, sign = _mode_flips(model.n_modes)
@@ -508,7 +445,7 @@ def field_B(model: OneParticleModel, f) -> FockOperator:
     out = np.zeros((d, d), dtype=complex)
     out[dst, src] = lower_coef[mode] * sign
     out[src, dst] = raise_coef[mode] * sign
-    return FockOperator(out, model)
+    return out
 
 
 def field_words(model: OneParticleModel, f) -> list[MaskWord]:
@@ -536,22 +473,6 @@ def field_word(model: OneParticleModel, f) -> MaskWord:
         raise ValueError(f"B(f) is a single-mask word only for f on one mode; "
                          f"f lives on modes {modes}")
     return words[0]
-
-
-def cospinor(model: OneParticleModel, f_plus) -> FockOperator:
-    """Charge-raising field B(f (+) 0)."""
-    f_plus = np.asarray(f_plus, dtype=complex)
-    if f_plus.shape != (model.n_modes,):
-        raise ValueError(f"cospinor argument must have {model.n_modes} components")
-    return field_B(model, np.concatenate([f_plus, np.zeros(model.n_modes, dtype=complex)]))
-
-
-def spinor(model: OneParticleModel, f_minus) -> FockOperator:
-    """Charge-lowering field B(0 (+) f)."""
-    f_minus = np.asarray(f_minus, dtype=complex)
-    if f_minus.shape != (model.n_modes,):
-        raise ValueError(f"spinor argument must have {model.n_modes} components")
-    return field_B(model, np.concatenate([np.zeros(model.n_modes, dtype=complex), f_minus]))
 
 
 def gauge_phases(model: OneParticleModel, s: float) -> np.ndarray:
@@ -949,7 +870,7 @@ def field_norms(model: OneParticleModel, fs, rng: np.random.Generator) -> np.nda
 
     Each norm is the square root of a certified Lanczos Ritz value of
     B(f)^* B(f) from a random start drawn from rng; a row that the
-    certificate rejects gets operator_norm(field_B(model, f)).  See "Norms".
+    certificate rejects gets NaN.  See "Norms".
     """
     fs = np.asarray(fs, dtype=complex)
     if fs.ndim != 2 or fs.shape[1] != model.doubled_dim:
@@ -962,8 +883,7 @@ def field_norms(model: OneParticleModel, fs, rng: np.random.Generator) -> np.nda
         batch = slice(rows, rows + LANCZOS_BATCH)
         ritz[batch], residual[batch], _ = _lanczos(model, fs[batch], starts[batch])
     norms = np.sqrt(np.maximum(ritz, 0.0))
-    for b in np.nonzero(~(residual <= LANCZOS_CERTIFICATE))[0]:
-        norms[b] = operator_norm(model, field_B(model, fs[b]).matrix)
+    norms[~(residual <= LANCZOS_CERTIFICATE)] = math.nan
     return norms
 
 

@@ -38,8 +38,9 @@ phi_i - phi_j.  Both sides scale each sector entry of A by a number, so the
 identity holds for every A exactly when those numbers agree at every sector
 entry.  derivative-commutator-equivalence compares them once per entry
 (derivative_commutator_residual): the Richardson derivative of the warp
-phase, from angle_matrix, against i n (phi_i - phi_j), from the boost
-phases and the charges.  It draws nothing and takes no SVD.
+phase, from deformation.warp_angles at the sector entries, against
+i n (phi_i - phi_j), from the boost phases and the charges.  It draws
+nothing and takes no SVD.
 fixed_point_residual takes E(1) and the mover, single-mask words: every
 sector block of one is a monomial, so its norms are largest absolute
 entries of the scaled word.
@@ -77,7 +78,7 @@ from .car_fock import (MaskWord, OneParticleModel, bogolyubov_modes, boost_phase
                        car_norm_bound, charge_projector, field_norms, field_word, fock_npoint,
                        gauge_phases, lowering_blocks, one_particle_map, quasifree_npoint,
                        second_quantize_blocks, twist_phases, wedge_generators)
-from .deformation import (angle_matrix, covariance_transform, oracle_sweep, rieffel_word,
+from .deformation import (covariance_transform, oracle_sweep, rieffel_word, warp_angles,
                           warp_rotated_apply, warp_word)
 
 SPAN_SVD_TOL = 1e-9
@@ -265,10 +266,9 @@ def derivative_commutator_residual(model: OneParticleModel) -> tuple[float, floa
     sectors = [(n, np.nonzero(q == n)[0]) for n in range(-model.d_minus, model.d_plus + 1)]
     scale = float(max(1.0, *(abs(n) * np.ptp(phi[s]) for n, s in sectors)))
     h = DERIVATIVE_STEP / scale
-    angle = angle_matrix(model)
     residuals = []
     for n, s in sectors:
-        derivative = _richardson(_step_phases(angle[np.ix_(s, s)], h), h)
+        derivative = _richardson(_step_phases(warp_angles(model, *np.ix_(s, s)), h), h)
         residuals.append(np.max(np.abs(derivative - 1j * n * np.subtract.outer(phi[s], phi[s]))))
     return worst(residuals) / scale, scale
 
@@ -294,7 +294,7 @@ def fixed_point_residual(model: OneParticleModel,
     rows, vec, charge = rows[cols], word.vec[cols], q[cols]
     commutator = np.abs((model.phases[rows] - model.phases[cols]) * vec)
     h = DERIVATIVE_STEP
-    derivative = np.abs(_richardson(vec * _step_phases(angle_matrix(model)[rows, cols], h), h))
+    derivative = np.abs(_richardson(vec * _step_phases(warp_angles(model, rows, cols), h), h))
     sectors = {n: float(np.max(commutator[charge == n], initial=0.0))
                for n in range(-model.d_minus, model.d_plus + 1)}
     return sectors, float(np.max(derivative, initial=0.0))

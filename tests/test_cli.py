@@ -13,8 +13,8 @@ import pytest
 from dswarp import cli, verification
 from dswarp import spin_group as sg
 from dswarp import wedges as wd
-from dswarp.car_fock import cospinor, field_B, field_word, spinor
-from dswarp.deformation import warp
+from dswarp.car_fock import field_word
+from dense_reference import cospinor, field_operator, spinor, warp
 
 
 def validate_report_schema(report: dict):
@@ -384,7 +384,7 @@ def test_deform_equals_dense_warp_of_field_B(tmp_path, monkeypatch, model_cfg, k
     for generator, size in (("psi", n), ("psidag", n), ("b", 2 * n)):
         for mode in range(size):
             index = n + mode if generator == "psi" else mode
-            dense = field_B(model, np.eye(2 * n)[index])
+            dense = field_operator(model, np.eye(2 * n)[index])
             if generator != "b":
                 named = (spinor if generator == "psi" else cospinor)(model, np.eye(n)[mode])
                 assert (named.matrix == dense.matrix).all()
@@ -407,7 +407,7 @@ def test_deform_overflow_nulls_sit_on_the_word_entries(capsys):
     on_word = np.zeros((d, d), dtype=bool)
     on_word[word.rows(), np.arange(d)] = True
     with np.errstate(all="ignore"):
-        dense = warp(model, 1e308, field_B(model, np.eye(model.doubled_dim)[0])).matrix
+        dense = warp(model, 1e308, field_operator(model, np.eye(model.doubled_dim)[0])).matrix
     assert (np.isnan(got) == (np.isnan(dense) & on_word)).all()
     assert np.isnan(got).sum() == 8 and np.isnan(dense).sum() == 104
     finite = ~np.isnan(dense)

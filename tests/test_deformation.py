@@ -6,15 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import roots_legendre, sici
 
-from dswarp.car_fock import (FockOperator, MaskWord, boost_phases, charge_projector,
-                             default_model, field_B, field_word, gauge_phases,
-                             reflect_word, reflection_automorphism,
-                             reflection_table, spinor, twist_phases,
+from dswarp.car_fock import (MaskWord, OneParticleModel, boost_phases, charge_projector,
+                             default_model, field_word, gauge_phases, reflect_word,
+                             reflection_automorphism, reflection_table, twist_phases,
                              wedge_subalgebra_basis)
 from dswarp.deformation import (_cosine_factor, _gauss_factor, _si_cin, covariance_transform,
-                                oracle_residuals, rieffel_word, warp, warp_oscillatory,
-                                warp_word)
-from dswarp.car_fock import OneParticleModel
+                                oracle_residuals, rieffel_word, warp_oscillatory, warp_word)
+from dense_reference import FockOperator, field_operator, spinor, warp
 from test_fock_properties import (charge_shifts, dense_op, dense_warp_oscillatory,
                                   diagonal, identity_op,
                                   reflection_fock, rotation_fock, warp_rotated)
@@ -174,7 +172,7 @@ def test_vacuum_invariance():
 
 
 def _even_localized(rng, tag):
-    gens = [field_B(MODEL, f) for f in wedge_subalgebra_basis(MODEL, tag)]
+    gens = [field_operator(MODEL, f) for f in wedge_subalgebra_basis(MODEL, tag)]
     a = gens[int(rng.integers(len(gens)))]
     b = gens[int(rng.integers(len(gens)))]
     return a @ b
@@ -195,8 +193,8 @@ def test_twisted_commutant_property():
     rng = np.random.default_rng(59)
     kappa = 0.8
     z = diagonal(MODEL, twist_phases(MODEL))
-    gens0 = [field_B(MODEL, f) for f in wedge_subalgebra_basis(MODEL, "W0")]
-    gens1 = [field_B(MODEL, f) for f in wedge_subalgebra_basis(MODEL, "W0p")]
+    gens0 = [field_operator(MODEL, f) for f in wedge_subalgebra_basis(MODEL, "W0")]
+    gens1 = [field_operator(MODEL, f) for f in wedge_subalgebra_basis(MODEL, "W0p")]
     for _ in range(20):
         f = gens0[int(rng.integers(len(gens0)))]       # odd
         g = gens1[int(rng.integers(len(gens1)))]       # odd

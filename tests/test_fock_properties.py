@@ -9,10 +9,11 @@ Gamma B(f) Gamma^* for the Bogolyubov block products, the dense rotated warp
 for the inequivalence witness, the full commutator
 [K, A E(n)] and the dense warp's kappa-derivative for the fixed-point
 sectors and for the per-entry derivative-commutator statement, the sector
-SVDs for the mask-word fixed-point norms, one full SVD for the operator
-norm and for the Lanczos field norm, dense products with diagonal matrices for
-conjugation, the phase expression for the dense warp, and the cutoff factors
-at every nonzero entry of a dense matrix for the mask-word oracle.
+SVDs for the mask-word fixed-point norms, one full SVD for the Lanczos field
+norm, dense products with diagonal matrices for conjugation, the dense angle
+matrix for the per-entry warp angles, the phase expression for the dense
+warp, and the cutoff factors at every nonzero entry of a dense matrix for the
+mask-word oracle.  The dense operator layer itself is dense_reference.
 Models are small random ones, up to 3 + 3 modes.
 """
 
@@ -25,19 +26,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import block_diag, expm
 
-from dswarp.car_fock import (LANCZOS_BATCH, LANCZOS_CERTIFICATE, FockOperator, MaskWord,
-                             OneParticleModel, _expi_hermitian, _lanczos, _mode_flips,
-                             bogolyubov_modes, boost_phases, charge_projector, default_model,
-                             field_B, field_norms, fock_npoint, gauge_phases, lowering_blocks,
+from dswarp.car_fock import (LANCZOS_BATCH, LANCZOS_CERTIFICATE, MaskWord, OneParticleModel,
+                             _expi_hermitian, _lanczos, _mode_flips, bogolyubov_modes,
+                             boost_phases, charge_projector, default_model, field_B,
+                             field_norms, fock_npoint, gauge_phases, lowering_blocks,
                              number_states, occupation_table, one_particle_map,
-                             operator_norm, reflection_table, rotation_modes,
-                             second_quantize_blocks, spinor, twist_phases,
-                             wedge_generators)
-from dswarp.deformation import _CUTOFF_FACTORS, angle_matrix, warp, warp_rotated_apply
+                             reflection_table, rotation_modes, second_quantize_blocks,
+                             twist_phases, wedge_generators)
+from dswarp.deformation import _CUTOFF_FACTORS, warp_angles, warp_rotated_apply, warp_word
 from dswarp import verification
 from dswarp.verification import (DERIVATIVE_STEP, _ladder, bogolyubov_residuals,
                                  derivative_commutator_residual, fixed_point_residual,
                                  inequivalence_witness)
+from dense_reference import (FockOperator, angle_matrix, field_operator, operator_norm, spinor,
+                             warp)
 
 PROPERTY = settings(max_examples=30, deadline=None)
 
@@ -240,7 +242,7 @@ def _random_matrix(rng, dim):
 def test_bit_built_field_equals_kronecker_oracle(model, seed):
     rng = np.random.default_rng(seed)
     f = rng.standard_normal(model.doubled_dim) + 1j * rng.standard_normal(model.doubled_dim)
-    assert (field_B(model, f).matrix == oracle_field(model, f)).all()
+    assert (field_B(model, f) == oracle_field(model, f)).all()
 
 
 @PROPERTY
@@ -262,7 +264,7 @@ def test_npoint_function_equals_dense_fields_on_the_vacuum(model, seed, length):
     fs = [_random_vector(rng, model.doubled_dim) for _ in range(length)]
     vec = model.vacuum()
     for f in reversed(fs):
-        vec = field_B(model, f).matrix @ vec
+        vec = field_B(model, f) @ vec
     dense = np.vdot(model.vacuum(), vec)
     scale = np.prod([np.linalg.norm(f) for f in fs])
     assert abs(fock_npoint(model, fs) - dense) <= 1e-13 * scale
@@ -309,7 +311,7 @@ def test_second_quantize_implements_the_one_particle_map(model, seed):
     u = block_diag(copy_a, np.conj(copy_a))
     f = rng.standard_normal(model.doubled_dim) + 1j * rng.standard_normal(model.doubled_dim)
     g = second_quantize(model, w)
-    assert (g @ field_B(model, f) @ g.H).dist(field_B(model, u @ f)) < 1e-12
+    assert (g @ field_operator(model, f) @ g.H).dist(field_operator(model, u @ f)) < 1e-12
 
 
 @PROPERTY
@@ -369,7 +371,7 @@ def test_bogolyubov_block_products_equal_the_dense_ones(model, seed):
     w, other = (_species_block_unitary(model, rng)[0] for _ in range(2))
     f = _random_vector(rng, model.doubled_dim)
     big = second_quantize(model, w)
-    conjugated = (big @ field_B(model, f) @ big.H).matrix
+    conjugated = (big @ field_operator(model, f) @ big.H).matrix
     gammas = second_quantize_blocks(model, w)
     parts = lowering_blocks(model, np.stack([f, model.apply_conjugation(f)]))
     states = number_states(model)
@@ -387,7 +389,7 @@ def test_bogolyubov_block_products_equal_the_dense_ones(model, seed):
     steps = number[:, None] - number[None, :]
     block_norms = []
     for u in (one_particle_map(model, w), one_particle_map(model, other)):
-        residual = conjugated - field_B(model, u @ f).matrix
+        residual = conjugated - field_B(model, u @ f)
         dense_norm = max(np.linalg.norm(np.where(steps == step, residual, 0.0), 2)
                          for step in (1, -1))
         block_norms.append(bogolyubov_residuals(model, w[None], u[None], f[None])[0])
@@ -429,14 +431,14 @@ def test_rotated_warp_on_a_vector_equals_the_dense_rotated_warp(model, seed, kap
     rng = np.random.default_rng(seed)
     f = _random_vector(rng, model.doubled_dim)
     v = _random_vector(rng, model.dim)
-    dense_vec = warp_rotated(model, kappa, field_B(model, f), phi).matrix @ v
+    dense_vec = warp_rotated(model, kappa, field_operator(model, f), phi).matrix @ v
     block_vec = warp_rotated_apply(model, kappa, f, v, phi)
     assert np.max(np.abs(block_vec - dense_vec)) <= 1e-13 * np.max(np.abs(dense_vec))
 
     psi_f = np.zeros(model.n_modes)
     psi_f[model.d_plus] = 1.0
     psi = spinor(model, psi_f)
-    one_particle = field_B(model, np.eye(model.doubled_dim)[0]).matrix @ model.vacuum()
+    one_particle = field_B(model, np.eye(model.doubled_dim)[0]) @ model.vacuum()
     straight = warp(model, kappa, psi).matrix @ one_particle
     rotated = warp_rotated(model, kappa, psi, phi).matrix @ one_particle
     _, fock = inequivalence_witness(model, kappa, phi)
@@ -547,7 +549,7 @@ FIELD_CASES = ["generic", "copy A", "copy B", "selfadjoint up to a phase"]
 @PROPERTY
 @given(models(), SEEDS)
 def test_lanczos_field_norm_equals_dense_svd(model, seed):
-    """Every case is certified without the fallback.  For f = e^{i theta} C f,
+    """Every case is certified.  For f = e^{i theta} C f,
     B(f)^* B(f) is the scalar |f|^2 / 2 and the run stops after one step."""
     rng = np.random.default_rng(seed)
     fs = np.stack([_field_case(model, rng, case) for case in FIELD_CASES])
@@ -555,7 +557,7 @@ def test_lanczos_field_norm_equals_dense_svd(model, seed):
     assert (residual <= LANCZOS_CERTIFICATE).all()
     assert one_step.tolist() == [False, False, False, True]
     for f, norm in zip(fs, field_norms(model, fs, rng)):
-        dense = float(np.linalg.norm(field_B(model, f).matrix, 2))
+        dense = float(np.linalg.norm(field_B(model, f), 2))
         assert abs(norm - dense) <= 1e-13 * dense
 
 
@@ -566,7 +568,7 @@ def test_lanczos_field_norms_across_batches_equal_dense_svd():
     fs = np.stack([_field_case(model, rng, FIELD_CASES[b % 4]) for b in range(count)])
     fs[5] = 0.0
     norms = field_norms(model, fs, rng)
-    dense = np.array([np.linalg.norm(field_B(model, f).matrix, 2) for f in fs])
+    dense = np.array([np.linalg.norm(field_B(model, f), 2) for f in fs])
     assert norms[5] == 0.0
     assert np.max(np.abs(norms - dense)) <= 1e-13 * np.max(dense)
     with pytest.raises(ValueError, match="rows of 8 components"):
@@ -574,139 +576,17 @@ def test_lanczos_field_norms_across_batches_equal_dense_svd():
 
 
 def test_lanczos_field_norm_of_a_non_finite_field_is_nan():
+    """A NaN entry, and an f near 1e200 whose B(f)^* B(f) overflows, both fail
+    the certificate and get NaN; the finite row keeps its exact norm."""
     model = default_model()
     rng = np.random.default_rng(38)
     fs = _random_matrix(rng, model.doubled_dim)[:3]
     fs[1, 2] = np.nan
-    fs[2, 0] = 1e200         # B(f)^* B(f) overflows: the fallback takes the exact norm
+    fs[2, 0] = 1e200
     with np.errstate(all="raise"):
         norms = field_norms(model, fs, rng)
-    assert np.isnan(norms[1]) and np.isfinite(norms[[0, 2]]).all()
-    assert abs(norms[2] - np.linalg.norm(field_B(model, fs[2]).matrix, 2)) <= 1e-13 * norms[2]
-
-
-def _two_mask_matrix(model, rng) -> np.ndarray:
-    """A matrix on two masks of different parity, one bit and two bits: neither
-    single-mask nor parity-homogeneous."""
-    d = model.dim
-    a, b = rng.choice(model.n_modes, size=2, replace=False)
-    cols = np.arange(d)
-    m = np.zeros((d, d), dtype=complex)
-    for mask in (1 << int(a), (1 << int(a)) | (1 << int(b))):
-        m[cols ^ mask, cols] = _random_vector(rng, d)
-    return m
-
-
-def _single_mode_field(model, rng) -> np.ndarray:
-    """B(f) for f on one mode, both copies."""
-    n, j = model.n_modes, int(rng.integers(model.n_modes))
-    f = np.zeros(model.doubled_dim, dtype=complex)
-    f[[j, n + j]] = _random_vector(rng, 2)
-    return field_B(model, f).matrix
-
-
-def _oracle_residual(model, rng) -> np.ndarray:
-    """warp_oscillatory(spinor) - warp(spinor) for a spinor on one mode, as the
-    oracle checks take it."""
-    f_minus = np.zeros(model.n_modes, dtype=complex)
-    f_minus[int(rng.integers(model.n_modes))] = _random_vector(rng, 1)[0]
-    op = spinor(model, f_minus)
-    kappa, eps = rng.uniform(-1.0, 1.0), 10.0 ** rng.uniform(-3.0, -1.0)
-    return (dense_warp_oscillatory(model, kappa, op, eps).matrix
-            - warp(model, kappa, op).matrix)
-
-
-def _unit_anticommutator(model, f, g) -> np.ndarray:
-    """{B(f), B(g)} as the sum of f_a g_b {B(e_a), B(e_b)} over dense unit fields.
-
-    The unit fields have entries +-1, and two on different modes anticommute,
-    so every cross-mode term is exactly 0 and the sum is exactly diagonal.
-    """
-    units = [field_B(model, e).matrix for e in np.eye(model.doubled_dim)]
-    out = np.zeros((model.dim, model.dim), dtype=complex)
-    for (a, wa), (b, wb) in itertools.product(enumerate(units), repeat=2):
-        out += f[a] * g[b] * (wa @ wb + wb @ wa)
-    return out
-
-
-def _norm_cases(model, rng) -> dict[str, np.ndarray]:
-    """Matrices with the charge and mask structures the checks take norms of."""
-    d, n = model.dim, model.n_modes
-    f, g = (rng.standard_normal(model.doubled_dim) + 1j * rng.standard_normal(model.doubled_dim)
-            for _ in range(2))
-    bf, bg = field_B(model, f), field_B(model, g)
-    anti = (bf @ bg + bg @ bf).matrix
-    full = FockOperator(_random_matrix(rng, d), model)
-    one = np.zeros((d, d), dtype=complex)
-    one[rng.integers(d), rng.integers(d)] = rng.standard_normal() + 1j
-    j, k = rng.choice(n, size=2, replace=False)
-    return {
-        "field": bf.matrix,
-        "product": (bf @ bg).matrix,
-        "anticommutator": anti,
-        "car-residual": anti - np.vdot(model.apply_conjugation(f), g) * np.eye(d),
-        "structured-car-residual": (_unit_anticommutator(model, f, g)
-                                    - np.vdot(model.apply_conjugation(f), g) * np.eye(d)),
-        "diagonal": np.diag(_random_vector(rng, d)),
-        "gauge-invariant": full.charge_shift(0),
-        "charge-shift": full.charge_shift(int(rng.integers(-n, n + 1))),
-        "dense": full.matrix,
-        "one-entry": one,
-        "zero": np.zeros((d, d), dtype=complex),
-        "mover": dense(_ladder(model, int(j), True) @ _ladder(model, int(k), False)),
-        "one-mode-field": _single_mode_field(model, rng),
-        "oracle-residual": _oracle_residual(model, rng),
-        "two-mask": _two_mask_matrix(model, rng),
-    }
-
-
-NORM_CASES = st.sampled_from(["field", "product", "anticommutator", "car-residual",
-                              "structured-car-residual", "diagonal", "gauge-invariant",
-                              "charge-shift", "dense", "one-entry", "zero", "mover",
-                              "one-mode-field", "oracle-residual", "two-mask"])
-
-
-@PROPERTY
-@given(models(), SEEDS, NORM_CASES)
-def test_charge_block_norm_equals_full_svd_norm(model, seed, case):
-    m = _norm_cases(model, np.random.default_rng(seed))[case]
-    full = float(np.linalg.norm(m, 2))
-    assert abs(operator_norm(model, m) - full) <= 1e-13 * full
-
-
-@PROPERTY
-@given(models(), SEEDS, NORM_CASES,
-       st.sampled_from([np.nan, np.inf, -np.inf, complex(0.0, np.inf), complex(np.nan, 1.0)]))
-def test_non_finite_entry_gives_nan_norm(model, seed, case, bad):
-    rng = np.random.default_rng(seed)
-    m = _norm_cases(model, rng)[case]
-    m[rng.integers(model.dim), rng.integers(model.dim)] = bad
-    assert np.isnan(operator_norm(model, m))
-    assert np.isnan(FockOperator(m, model).norm())
-
-
-def _recorded_svd_shapes(model, m) -> list[tuple[int, ...]]:
-    """Shapes of the arrays operator_norm(model, m) passes to np.linalg.svd."""
-    shapes, svd = [], np.linalg.svd
-
-    def recording(a, *args, **kwargs):
-        shapes.append(a.shape)
-        return svd(a, *args, **kwargs)
-
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(np.linalg, "svd", recording)
-        operator_norm(model, m)
-    return shapes
-
-
-def test_dense_operator_takes_one_svd_and_zero_takes_none():
-    model = default_model()
-    rng = np.random.default_rng(3)
-    m = _random_matrix(rng, model.dim)
-    assert _recorded_svd_shapes(model, m) == [(model.dim, model.dim)]
-    assert _recorded_svd_shapes(model, _two_mask_matrix(model, rng)) == [(model.dim, model.dim)]
-    assert _recorded_svd_shapes(model, np.zeros_like(m)) == []
-    assert operator_norm(model, np.zeros_like(m)) == 0.0
+    assert np.isnan(norms[[1, 2]]).all()
+    assert abs(norms[0] - np.linalg.norm(field_B(model, fs[0]), 2)) <= 1e-13 * norms[0]
 
 
 @PROPERTY
@@ -736,6 +616,26 @@ def test_dense_warp_is_bit_identical(model, kappas, seed):
         assert warp(model, kappa, op).matrix.tobytes() == (op_matrix * expected).tobytes()
 
 
+@PROPERTY
+@given(models(), SEEDS, KAPPAS)
+def test_warp_angles_equal_the_dense_angle_matrix_at_every_entry(model, seed, kappa):
+    """warp_angles at random entries, at a word's entries and on a charge sector
+    block equals the dense angle matrix gathered there, and the word warp
+    equals the dense warp at the word's entries bit for bit."""
+    rng = np.random.default_rng(seed)
+    full, d = angle_matrix(model), model.dim
+    rows, cols = rng.integers(d, size=(2, 20))
+    assert np.array_equal(warp_angles(model, rows, cols), full[rows, cols])
+    word = MaskWord(int(rng.integers(d)), _random_vector(rng, d))
+    assert np.array_equal(warp_angles(model, word.rows(), slice(None)),
+                          full[word.rows(), np.arange(d)])
+    s = np.nonzero(model.charges == rng.choice(model.charges))[0]
+    assert np.array_equal(warp_angles(model, *np.ix_(s, s)), full[np.ix_(s, s)])
+    dense_warp = warp(model, kappa, FockOperator(dense(word), model)).matrix
+    assert (warp_word(model, kappa, word).vec.tobytes()
+            == dense_warp[word.rows(), np.arange(d)].tobytes())
+
+
 def _assert_frozen(a: np.ndarray):
     assert not a.flags.writeable
     with pytest.raises(ValueError):
@@ -760,8 +660,6 @@ def test_per_model_caches_are_read_only():
     with pytest.raises(ValueError, match="unknown wedge tag"):
         wedge_generators(model, "rotated")
     _assert_frozen(model.conjugation_matrix())
-    assert angle_matrix(model) is angle_matrix(model)
-    _assert_frozen(angle_matrix(model))
     for table in reflection_table(model):
         _assert_frozen(table)
     for table in _mode_flips(model.n_modes):

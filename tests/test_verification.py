@@ -6,10 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dswarp import car_fock, cli, deformation, verification
-from dswarp.car_fock import (FockOperator, MaskWord, OneParticleModel, boost_phases,
-                             charge_projector, default_model, field_B, gauge_phases,
-                             twist_phases, wedge_generators, wedge_subalgebra_basis)
-from dswarp.deformation import warp, warp_word
+from dswarp.car_fock import (MaskWord, OneParticleModel, boost_phases, charge_projector,
+                             default_model, field_B, gauge_phases, twist_phases,
+                             wedge_generators, wedge_subalgebra_basis)
+from dswarp.deformation import warp_angles, warp_word
 from dswarp.verification import (SPAN_SVD_TOL, CheckReport, causal_borchers_axioms,
                                  check_twisted_locality, fixed_point_residual,
                                  inequivalence_witness, net_well_defined_residual,
@@ -17,6 +17,7 @@ from dswarp.verification import (SPAN_SVD_TOL, CheckReport, causal_borchers_axio
                                  suite_deformation, wedge_monomials)
 from test_fock_properties import (conjugate_by_diagonal, dense, dense_fixed_point_residual,
                                   dense_op, identity_op, jordan_wigner_ops)
+from dense_reference import FockOperator, warp
 
 MODEL = default_model()
 
@@ -27,7 +28,7 @@ MODEL = default_model()
 # against.
 
 def dense_generators(model: OneParticleModel, tag: str) -> list[np.ndarray]:
-    return [field_B(model, f).matrix for f in wedge_subalgebra_basis(model, tag)]
+    return [field_B(model, f) for f in wedge_subalgebra_basis(model, tag)]
 
 
 def dense_monomials(model: OneParticleModel, tag: str, degree: int) -> list[np.ndarray]:
@@ -302,17 +303,39 @@ def test_car_anticommutators_build_no_fock_size_array():
 
 def test_cstar_norm_formula_fails_without_jordan_wigner_signs(monkeypatch):
     """Unsigned modes commute, so B(f)^* B(f) has more than two eigenvalues: the
-    Lanczos certificate rejects every field, and the exact fallback norm
-    misses the CAR formula."""
+    Lanczos certificate rejects every field, every norm is NaN, and the check
+    fails with a null residual, with no dense field built."""
     mode, src, dst, _ = car_fock._mode_flips(4)
     unsigned = (mode, src, dst, np.ones(len(mode)))
     monkeypatch.setattr(car_fock, "_mode_flips", lambda n: unsigned)
-    built, build = [], car_fock.field_B
-    monkeypatch.setattr(car_fock, "field_B", lambda model, f: built.append(1) or build(model, f))
-    check = _car_checks(default_model())["cstar-norm-formula"]      # a fresh model
-    assert len(built) == 200
-    assert check.max_residual > 1e-2
-    assert not check.passed
+    counts = _count_calls(monkeypatch, [("field_B", car_fock, "field_B")])
+    check = _car_checks(default_model())["cstar-norm-formula"].as_dict()   # a fresh model
+    assert counts == {"field_B": 0}
+    assert check["max_residual"] is None
+    assert check["pass"] is False
+
+
+def test_one_uncertified_field_norm_fails_cstar_norm_formula(monkeypatch):
+    """A single field whose Lanczos run misses the certificate gets the norm
+    NaN, so the check fails with a null residual instead of passing on the
+    other 199."""
+    lanczos, batches = car_fock._lanczos, []
+
+    def one_uncertified(model, fs, starts):      # the first row of the first batch
+        ritz, residual, one_step = lanczos(model, fs, starts)
+        if not batches:
+            residual[0] = 10.0 * car_fock.LANCZOS_CERTIFICATE
+        batches.append(len(fs))
+        return ritz, residual, one_step
+
+    norms, field_norms = [], car_fock.field_norms
+    monkeypatch.setattr(car_fock, "_lanczos", one_uncertified)
+    monkeypatch.setattr(verification, "field_norms",
+                        lambda *args: norms.append(field_norms(*args)) or norms[-1])
+    check = _car_checks(default_model())["cstar-norm-formula"].as_dict()
+    assert np.isnan(norms[0]).sum() == 1
+    assert check["max_residual"] is None
+    assert check["pass"] is False
 
 
 def _count_calls(monkeypatch, targets) -> dict[str, int]:
@@ -345,38 +368,54 @@ def _record_svd_shapes(monkeypatch) -> list[tuple[int, ...]]:
 @pytest.mark.parametrize("model", [default_model(), OneParticleModel(
     4, 3, [1.0, -1.0, 2.0, -2.0], [1.0, -1.0, 0.0], [0, 2, 4])], ids=["dim16", "dim128"])
 def test_car_suite_builds_no_dense_field_product_or_fock_size_svd(monkeypatch, model):
-    """The Bogolyubov check works on number blocks: no dense field, no dense
-    product, and its SVDs are of the k -> k-1 blocks, one batch per k over the
-    two parts and the six draws.  The other checks take no SVD."""
-    counts = _count_calls(monkeypatch, [("matmul", FockOperator, "__matmul__"),
-                                        ("field_B", car_fock, "field_B"),
-                                        ("operator_norm", car_fock, "operator_norm")])
+    """The Bogolyubov check works on number blocks: no dense field, and its
+    SVDs are of the k -> k-1 blocks, one batch per k over the two parts and
+    the six draws.  The other checks take no SVD."""
+    counts = _count_calls(monkeypatch, [("field_B", car_fock, "field_B")])
     shapes = _record_svd_shapes(monkeypatch)
     assert all(c.passed for c in _car_checks(model).values())
-    assert counts == {"matmul": 0, "field_B": 0, "operator_norm": 0}
+    assert counts == {"field_B": 0}
     sizes = [len(states) for states in car_fock.number_states(model)]
     assert shapes == [(2, 6, a, b) for a, b in zip(sizes, sizes[1:])]
 
 
-def _assert_verify_builds_no_fock_operator(monkeypatch, cfg: dict):
-    """The verify of cfg passes, constructs no FockOperator, makes no
-    operator_norm call and takes no SVD of a d x d or d/2 x d/2 array."""
+def _cached_arrays(value):
+    """The arrays a per-model cache value holds: itself, its items, or the
+    vectors of its mask words."""
+    if isinstance(value, np.ndarray):
+        yield value
+    elif isinstance(value, MaskWord):
+        yield value.vec
+    elif isinstance(value, (tuple, list)):
+        for item in value:
+            yield from _cached_arrays(item)
+
+
+def _assert_no_fock_size_cache(model: OneParticleModel):
+    """No value of the model's cache holds an array of d^2 or more entries."""
+    cached = [a.size for value in model._cache.values() for a in _cached_arrays(value)]
+    assert max(cached, default=0) < model.dim ** 2
+
+
+def _assert_verify_builds_no_fock_size_array(monkeypatch, cfg: dict):
+    """The verify of cfg passes, builds no dense field, takes no SVD of a d x d
+    or d/2 x d/2 array, and leaves no Fock-size array in the model's cache."""
     model = cli.model_from_config(cfg)
-    counts = _count_calls(monkeypatch, [("FockOperator", FockOperator, "__post_init__"),
-                                        ("operator_norm", car_fock, "operator_norm")])
+    counts = _count_calls(monkeypatch, [("field_B", car_fock, "field_B")])
     shapes = _record_svd_shapes(monkeypatch)
     checks, _ = verification.run_suites(model, cfg)
     assert list(checks) == cfg["suites"]
     assert all(c.passed for suite in checks.values() for c in suite)
-    assert counts == {"FockOperator": 0, "operator_norm": 0}
+    assert counts == {"field_B": 0}
     d = model.dim
     assert shapes and not [s for s in shapes if s[-2:] in ((d, d), (d // 2, d // 2))]
+    _assert_no_fock_size_cache(model)
 
 
 def test_full_verify_takes_no_dense_product_and_no_fock_size_svd(monkeypatch):
     """Every single-mode operator of a default verify stays a mask word: the
     oracle's spinor, E(1) and the fixed-point mover included."""
-    _assert_verify_builds_no_fock_operator(monkeypatch, cli.load_config(None))
+    _assert_verify_builds_no_fock_size_array(monkeypatch, cli.load_config(None))
 
 
 def test_fock128_verify_takes_no_dense_product_and_no_fock_size_svd(monkeypatch):
@@ -389,7 +428,28 @@ def test_fock128_verify_takes_no_dense_product_and_no_fock_size_svd(monkeypatch)
                          "reflection_pairing": [1, 0, 3, 2, 5, 4, 6]})
     cfg["suites"] = ["car", "deformation", "oracle", "locality", "fixed_point",
                      "inequivalence"]
-    _assert_verify_builds_no_fock_operator(monkeypatch, cfg)
+    _assert_verify_builds_no_fock_size_array(monkeypatch, cfg)
+
+
+def test_dim1024_oracle_run_caches_no_fock_size_array(monkeypatch):
+    """The oracle suite on the 6+4-mode model (dim 1024) builds no dense field,
+    takes no SVD, and keeps no Fock-size array: the warp takes its angles at
+    the word's entries.  Its verdicts are not asserted, since at this
+    dimension the fixed eps grid ends above the oracle's gate."""
+    cfg = cli.load_config(None)
+    cfg["model"].update({"d_plus": 6, "d_minus": 4,
+                         "boost_freqs_plus": [1.0, -1.0, 2.0, -2.0, 3.0, -3.0],
+                         "boost_freqs_minus": [1.0, -1.0, 2.0, -2.0],
+                         "localized_modes": [0, 2, 4, 6, 8],
+                         "reflection_pairing": [1, 0, 3, 2, 5, 4, 7, 6, 9, 8]})
+    cfg["suites"] = ["oracle"]
+    model = cli.model_from_config(cfg)
+    counts = _count_calls(monkeypatch, [("field_B", car_fock, "field_B")])
+    shapes = _record_svd_shapes(monkeypatch)
+    checks, _ = verification.run_suites(model, cfg)
+    assert len(checks["oracle"]) == 4
+    assert counts == {"field_B": 0} and shapes == []
+    _assert_no_fock_size_cache(model)
 
 
 def test_gamma_of_the_transpose_fails_bogolyubov_implementation(monkeypatch):
@@ -423,10 +483,13 @@ def _fixed_point_checks(model: OneParticleModel) -> dict[str, CheckReport]:
 def test_sector_norms_give_nan_for_a_sector_with_a_nan_entry(monkeypatch):
     """A NaN warp angle at one entry of the charge-1 sector makes the
     derivative-commutator residual NaN: the check fails and reports null."""
-    angle = deformation.angle_matrix(MODEL).copy()
     state = int(np.nonzero(MODEL.charges == 1)[0][0])
-    angle[state, state] = np.nan
-    monkeypatch.setattr(verification, "angle_matrix", lambda model: angle)
+
+    def angles(model, rows, cols):
+        return np.where((rows == state) & (cols == state), np.nan,
+                        warp_angles(model, rows, cols))
+
+    monkeypatch.setattr(verification, "warp_angles", angles)
     check = _fixed_point_checks(MODEL)["derivative-commutator-equivalence"].as_dict()
     assert check["max_residual"] is None
     assert check["pass"] is False
@@ -437,11 +500,17 @@ def test_sector_norms_give_nan_for_a_sector_with_a_nan_entry(monkeypatch):
 def test_fixed_point_loop_draws_sector_blocks_and_takes_no_dense_warp(monkeypatch, model):
     """The suite decides its statement at the sector entries: it draws nothing
     from its generator, and E(1) and the mover are mask words, so it builds no
-    dense operator and takes no dense warp."""
-    counts = _count_calls(monkeypatch, [("warp", deformation, "warp"),
-                                        ("FockOperator", FockOperator, "__post_init__")])
+    dense field and takes every warp angle at sector or word entries, never
+    a d x d block of them."""
+    sizes = []
+    for module in (deformation, verification):
+        monkeypatch.setattr(module, "warp_angles",
+                            lambda m, rows, cols: sizes.append(np.broadcast(rows, cols).size)
+                            or warp_angles(m, rows, cols))
+    counts = _count_calls(monkeypatch, [("field_B", car_fock, "field_B")])
     assert all(c.passed for c in _fixed_point_checks(model).values())
-    assert counts == {"warp": 0, "FockOperator": 0}
+    assert counts == {"field_B": 0}
+    assert sizes and max(sizes) < model.dim ** 2
 
 
 @pytest.mark.parametrize("model", [default_model(), OneParticleModel(
@@ -581,22 +650,22 @@ def test_deformation_suite_passes_on_the_default_model():
 
 
 def test_deformation_suite_makes_no_dense_product_norm_or_svd(monkeypatch):
-    """Every residual of the suite is a mask word's largest absolute entry."""
-    counts = _count_calls(monkeypatch, [("matmul", FockOperator, "__matmul__"),
-                                        ("dist", FockOperator, "dist"),
-                                        ("norm", FockOperator, "norm"),
+    """Every residual of the suite is a mask word's largest absolute entry: no
+    dense field is built and no SVD is taken."""
+    counts = _count_calls(monkeypatch, [("field_B", car_fock, "field_B"),
                                         ("svd", np.linalg, "svd")])
     assert not _failed(_deformation_checks(default_model()))
-    assert counts == {"matmul": 0, "dist": 0, "norm": 0, "svd": 0}
+    assert counts == {"field_B": 0, "svd": 0}
 
 
 def test_antisymmetric_angle_perturbation_fails_the_deformation_suite(monkeypatch):
-    """A phase exp(i kappa M) with M real antisymmetric but not the angle matrix."""
+    """A phase exp(i kappa M) with M real antisymmetric but not the warp angles."""
     model = default_model()
     rng = np.random.default_rng(81)
     a = rng.standard_normal((model.dim, model.dim))
-    angle = deformation.angle_matrix
-    monkeypatch.setattr(deformation, "angle_matrix", lambda m: angle(m) + (a - a.T))
+    extra = a - a.T
+    monkeypatch.setattr(deformation, "warp_angles", lambda m, rows, cols: warp_angles(
+        m, rows, cols) + extra[rows, np.arange(m.dim)[cols]])
     failed = _failed(_deformation_checks(model))
     assert {"vacuum-invariance", "deformed-twisted-commutant",
             "covariance-identities"} <= failed
