@@ -71,6 +71,14 @@ largest absolute entry.  The wedge generators on the W0 and W0p bases are
 such fields, and so are the 2n unit fields field_word(e_a) whose
 anticommutators the car suite checks.
 
+A MaskWord may also be a stack of m words, mask of shape (m,) and vec of
+shape (m, d): rows() is arange(d) ^ mask[..., None], products and adjoints
+gather each row by its own rows (np.take_along_axis), and the norm is the
+largest absolute entry of each row.  Every entry is the same elementwise
+float operation as for the row's word alone, so a stack gives its rows'
+results bit for bit, and the suites check their random draws as one stack
+per kappa.
+
 Implementers
 ------------
 The reflection, the rotation and the Bogolyubov maps are number-conserving
@@ -109,7 +117,8 @@ The reflection is such a permutation, so Gamma(tau) is a signed permutation
 of the basis states, and reflection_table builds it from the occupation bits
 alone: state S goes to tau(S), with the sign (-1)^(pairs a < b in S with
 tau(a) > tau(b)) of that minor.  tau permutes bits, so it maps a mask word's
-mask S to tau(S), and reflect_word conjugates a mask word in O(d).
+mask S to tau(S), and reflect_word conjugates a mask word (or each row of
+a stack) in O(d).
 reflection_automorphism computes the same conjugate from the algebra side,
 B(f) -> B(tau f), with no use of those signs; the deformation suite's
 reflection covariance puts one on each side.
@@ -369,47 +378,70 @@ def default_model(seed: int = 7) -> OneParticleModel:
 
 # -- operators --------------------------------------------------------------
 
+def _gather(vec: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """out[..., k] = vec[..., rows[..., k]]: each row of a stack gathered by its
+    own rows; a single vector, or a single row of indices, serves every row."""
+    if vec.ndim == 1:
+        return vec[rows]
+    return np.take_along_axis(vec, np.atleast_2d(rows), axis=-1)
+
+
 @dataclass(frozen=True)
 class MaskWord:
     """The operator M with M[i ^ mask, i] = vec[i] and zeros elsewhere (D P_S).
 
     Products, adjoints and diagonal conjugations stay in this form; the
     operator norm is max |vec|, since M is a permutation times a diagonal.
+
+    A stack of m words has mask of shape (m,) and vec of shape (m, d), row b
+    the word (mask[b], vec[b]); a single word has an int mask and a vector.
+    Every operation acts row by row, gathering with np.take_along_axis, and
+    a single word broadcasts against a stack, so each entry is computed as
+    for the word on its own.
     """
 
-    mask: int
+    mask: int | np.ndarray
     vec: np.ndarray
 
+    @classmethod
+    def stack(cls, words) -> "MaskWord":
+        """The words as one stack, in order."""
+        return cls(np.array([w.mask for w in words]), np.stack([w.vec for w in words]))
+
+    def __getitem__(self, index) -> "MaskWord":
+        """Row index of a stack as a word, or the rows of an index array as a
+        stack; iterating a stack yields its words."""
+        return MaskWord(self.mask[index], self.vec[index])
+
     def rows(self) -> np.ndarray:
-        """Row index i ^ mask of each entry vec[i]."""
-        return np.arange(len(self.vec)) ^ self.mask
+        """Row index i ^ mask of each entry vec[i], per row of a stack."""
+        return np.arange(self.vec.shape[-1]) ^ np.asarray(self.mask)[..., None]
 
     def __matmul__(self, other: "MaskWord") -> "MaskWord":
-        return MaskWord(self.mask ^ other.mask, self.vec[other.rows()] * other.vec)
+        return MaskWord(self.mask ^ other.mask, _gather(self.vec, other.rows()) * other.vec)
 
     def __sub__(self, other: "MaskWord") -> "MaskWord":
-        if other.mask != self.mask:
+        if np.any(other.mask != self.mask):
             raise ValueError(f"masks {self.mask} and {other.mask} differ: "
                              "the difference is not a single-mask word")
         return MaskWord(self.mask, self.vec - other.vec)
 
     @property
     def H(self) -> "MaskWord":
-        return MaskWord(self.mask, np.conj(self.vec[self.rows()]))
+        return MaskWord(self.mask, np.conj(_gather(self.vec, self.rows())))
 
     def conjugated_by(self, u: np.ndarray) -> "MaskWord":
         """u M u^* for the diagonal unitary with diagonal u."""
         return MaskWord(self.mask, u[self.rows()] * self.vec * u.conj())
 
     def apply(self, v: np.ndarray) -> np.ndarray:
-        """M v: entry i of v times vec[i], moved to row i ^ mask."""
-        out = np.zeros(len(self.vec), dtype=np.result_type(self.vec, v))
-        out[self.rows()] = self.vec * v
-        return out
+        """M v: entry i of v times vec[i], moved to row i ^ mask.  The XOR is an
+        involution, so that is the product gathered by the rows."""
+        return _gather(self.vec * v, self.rows())
 
-    def norm(self) -> float:
-        """Operator norm: the largest absolute entry."""
-        return float(np.max(np.abs(self.vec)))
+    def norm(self) -> float | np.ndarray:
+        """Operator norm: the largest absolute entry, per row of a stack."""
+        return np.max(np.abs(self.vec), axis=-1)
 
 
 def _field_vector(model: OneParticleModel, f) -> np.ndarray:
@@ -619,15 +651,15 @@ def reflection_table(model: OneParticleModel) -> tuple[np.ndarray, np.ndarray]:
 
 
 def reflect_word(model: OneParticleModel, word: MaskWord) -> MaskWord:
-    """Gamma(tau) M Gamma(tau)^* by the reflection table, in O(d).
+    """Gamma(tau) M Gamma(tau)^* by the reflection table, in O(d) per row.
 
     tau permutes the occupation bits, so perm is linear in XOR and the mask
     S goes to perm[S].
     """
     perm, sign = reflection_table(model)
     vec = np.empty_like(word.vec)
-    vec[perm] = sign[word.rows()] * sign * word.vec
-    return MaskWord(int(perm[word.mask]), vec)
+    vec[..., perm] = sign[word.rows()] * sign * word.vec
+    return MaskWord(perm[word.mask], vec)
 
 
 def _majorana_words(model: OneParticleModel) -> tuple[MaskWord, ...]:
@@ -651,17 +683,23 @@ def reflection_automorphism(model: OneParticleModel, word: MaskWord) -> MaskWord
     j of M's mask in ascending order; U has entries +-1, so x = U.vec M.vec.
     alpha_tau maps U to the product of the u_tau(j) in the same order, and the
     occupation projector of state i to that of perm[i], so diag(x) goes to
-    diag(y) with y[perm[i]] = x[i].
+    diag(y) with y[perm[i]] = x[i].  Each row of a stack tests its own mask
+    bits: a row without mode j takes the identity in place of u_j, and
+    multiplying by entries 1 and +-1 is exact either way.
     """
     perm, _ = reflection_table(model)
     n, tau = model.n_modes, model.reflection_pairing
     majorana = _majorana_words(model)
+
+    def factor(u: MaskWord, bit) -> MaskWord:       # u where bit is 1, else 1
+        return MaskWord(u.mask * bit, np.where(np.asarray(bit)[..., None] == 1, u.vec, 1.0))
+
     string = image = MaskWord(0, np.ones(model.dim))
     for j in range(n):
-        if word.mask >> (n - 1 - j) & 1:
-            string, image = string @ majorana[j], image @ majorana[tau[j]]
+        bit = word.mask >> (n - 1 - j) & 1
+        string, image = string @ factor(majorana[j], bit), image @ factor(majorana[tau[j]], bit)
     y = np.empty_like(word.vec)
-    y[perm] = string.vec.real * word.vec
+    y[..., perm] = string.vec.real * word.vec
     return image @ MaskWord(0, y)
 
 
@@ -772,36 +810,51 @@ def _permutation_sign(perm: list[int]) -> int:
     return sign
 
 
-def quasifree_npoint(model: OneParticleModel, s: np.ndarray, fs) -> complex:
+def _field_draws(model: OneParticleModel, fs) -> tuple[np.ndarray, bool]:
+    """(draws, single): fs as an (m, k, 2n) stack of m draws of k doubled-space
+    vectors, and whether fs was one sequence of k vectors (an empty sequence
+    is one draw of length 0).  Any other shape is refused."""
+    fs = np.asarray(fs, dtype=complex)
+    if fs.size == 0 and fs.ndim == 1:
+        fs = fs.reshape(0, model.doubled_dim)
+    if fs.ndim not in (2, 3) or fs.shape[-1] != model.doubled_dim:
+        raise ValueError(f"field vectors must have {model.doubled_dim} components, "
+                         f"got shape {fs.shape}")
+    single = fs.ndim == 2
+    return (fs[None] if single else fs), single
+
+
+def quasifree_npoint(model: OneParticleModel, s: np.ndarray, fs) -> complex | np.ndarray:
     """n-point function of the quasifree state with two-point operator S.
 
-    Odd length gives 0; even length 2n is the signed sum over the restricted
+    fs is a sequence of k doubled-space vectors, or an (m, k, 2n) stack of m
+    such draws, with one value per draw; S is validated once per call.  Odd
+    length gives 0; even length 2n is the signed sum over the restricted
     permutations (equivalently perfect matchings) of products of two-point
     values <Cf_a, S f_b>, with the overall (-1)^{n(n-1)/2} prefactor.
     """
     s = validate_quasifree(model, s)
-    vectors = [np.asarray(f, dtype=complex) for f in fs]
-    k = len(vectors)
+    draws, single = _field_draws(model, fs)
+    k = draws.shape[1]
+    values = np.zeros(len(draws), dtype=complex)
     if k % 2 == 1:
-        return 0.0 + 0.0j
-    if k == 0:
-        return 1.0 + 0.0j
+        return values[0] if single else values
     half = k // 2
-    pair_value = np.empty((k, k), dtype=complex)
-    for a in range(k):
-        ca = model.apply_conjugation(vectors[a])
-        for b in range(k):
-            pair_value[a, b] = np.vdot(ca, s @ vectors[b])
     prefactor = (-1.0) ** (half * (half - 1) // 2)
-    total = 0.0 + 0.0j
-    for pairs in _matchings(list(range(k))):
-        one_line = [p[0] for p in pairs] + [p[1] for p in pairs]
-        sign = _permutation_sign(one_line)
-        term = 1.0 + 0.0j
-        for a, b in pairs:
-            term *= pair_value[a, b]
-        total += sign * term
-    return prefactor * total
+    matchings = [(_permutation_sign([p[0] for p in pairs] + [p[1] for p in pairs]), pairs)
+                 for pairs in _matchings(list(range(k)))]
+    for i, vectors in enumerate(draws):
+        images = [s @ f for f in vectors]
+        pair_value = np.array([[np.vdot(ca, sf) for sf in images]
+                               for ca in model.apply_conjugation(vectors)])
+        total = 0.0 + 0.0j
+        for sign, pairs in matchings:
+            term = 1.0 + 0.0j
+            for a, b in pairs:
+                term *= pair_value[a, b]
+            total += sign * term
+        values[i] = prefactor * total
+    return values[0] if single else values
 
 
 def _apply_fields(model: OneParticleModel, fs: np.ndarray, vecs: np.ndarray) -> np.ndarray:
@@ -818,14 +871,18 @@ def _apply_fields(model: OneParticleModel, fs: np.ndarray, vecs: np.ndarray) -> 
     return terms.sum(axis=1)
 
 
-def fock_npoint(model: OneParticleModel, fs) -> complex:
+def fock_npoint(model: OneParticleModel, fs) -> complex | np.ndarray:
     """Vacuum expectation <Omega, B(f_1)...B(f_k) Omega>, each B(f) applied to
-    the vector by _apply_fields, with no field matrix."""
+    the vector by _apply_fields, with no field matrix.  fs is a sequence of k
+    doubled-space vectors, or an (m, k, 2n) stack of m draws, which go
+    through _apply_fields as one batch, with one value per draw."""
+    draws, single = _field_draws(model, fs)
     omega = model.vacuum()
-    vec = omega[None, :]
-    for f in reversed(list(fs)):
-        vec = _apply_fields(model, _field_vector(model, f)[None, :], vec)
-    return complex(np.vdot(omega, vec[0]))
+    vecs = np.broadcast_to(omega, (len(draws), model.dim))
+    for j in reversed(range(draws.shape[1])):
+        vecs = _apply_fields(model, draws[:, j], vecs)
+    values = vecs @ omega.conj()
+    return values[0] if single else values
 
 
 def _lanczos(model: OneParticleModel, fs: np.ndarray,

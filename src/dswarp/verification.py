@@ -27,7 +27,14 @@ identity it checks is multilinear, and one word tests d matrix entries at
 once.  Warp, adjoint, product, Rieffel product, inverse, vacuum action,
 boost and gauge conjugation and the reflection (a signed permutation of the
 basis states) all keep the form, so every residual is a word's largest
-absolute entry, exact for a monomial, and no SVD is taken.
+absolute entry, exact for a monomial, and no SVD is taken.  The draws of
+each kappa are checked as one stack of words (car_fock, "Mask words"): the
+12 triples of the identities, the commutant and twisted pairs and the
+covariance words, in the order the generator gives them, and so are the
+samples of each twisted-locality check and the wedge monomials of the
+locality suite.  Each row is computed as its word alone would be, so the
+residuals are those of a word-by-word loop; the span code (span_basis,
+span_residual) still takes the words one by one.
 
 The fixed-point statement is linear in A and holds entry by entry.  For a
 gauge-invariant A, the kappa-derivative of the warp at zero is
@@ -49,7 +56,8 @@ The CAR {B(f), B(g)} = <Cf, g> 1 is bilinear in f and g, so it holds for
 every pair exactly when it holds for the 2n unit vectors.  The car suite
 checks it on the unit words W_a = B(e_a): W_a W_b and W_b W_a both have the
 mask S_a ^ S_b, so each anticommutator is one mask word, <Ce_a, e_b> is
-subtracted on mask 0, and the residual is the largest absolute entry.  The
+subtracted on mask 0, and the residual is the largest absolute entry.  Each
+W_a meets the stack of all 2n unit words in one product.  The
 field norms of cstar-norm-formula come from car_fock.field_norms, certified
 Lanczos runs on the fields' action.
 
@@ -184,6 +192,12 @@ def wedge_monomials(model: OneParticleModel, tag: str, degree: int) -> list[Mask
     return words
 
 
+def _deformed_monomials(model: OneParticleModel, tag: str, kappa: float,
+                        degree: int) -> MaskWord:
+    """The wedge_monomials warped with kappa, as one stack."""
+    return warp_word(model, kappa, MaskWord.stack(wedge_monomials(model, tag, degree)))
+
+
 def random_monomial(model: OneParticleModel, tag: str, degree: int,
                     rng: np.random.Generator) -> MaskWord:
     """A product of 1..degree random wedge generators."""
@@ -207,20 +221,20 @@ def check_twisted_locality(model: OneParticleModel, kappa: float, degree: int = 
     """
     rng = np.random.default_rng(seed)
     kappa_refl = -kappa if flip_kappa else kappa
-    z = twist_phases(model)
-    residuals = []
-    for _ in range(n_samples):
-        f = warp_word(model, kappa, random_monomial(model, "W0", degree, rng))
-        g = warp_word(model, kappa_refl, random_monomial(model, "W0p", degree, rng))
-        residuals.append(_twisted_commutator_norm(f, g, z))
+    draws = [[random_monomial(model, tag, degree, rng) for tag in ("W0", "W0p")]
+             for _ in range(n_samples)]
+    f, g = (MaskWord.stack(words) for words in zip(*draws))
+    residuals = _twisted_commutator_norm(warp_word(model, kappa, f),
+                                         warp_word(model, kappa_refl, g), twist_phases(model))
     name = "twisted-locality" if flip_kappa else "twisted-locality-negative-control"
     return CheckReport(name, worst(residuals), tolerance,
                        {"kappa": kappa, "degree": degree, "seed": seed,
                         "samples": n_samples, "kappa_flip": flip_kappa})
 
 
-def _twisted_commutator_norm(f: MaskWord, g: MaskWord, z: np.ndarray) -> float:
-    """Norm of the twisted commutator [Z f Z*, g], with Z the diagonal twist z."""
+def _twisted_commutator_norm(f: MaskWord, g: MaskWord, z: np.ndarray) -> float | np.ndarray:
+    """Norm of the twisted commutator [Z f Z*, g], with Z the diagonal twist z;
+    per row for stacks."""
     zf = f.conjugated_by(z)
     return (zf @ g - g @ zf).norm()
 
@@ -380,26 +394,24 @@ def causal_borchers_axioms(model: OneParticleModel, kappa: float, degree: int = 
     (conditions on the reflected subspace deliberately violated); axiom b
     must then fail.
     """
-    deformed = [warp_word(model, kappa, w) for w in wedge_monomials(model, "W0", degree)]
-    basis = span_basis(deformed)
+    deformed = _deformed_monomials(model, "W0", kappa, degree)
+    basis = span_basis(list(deformed))
     boosts, gauges = [0.35, -0.8], [0.7, 2.1]
-    boost_res = worst(span_residual(basis, [m.conjugated_by(boost_phases(model, t))
-                                            for m in deformed]) for t in boosts)
+    boost_res = worst(span_residual(basis, list(deformed.conjugated_by(boost_phases(model, t))))
+                      for t in boosts)
 
     if break_reflection:
         reflected = deformed
     else:
-        reflected = [warp_word(model, -kappa, w) for w in wedge_monomials(model, "W0p", degree)]
-    z = twist_phases(model)
-    twisted = []
+        reflected = _deformed_monomials(model, "W0p", -kappa, degree)
     rng = np.random.default_rng(seed)
-    for _ in range(24):
-        f = deformed[int(rng.integers(len(deformed)))]
-        g = reflected[int(rng.integers(len(reflected)))]
-        twisted.append(_twisted_commutator_norm(f, g, z))
+    picks = [(int(rng.integers(len(deformed.mask))), int(rng.integers(len(reflected.mask))))
+             for _ in range(24)]
+    f, g = (np.array(rows) for rows in zip(*picks))
+    twisted = _twisted_commutator_norm(deformed[f], reflected[g], twist_phases(model))
 
-    gauge_res = worst(span_residual(basis, [m.conjugated_by(gauge_phases(model, s))
-                                            for m in deformed]) for s in gauges)
+    gauge_res = worst(span_residual(basis, list(deformed.conjugated_by(gauge_phases(model, s))))
+                      for s in gauges)
     meta = {"kappa": kappa, "degree": degree}
     return [
         CheckReport("boost-stabilizer-invariance", boost_res, tolerance, {"t": boosts, **meta}),
@@ -413,27 +425,26 @@ def net_well_defined_residual(model: OneParticleModel, kappa: float,
                               degree: int = 2) -> float:
     """Equal wedges get equal spans: stabilizer conjugates of the deformed
     W0 family against the family itself."""
-    deformed = [warp_word(model, kappa, w) for w in wedge_monomials(model, "W0", degree)]
+    deformed = _deformed_monomials(model, "W0", kappa, degree)
     residuals = []
     for t, s in ((0.4, 0.0), (-0.25, 1.3), (0.0, 2.0)):
         u = boost_phases(model, t) * gauge_phases(model, s)
-        conjugated = [m.conjugated_by(u) for m in deformed]
-        residuals.append(spans_equal_residual(deformed, conjugated))
+        residuals.append(spans_equal_residual(list(deformed), list(deformed.conjugated_by(u))))
     return worst(residuals)
 
 
 # -- suites ---------------------------------------------------------------------
 
 def _random_words(model: OneParticleModel, rng: np.random.Generator,
-                  count: int) -> list[MaskWord]:
-    """At least count mask words with complex Gaussian entries, in random order:
-    mask 0 and every single-mode mask once each, the other masks uniform."""
+                  count: int) -> MaskWord:
+    """A stack of at least count mask words with complex Gaussian entries, in
+    random order: mask 0 and every single-mode mask once each, the other
+    masks uniform."""
     fixed = [0] + [1 << j for j in range(model.n_modes)]
     masks = rng.permutation(np.concatenate(
         [fixed, rng.integers(model.dim, size=max(count - len(fixed), 0))]))
     shape = (len(masks), model.dim)
-    vecs = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    return [MaskWord(int(m), v) for m, v in zip(masks, vecs)]
+    return MaskWord(masks, rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
 
 
 def _random_doubled_vector(model: OneParticleModel, rng: np.random.Generator) -> np.ndarray:
@@ -561,19 +572,25 @@ def suite_wedges(model: OneParticleModel, cfg: dict, rng) -> list[CheckReport]:
     ]
 
 
-def _unit_car_residuals(model: OneParticleModel) -> list[float]:
+def _unit_car_residuals(model: OneParticleModel) -> np.ndarray:
     """Norm of {W_a, W_b} - <Ce_a, e_b> 1 for every ordered pair (a, b) of the
-    2n unit words W_a = B(e_a); see the module docstring."""
+    2n unit words W_a = B(e_a), a-major; see the module docstring.
+
+    Each W_a meets the stack of all 2n unit words at once, so no more than
+    2n words are held at a time.
+    """
     units = np.eye(model.doubled_dim)
-    words = [field_word(model, e) for e in units]
+    stack = MaskWord.stack([field_word(model, e) for e in units])
     pairing = model.apply_conjugation(units).conj()      # <Ce_a, e_b> = conj(Ce_a)_b
     residuals = []
-    for (a, wa), (b, wb) in itertools.product(enumerate(words), repeat=2):
-        anti = (wa @ wb).vec + (wb @ wa).vec        # both on the mask S_a ^ S_b
-        if wa.mask == wb.mask:
-            anti = anti - pairing[a, b]
-        residuals.append(float(np.abs(anti).max()))
-    return residuals
+    for a, wa in enumerate(stack):
+        anti = (wa @ stack).vec                     # row b on the mask S_a ^ S_b
+        anti += (stack @ wa).vec
+        norms = np.abs(anti).max(axis=-1)
+        same = stack.mask == wa.mask                # <Ce_a, e_b> sits on mask 0
+        norms[same] = np.abs(anti[same] - pairing[a, same][:, None]).max(axis=-1)
+        residuals.append(norms)
+    return np.concatenate(residuals)
 
 
 def suite_car(model: OneParticleModel, cfg: dict, rng) -> list[CheckReport]:
@@ -587,12 +604,11 @@ def suite_car(model: OneParticleModel, cfg: dict, rng) -> list[CheckReport]:
 
     s_fock = model.basis_projection()
     quasi = []
-    for length in range(1, 7):
-        for _ in range(12):
-            fs = [_random_doubled_vector(model, rng) / 2.0 for _ in range(length)]
-            lhs = quasifree_npoint(model, s_fock, fs)
-            rhs = fock_npoint(model, fs)
-            quasi.append(abs(lhs - rhs))
+    for length in range(1, 7):       # the 12 draws of one length as one stack
+        fs = np.array([[_random_doubled_vector(model, rng) / 2.0 for _ in range(length)]
+                       for _ in range(12)])
+        # abs per value: numpy's array abs may round a last bit differently
+        quasi.extend(map(abs, quasifree_npoint(model, s_fock, fs) - fock_npoint(model, fs)))
 
     draws = []
     for _ in range(6):
@@ -623,43 +639,40 @@ def suite_deformation(model: OneParticleModel, cfg: dict, rng) -> list[CheckRepo
     """The deformation identities on random mask words (see the module docstring)."""
     tol = cfg["tolerances"]
     kappas = [float(k) for k in cfg["deformation"]["kappa"]]
-    zero = [np.max(np.abs(warp_word(model, 0.0, w).vec - w.vec))
-            for w in _random_words(model, rng, 10)]
+    words = _random_words(model, rng, 10)
+    zero = np.abs(warp_word(model, 0.0, words).vec - words.vec).max(axis=-1)
 
     adjoint, homo, assoc, inverse, vacuum, unit = [], [], [], [], [], []
     omega = model.vacuum()
     one = MaskWord(0, np.ones(model.dim, dtype=complex))
-    for kappa in kappas:
-        triples = zip(*(_random_words(model, rng, 12) for _ in range(3)))
-        for f, g, h in triples:
-            wf = warp_word(model, kappa, f)
-            fg = rieffel_word(model, kappa, f, g)
-            adjoint.append((wf.H - warp_word(model, kappa, f.H)).norm())
-            homo.append((wf @ warp_word(model, kappa, g) - warp_word(model, kappa, fg)).norm())
-            assoc.append((rieffel_word(model, kappa, fg, h)
-                          - rieffel_word(model, kappa, f, rieffel_word(model, kappa, g, h))).norm())
-            inverse.append((warp_word(model, -kappa, wf) - f).norm())
-            vacuum.append(np.linalg.norm((wf - f).apply(omega)))
+    for kappa in kappas:            # the 12 triples of each kappa as one stack
+        f, g, h = (_random_words(model, rng, 12) for _ in range(3))
+        wf = warp_word(model, kappa, f)
+        fg = rieffel_word(model, kappa, f, g)
+        adjoint.extend((wf.H - warp_word(model, kappa, f.H)).norm())
+        homo.extend((wf @ warp_word(model, kappa, g) - warp_word(model, kappa, fg)).norm())
+        assoc.extend((rieffel_word(model, kappa, fg, h)
+                      - rieffel_word(model, kappa, f, rieffel_word(model, kappa, g, h))).norm())
+        inverse.extend((warp_word(model, -kappa, wf) - f).norm())
+        vacuum.extend(np.linalg.norm((wf - f).apply(omega), axis=-1))
         unit.append((warp_word(model, kappa, one) - one).norm())
 
     commutant, twisted, covariance = [], [], []
     z = twist_phases(model)
     for kappa in (0.5, 1.0, -0.7):
-        for _ in range(8):
-            f_even = random_monomial(model, "W0", 1, rng)
-            f_even = f_even @ f_even.H   # even element of the localized algebra
-            g_even = random_monomial(model, "W0p", 1, rng)
-            g_even = g_even @ g_even.H
-            wf, wg = warp_word(model, kappa, f_even), warp_word(model, -kappa, g_even)
-            commutant.append((wf @ wg - wg @ wf).norm())
-            f_odd = random_monomial(model, "W0", 1, rng)
-            g_odd = random_monomial(model, "W0p", 1, rng)
-            twisted.append(_twisted_commutator_norm(warp_word(model, kappa, f_odd),
-                                                    warp_word(model, -kappa, g_odd), z))
+        draws = [[random_monomial(model, tag, 1, rng) for tag in ("W0", "W0p", "W0", "W0p")]
+                 for _ in range(8)]
+        f_even, g_even, f_odd, g_odd = (MaskWord.stack(words) for words in zip(*draws))
+        f_even = f_even @ f_even.H       # even elements of the localized algebras
+        g_even = g_even @ g_even.H
+        wf, wg = warp_word(model, kappa, f_even), warp_word(model, -kappa, g_even)
+        commutant.extend((wf @ wg - wg @ wf).norm())
+        twisted.extend(_twisted_commutator_norm(warp_word(model, kappa, f_odd),
+                                                warp_word(model, -kappa, g_odd), z))
         for kind, param in (("gauge", 0.9), ("boost", 0.45), ("reflection", None)):
-            for word in _random_words(model, rng, 4):
-                lhs, rhs = covariance_transform(model, kappa, word, kind, param)
-                covariance.append((lhs - rhs).norm())
+            lhs, rhs = covariance_transform(model, kappa, _random_words(model, rng, 4),
+                                            kind, param)
+            covariance.extend((lhs - rhs).norm())
 
     return [
         CheckReport("warp-at-zero-is-identity", worst(zero), 0.0),

@@ -7,8 +7,9 @@ from hypothesis import strategies as st
 
 from dswarp import car_fock, cli, deformation, verification
 from dswarp.car_fock import (MaskWord, OneParticleModel, boost_phases, charge_projector,
-                             default_model, field_B, gauge_phases, twist_phases,
-                             wedge_generators, wedge_subalgebra_basis)
+                             default_model, field_B, gauge_phases, reflect_word,
+                             reflection_automorphism, twist_phases, wedge_generators,
+                             wedge_subalgebra_basis)
 from dswarp.deformation import warp_angles, warp_word
 from dswarp.verification import (SPAN_SVD_TOL, CheckReport, causal_borchers_axioms,
                                  check_twisted_locality, fixed_point_residual,
@@ -632,6 +633,104 @@ def test_per_mask_spans_match_dense_span(model, seed, kappa, t, s):
 def test_mask_word_difference_needs_one_mask():
     with pytest.raises(ValueError, match="single-mask"):
         MaskWord(1, np.ones(4)) - MaskWord(2, np.ones(4))
+
+
+# -- stacks of mask words ----------------------------------------------------------
+
+def _random_stack(rng, dim: int, masks) -> tuple[MaskWord, list[MaskWord]]:
+    """A stack with the given masks and complex Gaussian rows, and the same
+    words one by one, with int masks and vectors of their own."""
+    vecs = rng.standard_normal((len(masks), dim)) + 1j * rng.standard_normal((len(masks), dim))
+    return (MaskWord(np.array(masks), vecs),
+            [MaskWord(int(m), v.copy()) for m, v in zip(masks, vecs)])
+
+
+def _assert_rows_equal(stack: MaskWord, words: list[MaskWord]):
+    """Row b of the stack is words[b], mask and entries bit for bit."""
+    assert len(stack.mask) == len(words)
+    for row, word in zip(stack, words):
+        assert row.mask == word.mask and np.array_equal(row.vec, word.vec)
+
+
+@PROPERTY
+@given(word_models(), SEEDS, st.integers(1, 8), st.booleans(), KAPPAS, st.floats(-3.0, 3.0))
+def test_stacked_words_equal_the_words_one_by_one(model, seed, size, one_mask, kappa, t):
+    """Every word operation on a stack of 1-8 words, of one mask or of mixed
+    masks, gives in each row exactly what it gives that row's word alone; a
+    single word broadcasts against a stack."""
+    rng = np.random.default_rng(seed)
+    d = model.dim
+    masks = np.full(size, rng.integers(d)) if one_mask else rng.integers(d, size=size)
+    a, a_words = _random_stack(rng, d, masks)
+    b, b_words = _random_stack(rng, d, rng.integers(d, size=size))
+    c, c_words = _random_stack(rng, d, masks)
+    v = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+    vs = rng.standard_normal((size, d)) + 1j * rng.standard_normal((size, d))
+    u = boost_phases(model, t)
+
+    _assert_rows_equal(a @ b, [x @ y for x, y in zip(a_words, b_words)])
+    _assert_rows_equal(a_words[0] @ b, [a_words[0] @ y for y in b_words])
+    _assert_rows_equal(a @ b_words[0], [x @ b_words[0] for x in a_words])
+    _assert_rows_equal(a.H, [x.H for x in a_words])
+    _assert_rows_equal(a - c, [x - y for x, y in zip(a_words, c_words)])
+    _assert_rows_equal(a.conjugated_by(u), [x.conjugated_by(u) for x in a_words])
+    _assert_rows_equal(warp_word(model, kappa, a), [warp_word(model, kappa, x) for x in a_words])
+    _assert_rows_equal(reflect_word(model, a), [reflect_word(model, x) for x in a_words])
+    _assert_rows_equal(reflection_automorphism(model, a),
+                       [reflection_automorphism(model, x) for x in a_words])
+    assert np.array_equal(a.apply(v), [x.apply(v) for x in a_words])
+    assert np.array_equal(a.apply(vs), [x.apply(w) for x, w in zip(a_words, vs)])
+    assert np.array_equal(a_words[0].apply(vs), [a_words[0].apply(w) for w in vs])
+    assert np.array_equal(a.norm(), [x.norm() for x in a_words])
+    if (b.mask != a.mask).any():
+        with pytest.raises(ValueError, match="single-mask"):
+            a - b
+
+
+# warp_word calls of one suite run, on the 2+2- and the 4+3-mode models alike:
+# each kappa's draws are warped as one stack.  Warping word by word took 1631
+# and 1685 (deformation), 319 and 385 (locality).
+WARP_WORD_CALLS = {"deformation": 157, "locality": 19}
+FOCK128_MODEL = {"d_plus": 4, "d_minus": 3, "boost_freqs_plus": [1.0, -1.0, 2.0, -2.0],
+                 "boost_freqs_minus": [1.0, -1.0, 0.0], "localized_modes": [0, 2, 4],
+                 "reflection_pairing": [1, 0, 3, 2, 5, 4, 6]}
+
+
+def _count_warp_words(monkeypatch) -> dict[str, int]:
+    """Count warp_word calls, also those rieffel_word and covariance_transform make."""
+    counts = _count_calls(monkeypatch, [("warp_word", deformation, "warp_word")])
+    monkeypatch.setattr(verification, "warp_word", deformation.warp_word)
+    return counts
+
+
+@pytest.mark.parametrize("suite", sorted(WARP_WORD_CALLS))
+def test_warp_word_calls_do_not_grow_with_the_draws(monkeypatch, suite):
+    counts = _count_warp_words(monkeypatch)
+    per_model = []
+    for model in ({}, FOCK128_MODEL):            # dim 16 and dim 128
+        cfg = cli.load_config(None)
+        cfg["model"].update(model)
+        counts["warp_word"] = 0
+        checks = verification.SUITES[suite](cli.model_from_config(cfg), cfg,
+                                            np.random.default_rng(0))
+        assert all(c.passed for c in checks)
+        per_model.append(counts["warp_word"])
+    assert per_model[0] == per_model[1] <= WARP_WORD_CALLS[suite]
+
+
+def test_warp_word_calls_do_not_depend_on_the_number_of_draws(monkeypatch):
+    """Twice the random words per kappa leave the deformation suite's count as
+    it is, and twisted locality warps 4 or 64 samples in two calls."""
+    counts = _count_warp_words(monkeypatch)
+    random_words = verification._random_words
+    monkeypatch.setattr(verification, "_random_words",
+                        lambda model, rng, count: random_words(model, rng, 2 * count))
+    suite_deformation(MODEL, cli.load_config(None), np.random.default_rng(0))
+    assert counts["warp_word"] == WARP_WORD_CALLS["deformation"]
+    for samples in (4, 64):
+        counts["warp_word"] = 0
+        assert check_twisted_locality(MODEL, 0.5, degree=4, n_samples=samples).passed
+        assert counts["warp_word"] == 2
 
 
 # -- the mask-word deformation suite can still fail ---------------------------------
