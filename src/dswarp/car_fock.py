@@ -105,13 +105,14 @@ w-, and then a minor of w is the product of a minor of w+ and one of w-
 Gamma(w+) (x) Gamma(w-), and G_k gathers its entries from the two species
 factors, 2^{d_plus} and 2^{d_minus} wide, each built from its k x k minors.
 
-A field moves the particle number by one.  The lowering part
-sum_j lambda_j c_j of B(f) is the direct sum of its blocks L_k from the
-number-k to the number-(k-1) states (lowering_blocks), and the raising part
-is the adjoint of the lowering part of B(f)^* = B(Cf).  So Gamma B(f)
-Gamma^* is known from the block products G_{k-1} L_k G_k^* of both, and
-Gamma moves a vector one number block at a time (apply_number_blocks).  The
-one-particle map that Gamma(w) implements on the fields is one_particle_map.
+Each G_k is unitary for a unitary w: minors of a product are sums of
+products of minors (Cauchy-Binet), so Gamma(w) Gamma(w)^* = Gamma(w w^*) = 1.
+Gamma moves a vector one number block at a time (apply_number_blocks), and
+one_particle_map is the map it implements on the fields.  The block L_k of
+c_j, from the number-k to the number-(k-1) states, maps R + {j} to R with
+the Jordan-Wigner sign: lowering_entries tabulates those entries by row, so
+G_{k-1} L_k(c_j) is a signed column gather of G_{k-1} and L_k(c_j) G_k a
+signed row gather of G_k.
 
 The reflection is such a permutation, so Gamma(tau) is a signed permutation
 of the basis states, and reflection_table builds it from the occupation bits
@@ -168,7 +169,7 @@ from functools import lru_cache
 
 import numpy as np
 
-# Largest accepted n_modes: the dense Fock dimension 2^n stays at or below 1024.
+# Largest accepted n_modes, the Fock-dimension guard of cli.validate_config (2^n <= 1024).
 MAX_MODES = 10
 
 # Largest relative Lanczos residual at which field_norms accepts a Ritz value.
@@ -278,7 +279,8 @@ class OneParticleModel:
         if self.d_plus < 0 or self.d_minus < 0 or self.n_modes < 1:
             raise ModelError("need at least one mode")
         if self.n_modes > MAX_MODES:
-            raise ModelError(f"{self.n_modes} modes exceed the dense-matrix cap {MAX_MODES}")
+            raise ModelError(f"{self.n_modes} modes exceed the Fock-dimension guard "
+                             f"({MAX_MODES} modes)")
         if len(self.boost_freqs_plus) != self.d_plus:
             raise ModelError("boost_freqs_plus length must equal d_plus")
         if len(self.boost_freqs_minus) != self.d_minus:
@@ -530,31 +532,30 @@ def charge_projector(model: OneParticleModel, n: int) -> MaskWord:
 @lru_cache(maxsize=8)
 def _number_layout(n: int):
     """Per particle number k, the basis states with k occupied modes (ascending)
-    and the modes each occupies; and where the entries of c_0..c_{n-1} sit in
+    and the modes each occupies; and where c_0..c_{n-1} have their entries in
     the lowering blocks.
 
-    Returns (states, modes, (mode, flat, sign), offsets): modes[k] is the
-    (len(states[k]), k) table of occupied modes, ascending.  Lowering block
-    k-1 (k = 1..n) maps the number-k states to the number-(k-1) states and
-    fills offsets[k-1]:offsets[k] of one flat buffer, row-major; the
-    _mode_flips entry e lands at flat[e] with coefficient index mode[e] and
-    sign sign[e].
+    Returns (states, modes, lowering): modes[k] is the (len(states[k]), k)
+    table of occupied modes, ascending, and lowering[k-1] (k = 1..n) the
+    (mode, col, sign) tables of lowering_entries.
     """
     occ = occupation_table(n)
     number = occ.sum(axis=1)
     states = tuple(np.nonzero(number == k)[0] for k in range(n + 1))
     modes = tuple(np.nonzero(occ[s])[1].reshape(len(s), k) for k, s in enumerate(states))
-    sizes = np.array([len(s) for s in states])
     position = np.empty(2 ** n, dtype=int)            # rank of a state among its number
     for s in states:
         position[s] = np.arange(len(s))
-    offsets = np.concatenate([[0], np.cumsum(sizes[:-1] * sizes[1:])])
     mode, src, dst, sign = _mode_flips(n)
-    k = number[src]
-    flat = offsets[k - 1] + position[dst] * sizes[k] + position[src]
-    for a in (*states, *modes, flat, offsets):
+    lowering = []
+    for k in range(1, n + 1):
+        e = np.nonzero(number[src] == k)[0]
+        e = e[np.lexsort((mode[e], position[dst[e]]))]          # by row, then by mode
+        lowering.append(tuple(a[e].reshape(len(states[k - 1]), n - k + 1)
+                              for a in (mode, position[src], sign)))
+    for a in (*states, *modes, *itertools.chain(*lowering)):
         a.flags.writeable = False
-    return states, modes, (mode, flat, sign), offsets
+    return states, modes, tuple(lowering)
 
 
 def number_states(model: OneParticleModel) -> tuple[np.ndarray, ...]:
@@ -607,23 +608,16 @@ def apply_number_blocks(model: OneParticleModel, blocks, v: np.ndarray,
     return out
 
 
-def lowering_blocks(model: OneParticleModel, fs) -> tuple[np.ndarray, ...]:
-    """The number blocks of the lowering part sum_j lambda_j c_j of B(f).
+def lowering_entries(model: OneParticleModel) -> tuple[tuple[np.ndarray, ...], ...]:
+    """Where the unit fields c_0..c_{n-1} have their entries in the lowering
+    blocks, the number blocks from the number-k to the number-(k-1) states.
 
-    Block k-1 (k = 1..n) maps the number-k states to the number-(k-1)
-    states, rows and columns in ascending state order.  fs is a doubled-space
-    vector or a stack of them, with a stack of blocks for a stack.
+    Entry k-1 (k = 1..n) is (mode, col, sign), each of shape
+    (len(number_states(model)[k-1]), n-k+1): row r of block k-1 meets the
+    n-k+1 modes empty in its state, ascending, and c_{mode[r, i]} maps the
+    number-k state at position col[r, i] to it with the sign sign[r, i].
     """
-    fs = np.asarray(fs, dtype=complex)
-    if fs.shape[-1:] != (model.doubled_dim,):
-        raise ValueError(f"field vectors must have {model.doubled_dim} components, "
-                         f"got shape {fs.shape}")
-    states, _, (mode, flat, sign), offsets = _number_layout(model.n_modes)
-    lower, _ = _ladder_coefficients(model, fs)
-    flat_blocks = np.zeros(fs.shape[:-1] + (offsets[-1],), dtype=complex)
-    flat_blocks[..., flat] = lower[..., mode] * sign
-    return tuple(flat_blocks[..., a:b].reshape(fs.shape[:-1] + (len(rows), len(cols)))
-                 for a, b, rows, cols in zip(offsets, offsets[1:], states, states[1:]))
+    return _number_layout(model.n_modes)[2]
 
 
 def reflection_table(model: OneParticleModel) -> tuple[np.ndarray, np.ndarray]:

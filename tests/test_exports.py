@@ -2,8 +2,8 @@ import dswarp
 import pytest
 
 # Names removed from the program: replaced by the array, phase-vector and block
-# paths or by the per-entry fixed-point statement, or moved into the tests as
-# oracles.
+# paths, by the per-entry fixed-point statement or by the unit-field Bogolyubov
+# check, or moved into the tests as oracles.
 REMOVED = ["Quaternion", "Q_ZERO", "Q_ONE", "Q_E1", "Q_E2", "Q_E3", "annihilation_ops",
            "gauge_unitary", "boost_unitary", "twist_Z", "grading_Y", "charge_operator",
            "random_spin_word", "THETA", "DeformationContext", "unwarp",
@@ -15,7 +15,8 @@ REMOVED = ["Quaternion", "Q_ZERO", "Q_ONE", "Q_E1", "Q_E2", "Q_E3", "annihilatio
            "validate_report_schema", "_random_sector_blocks", "_sector_weights",
            "_bound_weights", "sector_fixed_point_residual", "fixed_point_bounds",
            "fixed_point_consistent", "sector_layout", "block_sector_norms",
-           "FockOperator", "operator_norm", "spinor", "cospinor", "warp", "angle_matrix"]
+           "FockOperator", "operator_norm", "spinor", "cospinor", "warp", "angle_matrix",
+           "lowering_blocks"]
 
 
 @pytest.mark.parametrize("name", dswarp.__all__)

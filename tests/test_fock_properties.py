@@ -5,7 +5,7 @@ Kronecker-product Jordan-Wigner tower for the fields, dense field products for
 the n-point function, exp(i dGamma(h)) on that
 tower for the second quantization Gamma(e^{ih}), the dense Gamma(w) by k x k
 minors (second_quantize) for its number blocks, dense products
-Gamma B(f) Gamma^* for the Bogolyubov block products, the dense rotated warp
+Gamma B(f) Gamma^* for the Bogolyubov unit-field residual, the dense rotated warp
 for the inequivalence witness, the full commutator
 [K, A E(n)] and the dense warp's kappa-derivative for the fixed-point
 sectors and for the per-entry derivative-commutator statement, the sector
@@ -29,7 +29,7 @@ from scipy.linalg import block_diag, expm
 from dswarp.car_fock import (LANCZOS_BATCH, LANCZOS_CERTIFICATE, MaskWord, OneParticleModel,
                              _expi_hermitian, _lanczos, _mode_flips, bogolyubov_modes,
                              boost_phases, charge_projector, default_model, field_B,
-                             field_norms, fock_npoint, gauge_phases, lowering_blocks,
+                             field_norms, fock_npoint, gauge_phases,
                              number_states, occupation_table, one_particle_map,
                              reflection_table, rotation_modes, second_quantize_blocks,
                              twist_phases, wedge_generators)
@@ -361,40 +361,38 @@ def test_number_blocks_equal_the_dense_minor_formula(model, seed):
 
 @PROPERTY
 @given(models(), SEEDS)
-def test_bogolyubov_block_products_equal_the_dense_ones(model, seed):
-    """G_{k-1} L_k G_k^* of B(f) and of B(Cf) against the number blocks of the
-    dense product Gamma B(f) Gamma^* (the raising block is the adjoint of the
-    second), and bogolyubov_residuals against the dense norms of the raising
-    and lowering parts of Gamma B(f) Gamma^* - B(u f), for the implemented u
-    and for the u of another map."""
+def test_bogolyubov_residual_is_the_dense_unit_field_norm_and_bounds_every_field(model, seed):
+    """bogolyubov_residuals against the dense R(g) = Gamma B(g) Gamma^* - B(u g).
+
+    The lowering unit fields ell_j are found by their dense fields, B(ell_j)
+    = c_j of the Kronecker tower.  For the implemented u and for the u of
+    another map, the residual is the largest Frobenius norm of a number-k to
+    number-(k-1) block of R(ell_j) over j and k (or |Gamma Omega - Omega|);
+    and for the other map it bounds the dense norm of R(f) at a random f by
+    sqrt(2n) |f| times the residual."""
     rng = np.random.default_rng(seed)
     w, other = (_species_block_unitary(model, rng)[0] for _ in range(2))
     f = _random_vector(rng, model.doubled_dim)
-    big = second_quantize(model, w)
-    conjugated = (big @ field_operator(model, f) @ big.H).matrix
-    gammas = second_quantize_blocks(model, w)
-    parts = lowering_blocks(model, np.stack([f, model.apply_conjugation(f)]))
+    n, big = model.n_modes, second_quantize(model, w)
+    ops = jordan_wigner_ops(n)
+    units = {j: e for e in np.eye(2 * n) for j in range(n) if (field_B(model, e) == ops[j]).all()}
+    assert sorted(units) == list(range(n))
     states = number_states(model)
-    scale = np.max(np.abs(conjugated))
-    for k in range(1, model.n_modes + 1):
-        g_out, g_in = gammas[k - 1], gammas[k]
-        lower, raise_adjoint = (g_out @ x @ g_in.conj().T for x in parts[k - 1])
-        assert np.max(np.abs(lower - _number_block(conjugated, states[k - 1], states[k]))) \
-            <= 1e-13 * scale
-        assert np.max(np.abs(raise_adjoint.conj().T
-                             - _number_block(conjugated, states[k], states[k - 1]))) \
-            <= 1e-13 * scale
 
-    number = occupation_table(model.n_modes).sum(axis=1)
-    steps = number[:, None] - number[None, :]
-    block_norms = []
+    def dense_residual(u, g):
+        return (big @ field_operator(model, g) @ big.H).matrix - field_B(model, u @ g)
+
+    residuals = []
     for u in (one_particle_map(model, w), one_particle_map(model, other)):
-        residual = conjugated - field_B(model, u @ f)
-        dense_norm = max(np.linalg.norm(np.where(steps == step, residual, 0.0), 2)
-                         for step in (1, -1))
-        block_norms.append(bogolyubov_residuals(model, w[None], u[None], f[None])[0])
-        assert abs(block_norms[-1] - dense_norm) <= 1e-13 * max(dense_norm, scale)
-    assert block_norms[0] <= 1e-12 * scale
+        blocks = [np.linalg.norm(_number_block(dense_residual(u, e), states[k - 1], states[k]))
+                  for e in units.values() for k in range(1, n + 1)]
+        dense_norm = max(abs(big.matrix[0, 0] - 1.0), *blocks)
+        residuals.append(bogolyubov_residuals(model, w[None], u[None])[0])
+        assert abs(residuals[-1] - dense_norm) <= 1e-13 * max(dense_norm, 1.0)
+    assert residuals[0] <= 1e-12
+    bound = np.sqrt(2 * n) * np.linalg.norm(f) * residuals[1]
+    assert np.linalg.norm(dense_residual(one_particle_map(model, other), f), 2) \
+        <= bound * (1.0 + 1e-12)
 
 
 def test_bogolyubov_modes_give_the_dense_implementer():

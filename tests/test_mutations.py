@@ -87,10 +87,15 @@ def _car_norm_bound_minus(model, f):
 # name -> (module, function name, replacement, suites, check IDs that must FAIL)
 MUTANTS = {
     # e^{ih} of a complex Hermitian h is not symmetric, so Gamma(w^T) does not
-    # implement u; the block residual is 3.7 on the default config
+    # implement u; the unit-field residual is 3.03 on the default config
     "second_quantize_blocks-of-the-transpose": (
         car_fock, "second_quantize_blocks", _gamma_of_the_transpose, ["car"],
         {"bogolyubov-implementation"}),
+    # the boost moves the vacuum by the phase e^{it}: at t = -2.3 the vacuum
+    # residual is |e^{-2.3i} - 1| = 1.83
+    "boost_phases-moves-the-vacuum": (
+        car_fock, "boost_phases", lambda model, t: np.exp(1j * t * (model.phases + 1.0)),
+        ["car"], {"vacuum-invariance"}),
     # with the identity as the rotation's implementer the rotated warp is the
     # straight one, so the Fock witness is 0 at every kappa
     "rotation_modes-identity": (
