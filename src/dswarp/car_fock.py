@@ -76,8 +76,9 @@ shape (m, d): rows() is arange(d) ^ mask[..., None], products and adjoints
 gather each row by its own rows (np.take_along_axis), and the norm is the
 largest absolute entry of each row.  Every entry is the same elementwise
 float operation as for the row's word alone, so a stack gives its rows'
-results bit for bit, and the suites check their random draws as one stack
-per kappa.
+results bit for bit.  The suites check their random draws as one stack
+per kappa, and the wedge generators of a tag are one stack, from which the
+wedge monomials and random products are gathered as stacks.
 
 Implementers
 ------------
@@ -152,9 +153,10 @@ eigenvalues) fails the certificate and so fails cstar-norm-formula.
 Per-model caches
 ----------------
 OneParticleModel.cached builds a value once per model and freezes its arrays
-(read-only).  It holds the conjugation matrix, the wedge generators per tag
-(wedge_generators), the signed-permutation table of the reflection
-(reflection_table) and the Majorana words, no array of more than d entries;
+(read-only), also those of a mask word.  It holds the conjugation matrix,
+the signed-permutation table of the reflection (reflection_table), the n
+Majorana words and, per tag, the stack of 2k wedge generators for k
+localized modes (wedge_generators), no more than 2n words of d entries;
 the per-mode-count caches (occupation_table, _mode_flips, _number_layout)
 hold index tables of size n 2^n.
 """
@@ -260,17 +262,19 @@ class OneParticleModel:
     def cached(self, key, build):
         """The value stored under key, built by build() on first use.
 
-        An array result, or each array of a tuple result, is made read-only,
-        since every later caller shares it.
+        An array result, or each array of a tuple result, and the arrays of
+        a mask word among them, are made read-only, since every later caller
+        shares them.
         """
         try:
             return self._cache[key]
         except KeyError:
             pass
         value = build()
-        for a in value if isinstance(value, tuple) else (value,):
-            if isinstance(a, np.ndarray):
-                a.flags.writeable = False
+        for item in value if isinstance(value, tuple) else (value,):
+            for a in (item.mask, item.vec) if isinstance(item, MaskWord) else (item,):
+                if isinstance(a, np.ndarray):
+                    a.flags.writeable = False
         self._cache[key] = value
         return value
 
@@ -659,14 +663,9 @@ def reflect_word(model: OneParticleModel, word: MaskWord) -> MaskWord:
 def _majorana_words(model: OneParticleModel) -> tuple[MaskWord, ...]:
     """u_j = B(e_j + e_{n+j}) = c_j + c_j^+ per mode j, as mask words with entries
     +-1; built once per model, with read-only vectors."""
-    def build() -> tuple[MaskWord, ...]:
-        n = model.n_modes
-        words = tuple(field_word(model, e) for e in np.hstack([np.eye(n), np.eye(n)]))
-        for w in words:
-            w.vec.flags.writeable = False
-        return words
-
-    return model.cached("majorana_words", build)
+    n = model.n_modes
+    return model.cached("majorana_words", lambda: tuple(
+        field_word(model, e) for e in np.hstack([np.eye(n), np.eye(n)])))
 
 
 def reflection_automorphism(model: OneParticleModel, word: MaskWord) -> MaskWord:
@@ -949,35 +948,25 @@ def car_norm_bound(model: OneParticleModel, f) -> float:
 
 # -- wedge subalgebra data ----------------------------------------------------
 
-def wedge_subalgebra_basis(model: OneParticleModel, tag: str) -> list[np.ndarray]:
-    """Orthonormal doubled-space basis of the tagged wedge subspace.
+def wedge_subalgebra_basis(model: OneParticleModel, tag: str) -> np.ndarray:
+    """Orthonormal doubled-space basis of the tagged wedge subspace, one
+    vector per row.
 
     W0 spans the localized modes in both copies; W0' is its reflection image.
     """
     n = model.n_modes
-    base = []
-    for j in model.localized_modes:
-        for offset in (0, n):
-            v = np.zeros(2 * n, dtype=complex)
-            v[offset + j] = 1.0
-            base.append(v)
+    base = np.eye(2 * n, dtype=complex)[[j + offset for j in model.localized_modes
+                                         for offset in (0, n)]]
     if tag == "W0":
         return base
     if tag == "W0p":
         perm = model.reflection_modes()
-        return [np.concatenate([perm @ v[:n], perm @ v[n:]]) for v in base]
+        return np.hstack([base[:, :n] @ perm.T, base[:, n:] @ perm.T])
     raise ValueError(f"unknown wedge tag {tag!r}; expected W0 or W0p")
 
 
-def wedge_generators(model: OneParticleModel, tag: str) -> tuple[MaskWord, ...]:
-    """Fields B(f) over the tagged wedge basis as mask words, built once per model.
-
-    Their vectors are read-only.
-    """
-    def build() -> tuple[MaskWord, ...]:
-        words = tuple(field_word(model, f) for f in wedge_subalgebra_basis(model, tag))
-        for w in words:
-            w.vec.flags.writeable = False
-        return words
-
-    return model.cached(("wedge_generators", tag), build)
+def wedge_generators(model: OneParticleModel, tag: str) -> MaskWord:
+    """Fields B(f) over the tagged wedge basis as one read-only stack of mask
+    words, built once per model."""
+    return model.cached(("wedge_generators", tag), lambda: MaskWord.stack(
+        [field_word(model, f) for f in wedge_subalgebra_basis(model, tag)]))

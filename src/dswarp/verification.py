@@ -33,8 +33,8 @@ each kappa are checked as one stack of words (car_fock, "Mask words"): the
 covariance words, in the order the generator gives them, and so are the
 samples of each twisted-locality check and the wedge monomials of the
 locality suite.  Each row is computed as its word alone would be, so the
-residuals are those of a word-by-word loop; the span code (span_basis,
-span_residual) still takes the words one by one.
+residuals are those of a word-by-word loop.  The span code takes a stack
+too, and projects the words of one mask in one product.
 
 The fixed-point statement is linear in A and holds entry by entry.  For a
 gauge-invariant A, the kappa-derivative of the warp at zero is
@@ -150,74 +150,82 @@ def _finite_or_none(value):
 
 # -- span machinery -----------------------------------------------------------
 
-def span_basis(words: list[MaskWord]) -> dict[int, np.ndarray]:
-    """Orthonormal basis of the linear span of mask words: {mask: rows of vectors}.
+def _mask_groups(words: MaskWord) -> list[tuple[int, np.ndarray]]:
+    """(mask, indices of its rows in stack order) for each mask of a stack,
+    by a stable sort of the masks (np.unique would load numpy.ma)."""
+    order = np.argsort(words.mask, kind="stable")
+    starts = np.flatnonzero(np.diff(words.mask[order])) + 1
+    return [(int(words.mask[rows[0]]), rows) for rows in np.split(order, starts) if rows.size]
+
+
+def span_basis(words: MaskWord) -> dict[int, np.ndarray]:
+    """Orthonormal basis of the linear span of a stack of mask words:
+    {mask: rows of vectors}.
 
     Each mask block's rank is cut against the largest singular value of all
     blocks, as for one SVD of the whole stack.
     """
-    blocks: dict[int, list[np.ndarray]] = {}
-    for w in words:
-        blocks.setdefault(w.mask, []).append(w.vec)
-    svds = {mask: np.linalg.svd(np.stack(vecs), full_matrices=False)[1:]
-            for mask, vecs in blocks.items()}
+    svds = {mask: np.linalg.svd(words.vec[rows], full_matrices=False)[1:]
+            for mask, rows in _mask_groups(words)}
     top = worst(svals[0] for svals, _ in svds.values())
     cut = SPAN_SVD_TOL * max(1.0, top)
     return {mask: vh[:int(np.sum(svals > cut))] for mask, (svals, vh) in svds.items()}
 
 
-def span_residual(basis: dict[int, np.ndarray], words: list[MaskWord]) -> float:
-    """Largest relative distance of any word from the span.
+def span_residual(basis: dict[int, np.ndarray], words: MaskWord) -> float:
+    """Largest relative distance of any word of a stack from the span; the
+    words of one mask are projected in one product.
 
-    A word whose mask has no basis rows is orthogonal to the span: distance 1.
+    A word whose mask has no basis rows is orthogonal to the span: distance
+    1.  A zero word is skipped.
     """
-    residuals = []
-    for w in words:
-        scale = np.linalg.norm(w.vec)
-        if scale == 0.0:
-            continue
-        rows = basis.get(w.mask)
-        if rows is None:
-            residuals.append(1.0)
-            continue
-        proj = rows.T @ (rows.conj() @ w.vec)
-        residuals.append(float(np.linalg.norm(w.vec - proj) / scale))
-    return worst(residuals)
+    distance = np.zeros(len(words.mask))
+    for mask, rows in _mask_groups(words):
+        vecs = words.vec[rows]
+        span = basis.get(mask, np.zeros((0, vecs.shape[-1])))
+        distance[rows] = np.linalg.norm(vecs - (vecs @ span.conj().T) @ span, axis=-1)
+    scale = np.linalg.norm(words.vec, axis=-1)
+    return worst(np.divide(distance, scale, out=np.zeros_like(scale), where=scale != 0.0))
 
 
-def spans_equal_residual(words_a: list[MaskWord], words_b: list[MaskWord]) -> float:
-    """Symmetric containment defect of two spans."""
+def spans_equal_residual(words_a: MaskWord, words_b: MaskWord) -> float:
+    """Symmetric containment defect of the spans of two stacks."""
     basis_a, basis_b = span_basis(words_a), span_basis(words_b)
     return worst([span_residual(basis_a, words_b), span_residual(basis_b, words_a)])
 
 
-def wedge_monomials(model: OneParticleModel, tag: str, degree: int) -> list[MaskWord]:
-    """All generator words of length <= degree over the tagged wedge basis."""
-    gens = wedge_generators(model, tag)
-    identity = MaskWord(0, np.ones(model.dim, dtype=complex))
-    words = [identity]
-    layer = [identity]
-    for _ in range(degree):
-        layer = [w @ g for w in layer for g in gens]
-        words.extend(layer)
+def _generator_products(gens: MaskWord, picks: np.ndarray) -> MaskWord:
+    """The products, left to right, of the generators that each row of picks
+    names; the pick -1 is the identity, which multiplies exactly."""
+    padded = MaskWord(np.append(gens.mask, 0), np.vstack([gens.vec, np.ones(gens.vec.shape[-1])]))
+    words = padded[picks[:, 0]]
+    for column in picks.T[1:]:
+        words = words @ padded[column]
     return words
 
 
-def _deformed_monomials(model: OneParticleModel, tag: str, kappa: float,
-                        degree: int) -> MaskWord:
-    """The wedge_monomials warped with kappa, as one stack."""
-    return warp_word(model, kappa, MaskWord.stack(wedge_monomials(model, tag, degree)))
-
-
-def random_monomial(model: OneParticleModel, tag: str, degree: int,
-                    rng: np.random.Generator) -> MaskWord:
-    """A product of 1..degree random wedge generators."""
+def wedge_monomials(model: OneParticleModel, tag: str, degree: int) -> MaskWord:
+    """All generator words of length <= degree (>= 1) over the tagged wedge
+    basis, as one stack: shortest first, each length with its last pick
+    running fastest."""
     gens = wedge_generators(model, tag)
-    picks = [int(rng.integers(len(gens))) for _ in range(int(rng.integers(1, degree + 1)))]
-    out = gens[picks[0]]
-    for i in picks[1:]:
-        out = out @ gens[i]
-    return out
+    picks = [p + (-1,) * (degree - length) for length in range(degree + 1)
+             for p in itertools.product(range(len(gens.mask)), repeat=length)]
+    return _generator_products(gens, np.array(picks))
+
+
+def random_monomial(model: OneParticleModel, tags: tuple[str, ...], degree: int, count: int,
+                    rng: np.random.Generator) -> tuple[MaskWord, ...]:
+    """count products of 1..degree random wedge generators per tag, one stack
+    per tag.  Lengths and picks are drawn sample by sample, tag by tag; a
+    short word is padded with the identity, which multiplies exactly."""
+    gens = [wedge_generators(model, tag) for tag in tags]
+    picks = np.full((count, len(gens), degree), -1)
+    for sample in picks:
+        for word, g in zip(sample, gens):
+            length = rng.integers(1, degree + 1)
+            word[:length] = [rng.integers(len(g.mask)) for _ in range(length)]
+    return tuple(map(_generator_products, gens, np.moveaxis(picks, 1, 0)))
 
 
 def check_twisted_locality(model: OneParticleModel, kappa: float, degree: int = 2,
@@ -232,9 +240,7 @@ def check_twisted_locality(model: OneParticleModel, kappa: float, degree: int = 
     """
     rng = np.random.default_rng(seed)
     kappa_refl = -kappa if flip_kappa else kappa
-    draws = [[random_monomial(model, tag, degree, rng) for tag in ("W0", "W0p")]
-             for _ in range(n_samples)]
-    f, g = (MaskWord.stack(words) for words in zip(*draws))
+    f, g = random_monomial(model, ("W0", "W0p"), degree, n_samples, rng)
     residuals = _twisted_commutator_norm(warp_word(model, kappa, f),
                                          warp_word(model, kappa_refl, g), twist_phases(model))
     name = "twisted-locality" if flip_kappa else "twisted-locality-negative-control"
@@ -401,23 +407,21 @@ def causal_borchers_axioms(model: OneParticleModel, kappa: float, degree: int = 
     (conditions on the reflected subspace deliberately violated); axiom b
     must then fail.
     """
-    deformed = _deformed_monomials(model, "W0", kappa, degree)
-    basis = span_basis(list(deformed))
+    deformed = warp_word(model, kappa, wedge_monomials(model, "W0", degree))
+    basis = span_basis(deformed)
     boosts, gauges = [0.35, -0.8], [0.7, 2.1]
-    boost_res = worst(span_residual(basis, list(deformed.conjugated_by(boost_phases(model, t))))
+    boost_res = worst(span_residual(basis, deformed.conjugated_by(boost_phases(model, t)))
                       for t in boosts)
 
-    if break_reflection:
-        reflected = deformed
-    else:
-        reflected = _deformed_monomials(model, "W0p", -kappa, degree)
+    reflected = (deformed if break_reflection
+                 else warp_word(model, -kappa, wedge_monomials(model, "W0p", degree)))
     rng = np.random.default_rng(seed)
     picks = [(int(rng.integers(len(deformed.mask))), int(rng.integers(len(reflected.mask))))
              for _ in range(24)]
     f, g = (np.array(rows) for rows in zip(*picks))
     twisted = _twisted_commutator_norm(deformed[f], reflected[g], twist_phases(model))
 
-    gauge_res = worst(span_residual(basis, list(deformed.conjugated_by(gauge_phases(model, s))))
+    gauge_res = worst(span_residual(basis, deformed.conjugated_by(gauge_phases(model, s)))
                       for s in gauges)
     meta = {"kappa": kappa, "degree": degree}
     return [
@@ -432,11 +436,11 @@ def net_well_defined_residual(model: OneParticleModel, kappa: float,
                               degree: int = 2) -> float:
     """Equal wedges get equal spans: stabilizer conjugates of the deformed
     W0 family against the family itself."""
-    deformed = _deformed_monomials(model, "W0", kappa, degree)
+    deformed = warp_word(model, kappa, wedge_monomials(model, "W0", degree))
     residuals = []
     for t, s in ((0.4, 0.0), (-0.25, 1.3), (0.0, 2.0)):
         u = boost_phases(model, t) * gauge_phases(model, s)
-        residuals.append(spans_equal_residual(list(deformed), list(deformed.conjugated_by(u))))
+        residuals.append(spans_equal_residual(deformed, deformed.conjugated_by(u)))
     return worst(residuals)
 
 
@@ -556,18 +560,18 @@ def suite_wedges(model: OneParticleModel, cfg: dict, rng) -> list[CheckReport]:
     causal_violations = int(np.sum(~wd.spacelike_separated(
         sample.points[:60, None, :], comp_sample.points[None, :, :])))
 
-    # 200 pairs of random wedges: each built witness must be confirmed by
-    # wedge_contains, inside w1 and not inside w2; an equal pair needs none
+    # 200 pairs of random wedges, as two stacks: a witness must be built
+    # exactly for the pairs wedges_equal calls distinct, and wedge_contains
+    # must confirm each, inside w1 and not inside w2
     frames = sg.random_proper_lorentz(rng, count=400)
-    wedges = wd.Wedge.stack(frames)
-    points, margins = wd.rigidity_witnesses(frames[0::2], frames[1::2])
-    missing, smallest = 0, math.inf
-    for w1, w2, x, margin in zip(wedges[0::2], wedges[1::2], points, margins):
-        if wd.wedges_equal(w1, w2):
-            continue
-        smallest = min(smallest, margin)
-        if np.isnan(x).any() or not wd.wedge_contains(w1, x) or wd.wedge_contains(w2, x):
-            missing += 1
+    w1, w2 = wd.Wedge(frames[0::2]), wd.Wedge(frames[1::2])
+    points, margins = wd.rigidity_witnesses(w1.frame, w2.frame)
+    equal = wd.wedges_equal(w1, w2)
+    built = ~np.isnan(points).any(axis=-1)
+    confirmed = (wd.wedge_contains(w1[built], points[built])
+                 & ~wd.wedge_contains(w2[built], points[built]))
+    missing = int(np.sum(equal == built)) + int(np.sum(~(confirmed | equal[built])))
+    smallest = np.min(margins[~equal], initial=math.inf)
     return [
         CheckReport("boost-preserves-reference-wedge", float(boost_mismatch), 0.0,
                     {"points": 500}),
@@ -665,9 +669,8 @@ def suite_deformation(model: OneParticleModel, cfg: dict, rng) -> list[CheckRepo
     commutant, twisted, covariance = [], [], []
     z = twist_phases(model)
     for kappa in (0.5, 1.0, -0.7):
-        draws = [[random_monomial(model, tag, 1, rng) for tag in ("W0", "W0p", "W0", "W0p")]
-                 for _ in range(8)]
-        f_even, g_even, f_odd, g_odd = (MaskWord.stack(words) for words in zip(*draws))
+        f_even, g_even, f_odd, g_odd = random_monomial(model, ("W0", "W0p", "W0", "W0p"), 1, 8,
+                                                       rng)
         f_even = f_even @ f_even.H       # even elements of the localized algebras
         g_even = g_even @ g_even.H
         wf, wg = warp_word(model, kappa, f_even), warp_word(model, -kappa, g_even)

@@ -6,6 +6,10 @@ is exactly (boosts in the 01 plane) x SO(3) acting on the edge directions,
 so the test is a block-structure check on frame2^-1 @ frame1.  gW0 is also
 the intersection of two half-spaces with null normals, {l+ > 0, l- > 0},
 and rigidity_witnesses builds a point of one wedge outside another from them.
+
+A Wedge holds one frame or a (..., 5, 5) stack of them.  wedge_contains,
+wedges_equal and stabilizes_reference give one verdict per frame or pair of
+a stack, each computed as for that one alone, and a bool for a single one.
 """
 
 from __future__ import annotations
@@ -30,32 +34,23 @@ class OffShellPointError(ValueError):
 
 @dataclass(frozen=True)
 class Wedge:
-    """gW0, represented by the transformation g (the frame)."""
+    """gW0 for the frame g, or one wedge per frame of a (..., 5, 5) stack,
+    each frame checked to be proper orthochronous; indexing picks frames."""
 
     frame: np.ndarray
 
     def __post_init__(self):
         f = np.asarray(self.frame, dtype=float)
-        if f.shape != (5, 5) or not is_proper_orthochronous(f):
-            raise ValueError("wedge frame must be proper orthochronous 5x5")
+        if f.shape[-2:] != (5, 5) or not np.all(is_proper_orthochronous(f)):
+            raise ValueError("wedge frames must be proper orthochronous 5x5")
         object.__setattr__(self, "frame", f)
+
+    def __getitem__(self, index) -> "Wedge":
+        return Wedge(self.frame[index])
 
     @staticmethod
     def reference() -> "Wedge":
         return Wedge(np.eye(5))
-
-    @staticmethod
-    def stack(frames) -> list["Wedge"]:
-        """One wedge per frame of a (k, 5, 5) stack, validated in one call."""
-        frames = np.asarray(frames, dtype=float)
-        if frames.shape[1:] != (5, 5) or not np.all(is_proper_orthochronous(frames)):
-            raise ValueError("wedge frames must be proper orthochronous 5x5")
-        out = []
-        for frame in frames:
-            w = object.__new__(Wedge)
-            object.__setattr__(w, "frame", frame)
-            out.append(w)
-        return out
 
 
 def _check_on_shell(x) -> np.ndarray:
@@ -68,19 +63,21 @@ def _check_on_shell(x) -> np.ndarray:
 
 
 def _inside(w: Wedge, x: np.ndarray, margin: float) -> np.ndarray:
-    """y1 - |y0| > margin for y = frame^-1 x, per point of x (..., 5).  On a
-    C-contiguous x, einsum sums each point's y on its own, so a verdict does
-    not depend on how many points come with it."""
-    inv = np.linalg.inv(w.frame)[:2]
-    y = np.einsum("ij,...j->...i", inv, np.ascontiguousarray(x))
+    """y1 - |y0| > margin for y = frame^-1 x, per point of x (..., 5); the
+    frames of a stack broadcast against the points.  On a C-contiguous x,
+    einsum sums each point's y on its own, so a verdict does not depend on
+    how many points or frames come with it."""
+    inv = np.linalg.inv(w.frame)[..., :2, :]
+    y = np.einsum("...ij,...j->...i", inv, np.ascontiguousarray(x))
     return y[..., 1] - np.abs(y[..., 0]) > margin
 
 
 def wedge_contains(w: Wedge, x):
     """True iff y = frame^-1 x satisfies y1 > |y0| + MEMBERSHIP_MARGIN.
 
-    x is one point (5,) or a batch (..., 5); a batch gives one verdict per
-    point, equal to the single-point one bit for bit.
+    x is one point (5,) or a batch (..., 5), and w one wedge or a stack
+    whose frames broadcast against the points; a batch gives one verdict per
+    point, equal to the single-pair one bit for bit.
     """
     inside = _inside(w, _check_on_shell(x), MEMBERSHIP_MARGIN)
     return bool(inside) if inside.ndim == 0 else inside
@@ -91,22 +88,24 @@ def causal_complement(w: Wedge) -> Wedge:
     return Wedge(w.frame @ _J5)
 
 
-def stabilizes_reference(h: np.ndarray, tol: float = 1e-8) -> bool:
-    """h in (01-boosts) x SO(3): block-diagonal with a symmetric unit boost block."""
-    if np.max(np.abs(h[0:2, 2:5])) > tol or np.max(np.abs(h[2:5, 0:2])) > tol:
-        return False
-    a, b = h[0, 0], h[0, 1]
-    if abs(h[1, 0] - b) > tol or abs(h[1, 1] - a) > tol:
-        return False
-    if abs(a * a - b * b - 1.0) > tol or a < 1.0 - tol:
-        return False
-    r = h[2:5, 2:5]
-    if np.max(np.abs(r.T @ r - np.eye(3))) > tol:
-        return False
-    return abs(np.linalg.det(r) - 1.0) <= tol
+def stabilizes_reference(h: np.ndarray, tol: float = 1e-8) -> bool | np.ndarray:
+    """h in (01-boosts) x SO(3): block-diagonal with a symmetric unit boost
+    block; one verdict per matrix of a (..., 5, 5) stack."""
+    h = np.asarray(h, dtype=float)
+    a, b = h[..., 0, 0], h[..., 0, 1]
+    r = h[..., 2:5, 2:5]
+    off_blocks = np.maximum(np.max(np.abs(h[..., 0:2, 2:5]), axis=(-2, -1)),
+                            np.max(np.abs(h[..., 2:5, 0:2]), axis=(-2, -1)))
+    ok = ((off_blocks <= tol) & (np.abs(h[..., 1, 0] - b) <= tol)
+          & (np.abs(h[..., 1, 1] - a) <= tol) & (np.abs(a * a - b * b - 1.0) <= tol)
+          & (a >= 1.0 - tol)
+          & (np.max(np.abs(np.swapaxes(r, -1, -2) @ r - np.eye(3)), axis=(-2, -1)) <= tol)
+          & (np.abs(np.linalg.det(r) - 1.0) <= tol))
+    return bool(ok) if ok.ndim == 0 else ok
 
 
-def wedges_equal(w1: Wedge, w2: Wedge, tol: float = 1e-8) -> bool:
+def wedges_equal(w1: Wedge, w2: Wedge, tol: float = 1e-8) -> bool | np.ndarray:
+    """w1 = w2, decided on frame2^-1 frame1, per pair of broadcast frames."""
     return stabilizes_reference(np.linalg.solve(w2.frame, w1.frame), tol)
 
 
@@ -119,7 +118,7 @@ class RegionSample:
 
 
 def sample_wedge_points(w: Wedge, n: int, seed: int) -> RegionSample:
-    """n interior points of w, rejection-sampled from the seeded patch."""
+    """n interior points of w (one frame), rejection-sampled from the seeded patch."""
     rng = np.random.default_rng(seed)
     collected = []
     total = 0

@@ -27,9 +27,9 @@ from hypothesis import strategies as st
 from scipy.linalg import block_diag, expm
 
 from dswarp.car_fock import (LANCZOS_BATCH, LANCZOS_CERTIFICATE, MaskWord, OneParticleModel,
-                             _expi_hermitian, _lanczos, _mode_flips, bogolyubov_modes,
-                             boost_phases, charge_projector, default_model, field_B,
-                             field_norms, fock_npoint, gauge_phases,
+                             _expi_hermitian, _lanczos, _majorana_words, _mode_flips,
+                             bogolyubov_modes, boost_phases, charge_projector, default_model,
+                             field_B, field_norms, fock_npoint, gauge_phases,
                              number_states, occupation_table, one_particle_map,
                              reflection_table, rotation_modes, second_quantize_blocks,
                              twist_phases, wedge_generators)
@@ -645,19 +645,22 @@ def _assert_frozen(a: np.ndarray):
 def test_cached_generators_are_read_only_and_built_once(model):
     gens = wedge_generators(model, "W0")
     assert wedge_generators(model, "W0") is gens
-    assert len(gens) == 2 * len(model.localized_modes)
-    for g in gens:
-        _assert_frozen(g.vec)
+    assert gens.mask.shape == (2 * len(model.localized_modes),)
+    assert gens.vec.shape == (len(gens.mask), model.dim)
+    _assert_frozen(gens.mask)
+    _assert_frozen(gens.vec)
 
 
 def test_per_model_caches_are_read_only():
     model = default_model()
     for tag in ("W0", "W0p"):
-        for g in wedge_generators(model, tag):
-            _assert_frozen(g.vec)
+        _assert_frozen(wedge_generators(model, tag).mask)
+        _assert_frozen(wedge_generators(model, tag).vec)
     with pytest.raises(ValueError, match="unknown wedge tag"):
         wedge_generators(model, "rotated")
     _assert_frozen(model.conjugation_matrix())
+    for u in _majorana_words(model):
+        _assert_frozen(u.vec)
     for table in reflection_table(model):
         _assert_frozen(table)
     for table in _mode_flips(model.n_modes):

@@ -27,10 +27,24 @@ from dswarp import wedges as wd
 def _membership(reduce):
     """A wedge_contains that gates reduce(y) in place of y1 - |y0|, y = frame^-1 x."""
     def contains(w, x):
-        y = np.einsum("ij,...j->...i", np.linalg.inv(w.frame)[:2], np.asarray(x, dtype=float))
+        y = np.einsum("...ij,...j->...i", np.linalg.inv(w.frame)[..., :2, :],
+                      np.asarray(x, dtype=float))
         inside = reduce(y[..., 0], y[..., 1]) > wd.MEMBERSHIP_MARGIN
         return bool(inside) if inside.ndim == 0 else inside
     return contains
+
+
+def _wedges_always_equal(w1, w2, tol=1e-8):
+    """wedges_equal that calls every pair of stacked wedges equal."""
+    return np.full(np.broadcast_shapes(w1.frame.shape, w2.frame.shape)[:-2], True)
+
+
+_SPAN_BASIS = verification.span_basis
+
+
+def _span_basis_top_row(words):
+    """span_basis with every mask block cut to its first row."""
+    return {mask: rows[:1] for mask, rows in _SPAN_BASIS(words).items()}
 
 
 _SECOND_QUANTIZE_BLOCKS = car_fock.second_quantize_blocks
@@ -108,6 +122,15 @@ MUTANTS = {
     "wedge_contains-abs-y0-dropped": (
         wd, "wedge_contains", _membership(lambda y0, y1: y1 - y0), ["wedges"],
         {"rigidity-witness-200-pairs"}),
+    # no pair is distinct, so no witness should have been built: all 200
+    # built witnesses disagree with wedges_equal
+    "wedges_equal-always-equal": (
+        wd, "wedges_equal", _wedges_always_equal, ["wedges"], {"rigidity-witness-200-pairs"}),
+    # a deformed span cut to one row per mask misses a word orthogonal to
+    # the kept row: residual 1.0 in all three span checks
+    "span_basis-keeps-top-row": (
+        verification, "span_basis", _span_basis_top_row, ["locality"],
+        {"boost-stabilizer-invariance", "gauge-invariance", "net-well-defined"}),
     # no deformation: the derivative is 0 at every sector entry and on the
     # mover, so the derivative-commutator residual is exactly 1
     "angle_matrix-zero": (

@@ -1,3 +1,4 @@
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dswarp import car_fock, cli, deformation, verification
+from dswarp import wedges as wd
 from dswarp.car_fock import (MaskWord, OneParticleModel, boost_phases, charge_projector,
                              default_model, field_B, gauge_phases, reflect_word,
                              reflection_automorphism, twist_phases, wedge_generators,
@@ -93,22 +95,25 @@ def test_check_report_pass_semantics():
 
 def test_span_machinery():
     rng = np.random.default_rng(70)
-    vecs = [rng.standard_normal(4) + 1j * rng.standard_normal(4) for _ in range(3)]
-    words = [MaskWord(1, vecs[0]), MaskWord(1, vecs[1]), MaskWord(2, vecs[2])]
-    basis = span_basis(words)
+    vecs = rng.standard_normal((3, 4)) + 1j * rng.standard_normal((3, 4))
+    basis = span_basis(MaskWord(np.array([1, 2, 1]), vecs))
     assert sorted(basis) == [1, 2]
     assert sum(rows.shape[0] for rows in basis.values()) == 3
-    combo = MaskWord(1, 0.3j * vecs[0] - 1.7 * vecs[1])
-    assert span_residual(basis, [combo]) < 1e-12
-    outside = MaskWord(1, rng.standard_normal(4))
-    assert span_residual(basis, [outside]) > 1e-2
-    assert span_residual(basis, [MaskWord(3, rng.standard_normal(4))]) > 1e-2
+    combo = MaskWord(np.array([1]), np.array([0.3j * vecs[0] - 1.7 * vecs[2]]))
+    assert span_residual(basis, combo) < 1e-12
+    outside = MaskWord(np.array([2, 1]), np.array([2.0 * vecs[1], rng.standard_normal(4)]))
+    assert span_residual(basis, outside) > 1e-2
+    assert span_residual(basis, MaskWord(np.array([3]), rng.standard_normal((1, 4)))) == 1.0
+    # a zero word is skipped, with no divide-by-zero warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert span_residual(basis, MaskWord(np.array([1, 3]), np.zeros((2, 4)))) == 0.0
 
 
 def test_span_rank_is_cut_against_the_global_top_singular_value():
     # the mask-2 word is below 1e-9 of the largest singular value (1e6) of the
     # whole stack, though not below 1e-9 of its own block's
-    words = [MaskWord(1, np.array([1e6, 0, 0, 0])), MaskWord(2, np.array([1e-5, 0, 0, 0]))]
+    words = MaskWord(np.array([1, 2]), np.array([[1e6, 0, 0, 0], [1e-5, 0, 0, 0]]))
     basis = span_basis(words)
     assert [basis[1].shape[0], basis[2].shape[0]] == [1, 0]
     assert dense_span_basis([dense(w) for w in words]).shape[0] == 1
@@ -562,20 +567,25 @@ def _random_word(rng, dim) -> MaskWord:
 def test_mask_words_and_products_equal_dense_words(model, seed):
     for tag in ("W0", "W0p"):
         gens = dense_generators(model, tag)
-        assert all((dense(w) == g).all() for w, g in zip(wedge_generators(model, tag), gens))
-        for w, expected in zip(wedge_monomials(model, tag, 2), dense_monomials(model, tag, 2)):
-            assert (dense(w) == expected).all()
-        rng, replay = np.random.default_rng(seed), np.random.default_rng(seed)
-        for _ in range(5):
-            word = random_monomial(model, tag, 4, rng)
-            picks = [int(replay.integers(len(gens)))
+        assert [(dense(w) == g).all() for w, g
+                in zip(wedge_generators(model, tag), gens)] == [True] * len(gens)
+        monomials = dense_monomials(model, tag, 2)
+        assert [(dense(w) == expected).all() for w, expected
+                in zip(wedge_monomials(model, tag, 2), monomials)] == [True] * len(monomials)
+    # the picks of each sample are drawn tag by tag, as for one word at a time
+    rng, replay = np.random.default_rng(seed), np.random.default_rng(seed)
+    stacks = random_monomial(model, ("W0", "W0p"), 4, 5, rng)
+    gens = [dense_generators(model, tag) for tag in ("W0", "W0p")]
+    for sample in range(5):
+        for stack, tag_gens in zip(stacks, gens):
+            picks = [int(replay.integers(len(tag_gens)))
                      for _ in range(int(replay.integers(1, 5)))]
-            expected = gens[picks[0]]
+            expected = tag_gens[picks[0]]
             for i in picks[1:]:
-                expected = expected @ gens[i]
-            assert (dense(word) == expected).all()
-            assert (dense(word.H) == expected.conj().T).all()
-        assert rng.random() == replay.random()
+                expected = expected @ tag_gens[i]
+            assert (dense(stack[sample]) == expected).all()
+            assert (dense(stack[sample].H) == expected.conj().T).all()
+    assert rng.random() == replay.random()
 
 
 @PROPERTY
@@ -598,8 +608,9 @@ def test_max_entry_norm_matches_dense_two_norm(model, seed, kappa):
     z = twist_phases(model)
     words = [_random_word(rng, model.dim)]
     for refl_kappa in (-kappa, kappa):      # twisted commutators, with and without the flip
-        f = warp_word(model, kappa, random_monomial(model, "W0", 3, rng)).conjugated_by(z)
-        g = warp_word(model, refl_kappa, random_monomial(model, "W0p", 3, rng))
+        f, g = random_monomial(model, ("W0", "W0p"), 3, 1, rng)
+        f = warp_word(model, kappa, f[0]).conjugated_by(z)
+        g = warp_word(model, refl_kappa, g[0])
         words.append(f @ g - g @ f)
     for w in words:
         reference = float(np.linalg.norm(dense(w), 2))
@@ -610,19 +621,20 @@ def test_max_entry_norm_matches_dense_two_norm(model, seed, kappa):
 @given(word_models(), SEEDS, KAPPAS, st.floats(-3.0, 3.0), st.floats(-3.0, 3.0))
 def test_per_mask_spans_match_dense_span(model, seed, kappa, t, s):
     rng = np.random.default_rng(seed)
-    words = [warp_word(model, kappa, w) for w in wedge_monomials(model, "W0", 2)]
+    words = list(warp_word(model, kappa, wedge_monomials(model, "W0", 2)))
     for _ in range(4):     # dependent words: combinations within one mask
         a = words[int(rng.integers(len(words)))]
         same = [w for w in words if w.mask == a.mask]
         b = same[int(rng.integers(len(same)))]
         words.append(MaskWord(a.mask, (0.3 - 1.1j) * a.vec + 2.0 * b.vec))
+    words = MaskWord.stack(words)
     basis = span_basis(words)
     reference = dense_span_basis([dense(w) for w in words])
     assert sum(rows.shape[0] for rows in basis.values()) == reference.shape[0]
     u = boost_phases(model, t) * gauge_phases(model, s)
-    reflected = [warp_word(model, -kappa, w) for w in wedge_monomials(model, "W0p", 1)]
-    for probe in ([w.conjugated_by(u) for w in words], reflected,
-                  [_random_word(rng, model.dim) for _ in range(3)]):
+    reflected = warp_word(model, -kappa, wedge_monomials(model, "W0p", 1))
+    for probe in (words.conjugated_by(u), reflected,
+                  MaskWord.stack([_random_word(rng, model.dim) for _ in range(3)])):
         assert abs(span_residual(basis, probe)
                    - dense_span_residual(reference, [dense(w) for w in probe])) <= 1e-13
 
@@ -728,6 +740,23 @@ def test_warp_word_calls_do_not_depend_on_the_number_of_draws(monkeypatch):
         counts["warp_word"] = 0
         assert check_twisted_locality(MODEL, 0.5, degree=4, n_samples=samples).passed
         assert counts["warp_word"] == 2
+
+
+def test_wedge_pairs_and_random_monomials_are_drawn_as_stacks(monkeypatch):
+    """The wedges suite decides its 200 pairs with one wedges_equal call and
+    at most four wedge_contains calls, and each twisted-locality check draws
+    its monomials with one random_monomial call."""
+    counts = _count_calls(monkeypatch, [("wedges_equal", wd, "wedges_equal"),
+                                        ("wedge_contains", wd, "wedge_contains"),
+                                        ("random_monomial", verification, "random_monomial")])
+    cfg = cli.load_config(None)
+    checks = verification.suite_wedges(MODEL, cfg, np.random.default_rng(0))
+    assert all(c.passed for c in checks)
+    assert counts["wedges_equal"] == 1 and counts["wedge_contains"] <= 4
+    for samples in (4, 64):
+        counts["random_monomial"] = 0
+        assert check_twisted_locality(MODEL, 0.5, degree=4, n_samples=samples).passed
+        assert counts["random_monomial"] == 1
 
 
 # -- the mask-word deformation suite can still fail ---------------------------------

@@ -181,10 +181,38 @@ def test_rigidity_witnesses_stacked_equal_single():
         assert np.array_equal(x, points[idx], equal_nan=True) and margin == margins[idx]
 
 
-def test_wedge_stack_validates_every_frame():
+def test_wedge_of_a_stack_refuses_one_bad_frame():
     frames = sg.random_proper_lorentz(np.random.default_rng(2), count=3)
-    assert [np.array_equal(w.frame, f) for w, f in zip(wd.Wedge.stack(frames), frames)] \
-        == [True] * 3
+    stack = wd.Wedge(frames)
+    assert np.array_equal(stack.frame, frames)
+    assert np.array_equal(stack[1].frame, frames[1])
+    assert np.array_equal(stack[[True, False, True]].frame, frames[[0, 2]])
     frames[1, 0, 0] = -frames[1, 0, 0]
     with pytest.raises(ValueError):
-        wd.Wedge.stack(frames)
+        wd.Wedge(frames)
+
+
+def test_stacked_verdicts_equal_single_pairs():
+    """wedges_equal and wedge_contains on stacks give, pair by pair, the
+    verdicts of single pairs: random pairs, an equal pair and a boosted
+    complement, each with its built witness and the witness negated."""
+    rng = np.random.default_rng(31)
+    f1 = sg.random_proper_lorentz(rng, count=40)
+    f2 = sg.random_proper_lorentz(rng, count=40)
+    f2[0] = f1[0] @ sg.boost_base(0.3)                      # the same wedge
+    f2[1] = f1[1] @ sg.boost_base(0.6) @ sg.reflection_base()   # its boosted complement
+    w1, w2 = wd.Wedge(f1), wd.Wedge(f2)
+    points, _ = wd.rigidity_witnesses(f1, f2)
+    points[0] = wd.sample_wedge_points(w1[0], 1, seed=3).points[0]     # no witness for it
+    equal = wd.wedges_equal(w1, w2)
+    assert equal.shape == (40,) and equal[0] and not equal[1:].any()
+    for x in (points, -points):
+        in1, in2 = wd.wedge_contains(w1, x), wd.wedge_contains(w2, x)
+        assert in1.shape == in2.shape == (40,)
+        for i in range(40):
+            pair = (wd.Wedge(f1[i]), wd.Wedge(f2[i]))
+            assert type(wd.wedges_equal(*pair)) is bool
+            assert wd.wedges_equal(*pair) == equal[i]
+            assert wd.wedge_contains(pair[0], x[i]) == in1[i]
+            assert wd.wedge_contains(pair[1], x[i]) == in2[i]
+    assert (wd.wedge_contains(w1, points) & ~wd.wedge_contains(w2, points))[1:].all()
